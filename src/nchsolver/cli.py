@@ -37,7 +37,7 @@ def _build(args):
                                         seed=args.seed, max_steps=args.max_steps)
     geometry = config_mod.build_geometry(values)
     kernel = config_mod.build_kernel(values, geometry)
-    cache = make_cache(geometry, kernel.symbol)
+    cache = make_cache(geometry)
     scheme_cfg = config_mod.build_scheme_config(values)
     return values, geometry, kernel, cache, scheme_cfg
 

@@ -57,37 +57,36 @@ class PotentialSpec:
 DOUBLE_WELL = PotentialSpec("double_well")
 
 
+def _truncate(spec: PotentialSpec, r: np.ndarray, inner, outer):
+    """``inner``, with ``outer`` of r where |r| > K under the truncated potential."""
+    if spec.variant == "double_well":
+        return inner
+    inner = np.asarray(inner)
+    outside = np.abs(r) > spec.cutoff
+    inner[outside] = outer(r[outside])
+    return inner
+
+
 def potential_value(spec: PotentialSpec, r):
     """F(r), elementwise."""
     r = np.asarray(r, dtype=np.float64)
-    well = 0.25 * (r**2 - 1.0) ** 2
-    if spec.variant == "double_well":
-        return well
-    k = spec.cutoff
-    a = 0.5 * (3.0 * k**2 - 1.0)
-    c = 0.25 * (3.0 * k**4 + 1.0)
-    outer = a * r**2 - np.sign(r) * 2.0 * k**3 * r + c
-    return np.where(np.abs(r) > k, outer, well)
+    k, beta = spec.cutoff, spec.curvature_bound
+    return _truncate(spec, r, 0.25 * (r * r - 1.0) ** 2,
+                     lambda ro: 0.5 * beta * (ro * ro) - np.sign(ro) * 2.0 * k**3 * ro
+                     + 0.25 * (3.0 * k**4 + 1.0))
 
 
 def potential_d1(spec: PotentialSpec, r):
     """F'(r), elementwise."""
     r = np.asarray(r, dtype=np.float64)
-    inner = r**3 - r
-    if spec.variant == "double_well":
-        return inner
-    k = spec.cutoff
-    outer = (3.0 * k**2 - 1.0) * r - np.sign(r) * 2.0 * k**3
-    return np.where(np.abs(r) > k, outer, inner)
+    return _truncate(spec, r, r * r * r - r,
+                     lambda ro: spec.curvature_bound * ro - np.sign(ro) * 2.0 * spec.cutoff**3)
 
 
 def potential_d2(spec: PotentialSpec, r):
     """F''(r), elementwise; bounded by 3K^2 - 1 for the truncated variant."""
     r = np.asarray(r, dtype=np.float64)
-    inner = 3.0 * r**2 - 1.0
-    if spec.variant == "double_well":
-        return inner
-    return np.where(np.abs(r) > spec.cutoff, 3.0 * spec.cutoff**2 - 1.0, inner)
+    return _truncate(spec, r, 3.0 * (r * r) - 1.0, lambda ro: spec.curvature_bound)
 
 
 def energy(u: Field, kernel: SampledKernel, epsilon: float, spec: PotentialSpec = DOUBLE_WELL) -> float:

@@ -6,7 +6,8 @@ vertices (i*h, j*h) and enters the model through the discrete convolution
     [J (*) phi]_{i,j} = h^2 sum_{k,l} J_{k,l} phi_{i-k, j-l}   (periodic wrap),
 
 a circulant operator that is diagonal in the DFT basis with the real symbol
-j_hat = h^2 * DFT2(J).  The scalar [J (*) 1] = h^2 sum J (the zero mode of
+j_hat = h^2 * DFT2(J), applied on the half spectrum of real transforms (see
+:mod:`nchsolver.spectral`).  The scalar [J (*) 1] = h^2 sum J (the zero mode of
 the symbol) plays the role of the kernel mass; the model is positive
 diffusive when gamma0 = eps^2 [J (*) 1] - 1 > 0.
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Field, GridGeometry, require_same_geometry
+from .spectral import apply_symbol, half_spectrum
 
 KERNEL_VARIANTS = ("gaussian", "constant", "tabulated")
 
@@ -148,13 +150,12 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
 def convolve(kernel: SampledKernel, phi: Field) -> Field:
     """Discrete periodic convolution [J (*) phi], via the DFT symbol."""
     require_same_geometry(kernel, phi)
-    out = np.fft.ifft2(np.fft.fft2(phi.values) * kernel.symbol).real
-    return Field(phi.geometry, out)
+    return Field(phi.geometry, apply_symbol(phi.values, half_spectrum(kernel.symbol)))
 
 
 def convolve_values(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolution used in solver hot paths."""
-    return np.fft.ifft2(np.fft.fft2(values) * kernel.symbol).real
+    return apply_symbol(values, half_spectrum(kernel.symbol))
 
 
 def gamma0(kernel: SampledKernel, epsilon: float) -> float:

@@ -20,16 +20,17 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
+from .spectral import apply_symbol, half_spectrum
 
 
 def spectral_preconditioner(symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Inverse of a DFT-diagonal operator with the given (positive) symbol."""
     if np.min(symbol) <= 0.0:
         raise ValueError("preconditioner symbol must be strictly positive")
-    inv = 1.0 / symbol
+    inv = 1.0 / half_spectrum(symbol)
 
     def apply(values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(np.fft.fft2(values) * inv).real
+        return apply_symbol(values, inv)
 
     return apply
 

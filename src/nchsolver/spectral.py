@@ -13,6 +13,12 @@ minus the Laplacian is invertible; the inverse and the induced negative
 norm ||u||_{-1} = sqrt(h^2 ((-Lap)^{-1} u || u)) are computed by dividing
 DFT coefficients by lambda and zeroing the constant mode.
 
+The production path uses real transforms on the half spectrum of modes
+l = 0..N/2 (N x (N/2+1), all values of a real even symbol), cut by
+``half_spectrum`` and applied by ``apply_symbol``.  The full N x N symbols
+(``laplacian_eigenvalues``, ``SampledKernel.symbol``, ``nonlocal_eigenvalues``)
+are the reference the oracles compare with dense matrices.
+
 The dense matrix of minus the Laplacian is never assembled here; it exists
 only in the test oracles that validate these symbols.
 """
@@ -20,7 +26,6 @@ only in the test oracles that validate these symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -39,40 +44,41 @@ def laplacian_eigenvalues(geometry: GridGeometry) -> np.ndarray:
     return (2.0 / h**2) * (2.0 - np.add.outer(c, c))
 
 
+def half_spectrum(symbol: np.ndarray) -> np.ndarray:
+    """View of columns 0..N/2 of an N-row symbol (the rfft2 modes); idempotent."""
+    return symbol[:, : symbol.shape[0] // 2 + 1]
+
+
+def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Apply the circulant operator with a half-spectrum symbol to real values."""
+    return np.fft.irfft2(np.fft.rfft2(values) * symbol, s=values.shape)
+
+
 @dataclass(frozen=True)
 class SpectralCache:
     """Per-mode DFT symbols shared by solvers and norms.
 
-    ``laplacian_symbol`` holds the symbol of the Laplacian (non-positive,
-    zero exactly at the constant mode).  ``kernel_symbol`` optionally holds
-    the symbol of a sampled interaction kernel's convolution operator.
+    ``laplacian_symbol`` holds the symbol of the Laplacian on the
+    half spectrum (non-positive, zero exactly at the constant mode).
     Immutable, safe to share across threads.
     """
 
     geometry: GridGeometry
     laplacian_symbol: np.ndarray = field(repr=False)
-    kernel_symbol: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         sym = np.asarray(self.laplacian_symbol, dtype=np.float64)
         sym.setflags(write=False)
         object.__setattr__(self, "laplacian_symbol", sym)
-        if self.kernel_symbol is not None:
-            ks = np.asarray(self.kernel_symbol, dtype=np.float64)
-            ks.setflags(write=False)
-            object.__setattr__(self, "kernel_symbol", ks)
 
     @property
     def minus_laplacian_eigenvalues(self) -> np.ndarray:
         return -self.laplacian_symbol
 
-    def with_kernel(self, kernel_symbol: np.ndarray) -> "SpectralCache":
-        return SpectralCache(self.geometry, self.laplacian_symbol, kernel_symbol)
 
-
-def make_cache(geometry: GridGeometry, kernel_symbol: Optional[np.ndarray] = None) -> SpectralCache:
-    """Build the spectral cache for a grid (optionally carrying a kernel symbol)."""
-    return SpectralCache(geometry, -laplacian_eigenvalues(geometry), kernel_symbol)
+def make_cache(geometry: GridGeometry) -> SpectralCache:
+    """Build the spectral cache for a grid."""
+    return SpectralCache(geometry, -half_spectrum(laplacian_eigenvalues(geometry)))
 
 
 def gradient(phi: Field) -> EdgeField:
@@ -105,8 +111,7 @@ def laplacian_apply(values: np.ndarray, h: float) -> np.ndarray:
 
 def laplacian_spectral(phi: Field, cache: SpectralCache) -> Field:
     """Laplacian applied through its DFT symbol; equals the stencil to rounding."""
-    out = np.fft.ifft2(np.fft.fft2(phi.values) * cache.laplacian_symbol).real
-    return Field(phi.geometry, out)
+    return Field(phi.geometry, apply_symbol(phi.values, cache.laplacian_symbol))
 
 
 def dft_forward(phi: Field) -> np.ndarray:
@@ -135,10 +140,10 @@ def inverse_laplacian_zero_mean(phi: Field, cache: SpectralCache) -> Field:
     """Solve -Lap(psi) = phi for the zero-mean psi, via the spectral inverse."""
     values = _zero_mean_values(phi, "the inverse Laplacian")
     lam = cache.minus_laplacian_eigenvalues
-    modes = np.fft.fft2(values)
+    modes = np.fft.rfft2(values)
     out = np.zeros_like(modes)
     np.divide(modes, lam, out=out, where=lam > 0.0)
-    return Field(phi.geometry, np.fft.ifft2(out).real)
+    return Field(phi.geometry, np.fft.irfft2(out, s=values.shape))
 
 
 def norm_neg1(phi: Field, cache: SpectralCache) -> float:
@@ -149,12 +154,13 @@ def norm_neg1(phi: Field, cache: SpectralCache) -> float:
     """
     values = _zero_mean_values(phi, "the negative-order norm")
     lam = cache.minus_laplacian_eigenvalues
-    modes = np.fft.fft2(values)
-    power = (modes.real**2 + modes.imag**2)
-    quad = np.sum(
-        np.divide(power, lam, out=np.zeros_like(power), where=lam > 0.0),
-        dtype=np.longdouble,
-    )
-    # Parseval: sum_ij psi phi = (1/N^2) sum_kl |phi_hat|^2 / lambda.
+    modes = np.fft.rfft2(values)
+    power = modes.real**2 + modes.imag**2
+    weighted = np.divide(power, lam, out=np.zeros_like(power), where=lam > 0.0)
+    # Interior columns 1..(N-1)/2 also stand for their mirrored modes; column
+    # 0 and, for even N, the Nyquist column N/2 already hold theirs.
     n = phi.geometry.n
+    weighted[:, 1:(n + 1) // 2] *= 2.0
+    # Parseval: sum_ij psi phi = (1/N^2) sum_kl |phi_hat|^2 / lambda.
+    quad = np.sum(weighted, dtype=np.longdouble)
     return float(np.sqrt(phi.geometry.h**2 * quad / n**2))

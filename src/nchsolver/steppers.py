@@ -29,7 +29,8 @@ scheme, matching the coefficient of the negative-norm term in the
 respective convexity computations).  The linear schemes use the closed-form
 inequalities on (S, beta) and (beta, tau, gamma0), with the same per-mode
 surrogate replacing the kernel constant.  The policy field decides whether
-an inadmissible configuration rejects the step, warns, or is ignored.
+an inadmissible configuration rejects the step, warns, or is ignored; a
+run applies it once per configuration (see ``advance``).
 
 The nonlinear solves eliminate omega and run Newton on u alone, matrix-free
 and preconditioned by the frozen-coefficient DFT-diagonal operator;
@@ -54,7 +55,7 @@ from .errors import ConfigError, StabilityError, StateError
 from .grid import Field, GridGeometry, mean
 from .kernels import SampledKernel, convolve_values, gamma0
 from .solvers import newton_solve, spectral_preconditioner
-from .spectral import SpectralCache, laplacian_apply
+from .spectral import SpectralCache, half_spectrum, laplacian_apply
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -179,8 +180,9 @@ class SolvabilityReport:
     literal_tau_bound: Optional[float] = None
 
 
-def _nonzero_mode_mask(cache: SpectralCache) -> np.ndarray:
-    return cache.minus_laplacian_eigenvalues > 0.0
+def _nonlocal_gap(kernel: SampledKernel, eps2: float) -> np.ndarray:
+    """Half-spectrum symbol eps^2 ([J(*)1] - j_hat) of the nonlocal operator."""
+    return eps2 * (kernel.conv_one - half_spectrum(kernel.symbol))
 
 
 def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
@@ -194,10 +196,9 @@ def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralC
     that the underlying sufficient conditions are sharp there.
     """
     lam = cache.minus_laplacian_eigenvalues
-    mask = _nonzero_mode_mask(cache)
+    mask = lam > 0.0
     lam_nz = lam[mask]
-    eps2 = cfg.epsilon**2
-    nonlocal_gap = eps2 * (kernel.conv_one - kernel.symbol)[mask]
+    nonlocal_gap = _nonlocal_gap(kernel, cfg.epsilon**2)[mask]
     g0 = gamma0(kernel, cfg.epsilon)
     beta = cfg.beta
     note = ""
@@ -294,7 +295,7 @@ def _implicit_potential_solve(a: float, rhs: np.ndarray, u_init: np.ndarray,
         return a * v - laplacian_apply(jv, h)
 
     # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-    coef = eps2 * (kernel.conv_one - kernel.symbol) - 1.0
+    coef = _nonlocal_gap(kernel, eps2) - 1.0
     symbol = a + lam * coef
     bad = symbol <= 0.0
     if bad.any():
@@ -366,7 +367,7 @@ def _linear_spectral_solve(numerator_hat: np.ndarray, denominator: np.ndarray,
         )
     u_hat = numerator_hat / denominator
     u_hat[0, 0] = zero_mode
-    return _snap_mass(np.fft.ifft2(u_hat).real, target_mass)
+    return _snap_mass(np.fft.irfft2(u_hat, s=(geometry.n, geometry.n)), target_mass)
 
 
 def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -381,9 +382,9 @@ def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     target = mean(state.u)
 
     f_explicit = potential_d1(pot, u_n)
-    u_hat = np.fft.fft2(u_n)
-    numerator = u_hat / tau - lam * (np.fft.fft2(f_explicit) - s * u_hat)
-    denominator = 1.0 / tau + lam * (s + eps2 * (kernel.conv_one - kernel.symbol))
+    u_hat = np.fft.rfft2(u_n)
+    numerator = u_hat / tau - lam * (np.fft.rfft2(f_explicit) - s * u_hat)
+    denominator = 1.0 / tau + lam * (s + _nonlocal_gap(kernel, eps2))
     u_vals = _linear_spectral_solve(numerator, denominator, u_hat[0, 0],
                                     state.u.geometry, target)
     u_next = Field(state.u.geometry, u_vals)
@@ -429,10 +430,10 @@ def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     target = mean(state.u)
 
     extrapolated = 2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev.values)
-    u_hat = np.fft.fft2(u_n)
-    u_hat_prev = np.fft.fft2(u_prev.values)
-    numerator = (4.0 * u_hat - u_hat_prev) / (2.0 * tau) - lam * np.fft.fft2(extrapolated)
-    denominator = 3.0 / (2.0 * tau) + lam * eps2 * (kernel.conv_one - kernel.symbol)
+    u_hat = np.fft.rfft2(u_n)
+    u_hat_prev = np.fft.rfft2(u_prev.values)
+    numerator = (4.0 * u_hat - u_hat_prev) / (2.0 * tau) - lam * np.fft.rfft2(extrapolated)
+    denominator = 3.0 / (2.0 * tau) + lam * _nonlocal_gap(kernel, eps2)
     zero_mode = (4.0 * u_hat[0, 0] - u_hat_prev[0, 0]) / 3.0
     u_vals = _linear_spectral_solve(numerator, denominator, zero_mode,
                                     state.u.geometry, target)
@@ -467,13 +468,22 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-            cache: SpectralCache) -> tuple[SchemeState, StepResult]:
-    """Advance one step, bootstrapping a fresh two-step state transparently."""
+            cache: SpectralCache, admitted: Optional[set] = None) -> tuple[SchemeState, StepResult]:
+    """Advance one step, bootstrapping a fresh two-step state transparently.
+
+    ``admitted``, when given, holds the configurations already checked for
+    this kernel and cache: they skip the stability policy, and each newly
+    checked one is added.
+    """
+    step_cfg = cfg
     if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
-        startup = bootstrap_config(cfg)
-        result = STEP_FUNCTIONS[startup.scheme](state, startup, kernel, cache)
-    else:
-        result = STEP_FUNCTIONS[cfg.scheme](state, cfg, kernel, cache)
+        step_cfg = bootstrap_config(cfg)
+    if admitted is not None:
+        if step_cfg not in admitted:
+            _apply_policy(step_cfg, kernel, cache)
+            admitted.add(step_cfg)
+        step_cfg = replace(step_cfg, stability_policy="ignore")
+    result = STEP_FUNCTIONS[step_cfg.scheme](state, step_cfg, kernel, cache)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
     next_state = SchemeState(
         u=result.u,

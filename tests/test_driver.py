@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, RunOptions,
-                       SchemeConfig, equilibrium_residual, h1h2_probe,
-                       make_cache, mean, norm2, project_zero_mean, random_initial_field,
-                       run, run_batch, sample_kernel)
+                       SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
+                       h1h2_probe, make_cache, mean, modified_energy_two_step,
+                       modified_energy_two_step_linear, norm2, norm_neg1, project_zero_mean,
+                       random_initial_field, run, run_batch, sample_kernel)
+from nchsolver import steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 
 GEO = GridGeometry(16, 1.0)
@@ -100,6 +102,72 @@ def test_error_termination_carries_step_index():
     result = run(u0, cfg, narrow, CACHE, RunOptions(max_steps=10))
     assert result.termination == "error"
     assert "step 1" in result.error_detail
+
+
+def test_error_termination_names_first_step_of_two_step_config():
+    # The ssi1 bootstrap is admissible, the two_li step itself is not
+    # (beta = 11 exceeds (gamma0 + 1) / 3 for the weak kernel).
+    cfg = _cfg("two_li", tau=1e-4, stability_policy="enforce")
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=5)
+    result = run(u0, cfg, GAUSS, CACHE, RunOptions(max_steps=10))
+    assert result.termination == "error"
+    assert result.error_detail.startswith("step 2:")
+    assert [r.step for r in result.records] == [0, 1]
+
+
+def test_warn_policy_warns_during_run():
+    cfg = _cfg("two_li", tau=1e-4, stability_policy="warn")
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=5)
+    with pytest.warns(RuntimeWarning, match="two_li inadmissible"):
+        result = run(u0, cfg, GAUSS, CACHE, RunOptions(max_steps=3, eq_tol=1e-14))
+    assert result.termination == "max_steps"
+
+
+def test_admissibility_checked_once_per_config(monkeypatch):
+    calls = []
+    original = steppers.check_solvability
+
+    def counting(cfg, kernel, cache, kernel_constant=None):
+        calls.append(cfg.scheme)
+        return original(cfg, kernel, cache, kernel_constant)
+
+    monkeypatch.setattr(steppers, "check_solvability", counting)
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=3)
+    result = run(u0, _cfg("bdf2", tau=0.01), GAUSS, CACHE,
+                 RunOptions(max_steps=10, eq_tol=1e-14))
+    assert result.final_state.step_index == 10
+    assert calls == ["backward_euler", "bdf2"]
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "two_li"])
+def test_records_match_public_functionals(scheme):
+    # The one-pass record against the documented functionals, within the
+    # 64-ulp rounding bound the benchmark applies to energies.
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO)
+    cfg = _cfg(scheme, tau=2e-3)
+    pot = cfg.potential
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=37)
+    result = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=6, eq_tol=1e-14))
+    ulps = 64 * np.finfo(np.float64).eps
+
+    def close(actual, expected):
+        return abs(actual - expected) <= ulps * max(1.0, abs(expected))
+
+    state = SchemeState(u=u0)
+    assert close(result.records[0].energy, energy(u0, kernel, cfg.epsilon, pot))
+    for record in result.records[1:]:
+        state, _ = advance(state, cfg, kernel, CACHE)
+        assert record.step == state.step_index
+        du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
+        if scheme == "bdf2":
+            modified = modified_energy_two_step(state.u, du, cfg.tau, kernel, cfg.epsilon,
+                                                CACHE, pot)
+        else:
+            modified = modified_energy_two_step_linear(state.u, du, cfg.tau, cfg.beta, kernel,
+                                                       cfg.epsilon, CACHE, pot)
+        assert close(record.energy, energy(state.u, kernel, cfg.epsilon, pot))
+        assert close(record.modified_energy, modified)
+        assert close(record.increment_hneg1, norm_neg1(du, CACHE))
 
 
 def test_max_steps_termination():

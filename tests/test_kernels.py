@@ -71,7 +71,7 @@ def test_convolution_of_ones_gives_conv_one(gaussian_kernel8, geo8):
     assert np.abs(out.values - gaussian_kernel8.conv_one).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [4, 7, 8])
 def test_convolution_matches_direct_loop(n, rng):
     geo = GridGeometry(n, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo)

@@ -1,0 +1,19 @@
+"""The benchmark harness stays runnable from the test suite."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_cli_workload_runs_and_checks_out():
+    # --seconds 0 runs the warm-up cycle and one timed cycle of `nch run`.
+    completed = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cli_eq_n128", "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

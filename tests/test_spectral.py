@@ -4,7 +4,8 @@ import pytest
 from nchsolver import (EdgeField, Field, GridGeometry, NonZeroMeanError, dft_forward,
                        dft_inverse, divergence, edge_inner_product, gradient,
                        inner_product, inverse_laplacian_zero_mean, laplacian,
-                       laplacian_spectral, make_cache, mean, norm2, project_zero_mean)
+                       laplacian_spectral, make_cache, mean, norm2, norm_neg1,
+                       project_zero_mean)
 from nchsolver.oracles import (dense_minus_laplacian, dense_minus_laplacian_pinv,
                                direct_dft2, laplacian_eigenvalue_formula)
 from nchsolver.spectral import laplacian_eigenvalues
@@ -156,6 +157,28 @@ def test_inverse_laplacian_random_vs_dense(rng, geo8, cache8):
         assert norm2(residual) <= 1e-12 * norm2(phi)
         expected = pinv @ phi.values.ravel()
         assert np.abs(psi.values.ravel() - expected).max() <= 1e-10 * max(np.abs(expected).max(), 1e-30)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_half_spectrum_operators_match_dense(n, rng):
+    # rfft2 keeps columns 0..N/2; only even N has a Nyquist column among them.
+    geo = GridGeometry(n, 1.0)
+    cache = make_cache(geo)
+    assert cache.laplacian_symbol.shape == (n, n // 2 + 1)
+    assert np.array_equal(cache.minus_laplacian_eigenvalues,
+                          laplacian_eigenvalues(geo)[:, : n // 2 + 1])
+    pinv = dense_minus_laplacian_pinv(geo)
+    for _ in range(5):
+        phi = project_zero_mean(random_field(geo, rng))
+        vec = phi.values.ravel()
+        expected = pinv @ vec
+        psi = inverse_laplacian_zero_mean(phi, cache)
+        assert np.abs(psi.values.ravel() - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert norm_neg1(phi, cache) == pytest.approx(np.sqrt(geo.h**2 * (vec @ expected)),
+                                                      rel=1e-10)
+        stencil = laplacian(phi).values
+        spectral = laplacian_spectral(phi, cache).values
+        assert np.abs(stencil - spectral).max() <= 1e-12 * np.abs(stencil).max()
 
 
 def test_inverse_laplacian_rejects_nonzero_mean(geo8, cache8):

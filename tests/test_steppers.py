@@ -174,24 +174,42 @@ CACHE4 = make_cache(GEO4)
 STRONG4 = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO4)
 
 
+# Odd N: the half spectrum of the production transforms has no Nyquist column.
+GEO7 = GridGeometry(7, 1.0)
+CACHE7 = make_cache(GEO7)
+STRONG7 = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO7)
+
+
+def _check_step_against_dense_oracle(scheme, tol, kernel, cache, rng):
+    geometry = cache.geometry
+    cfg = _cfg(scheme, tau=1e-3)
+    u0 = project_zero_mean(random_field(geometry, rng, scale=0.5))
+    u1 = Field(geometry, u0.values + 0.01 * project_zero_mean(random_field(geometry, rng)).values)
+    state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
+    result = STEP_FUNCTIONS[scheme](state, cfg, kernel, cache)
+    if scheme in ("ssi1", "two_li"):
+        ref_u, ref_w = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
+                                         cfg.stabilization, kernel, cfg.potential)
+    else:
+        ref_u, ref_w = dense_nonlinear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
+                                            kernel, cfg.potential)
+    assert np.abs(result.u.values.ravel() - ref_u).max() <= tol
+    assert np.abs(result.omega.values.ravel() - ref_w).max() <= 100 * tol
+
+
 @pytest.mark.parametrize("scheme,tol", [
     ("backward_euler", 1e-9), ("convex_splitting", 1e-9), ("bdf2", 1e-9),
     ("ssi1", 1e-11), ("two_li", 1e-11),
 ])
 def test_steps_match_dense_oracles(scheme, tol, rng):
-    cfg = _cfg(scheme, tau=1e-3)
-    u0 = project_zero_mean(random_field(GEO4, rng, scale=0.5))
-    u1 = Field(GEO4, u0.values + 0.01 * project_zero_mean(random_field(GEO4, rng)).values)
-    state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
-    result = STEP_FUNCTIONS[scheme](state, cfg, STRONG4, CACHE4)
-    if scheme in ("ssi1", "two_li"):
-        ref_u, ref_w = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
-                                         cfg.stabilization, STRONG4, cfg.potential)
-    else:
-        ref_u, ref_w = dense_nonlinear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
-                                            STRONG4, cfg.potential)
-    assert np.abs(result.u.values.ravel() - ref_u).max() <= tol
-    assert np.abs(result.omega.values.ravel() - ref_w).max() <= 100 * tol
+    _check_step_against_dense_oracle(scheme, tol, STRONG4, CACHE4, rng)
+
+
+@pytest.mark.parametrize("scheme,tol", [
+    ("backward_euler", 1e-9), ("ssi1", 1e-11), ("two_li", 1e-11),
+])
+def test_steps_match_dense_oracles_at_odd_n(scheme, tol, rng):
+    _check_step_against_dense_oracle(scheme, tol, STRONG7, CACHE7, rng)
 
 
 # --- solvability check -------------------------------------------------------
