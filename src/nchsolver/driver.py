@@ -33,7 +33,7 @@ from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, mean, norm2, project_zero_mean
 from .kernels import SampledKernel, gamma0
-from .spectral import SpectralCache, gradient, norm_neg1
+from .spectral import SpectralCache, _norm_neg1_values, gradient
 from .steppers import TWO_STEP_SCHEMES, SchemeConfig, SchemeState, advance
 
 
@@ -125,7 +125,7 @@ def _record(step_index: int, time: float, state: SchemeState, increment: Optiona
     modified = None
     inc_neg = 0.0
     if increment is not None:
-        inc_neg = norm_neg1(project_zero_mean(increment), cache)
+        inc_neg = _norm_neg1_values(increment.values, cache)
         if cfg.scheme in TWO_STEP_SCHEMES:
             modified = e + inc_neg**2 / (4.0 * cfg.tau)
             if cfg.scheme == "two_li":
@@ -180,7 +180,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
         previous = state.u
         try:
             state, result = advance(state, cfg, kernel, cache, admitted)
-        except SolverError as err:
+        except SolverError as err:  # also a diverged step: non-finite or losing mass
             termination = "error"
             detail = f"step {state.step_index + 1}: {err}"
             break

@@ -11,7 +11,14 @@ The discrete free energy of a field u with interaction kernel J is
            - (eps^2 / 2) h^2 (u || [J (*) u]),
 
 reported with the full +|Omega|/4 constant carried by F itself so energy
-traces are bit-comparable across schemes.  Two-step schemes dissipate
+traces are bit-comparable across schemes.  The quadratic nonlocal part is
+evaluated from one real transform by Parseval,
+
+    (h^2 / (2 N^2)) sum_k eps^2 ([J(*)1] - j_hat_k) |u_hat_k|^2,
+
+a single sum in place of two that cancel: for a nonnegative kernel (the
+Gaussian and constant ones) |j_hat_k| <= [J(*)1], so every weight is >= 0,
+and the constant mode has weight exactly 0.  Two-step schemes dissipate
 modified energies that add increment-dependent terms: (1/(4 tau)) times the
 squared negative-order norm of the last increment, and for the linearly
 implicit two-step variant additionally (beta/2) times its squared L2 norm.
@@ -25,9 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, inner_product, norm2, require_same_geometry
-from .kernels import SampledKernel, convolve
-from .spectral import SpectralCache, norm_neg1
+from .grid import Field, norm2, require_same_geometry
+from .kernels import SampledKernel, convolve, nonlocal_gap
+from .spectral import SpectralCache, _modal_sum, norm_neg1
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -94,9 +101,7 @@ def energy(u: Field, kernel: SampledKernel, epsilon: float, spec: PotentialSpec 
     require_same_geometry(kernel, u)
     h2 = u.geometry.h**2
     bulk = h2 * float(np.sum(potential_value(spec, u.values), dtype=np.longdouble))
-    conv_u = convolve(kernel, u)
-    quad = 0.5 * epsilon**2 * (kernel.conv_one * norm2(u) ** 2 - h2 * inner_product(u, conv_u))
-    return bulk + quad
+    return bulk + 0.5 * h2 * _modal_sum(nonlocal_gap(kernel, epsilon**2), u.values)
 
 
 def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,

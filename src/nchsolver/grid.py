@@ -13,12 +13,15 @@ h^2 (phi||psi), and
     ||phi||_2 = sqrt(h^2 (phi||phi)),     ||phi||_4 = (h^2 sum phi^4)^(1/4).
 
 All reductions accumulate pairwise in extended precision (long double) so
-energy-monotonicity checks are not limited by summation error.
+energy-monotonicity checks are not limited by summation error.  A field is
+immutable, so its mean is reduced at most once, on the first ``mean`` call,
+however many steps, state checks and diagnostics ask for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +102,10 @@ class Field:
     def zeros(cls, geometry: GridGeometry) -> "Field":
         return cls.constant(geometry, 0.0)
 
+    @cached_property
+    def _mean(self) -> float:
+        return _reduce(self.values) / self.geometry.n**2
+
     def at(self, i: int, j: int) -> float:
         """Value at (possibly out-of-range) indices, resolved by periodic wrap."""
         n = self.geometry.n
@@ -167,8 +174,8 @@ def edge_inner_product(f: EdgeField, g: EdgeField) -> float:
 
 
 def mean(phi: Field) -> float:
-    """Average value (phi||1)/N^2."""
-    return _reduce(phi.values) / phi.geometry.n**2
+    """Average value (phi||1)/N^2, reduced once per field."""
+    return phi._mean
 
 
 def project_zero_mean(phi: Field) -> Field:

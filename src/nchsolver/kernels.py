@@ -167,6 +167,11 @@ def gamma0(kernel: SampledKernel, epsilon: float) -> float:
     return epsilon**2 * kernel.conv_one - 1.0
 
 
+def nonlocal_gap(kernel: SampledKernel, eps2: float) -> np.ndarray:
+    """Half-spectrum symbol eps^2 ([J(*)1] - j_hat) of the nonlocal operator; zero at mode 0."""
+    return eps2 * (kernel.conv_one - half_spectrum(kernel.symbol))
+
+
 def nonlocal_eigenvalues(kernel: SampledKernel) -> np.ndarray:
     """Per-mode eigenvalues [J (*) 1] - j_hat of the operator phi -> [J(*)1] phi - [J (*) phi]."""
     return kernel.conv_one - kernel.symbol

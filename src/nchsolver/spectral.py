@@ -15,9 +15,14 @@ DFT coefficients by lambda and zeroing the constant mode.
 
 The production path uses real transforms on the half spectrum of modes
 l = 0..N/2 (N x (N/2+1), all values of a real even symbol), cut by
-``half_spectrum`` and applied by ``apply_symbol``.  The full N x N symbols
-(``laplacian_eigenvalues``, ``SampledKernel.symbol``, ``nonlocal_eigenvalues``)
-are the reference the oracles compare with dense matrices.
+``half_spectrum`` and applied by ``apply_symbol``.  Quadratic forms
+(v || A v) of such an operator -- the negative norm here, the nonlocal
+energy in :mod:`nchsolver.energetics` -- are one modal sum by Parseval from
+a single ``rfft2``, taken by the one private helper ``_modal_sum``, which
+holds the rule that interior half-spectrum columns count twice.  The full
+N x N symbols (``laplacian_eigenvalues``, ``SampledKernel.symbol``,
+``nonlocal_eigenvalues``) are the reference the oracles compare with dense
+matrices.
 
 The dense matrix of minus the Laplacian is never assembled here; it exists
 only in the test oracles that validate these symbols.
@@ -146,21 +151,31 @@ def inverse_laplacian_zero_mean(phi: Field, cache: SpectralCache) -> Field:
     return Field(phi.geometry, np.fft.irfft2(out, s=values.shape))
 
 
+def _modal_sum(symbol: np.ndarray, values: np.ndarray) -> float:
+    """Pairing (v || A v) of real values v with the circulant A of a half-spectrum symbol.
+
+    Parseval: (v || A v) = (1/N^2) sum_kl a_kl |v_hat_kl|^2 over all N^2 modes.
+    Interior columns 1..(N-1)//2 also stand for their mirrored modes; column
+    0 and, for even N, the Nyquist column N/2 already hold theirs.
+    """
+    modes = np.fft.rfft2(values)
+    weighted = symbol * (modes.real**2 + modes.imag**2)
+    n = values.shape[0]
+    weighted[:, 1:(n + 1) // 2] *= 2.0
+    return float(np.sum(weighted, dtype=np.longdouble)) / n**2
+
+
+def _norm_neg1_values(values: np.ndarray, cache: SpectralCache) -> float:
+    """||.||_{-1} of the zero-mean part of ``values``; the constant mode carries no weight."""
+    lam = cache.minus_laplacian_eigenvalues
+    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return float(np.sqrt(cache.geometry.h**2 * _modal_sum(inverse, values)))
+
+
 def norm_neg1(phi: Field, cache: SpectralCache) -> float:
     """Negative-order norm ||phi||_{-1} = sqrt(h^2 ((-Lap)^{-1} phi || phi)).
 
     Defined for zero-mean fields only; inputs within the zero-mean tolerance
     are projected before inversion.
     """
-    values = _zero_mean_values(phi, "the negative-order norm")
-    lam = cache.minus_laplacian_eigenvalues
-    modes = np.fft.rfft2(values)
-    power = modes.real**2 + modes.imag**2
-    weighted = np.divide(power, lam, out=np.zeros_like(power), where=lam > 0.0)
-    # Interior columns 1..(N-1)/2 also stand for their mirrored modes; column
-    # 0 and, for even N, the Nyquist column N/2 already hold theirs.
-    n = phi.geometry.n
-    weighted[:, 1:(n + 1) // 2] *= 2.0
-    # Parseval: sum_ij psi phi = (1/N^2) sum_kl |phi_hat|^2 / lambda.
-    quad = np.sum(weighted, dtype=np.longdouble)
-    return float(np.sqrt(phi.geometry.h**2 * quad / n**2))
+    return _norm_neg1_values(_zero_mean_values(phi, "the negative-order norm"), cache)

@@ -36,7 +36,9 @@ The nonlinear solves eliminate omega and run Newton on u alone, matrix-free
 and preconditioned by the frozen-coefficient DFT-diagonal operator;
 omega is reconstructed from the potential equation afterwards.  Accepted
 steps re-center the solution mass on the conserved value (a shift at
-rounding magnitude), so mass is conserved exactly along trajectories.
+rounding magnitude), so mass is conserved exactly along trajectories.  A
+step that diverges -- a non-finite new level, or a two-step pair whose
+masses no longer agree -- raises ``SolverError`` like a failed solve.
 
 Steps are sequential by nature (level n+1 needs level n); independent
 simulations may run concurrently on shared immutable kernels and caches.
@@ -51,11 +53,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .energetics import PotentialSpec, potential_d1, potential_d2
-from .errors import ConfigError, StabilityError, StateError
+from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, mean
-from .kernels import SampledKernel, convolve_values, gamma0
+from .kernels import SampledKernel, convolve_values, gamma0, nonlocal_gap
 from .solvers import newton_solve, spectral_preconditioner
-from .spectral import SpectralCache, half_spectrum, laplacian_apply
+from .spectral import SpectralCache, laplacian_apply
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -155,6 +157,14 @@ class StepResult(NamedTuple):
     newton_iters: int
 
 
+def _step_result(geometry: GridGeometry, u_vals, omega_vals, newton_iters: int) -> StepResult:
+    """Wrap a step's new level; a non-finite level (a diverged step) is a solver failure."""
+    try:
+        return StepResult(Field(geometry, u_vals), Field(geometry, omega_vals), newton_iters)
+    except ValueError as err:  # the shapes come from the state: only finiteness can fail
+        raise SolverError(f"diverged: {err}") from err
+
+
 @dataclass(frozen=True)
 class SolvabilityReport:
     """Exact per-grid admissibility check of the scheme's step size.
@@ -180,11 +190,6 @@ class SolvabilityReport:
     literal_tau_bound: Optional[float] = None
 
 
-def _nonlocal_gap(kernel: SampledKernel, eps2: float) -> np.ndarray:
-    """Half-spectrum symbol eps^2 ([J(*)1] - j_hat) of the nonlocal operator."""
-    return eps2 * (kernel.conv_one - half_spectrum(kernel.symbol))
-
-
 def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
                       kernel_constant: Optional[float] = None) -> SolvabilityReport:
     """Evaluate the scheme's admissibility condition mode by mode.
@@ -198,7 +203,7 @@ def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralC
     lam = cache.minus_laplacian_eigenvalues
     mask = lam > 0.0
     lam_nz = lam[mask]
-    nonlocal_gap = _nonlocal_gap(kernel, cfg.epsilon**2)[mask]
+    gap = nonlocal_gap(kernel, cfg.epsilon**2)[mask]
     g0 = gamma0(kernel, cfg.epsilon)
     beta = cfg.beta
     note = ""
@@ -208,17 +213,17 @@ def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralC
         admissible = g0 > 0.0
     elif cfg.scheme in ("backward_euler", "bdf2"):
         c_s = 1.0 if cfg.scheme == "backward_euler" else 2.0 / 3.0
-        q = 1.0 / (c_s * cfg.tau * lam_nz) + nonlocal_gap - 1.0
+        q = 1.0 / (c_s * cfg.tau * lam_nz) + gap - 1.0
         per_mode_min = float(q.min())
         margin = per_mode_min
         admissible = g0 > 0.0 and margin >= 0.0
     elif cfg.scheme == "ssi1":
-        q = 1.0 / (cfg.tau * lam_nz) + cfg.stabilization + nonlocal_gap
+        q = 1.0 / (cfg.tau * lam_nz) + cfg.stabilization + gap
         per_mode_min = float(q.min())
         margin = cfg.stabilization - 0.5 * beta
         admissible = g0 > 0.0 and margin >= 0.0 and per_mode_min > 0.0
     else:  # two_li
-        q = 2.0 / (cfg.tau * lam_nz) + nonlocal_gap - 3.0 * beta
+        q = 2.0 / (cfg.tau * lam_nz) + gap - 3.0 * beta
         per_mode_min = float(q.min())
         closed_form = (g0 + 1.0) / 3.0 - beta
         margin = min(closed_form, per_mode_min)
@@ -295,7 +300,7 @@ def _implicit_potential_solve(a: float, rhs: np.ndarray, u_init: np.ndarray,
         return a * v - laplacian_apply(jv, h)
 
     # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-    coef = _nonlocal_gap(kernel, eps2) - 1.0
+    coef = nonlocal_gap(kernel, eps2) - 1.0
     symbol = a + lam * coef
     bad = symbol <= 0.0
     if bad.any():
@@ -315,9 +320,8 @@ def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKe
     u_vals, iters, _ = _implicit_potential_solve(
         1.0 / cfg.tau, u_n / cfg.tau, u_n, cfg, kernel, cache, pot)
     u_vals = _snap_mass(u_vals, target)
-    u_next = Field(state.u.geometry, u_vals)
-    omega = Field(state.u.geometry, _omega_values(u_vals, kernel, cfg.epsilon**2, pot))
-    return StepResult(u_next, omega, iters)
+    return _step_result(state.u.geometry, u_vals,
+                        _omega_values(u_vals, kernel, cfg.epsilon**2, pot), iters)
 
 
 def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -338,13 +342,13 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
     explicit = u_n + eps2 * (kernel.conv_one * u_n + convolve_values(kernel, u_n))
 
     def omega_of(u):
-        return u**3 + 2.0 * eps2 * kernel.conv_one * u - explicit
+        return u * u * u + 2.0 * eps2 * kernel.conv_one * u - explicit
 
     def residual(u):
         return (u - u_n) / tau - laplacian_apply(omega_of(u), h)
 
     def jacobian(u, v):
-        return v / tau - laplacian_apply((3.0 * u**2 + 2.0 * eps2 * kernel.conv_one) * v, h)
+        return v / tau - laplacian_apply((3.0 * (u * u) + 2.0 * eps2 * kernel.conv_one) * v, h)
 
     lam = cache.minus_laplacian_eigenvalues
     symbol = 1.0 / tau + 2.0 * eps2 * kernel.conv_one * lam
@@ -352,14 +356,17 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
                                     cfg.newton_max_iter, spectral_preconditioner(symbol),
                                     cfg.krylov_tol, _weighted_norm(h))
     u_vals = _snap_mass(u_vals, target)
-    u_next = Field(state.u.geometry, u_vals)
-    omega = Field(state.u.geometry, omega_of(u_vals))
-    return StepResult(u_next, omega, iters)
+    return _step_result(state.u.geometry, u_vals, omega_of(u_vals), iters)
 
 
 def _linear_spectral_solve(numerator_hat: np.ndarray, denominator: np.ndarray,
                            zero_mode: complex, geometry: GridGeometry,
-                           target_mass: float) -> np.ndarray:
+                           target_mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """New level's values, mass snapped, and its spectrum before the snap.
+
+    The snap shifts only the constant mode, where the nonlocal symbol is
+    exactly 0, so the spectrum still gives the new level's nonlocal term.
+    """
     if denominator.min() <= 0.0:
         raise ConfigError(
             "non-positive modal denominator in the linear solve; "
@@ -367,7 +374,7 @@ def _linear_spectral_solve(numerator_hat: np.ndarray, denominator: np.ndarray,
         )
     u_hat = numerator_hat / denominator
     u_hat[0, 0] = zero_mode
-    return _snap_mass(np.fft.irfft2(u_hat, s=(geometry.n, geometry.n)), target_mass)
+    return _snap_mass(np.fft.irfft2(u_hat, s=(geometry.n, geometry.n)), target_mass), u_hat
 
 
 def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -383,14 +390,12 @@ def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
 
     f_explicit = potential_d1(pot, u_n)
     u_hat = np.fft.rfft2(u_n)
+    gap = nonlocal_gap(kernel, eps2)
     numerator = u_hat / tau - lam * (np.fft.rfft2(f_explicit) - s * u_hat)
-    denominator = 1.0 / tau + lam * (s + _nonlocal_gap(kernel, eps2))
-    u_vals = _linear_spectral_solve(numerator, denominator, u_hat[0, 0],
-                                    state.u.geometry, target)
-    u_next = Field(state.u.geometry, u_vals)
-    omega_vals = f_explicit + s * (u_vals - u_n) \
-        + eps2 * (kernel.conv_one * u_vals - convolve_values(kernel, u_vals))
-    return StepResult(u_next, Field(state.u.geometry, omega_vals), 0)
+    u_vals, u_hat_next = _linear_spectral_solve(numerator, 1.0 / tau + lam * (s + gap),
+                                                u_hat[0, 0], state.u.geometry, target)
+    omega_vals = f_explicit + s * (u_vals - u_n) + np.fft.irfft2(gap * u_hat_next, s=u_n.shape)
+    return _step_result(state.u.geometry, u_vals, omega_vals, 0)
 
 
 def _require_history(state: SchemeState, scheme: str) -> Field:
@@ -412,9 +417,8 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     u_vals, iters, _ = _implicit_potential_solve(
         3.0 / (2.0 * tau), rhs, u_n, cfg, kernel, cache, pot)
     u_vals = _snap_mass(u_vals, target)
-    u_next = Field(state.u.geometry, u_vals)
-    omega = Field(state.u.geometry, _omega_values(u_vals, kernel, cfg.epsilon**2, pot))
-    return StepResult(u_next, omega, iters)
+    return _step_result(state.u.geometry, u_vals,
+                        _omega_values(u_vals, kernel, cfg.epsilon**2, pot), iters)
 
 
 def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -430,16 +434,13 @@ def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     target = mean(state.u)
 
     extrapolated = 2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev.values)
-    u_hat = np.fft.rfft2(u_n)
-    u_hat_prev = np.fft.rfft2(u_prev.values)
-    numerator = (4.0 * u_hat - u_hat_prev) / (2.0 * tau) - lam * np.fft.rfft2(extrapolated)
-    denominator = 3.0 / (2.0 * tau) + lam * _nonlocal_gap(kernel, eps2)
-    zero_mode = (4.0 * u_hat[0, 0] - u_hat_prev[0, 0]) / 3.0
-    u_vals = _linear_spectral_solve(numerator, denominator, zero_mode,
-                                    state.u.geometry, target)
-    u_next = Field(state.u.geometry, u_vals)
-    omega_vals = extrapolated + eps2 * (kernel.conv_one * u_vals - convolve_values(kernel, u_vals))
-    return StepResult(u_next, Field(state.u.geometry, omega_vals), 0)
+    history = np.fft.rfft2(4.0 * u_n - u_prev.values)
+    gap = nonlocal_gap(kernel, eps2)
+    numerator = history / (2.0 * tau) - lam * np.fft.rfft2(extrapolated)
+    u_vals, u_hat_next = _linear_spectral_solve(numerator, 3.0 / (2.0 * tau) + lam * gap,
+                                                history[0, 0] / 3.0, state.u.geometry, target)
+    omega_vals = extrapolated + np.fft.irfft2(gap * u_hat_next, s=u_n.shape)
+    return _step_result(state.u.geometry, u_vals, omega_vals, 0)
 
 
 STEP_FUNCTIONS = {
@@ -485,11 +486,14 @@ def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
         step_cfg = replace(step_cfg, stability_policy="ignore")
     result = STEP_FUNCTIONS[step_cfg.scheme](state, step_cfg, kernel, cache)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
-    next_state = SchemeState(
-        u=result.u,
-        u_prev=keep_prev,
-        omega=result.omega,
-        step_index=state.step_index + 1,
-        time=state.time + cfg.tau,
-    )
+    try:
+        next_state = SchemeState(
+            u=result.u,
+            u_prev=keep_prev,
+            omega=result.omega,
+            step_index=state.step_index + 1,
+            time=state.time + cfg.tau,
+        )
+    except StateError as err:  # the given state was valid, so the step broke its mass
+        raise SolverError(f"{step_cfg.scheme} step lost mass: {err}") from err
     return next_state, result

@@ -140,6 +140,35 @@ def test_cli_run_malformed_key_exits_2(tmp_path, capsys):
     assert "grid.shape" in capsys.readouterr().err
 
 
+DIVERGING = """
+grid.N = 16
+grid.L = 1.0
+model.epsilon = 0.2
+model.kernel.type = gaussian
+model.kernel.cJ = 130.0
+model.kernel.xi = 10.0
+model.potential.type = truncated
+model.potential.K = 1.1
+scheme.name = two_li
+scheme.tau = 0.1
+scheme.stability_policy = ignore
+run.max_steps = 100
+run.seed = 1
+run.init.delta = 3.0
+output.dir = {out}
+"""
+
+
+def test_cli_run_diverging_step_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, DIVERGING.format(out=out))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(cfg)]) == 3
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("termination: error")
+    assert "detail: step " in summary
+
+
 def test_cli_run_monotone_energy_column(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, BASE.format(out=out))

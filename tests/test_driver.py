@@ -115,6 +115,23 @@ def test_error_termination_names_first_step_of_two_step_config():
     assert [r.step for r in result.records] == [0, 1]
 
 
+@pytest.mark.parametrize("scheme", ["ssi1", "two_li"])
+def test_diverging_step_ends_run_with_error(scheme):
+    # S = 0 < beta/2 under the ignore policy: the explicit potential term
+    # blows the field up, ssi1 to non-finite values, two_li first through
+    # its two-step mass check.
+    strong = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO)
+    cfg = SchemeConfig(scheme, tau=0.1, epsilon=0.2, stabilization=0.0, cutoff=1.1,
+                       stability_policy="ignore")
+    u0 = random_initial_field(GEO, delta=3.0, seed=1)
+    with np.errstate(all="ignore"):
+        result = run(u0, cfg, strong, CACHE, RunOptions(max_steps=5000))
+    assert result.termination == "error"
+    failed_step = result.final_state.step_index + 1
+    assert result.error_detail.startswith(f"step {failed_step}:")
+    assert result.records[-1].step == failed_step - 1
+
+
 def test_warn_policy_warns_during_run():
     cfg = _cfg("two_li", tau=1e-4, stability_policy="warn")
     u0 = random_initial_field(GEO, 0.0, 0.05, seed=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nchsolver import (Field, GridGeometry, GeometryMismatchError, NonZeroMeanError,
-                       inner_product, mean, norm2, norm4, norm_neg1,
+                       grid, inner_product, mean, norm2, norm4, norm_neg1,
                        project_zero_mean)
 from nchsolver.oracles import (dense_minus_laplacian_pinv, naive_inner_product,
                                naive_mean, naive_norm2, naive_norm4)
@@ -88,6 +88,23 @@ def test_projection_fixes_zero_mean_sine(geo16):
 def test_mean_matches_naive_oracle(rng, geo16):
     phi = random_field(geo16, rng)
     assert mean(phi) == pytest.approx(naive_mean(phi.values), rel=1e-13)
+
+
+def test_mean_reduces_each_field_once(monkeypatch, rng, geo8):
+    calls = []
+    reduce = grid._reduce
+
+    def counting(values):
+        calls.append(values.shape)
+        return reduce(values)
+
+    monkeypatch.setattr(grid, "_reduce", counting)
+    phi = random_field(geo8, rng)
+    first = mean(phi)
+    assert mean(phi) == first == reduce(phi.values) / 64
+    assert len(calls) == 1
+    mean(random_field(geo8, rng))
+    assert len(calls) == 2
 
 
 def test_projection_idempotent(rng, geo8):
