@@ -9,7 +9,7 @@ spatial discretization and are cross-validated against dense oracles.
 """
 
 from .driver import (DecayProbe, DiagnosticsRecord, RunOptions, RunResult,
-                     equilibrium_residual, h1h2_probe, random_initial_field, run, run_batch)
+                     equilibrium_residual, h1h2_probe, random_initial_field, run)
 from .energetics import (PotentialSpec, chemical_potential, energy,
                          modified_energy_two_step, modified_energy_two_step_linear,
                          potential_d1, potential_d2, potential_value)

@@ -246,6 +246,19 @@ def build_geometry(values: dict[str, Any]) -> GridGeometry:
     return GridGeometry(values["grid.N"], values["grid.L"])
 
 
+def _read_field_key(values: dict[str, Any], name: str, geometry: GridGeometry) -> Field:
+    """The field in the file named by key ``name``; any read failure is a ConfigError."""
+    path = values[name]
+    try:
+        field, _ = read_field(path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"key {name!r}: cannot read field file {path}: {err}") from err
+    if field.geometry != geometry:
+        raise ConfigError(
+            f"key {name!r}: field grid {field.geometry} does not match run grid {geometry}")
+    return field
+
+
 def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKernel:
     kind = values["model.kernel.type"]
     if kind == "gaussian":
@@ -254,11 +267,7 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
     elif kind == "constant":
         spec = KernelSpec.constant(values["model.kernel.cJ"])
     else:
-        table, _ = read_field(values["model.kernel.path"])
-        if table.geometry != geometry:
-            raise ConfigError(
-                f"tabulated kernel grid {table.geometry} does not match run grid {geometry}")
-        spec = KernelSpec.tabulated(table.values)
+        spec = KernelSpec.tabulated(_read_field_key(values, "model.kernel.path", geometry).values)
     return sample_kernel(spec, geometry)
 
 
@@ -289,10 +298,6 @@ def build_run_options(values: dict[str, Any], snapshot_dir: Optional[Path]) -> R
 
 def build_initial_field(values: dict[str, Any], geometry: GridGeometry) -> Field:
     if "run.init.snapshot_path" in values:
-        field, _ = read_field(values["run.init.snapshot_path"])
-        if field.geometry != geometry:
-            raise ConfigError(
-                f"initial snapshot grid {field.geometry} does not match run grid {geometry}")
-        return field
+        return _read_field_key(values, "run.init.snapshot_path", geometry)
     return random_initial_field(geometry, values["run.init.mean"],
                                 values["run.init.delta"], values["run.seed"])

@@ -31,7 +31,7 @@ import numpy as np
 from .energetics import PotentialSpec, chemical_potential, energy
 from .errors import ConfigError, SolverError
 from .fieldio import write_field
-from .grid import Field, GridGeometry, mean, norm2, project_zero_mean
+from .grid import Field, GridGeometry, mean, norm2, project_zero_mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
 from .spectral import SpectralCache, _norm_neg1_values, gradient
 from .steppers import TWO_STEP_SCHEMES, SchemeConfig, SchemeState, advance
@@ -149,12 +149,15 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     """Advance the scheme until equilibrium or the step budget runs out.
 
     Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
-    from a checkpoint) must be given.  Stepper failures terminate the run
-    with ``termination == "error"`` and the failing step in the detail;
-    records collected so far are kept.
+    from a checkpoint) must be given; it must share the kernel's and the
+    cache's geometry (``GeometryMismatchError`` otherwise, before any step).
+    Stepper failures terminate the run with ``termination == "error"`` and
+    the failing step in the detail; records collected so far are kept.
     """
     if (u0 is None) == (initial_state is None):
         raise ConfigError("exactly one of u0 and initial_state must be given")
+    require_same_geometry(kernel, cache)
+    require_same_geometry(kernel, u0 if initial_state is None else initial_state.u)
     g0 = gamma0(kernel, cfg.epsilon)
     if not g0 > 0.0:
         raise ConfigError(
@@ -175,7 +178,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     termination = "max_steps"
     detail = ""
     final_omega = state.omega
-    admitted: set[SchemeConfig] = set()  # bootstrap and main config, checked once each
+    admitted: dict[SchemeConfig, SchemeConfig] = {}  # bootstrap and main config, checked once each
     while state.step_index < options.max_steps:
         previous = state.u
         try:
@@ -207,12 +210,6 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     residual = equilibrium_residual(state.u, final_omega, kernel, cfg.epsilon, pot)
     return RunResult(final_state=state, records=records, termination=termination,
                      equilibrium_residual=residual, error_detail=detail)
-
-
-def run_batch(jobs: Sequence[tuple[Field, SchemeConfig, SampledKernel, SpectralCache, RunOptions]]
-              ) -> list[RunResult]:
-    """Execute independent runs in order; each job owns its private state."""
-    return [run(u0, cfg, kernel, cache, options) for u0, cfg, kernel, cache, options in jobs]
 
 
 @dataclass(frozen=True)

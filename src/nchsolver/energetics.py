@@ -11,7 +11,14 @@ The discrete free energy of a field u with interaction kernel J is
            - (eps^2 / 2) h^2 (u || [J (*) u]),
 
 reported with the full +|Omega|/4 constant carried by F itself so energy
-traces are bit-comparable across schemes.  The quadratic nonlocal part is
+traces are bit-comparable across schemes.  Its variational derivative is
+the chemical potential
+
+    omega(u) = F'(u) + eps^2 ([J(*)1] u - [J (*) u]),
+
+whose nonlocal operator is applied, here and in every scheme, only through
+its half-spectrum symbol eps^2 ([J(*)1] - j_hat) (``kernels.nonlocal_gap``)
+by ``chemical_potential_values``.  The quadratic nonlocal part of E is
 evaluated from one real transform by Parseval,
 
     (h^2 / (2 N^2)) sum_k eps^2 ([J(*)1] - j_hat_k) |u_hat_k|^2,
@@ -33,8 +40,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Field, norm2, require_same_geometry
-from .kernels import SampledKernel, convolve, nonlocal_gap
-from .spectral import SpectralCache, _modal_sum, norm_neg1
+from .kernels import SampledKernel, nonlocal_gap
+from .spectral import SpectralCache, _modal_sum, apply_symbol, norm_neg1
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -108,9 +115,13 @@ def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,
                        spec: PotentialSpec = DOUBLE_WELL) -> Field:
     """Variational derivative F'(u) + eps^2 [J(*)1] u - eps^2 [J (*) u]."""
     require_same_geometry(kernel, u)
-    conv_u = convolve(kernel, u)
-    values = potential_d1(spec, u.values) + epsilon**2 * (kernel.conv_one * u.values - conv_u.values)
-    return Field(u.geometry, values)
+    gap = nonlocal_gap(kernel, epsilon**2)
+    return Field(u.geometry, chemical_potential_values(spec, u.values, gap))
+
+
+def chemical_potential_values(spec: PotentialSpec, values: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Array-level chemical potential, given ``gap = nonlocal_gap(kernel, eps^2)``."""
+    return potential_d1(spec, values) + apply_symbol(values, gap)
 
 
 def modified_energy_two_step(u: Field, du: Field, tau: float, kernel: SampledKernel,

@@ -39,22 +39,38 @@ def write_field(path, field: Field, t: float = 0.0) -> None:
     Path(path).write_bytes(_snapshot_bytes(field, t))
 
 
+def _require_length(blob: bytes, end: int, what: str) -> None:
+    if len(blob) < end:
+        raise ValueError(f"truncated {what}: {len(blob)} bytes, expected at least {end}")
+
+
+def _reject_trailing(blob: bytes, end: int, what: str) -> None:
+    if len(blob) > end:
+        raise ValueError(f"{what} has {len(blob) - end} trailing bytes after byte {end}")
+
+
 def _parse_snapshot(blob: bytes, offset: int = 0) -> tuple[Field, float, int]:
     if blob[offset:offset + 4] != SNAPSHOT_MAGIC:
         raise ValueError("not a field snapshot (bad magic bytes)")
+    start = offset + 24
+    _require_length(blob, start, "field snapshot header")
     n, = struct.unpack_from("<I", blob, offset + 4)
     length, t = struct.unpack_from("<dd", blob, offset + 8)
-    start = offset + 24
     end = start + 8 * n * n
-    if len(blob) < end:
-        raise ValueError("truncated field snapshot")
+    _require_length(blob, end, "field snapshot")
     values = np.frombuffer(blob[start:end], dtype="<f8").reshape(n, n)
     return Field(GridGeometry(n, length), values.astype(np.float64)), t, end
 
 
 def read_field(path) -> tuple[Field, float]:
-    """Read a field snapshot; returns (field, simulation time)."""
-    field, t, end = _parse_snapshot(Path(path).read_bytes())
+    """Read a field snapshot; returns (field, simulation time).
+
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for bad
+    magic bytes, a truncated file, trailing bytes or non-finite values.
+    """
+    blob = Path(path).read_bytes()
+    field, t, end = _parse_snapshot(blob)
+    _reject_trailing(blob, end, "field snapshot")
     return field, t
 
 
@@ -88,6 +104,7 @@ def read_checkpoint(path):
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic bytes)")
+    _require_length(blob, 25, "checkpoint header")
     version, = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
@@ -98,6 +115,7 @@ def read_checkpoint(path):
     u_prev = None
     if has_prev:
         u_prev, _, end = _parse_snapshot(blob, end)
+    _reject_trailing(blob, end, "checkpoint")
     return SchemeState(u=u, u_prev=u_prev, omega=None, step_index=step_index, time=time)
 
 

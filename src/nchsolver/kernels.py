@@ -11,6 +11,12 @@ j_hat = h^2 * DFT2(J), applied on the half spectrum of real transforms (see
 the symbol) plays the role of the kernel mass; the model is positive
 diffusive when gamma0 = eps^2 [J (*) 1] - 1 > 0.
 
+The model uses the kernel only through the nonnegative nonlocal operator
+eps^2 ([J(*)1] phi - [J (*) phi]).  The production path (schemes, chemical
+potential, energy, admissibility check) applies it only through its
+half-spectrum symbol ``nonlocal_gap``; ``convolve`` (a ``Field`` wrapper of
+``convolve_values``) is the public reference for the convolution itself.
+
 Supported kernels: a periodized Gaussian c * exp(-xi |x|^2) (folded over a
 configurable number of image cells), a constant kernel, and tabulated
 vertex values as an escape hatch.  Singular kernels (Newtonian or
@@ -150,11 +156,11 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
 def convolve(kernel: SampledKernel, phi: Field) -> Field:
     """Discrete periodic convolution [J (*) phi], via the DFT symbol."""
     require_same_geometry(kernel, phi)
-    return Field(phi.geometry, apply_symbol(phi.values, half_spectrum(kernel.symbol)))
+    return Field(phi.geometry, convolve_values(kernel, phi.values))
 
 
 def convolve_values(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
-    """Array-level convolution used in solver hot paths."""
+    """Array-level convolution [J (*) phi] of the values of phi."""
     return apply_symbol(values, half_spectrum(kernel.symbol))
 
 

@@ -32,11 +32,18 @@ surrogate replacing the kernel constant.  The policy field decides whether
 an inadmissible configuration rejects the step, warns, or is ignored; a
 run applies it once per configuration (see ``advance``).
 
-The nonlinear solves eliminate omega and run Newton on u alone, matrix-free
-and preconditioned by the frozen-coefficient DFT-diagonal operator;
-omega is reconstructed from the potential equation afterwards.  Accepted
-steps re-center the solution mass on the conserved value (a shift at
-rounding magnitude), so mass is conserved exactly along trajectories.  A
+The nonlocal operator eps^2 ([J(*)1] u - [J (*) u]) is applied only through
+its half-spectrum symbol ``kernels.nonlocal_gap``, built once per step: in
+the linear solves, the chemical potential
+(``energetics.chemical_potential_values``), the Newton Jacobians and the
+explicit part of convex splitting.  The three nonlinear schemes share one
+Newton step (``_newton_step``): it eliminates omega, solves
+a u - Lap(omega(u)) = rhs for u alone, matrix-free and preconditioned by
+the frozen-coefficient DFT-diagonal operator, and reconstructs omega from
+the solution.  Backward Euler and BDF2 differ only in (a, rhs), convex
+splitting in its omega.  Accepted steps re-center the solution mass on the
+conserved value (a shift at rounding magnitude), so mass is conserved
+exactly along trajectories.  A
 step that diverges -- a non-finite new level, or a two-step pair whose
 masses no longer agree -- raises ``SolverError`` like a failed solve.
 
@@ -52,12 +59,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energetics import PotentialSpec, potential_d1, potential_d2
+from .energetics import PotentialSpec, chemical_potential_values, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, mean
-from .kernels import SampledKernel, convolve_values, gamma0, nonlocal_gap
+from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve, spectral_preconditioner
-from .spectral import SpectralCache, laplacian_apply
+from .spectral import SpectralCache, apply_symbol, laplacian_apply
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -279,49 +286,53 @@ def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
     return values + (target - float(np.sum(values, dtype=np.longdouble)) / values.size)
 
 
-def _omega_values(u, kernel, eps2, pot):
-    return potential_d1(pot, u) + eps2 * (kernel.conv_one * u - convolve_values(kernel, u))
+def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a: float,
+                 rhs: np.ndarray, omega, omega_apply, omega_symbol) -> StepResult:
+    """Newton solve of a u - Lap(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
-
-def _implicit_potential_solve(a: float, rhs: np.ndarray, u_init: np.ndarray,
-                              cfg: SchemeConfig, kernel: SampledKernel,
-                              cache: SpectralCache, pot: PotentialSpec):
-    """Newton solve of a u - Lap(omega(u)) = rhs shared by the implicit schemes."""
+    ``omega_apply(u, v)`` is the derivative of ``omega`` at u applied to v and
+    ``omega_symbol`` its DFT-diagonal part with the pointwise coefficients
+    dropped; a + lambda * omega_symbol preconditions the Krylov solve.
+    """
     h = cache.geometry.h
-    eps2 = cfg.epsilon**2
     lam = cache.minus_laplacian_eigenvalues
 
     def residual(u):
-        return a * u - rhs - laplacian_apply(_omega_values(u, kernel, eps2, pot), h)
+        return a * u - rhs - laplacian_apply(omega(u), h)
 
     def jacobian(u, v):
-        curv = potential_d2(pot, u)
-        jv = (curv + eps2 * kernel.conv_one) * v - eps2 * convolve_values(kernel, v)
-        return a * v - laplacian_apply(jv, h)
+        return a * v - laplacian_apply(omega_apply(u, v), h)
 
-    # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-    coef = nonlocal_gap(kernel, eps2) - 1.0
-    symbol = a + lam * coef
+    symbol = a + lam * omega_symbol
     bad = symbol <= 0.0
     if bad.any():
-        symbol = np.where(bad, a + lam * np.maximum(coef, 0.0), symbol)
+        symbol = np.where(bad, a + lam * np.maximum(omega_symbol, 0.0), symbol)
 
-    return newton_solve(residual, jacobian, u_init, cfg.newton_tol, cfg.newton_max_iter,
-                        spectral_preconditioner(symbol), cfg.krylov_tol, _weighted_norm(h))
+    u_vals, iters, _ = newton_solve(residual, jacobian, state.u.values, cfg.newton_tol,
+                                    cfg.newton_max_iter, spectral_preconditioner(symbol),
+                                    cfg.krylov_tol, _weighted_norm(h))
+    u_vals = _snap_mass(u_vals, mean(state.u))
+    return _step_result(state.u.geometry, u_vals, omega(u_vals), iters)
+
+
+def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
+                             cache: SpectralCache, a: float, rhs: np.ndarray) -> StepResult:
+    """Newton step with the fully implicit chemical potential (backward Euler, BDF2)."""
+    pot = cfg.potential
+    gap = nonlocal_gap(kernel, cfg.epsilon**2)
+    # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
+    return _newton_step(state, cfg, cache, a, rhs,
+                        lambda u: chemical_potential_values(pot, u, gap),
+                        lambda u, v: potential_d2(pot, u) * v + apply_symbol(v, gap),
+                        gap - 1.0)
 
 
 def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                         cache: SpectralCache) -> StepResult:
     """One fully implicit step; nonlinear solve with the previous level as guess."""
     _apply_policy(cfg, kernel, cache)
-    pot = cfg.potential
-    u_n = state.u.values
-    target = mean(state.u)
-    u_vals, iters, _ = _implicit_potential_solve(
-        1.0 / cfg.tau, u_n / cfg.tau, u_n, cfg, kernel, cache, pot)
-    u_vals = _snap_mass(u_vals, target)
-    return _step_result(state.u.geometry, u_vals,
-                        _omega_values(u_vals, kernel, cfg.epsilon**2, pot), iters)
+    return _implicit_potential_step(state, cfg, kernel, cache,
+                                    1.0 / cfg.tau, state.u.values / cfg.tau)
 
 
 def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -332,31 +343,14 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
     step size.
     """
     _apply_policy(cfg, kernel, cache)
-    h = cache.geometry.h
-    eps2 = cfg.epsilon**2
-    tau = cfg.tau
+    strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
     u_n = state.u.values
-    target = mean(state.u)
-
     # Explicit part of the chemical potential, fixed during the solve.
-    explicit = u_n + eps2 * (kernel.conv_one * u_n + convolve_values(kernel, u_n))
-
-    def omega_of(u):
-        return u * u * u + 2.0 * eps2 * kernel.conv_one * u - explicit
-
-    def residual(u):
-        return (u - u_n) / tau - laplacian_apply(omega_of(u), h)
-
-    def jacobian(u, v):
-        return v / tau - laplacian_apply((3.0 * (u * u) + 2.0 * eps2 * kernel.conv_one) * v, h)
-
-    lam = cache.minus_laplacian_eigenvalues
-    symbol = 1.0 / tau + 2.0 * eps2 * kernel.conv_one * lam
-    u_vals, iters, _ = newton_solve(residual, jacobian, u_n, cfg.newton_tol,
-                                    cfg.newton_max_iter, spectral_preconditioner(symbol),
-                                    cfg.krylov_tol, _weighted_norm(h))
-    u_vals = _snap_mass(u_vals, target)
-    return _step_result(state.u.geometry, u_vals, omega_of(u_vals), iters)
+    explicit = u_n + strong * u_n - apply_symbol(u_n, nonlocal_gap(kernel, cfg.epsilon**2))
+    return _newton_step(state, cfg, cache, 1.0 / cfg.tau, u_n / cfg.tau,
+                        lambda u: u * u * u + strong * u - explicit,
+                        lambda u, v: (3.0 * (u * u) + strong) * v,
+                        strong)
 
 
 def _linear_spectral_solve(numerator_hat: np.ndarray, denominator: np.ndarray,
@@ -409,16 +403,8 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     """One two-step backward-differentiation step with implicit potential."""
     u_prev = _require_history(state, "bdf2")
     _apply_policy(cfg, kernel, cache)
-    pot = cfg.potential
-    tau = cfg.tau
-    u_n = state.u.values
-    target = mean(state.u)
-    rhs = (4.0 * u_n - u_prev.values) / (2.0 * tau)
-    u_vals, iters, _ = _implicit_potential_solve(
-        3.0 / (2.0 * tau), rhs, u_n, cfg, kernel, cache, pot)
-    u_vals = _snap_mass(u_vals, target)
-    return _step_result(state.u.geometry, u_vals,
-                        _omega_values(u_vals, kernel, cfg.epsilon**2, pot), iters)
+    rhs = (4.0 * state.u.values - u_prev.values) / (2.0 * cfg.tau)
+    return _implicit_potential_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau), rhs)
 
 
 def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -469,12 +455,12 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-            cache: SpectralCache, admitted: Optional[set] = None) -> tuple[SchemeState, StepResult]:
+            cache: SpectralCache, admitted: Optional[dict] = None) -> tuple[SchemeState, StepResult]:
     """Advance one step, bootstrapping a fresh two-step state transparently.
 
-    ``admitted``, when given, holds the configurations already checked for
-    this kernel and cache: they skip the stability policy, and each newly
-    checked one is added.
+    ``admitted``, when given, maps each configuration already checked for
+    this kernel and cache to its copy with the ``ignore`` policy, which the
+    step then runs; a newly seen configuration is checked once and added.
     """
     step_cfg = cfg
     if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
@@ -482,8 +468,8 @@ def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     if admitted is not None:
         if step_cfg not in admitted:
             _apply_policy(step_cfg, kernel, cache)
-            admitted.add(step_cfg)
-        step_cfg = replace(step_cfg, stability_policy="ignore")
+            admitted[step_cfg] = replace(step_cfg, stability_policy="ignore")
+        step_cfg = admitted[step_cfg]
     result = STEP_FUNCTIONS[step_cfg.scheme](state, step_cfg, kernel, cache)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
     try:

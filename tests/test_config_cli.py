@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,12 @@ def test_load_config_checks_referenced_files(tmp_path):
     cfg = _write_config(tmp_path, BASE.format(out="o") + "run.init.snapshot_path = missing.nchf\n")
     with pytest.raises(ConfigError, match="missing file"):
         load_config(cfg)
+
+
+def test_unreadable_field_file_is_config_error(tmp_path):
+    # load_config rejects a directory; the builders map the read failure too.
+    with pytest.raises(ConfigError, match="run.init.snapshot_path"):
+        build_initial_field({"run.init.snapshot_path": str(tmp_path)}, GridGeometry(8, 1.0))
 
 
 def test_snapshot_init_excludes_random_init_keys(tmp_path):
@@ -176,6 +184,33 @@ def test_cli_run_monotone_energy_column(tmp_path):
     rows = (out / "diagnostics.csv").read_text().strip().splitlines()[1:]
     energies = [float(r.split(",")[3]) for r in rows]
     assert all(b <= a + 1e-10 * (1 + abs(a)) for a, b in zip(energies, energies[1:]))
+
+
+CORRUPTIONS = {
+    "empty": lambda blob: b"",
+    "bad_magic": lambda blob: b"NOPE" + blob[4:],
+    "truncated_header": lambda blob: blob[:12],
+    "truncated_values": lambda blob: blob[:-8],
+    "trailing_bytes": lambda blob: blob + bytes(8),
+    "non_finite": lambda blob: blob[:-8] + struct.pack("<d", float("nan")),
+}
+
+
+@pytest.mark.parametrize("key", ["run.init.snapshot_path", "model.kernel.path"])
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_cli_run_corrupt_field_file_exits_2(tmp_path, capsys, kind, key):
+    path = tmp_path / "field.nchf"
+    write_field(path, Field.constant(GridGeometry(8, 1.0), 0.5))
+    path.write_bytes(CORRUPTIONS[kind](path.read_bytes()))
+    text = BASE.format(out=tmp_path / "out")
+    if key == "model.kernel.path":
+        text = text.replace("model.kernel.type = gaussian", "model.kernel.type = tabulated")
+        text = text.replace("model.kernel.cJ = 12.5\n", "").replace("model.kernel.xi = 10.0\n", "")
+    cfg = _write_config(tmp_path, text + f"{key} = {path}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert "Traceback" not in err
 
 
 def test_cli_check_admissible_and_not(tmp_path, capsys):

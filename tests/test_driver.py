@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, RunOptions,
-                       SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
+from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec,
+                       RunOptions, SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
                        h1h2_probe, make_cache, mean, modified_energy_two_step,
                        modified_energy_two_step_linear, norm2, norm_neg1, project_zero_mean,
-                       random_initial_field, run, run_batch, sample_kernel)
+                       random_initial_field, run, sample_kernel)
 from nchsolver import steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 
@@ -148,12 +148,43 @@ def test_admissibility_checked_once_per_config(monkeypatch):
         calls.append(cfg.scheme)
         return original(cfg, kernel, cache, kernel_constant)
 
+    validations = []
+    validate = SchemeConfig.__post_init__
+
+    def counting_validation(self):
+        validations.append(self.scheme)
+        validate(self)
+
+    cfg = _cfg("bdf2", tau=0.01)
     monkeypatch.setattr(steppers, "check_solvability", counting)
+    monkeypatch.setattr(SchemeConfig, "__post_init__", counting_validation)
     u0 = random_initial_field(GEO, 0.0, 0.05, seed=3)
-    result = run(u0, _cfg("bdf2", tau=0.01), GAUSS, CACHE,
-                 RunOptions(max_steps=10, eq_tol=1e-14))
-    assert result.final_state.step_index == 10
-    assert calls == ["backward_euler", "bdf2"]
+    per_run = []
+    for max_steps in (10, 20):
+        calls.clear()
+        validations.clear()
+        result = run(u0, cfg, GAUSS, CACHE, RunOptions(max_steps=max_steps, eq_tol=1e-14))
+        assert result.final_state.step_index == max_steps
+        assert calls == ["backward_euler", "bdf2"]
+        per_run.append(len(validations))
+    # The bootstrap config and one ignore-policy copy of each config, not one per step.
+    assert per_run[0] == per_run[1] <= 3
+
+
+def test_run_rejects_mixed_grids():
+    small = GridGeometry(8, 1.0)
+    kernel_small = sample_kernel(KernelSpec.gaussian(12.5, 10.0), small)
+    u_small = random_initial_field(small, 0.0, 0.05, seed=1)
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=1)
+    options = RunOptions(max_steps=2)
+    with pytest.raises(GeometryMismatchError):  # cache for N=16, kernel and field for N=8
+        run(u_small, _cfg(), kernel_small, CACHE, options)
+    with pytest.raises(GeometryMismatchError):
+        run(u_small, _cfg(), GAUSS, CACHE, options)
+    with pytest.raises(GeometryMismatchError):
+        run(None, _cfg(), GAUSS, CACHE, options, initial_state=SchemeState(u=u_small))
+    with pytest.raises(GeometryMismatchError):
+        run(u0, _cfg(), kernel_small, make_cache(small), options)
 
 
 @pytest.mark.parametrize("scheme", ["bdf2", "two_li"])
@@ -264,10 +295,3 @@ def test_h1h2_probe_backward_euler_positive_c2():
 def test_h1h2_probe_requires_window():
     with pytest.raises(ValueError):
         h1h2_probe([], window=4)
-
-
-def test_run_batch_runs_jobs_in_order():
-    u0 = Field.constant(GEO, 0.1)
-    jobs = [(u0, _cfg(), GAUSS, CACHE, RunOptions(max_steps=3)) for _ in range(2)]
-    results = run_batch(jobs)
-    assert [r.termination for r in results] == ["equilibrium", "equilibrium"]

@@ -6,7 +6,7 @@ from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, PotentialSp
                        modified_energy_two_step, modified_energy_two_step_linear,
                        norm2, norm_neg1, potential_d1, potential_d2, potential_value,
                        project_zero_mean, sample_kernel)
-from nchsolver.oracles import naive_energy
+from nchsolver.oracles import dense_nonlocal_matrix, naive_energy
 
 from conftest import random_field
 
@@ -104,6 +104,20 @@ def test_chemical_potential_is_energy_gradient(rng, gaussian_kernel8, geo8):
         minus = energy(Field(geo8, bumped), gaussian_kernel8, 1.0, DW)
         fd = (plus - minus) / (2 * step) / geo8.h**2
         assert fd == pytest.approx(omega.values[i, j], abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_chemical_potential_matches_dense_operator(n, rng):
+    # The half-spectrum symbol against the dense matrix of [J(*)1] u - [J (*) u],
+    # with and without the Nyquist column.
+    geo = GridGeometry(n, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo)
+    dense = dense_nonlocal_matrix(kernel)
+    u = random_field(geo, rng, scale=2.0)
+    for spec in (DW, PotentialSpec("truncated", 1.5)):
+        omega = chemical_potential(u, kernel, 0.8, spec)
+        expected = potential_d1(spec, u.values).ravel() + 0.64 * (dense @ u.values.ravel())
+        assert np.abs(omega.values.ravel() - expected).max() <= 1e-12
 
 
 def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kernel8, cache8):

@@ -41,6 +41,19 @@ def test_read_field_rejects_bad_magic(tmp_path):
         read_field(path)
 
 
+def test_readers_reject_trailing_and_truncated_bytes(tmp_path, rng):
+    geo = GridGeometry(4, 1.0)
+    snap, ckpt = tmp_path / "u.nchf", tmp_path / "state.nchk"
+    write_field(snap, random_field(geo, rng))
+    write_checkpoint(ckpt, SchemeState(u=random_field(geo, rng), step_index=3, time=0.3))
+    for path, reader in ((snap, read_field), (ckpt, read_checkpoint)):
+        blob = path.read_bytes()
+        for bad in (blob + b"\0", blob[:-1], blob[:20]):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError):
+                reader(path)
+
+
 def test_field_csv_export(tmp_path):
     geo = GridGeometry(2, 1.0)
     u = Field(geo, np.array([[1.0, 2.0], [3.0, 4.0]]))

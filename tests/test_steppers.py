@@ -206,7 +206,8 @@ def test_steps_match_dense_oracles(scheme, tol, rng):
 
 
 @pytest.mark.parametrize("scheme,tol", [
-    ("backward_euler", 1e-9), ("ssi1", 1e-11), ("two_li", 1e-11),
+    ("backward_euler", 1e-9), ("convex_splitting", 1e-9), ("bdf2", 1e-9),
+    ("ssi1", 1e-11), ("two_li", 1e-11),
 ])
 def test_steps_match_dense_oracles_at_odd_n(scheme, tol, rng):
     _check_step_against_dense_oracle(scheme, tol, STRONG7, CACHE7, rng)
