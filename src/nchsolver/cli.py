@@ -45,7 +45,10 @@ def _build(args):
 def cmd_run(args) -> int:
     values, geometry, kernel, cache, scheme_cfg = _build(args)
     out_dir = Path(values["output.dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # an existing file, or a path under one
+        raise ConfigError(f"output.dir {str(out_dir)!r} is not a usable directory: {err}") from err
     options = config_mod.build_run_options(values, out_dir)
     u0 = config_mod.build_initial_field(values, geometry)
 

@@ -31,9 +31,9 @@ import numpy as np
 from .energetics import PotentialSpec, chemical_potential, energy
 from .errors import ConfigError, SolverError
 from .fieldio import write_field
-from .grid import Field, GridGeometry, mean, norm2, project_zero_mean, require_same_geometry
+from .grid import Field, GridGeometry, _norm2_values, mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
-from .spectral import SpectralCache, _norm_neg1_values, gradient
+from .spectral import SpectralCache, _forward_differences, _norm_neg1_values
 from .steppers import TWO_STEP_SCHEMES, SchemeConfig, SchemeState, advance
 
 
@@ -96,6 +96,11 @@ def random_initial_field(geometry: GridGeometry, mean_value: float = 0.0,
     return Field(geometry, values)
 
 
+def _variance(omega: Field) -> float:
+    """``norm2(project_zero_mean(omega))`` with no Field built."""
+    return _norm2_values(omega.values - mean(omega), omega.geometry.h)
+
+
 def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon: float,
                          potential: PotentialSpec) -> float:
     """Distance from the discrete stationary system.
@@ -104,20 +109,18 @@ def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon:
     constant) with the defect of the potential equation; both vanish
     exactly at a discrete equilibrium.
     """
-    variance = norm2(project_zero_mean(omega))
-    defect_field = Field(u.geometry,
-                         omega.values - chemical_potential(u, kernel, epsilon, potential).values)
-    return max(variance, norm2(defect_field))
+    defect = omega.values - chemical_potential(u, kernel, epsilon, potential).values
+    return max(_variance(omega), _norm2_values(defect, u.geometry.h))
 
 
 def _grad_norm(omega: Field) -> float:
     # Periodic data: both half-sums of the edge pairing equal the plain sum.
-    g = gradient(omega)
-    squares = np.sum(g.x * g.x, dtype=np.longdouble) + np.sum(g.y * g.y, dtype=np.longdouble)
+    gx, gy = _forward_differences(omega.values, omega.geometry.h)
+    squares = np.sum(gx * gx, dtype=np.longdouble) + np.sum(gy * gy, dtype=np.longdouble)
     return omega.geometry.h * math.sqrt(float(squares))
 
 
-def _record(step_index: int, time: float, state: SchemeState, increment: Optional[Field],
+def _record(step_index: int, time: float, state: SchemeState, increment: Optional[np.ndarray],
             increment_l2: float, omega: Field, omega_variance: float, newton_iters: int,
             cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache) -> DiagnosticsRecord:
     """One diagnostics row; each functional is evaluated once and reused."""
@@ -125,7 +128,7 @@ def _record(step_index: int, time: float, state: SchemeState, increment: Optiona
     modified = None
     inc_neg = 0.0
     if increment is not None:
-        inc_neg = _norm_neg1_values(increment.values, cache)
+        inc_neg = _norm_neg1_values(increment, cache)
         if cfg.scheme in TWO_STEP_SCHEMES:
             modified = e + inc_neg**2 / (4.0 * cfg.tau)
             if cfg.scheme == "two_li":
@@ -170,8 +173,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     if initial_state is None:
         state = SchemeState(u=u0, step_index=0, time=0.0)
         omega0 = chemical_potential(u0, kernel, cfg.epsilon, pot)
-        records.append(_record(0, 0.0, state, None, 0.0, omega0,
-                               norm2(project_zero_mean(omega0)), 0, cfg, kernel, cache))
+        records.append(_record(0, 0.0, state, None, 0.0, omega0, _variance(omega0), 0,
+                               cfg, kernel, cache))
     else:
         state = initial_state
 
@@ -187,12 +190,12 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             termination = "error"
             detail = f"step {state.step_index + 1}: {err}"
             break
-        increment = Field(previous.geometry, state.u.values - previous.values)
+        increment = state.u.values - previous.values
         final_omega = result.omega
 
         at_cadence = state.step_index % options.record_every == 0
-        inc_l2 = norm2(increment)
-        variance = norm2(project_zero_mean(result.omega))
+        inc_l2 = _norm2_values(increment, previous.geometry.h)
+        variance = _variance(result.omega)
         reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
         if at_cadence or reached_equilibrium or state.step_index >= options.max_steps:
             records.append(_record(state.step_index, state.time, state, increment, inc_l2,

@@ -17,9 +17,9 @@ the chemical potential
     omega(u) = F'(u) + eps^2 ([J(*)1] u - [J (*) u]),
 
 whose nonlocal operator is applied, here and in every scheme, only through
-its half-spectrum symbol eps^2 ([J(*)1] - j_hat) (``kernels.nonlocal_gap``)
-by ``chemical_potential_values``.  The quadratic nonlocal part of E is
-evaluated from one real transform by Parseval,
+its half-spectrum symbol eps^2 ([J(*)1] - j_hat) (``kernels.nonlocal_gap``).
+The quadratic nonlocal part of E is evaluated from one real transform by
+Parseval,
 
     (h^2 / (2 N^2)) sum_k eps^2 ([J(*)1] - j_hat_k) |u_hat_k|^2,
 
@@ -116,12 +116,7 @@ def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,
     """Variational derivative F'(u) + eps^2 [J(*)1] u - eps^2 [J (*) u]."""
     require_same_geometry(kernel, u)
     gap = nonlocal_gap(kernel, epsilon**2)
-    return Field(u.geometry, chemical_potential_values(spec, u.values, gap))
-
-
-def chemical_potential_values(spec: PotentialSpec, values: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """Array-level chemical potential, given ``gap = nonlocal_gap(kernel, eps^2)``."""
-    return potential_d1(spec, values) + apply_symbol(values, gap)
+    return Field(u.geometry, potential_d1(spec, u.values) + apply_symbol(u.values, gap))
 
 
 def modified_energy_two_step(u: Field, du: Field, tau: float, kernel: SampledKernel,

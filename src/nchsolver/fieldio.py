@@ -4,7 +4,9 @@ Snapshot layout (little endian): magic bytes ``NCHF``, u32 cell count N,
 f64 domain edge length L, f64 simulation time t, then N*N f64 values in
 row-major order.  A checkpoint wraps the trajectory state: magic ``NCHK``,
 u32 format version, u64 step index, f64 time, u8 flag for the presence of
-the previous level, then one or two embedded snapshots.
+the previous level, then one or two embedded snapshots.  A checkpoint is
+written to ``<path>.partial`` and renamed over ``<path>``, so the file at
+``<path>`` is always a whole checkpoint.
 
 Diagnostics are written as CSV with full float64 round-trip precision
 (shortest repr); optional values are left empty.
@@ -12,6 +14,7 @@ Diagnostics are written as CSV with full float64 round-trip precision
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Iterable
@@ -86,7 +89,7 @@ def field_to_csv(path, field: Field) -> None:
 
 
 def write_checkpoint(path, state) -> None:
-    """Serialize a scheme state as step/time metadata plus embedded snapshots."""
+    """Serialize a scheme state as step/time metadata plus embedded snapshots, atomically."""
     has_prev = state.u_prev is not None
     head = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) \
         + struct.pack("<Q", state.step_index) + struct.pack("<d", state.time) \
@@ -94,7 +97,15 @@ def write_checkpoint(path, state) -> None:
     blob = head + _snapshot_bytes(state.u, state.time)
     if has_prev:
         blob += _snapshot_bytes(state.u_prev, state.time)
-    Path(path).write_bytes(blob)
+    # Write beside the target and rename over it, so a reader never sees a
+    # partial checkpoint and a failed write leaves the previous one intact.
+    partial = Path(f"{path}.partial")
+    try:
+        partial.write_bytes(blob)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path):

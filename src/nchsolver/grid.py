@@ -183,9 +183,14 @@ def project_zero_mean(phi: Field) -> Field:
     return Field(phi.geometry, phi.values - mean(phi))
 
 
+def _norm2_values(values: np.ndarray, h: float) -> float:
+    """``norm2`` of raw values on a grid of mesh size h, with no Field built."""
+    return h * np.sqrt(_reduce(values * values))
+
+
 def norm2(phi: Field) -> float:
     """Discrete L2 norm ||phi||_2 = sqrt(h^2 (phi||phi))."""
-    return phi.geometry.h * np.sqrt(_reduce(phi.values * phi.values))
+    return _norm2_values(phi.values, phi.geometry.h)
 
 
 def norm4(phi: Field) -> float:

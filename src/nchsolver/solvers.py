@@ -1,11 +1,13 @@
 """Matrix-free damped Newton solver with a DFT-diagonal preconditioner.
 
 The implicit schemes reduce to one nonlinear equation per step in the field
-u alone (the chemical potential is eliminated and reconstructed after the
-solve).  Everything in the Jacobian except the pointwise diagonal from the
-cubic term is circulant, so the frozen-coefficient operator obtained by
-dropping that diagonal is diagonal in the DFT basis and serves as the
-preconditioner for the inner Krylov solve (GMRES).
+u alone, a u + (-Lap)(omega(u)) = rhs (the chemical potential is eliminated
+and reconstructed after the solve); the residual and Jacobian they pass in
+apply -Lap and the nonlocal operator through their DFT symbols.  The
+Jacobian a + (-Lap)(D + G) is circulant except for the pointwise diagonal D
+of the potential's derivative, so freezing D at a constant slope gives an
+operator diagonal in the DFT basis, which preconditions the inner Krylov
+solve (GMRES).
 
 The outer iteration is plain Newton with a backtracking line search on the
 residual norm; convergence is declared on the true residual in the

@@ -2,9 +2,11 @@
 
 The gradient maps cell values to edge values by forward differences, the
 divergence maps edge values back by backward differences, and the Laplacian
-is their composition -- the standard 5-point periodic stencil.  All three
-are circulant, hence diagonal in the discrete Fourier basis: the mode
-(k, l) of minus the Laplacian carries the eigenvalue
+is their composition -- the standard 5-point periodic stencil.  The forward
+differences are written once (``_forward_differences``), for ``gradient``,
+the array-level stencil ``laplacian_apply`` and the driver's gradient norm.
+All three operators are circulant, hence diagonal in the discrete Fourier
+basis: the mode (k, l) of minus the Laplacian carries the eigenvalue
 
     lambda_{k,l} = (2/h^2) (2 - cos(2 pi k / N) - cos(2 pi l / N)) >= 0,
 
@@ -24,8 +26,12 @@ N x N symbols (``laplacian_eigenvalues``, ``SampledKernel.symbol``,
 ``nonlocal_eigenvalues``) are the reference the oracles compare with dense
 matrices.
 
-The dense matrix of minus the Laplacian is never assembled here; it exists
-only in the test oracles that validate these symbols.
+The production path applies the Laplacian only through its half-spectrum
+symbol (``SpectralCache.minus_laplacian_eigenvalues``, in every scheme's
+solve); the stencils ``laplacian`` and ``laplacian_apply`` are the
+reference those applies are tested against.  The dense matrix of minus the
+Laplacian is never assembled here; it exists only in the test oracles that
+validate these symbols.
 """
 
 from __future__ import annotations
@@ -86,12 +92,14 @@ def make_cache(geometry: GridGeometry) -> SpectralCache:
     return SpectralCache(geometry, -half_spectrum(laplacian_eigenvalues(geometry)))
 
 
+def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays (D_x v, D_y v) of periodic cell values: the one forward-difference formula."""
+    return (np.roll(values, -1, axis=0) - values) / h, (np.roll(values, -1, axis=1) - values) / h
+
+
 def gradient(phi: Field) -> EdgeField:
     """Center-to-edge forward differences (D_x phi, D_y phi)."""
-    v, h = phi.values, phi.geometry.h
-    gx = (np.roll(v, -1, axis=0) - v) / h
-    gy = (np.roll(v, -1, axis=1) - v) / h
-    return EdgeField(phi.geometry, gx, gy)
+    return EdgeField(phi.geometry, *_forward_differences(phi.values, phi.geometry.h))
 
 
 def divergence(f: EdgeField) -> Field:
@@ -108,9 +116,8 @@ def laplacian(phi: Field) -> Field:
 
 
 def laplacian_apply(values: np.ndarray, h: float) -> np.ndarray:
-    """Array-level 5-point Laplacian used in solver hot paths."""
-    gx = (np.roll(values, -1, axis=0) - values) / h
-    gy = (np.roll(values, -1, axis=1) - values) / h
+    """Array-level 5-point stencil, equal to ``laplacian``; the reference for the symbol applies."""
+    gx, gy = _forward_differences(values, h)
     return (gx - np.roll(gx, 1, axis=0)) / h + (gy - np.roll(gy, 1, axis=1)) / h
 
 

@@ -32,20 +32,36 @@ surrogate replacing the kernel constant.  The policy field decides whether
 an inadmissible configuration rejects the step, warns, or is ignored; a
 run applies it once per configuration (see ``advance``).
 
-The nonlocal operator eps^2 ([J(*)1] u - [J (*) u]) is applied only through
-its half-spectrum symbol ``kernels.nonlocal_gap``, built once per step: in
-the linear solves, the chemical potential
-(``energetics.chemical_potential_values``), the Newton Jacobians and the
-explicit part of convex splitting.  The three nonlinear schemes share one
-Newton step (``_newton_step``): it eliminates omega, solves
-a u - Lap(omega(u)) = rhs for u alone, matrix-free and preconditioned by
-the frozen-coefficient DFT-diagonal operator, and reconstructs omega from
-the solution.  Backward Euler and BDF2 differ only in (a, rhs), convex
-splitting in its omega.  Accepted steps re-center the solution mass on the
-conserved value (a shift at rounding magnitude), so mass is conserved
-exactly along trajectories.  A
-step that diverges -- a non-finite new level, or a two-step pair whose
-masses no longer agree -- raises ``SolverError`` like a failed solve.
+Every scheme is one equation per step,
+
+    a u + (-Lap)(omega(u)) = rhs,
+
+with (a, rhs) = (1/tau, u^n/tau) for the one-step schemes and
+(3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for the two-step ones; the schemes
+differ only in how omega treats its terms.  Both operators are diagonal in
+the DFT basis and applied only through their half-spectrum symbols:
+-Lap through lambda = ``cache.minus_laplacian_eigenvalues`` and the
+nonlocal operator eps^2 ([J(*)1] u - [J (*) u]) through G =
+``kernels.nonlocal_gap``, built once per step.  The 5-point stencil
+``spectral.laplacian_apply`` is the reference the steps are tested
+against, not a production path.
+
+The three nonlinear schemes share one Newton step (``_newton_step``): with
+omega = local(u) + G u eliminated, it solves for u alone, matrix-free,
+preconditioned by the frozen-coefficient operator a + lambda (slope + G),
+and reconstructs omega from the solution.  A residual or Jacobian apply
+takes three transforms, two for convex splitting, whose nonlocal term is
+explicit and part of local(u).  Backward Euler and BDF2 differ only in
+(a, rhs).  The two linear schemes share one DFT-diagonal solve
+(``_linear_step``) of a u + (-Lap)(explicit + S u + G u) = rhs: ssi1 with
+explicit F_K'(u^n) - S u^n, two_li with 2 F_K'(u^n) - F_K'(u^{n-1}) and
+S = 0.
+
+Accepted steps re-center the solution mass on the conserved value (a
+shift at rounding magnitude), so mass is conserved exactly along
+trajectories.  A step that diverges -- a non-finite new level, or a
+two-step pair whose masses no longer agree -- raises ``SolverError`` like
+a failed solve.
 
 Steps are sequential by nature (level n+1 needs level n); independent
 simulations may run concurrently on shared immutable kernels and caches.
@@ -59,12 +75,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energetics import PotentialSpec, chemical_potential_values, potential_d1, potential_d2
+from .energetics import PotentialSpec, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, mean
 from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve, spectral_preconditioner
-from .spectral import SpectralCache, apply_symbol, laplacian_apply
+from .spectral import SpectralCache, apply_symbol
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -287,44 +303,58 @@ def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a: float,
-                 rhs: np.ndarray, omega, omega_apply, omega_symbol) -> StepResult:
-    """Newton solve of a u - Lap(omega(u)) = rhs from u^n, shared by the implicit schemes.
+                 rhs: np.ndarray, local, local_apply, slope,
+                 gap: Optional[np.ndarray]) -> StepResult:
+    """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
-    ``omega_apply(u, v)`` is the derivative of ``omega`` at u applied to v and
-    ``omega_symbol`` its DFT-diagonal part with the pointwise coefficients
-    dropped; a + lambda * omega_symbol preconditions the Krylov solve.
+    omega(u) = local(u) + G u with G the half-spectrum symbol ``gap`` (None
+    when the nonlocal term is explicit, folded into ``local``).  ``-Lap``
+    acts only through its symbol lambda: a residual takes rfft2 of local(u)
+    and of u and one irfft2.  ``local_apply(u, v)`` is the derivative of
+    ``local`` at u applied to v, and a + lambda * (slope + gap), with the
+    pointwise coefficient frozen at ``slope``, preconditions the Krylov solve.
     """
-    h = cache.geometry.h
     lam = cache.minus_laplacian_eigenvalues
+    lam_gap = None if gap is None else lam * gap
+    shift = slope if gap is None else slope + gap
 
-    def residual(u):
-        return a * u - rhs - laplacian_apply(omega(u), h)
+    def minus_lap_omega(w, u):
+        # (-Lap) of omega = w + G u, the pointwise part w given: one transform per input.
+        modes = lam * np.fft.rfft2(w)
+        if lam_gap is not None:
+            modes += lam_gap * np.fft.rfft2(u)
+        return np.fft.irfft2(modes, s=rhs.shape)
 
-    def jacobian(u, v):
-        return a * v - laplacian_apply(omega_apply(u, v), h)
-
-    symbol = a + lam * omega_symbol
+    symbol = a + lam * shift
     bad = symbol <= 0.0
     if bad.any():
-        symbol = np.where(bad, a + lam * np.maximum(omega_symbol, 0.0), symbol)
+        symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
+
+    def residual(u):
+        return a * u - rhs + minus_lap_omega(local(u), u)
+
+    def jacobian(u, v):
+        return a * v + minus_lap_omega(local_apply(u, v), v)
 
     u_vals, iters, _ = newton_solve(residual, jacobian, state.u.values, cfg.newton_tol,
                                     cfg.newton_max_iter, spectral_preconditioner(symbol),
-                                    cfg.krylov_tol, _weighted_norm(h))
+                                    cfg.krylov_tol, _weighted_norm(cache.geometry.h))
     u_vals = _snap_mass(u_vals, mean(state.u))
-    return _step_result(state.u.geometry, u_vals, omega(u_vals), iters)
+    omega_vals = local(u_vals)
+    if gap is not None:
+        omega_vals += apply_symbol(u_vals, gap)
+    return _step_result(state.u.geometry, u_vals, omega_vals, iters)
 
 
 def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                              cache: SpectralCache, a: float, rhs: np.ndarray) -> StepResult:
     """Newton step with the fully implicit chemical potential (backward Euler, BDF2)."""
     pot = cfg.potential
-    gap = nonlocal_gap(kernel, cfg.epsilon**2)
     # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
     return _newton_step(state, cfg, cache, a, rhs,
-                        lambda u: chemical_potential_values(pot, u, gap),
-                        lambda u, v: potential_d2(pot, u) * v + apply_symbol(v, gap),
-                        gap - 1.0)
+                        lambda u: potential_d1(pot, u),
+                        lambda u, v: potential_d2(pot, u) * v,
+                        -1.0, nonlocal_gap(kernel, cfg.epsilon**2))
 
 
 def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -350,46 +380,39 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
     return _newton_step(state, cfg, cache, 1.0 / cfg.tau, u_n / cfg.tau,
                         lambda u: u * u * u + strong * u - explicit,
                         lambda u, v: (3.0 * (u * u) + strong) * v,
-                        strong)
+                        strong, None)
 
 
-def _linear_spectral_solve(numerator_hat: np.ndarray, denominator: np.ndarray,
-                           zero_mode: complex, geometry: GridGeometry,
-                           target_mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """New level's values, mass snapped, and its spectrum before the snap.
+def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
+                 cache: SpectralCache, a: float, rhs: np.ndarray, explicit: np.ndarray,
+                 s: float) -> StepResult:
+    """One DFT-diagonal solve of a u + (-Lap)(explicit + s u + G u) = rhs (ssi1, two_li).
 
-    The snap shifts only the constant mode, where the nonlocal symbol is
-    exactly 0, so the spectrum still gives the new level's nonlocal term.
+    lambda vanishes at the constant mode, so it needs no special case; the
+    mass snap shifts only that mode, and omega takes its implicit part from
+    the solved spectrum.
     """
+    lam = cache.minus_laplacian_eigenvalues
+    shift = s + nonlocal_gap(kernel, cfg.epsilon**2)
+    denominator = a + lam * shift
     if denominator.min() <= 0.0:
         raise ConfigError(
             "non-positive modal denominator in the linear solve; "
             "the kernel/stabilization configuration is outside the solvable regime"
         )
-    u_hat = numerator_hat / denominator
-    u_hat[0, 0] = zero_mode
-    return _snap_mass(np.fft.irfft2(u_hat, s=(geometry.n, geometry.n)), target_mass), u_hat
+    u_hat = (np.fft.rfft2(rhs) - lam * np.fft.rfft2(explicit)) / denominator
+    u_vals = _snap_mass(np.fft.irfft2(u_hat, s=rhs.shape), mean(state.u))
+    omega_vals = explicit + np.fft.irfft2(shift * u_hat, s=rhs.shape)
+    return _step_result(state.u.geometry, u_vals, omega_vals, 0)
 
 
 def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
               cache: SpectralCache) -> StepResult:
     """One stabilized linear semi-implicit step (single DFT-diagonal solve)."""
     _apply_policy(cfg, kernel, cache)
-    pot = cfg.potential
-    eps2 = cfg.epsilon**2
-    tau, s = cfg.tau, cfg.stabilization
-    lam = cache.minus_laplacian_eigenvalues
-    u_n = state.u.values
-    target = mean(state.u)
-
-    f_explicit = potential_d1(pot, u_n)
-    u_hat = np.fft.rfft2(u_n)
-    gap = nonlocal_gap(kernel, eps2)
-    numerator = u_hat / tau - lam * (np.fft.rfft2(f_explicit) - s * u_hat)
-    u_vals, u_hat_next = _linear_spectral_solve(numerator, 1.0 / tau + lam * (s + gap),
-                                                u_hat[0, 0], state.u.geometry, target)
-    omega_vals = f_explicit + s * (u_vals - u_n) + np.fft.irfft2(gap * u_hat_next, s=u_n.shape)
-    return _step_result(state.u.geometry, u_vals, omega_vals, 0)
+    u_n, s = state.u.values, cfg.stabilization
+    return _linear_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_n / cfg.tau,
+                        potential_d1(cfg.potential, u_n) - s * u_n, s)
 
 
 def _require_history(state: SchemeState, scheme: str) -> Field:
@@ -410,23 +433,12 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
 def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                 cache: SpectralCache) -> StepResult:
     """One linearly implicit two-step step with extrapolated nonlinearity."""
-    u_prev = _require_history(state, "two_li")
+    u_prev = _require_history(state, "two_li").values
     _apply_policy(cfg, kernel, cache)
-    pot = cfg.potential
-    eps2 = cfg.epsilon**2
-    tau = cfg.tau
-    lam = cache.minus_laplacian_eigenvalues
-    u_n = state.u.values
-    target = mean(state.u)
-
-    extrapolated = 2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev.values)
-    history = np.fft.rfft2(4.0 * u_n - u_prev.values)
-    gap = nonlocal_gap(kernel, eps2)
-    numerator = history / (2.0 * tau) - lam * np.fft.rfft2(extrapolated)
-    u_vals, u_hat_next = _linear_spectral_solve(numerator, 3.0 / (2.0 * tau) + lam * gap,
-                                                history[0, 0] / 3.0, state.u.geometry, target)
-    omega_vals = extrapolated + np.fft.irfft2(gap * u_hat_next, s=u_n.shape)
-    return _step_result(state.u.geometry, u_vals, omega_vals, 0)
+    pot, u_n = cfg.potential, state.u.values
+    return _linear_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
+                        (4.0 * u_n - u_prev) / (2.0 * cfg.tau),
+                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev), 0.0)
 
 
 STEP_FUNCTIONS = {

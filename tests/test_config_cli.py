@@ -148,6 +148,19 @@ def test_cli_run_malformed_key_exits_2(tmp_path, capsys):
     assert "grid.shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
+def test_cli_run_unusable_output_dir_exits_2(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken if where == "existing_file" else taken / "out"
+    cfg = _write_config(tmp_path, BASE.format(out=out))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "output.dir" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 DIVERGING = """
 grid.N = 16
 grid.L = 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, 
                        h1h2_probe, make_cache, mean, modified_energy_two_step,
                        modified_energy_two_step_linear, norm2, norm_neg1, project_zero_mean,
                        random_initial_field, run, sample_kernel)
+from nchsolver.spectral import gradient
 from nchsolver import steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 
@@ -216,6 +219,28 @@ def test_records_match_public_functionals(scheme):
         assert close(record.energy, energy(state.u, kernel, cfg.epsilon, pot))
         assert close(record.modified_energy, modified)
         assert close(record.increment_hneg1, norm_neg1(du, CACHE))
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "two_li"])
+def test_loop_norms_equal_field_definitions(scheme):
+    # The run loop takes its norms from arrays; they must equal, bit for bit,
+    # the Field-level definitions they replace.
+    geo = GridGeometry(8, 1.0)
+    cache = make_cache(geo)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    cfg = _cfg(scheme, tau=2e-3)
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=41)
+    result = run(u0, cfg, kernel, cache, RunOptions(max_steps=5, eq_tol=1e-14))
+    assert len(result.records) == 6
+    state = SchemeState(u=u0)
+    for record in result.records[1:]:
+        previous = state.u
+        state, step = advance(state, cfg, kernel, cache)
+        g = gradient(step.omega)
+        squares = np.sum(g.x * g.x, dtype=np.longdouble) + np.sum(g.y * g.y, dtype=np.longdouble)
+        assert record.increment_l2 == norm2(Field(geo, state.u.values - previous.values))
+        assert record.omega_variance == norm2(project_zero_mean(step.omega))
+        assert record.grad_omega_l2 == geo.h * math.sqrt(float(squares))
 
 
 def test_max_steps_termination():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,22 @@ def test_checkpoint_roundtrip_without_history(tmp_path, rng):
     back = read_checkpoint(path)
     assert back.u_prev is None
     assert back.step_index == 3
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):
+    geo = GridGeometry(4, 1.0)
+    path = tmp_path / "state.nchk"
+    write_checkpoint(path, SchemeState(u=random_field(geo, rng), step_index=3, time=0.3))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(path, SchemeState(u=random_field(geo, rng), step_index=4, time=0.4))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.nchk"]
 
 
 def test_diagnostics_csv_full_precision_roundtrip(tmp_path):

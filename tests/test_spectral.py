@@ -8,7 +8,7 @@ from nchsolver import (EdgeField, Field, GridGeometry, NonZeroMeanError, dft_for
                        project_zero_mean)
 from nchsolver.oracles import (dense_minus_laplacian, dense_minus_laplacian_pinv,
                                direct_dft2, laplacian_eigenvalue_formula)
-from nchsolver.spectral import laplacian_eigenvalues
+from nchsolver.spectral import laplacian_apply, laplacian_eigenvalues
 
 from conftest import random_field
 
@@ -177,6 +177,8 @@ def test_half_spectrum_operators_match_dense(n, rng):
         assert norm_neg1(phi, cache) == pytest.approx(np.sqrt(geo.h**2 * (vec @ expected)),
                                                       rel=1e-10)
         stencil = laplacian(phi).values
+        # The array-level stencil, the reference for the symbol applies, is the same stencil.
+        assert np.array_equal(laplacian_apply(phi.values, geo.h), stencil)
         spectral = laplacian_spectral(phi, cache).values
         assert np.abs(stencil - spectral).max() <= 1e-12 * np.abs(stencil).max()
 

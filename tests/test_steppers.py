@@ -8,6 +8,7 @@ from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec,
                        modified_energy_two_step, modified_energy_two_step_linear,
                        newton_solve, norm2, project_zero_mean, sample_kernel)
 from nchsolver.solvers import spectral_preconditioner
+from nchsolver.spectral import laplacian_apply
 from nchsolver.steppers import STEP_FUNCTIONS, TWO_STEP_SCHEMES, bootstrap_config
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
 
@@ -86,6 +87,27 @@ def test_two_li_residual_small(rng):
     residual = lhs - laplacian(result.omega).values
     scale = max(np.abs(lhs).max(), 1.0)
     assert np.abs(residual).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "convex_splitting", "bdf2"])
+def test_newton_steps_satisfy_stencil_equation(scheme, rng):
+    # The solve applies -Lap through its symbol; the returned pair must satisfy
+    # the finite-difference equation a u - rhs - Lap_h omega = 0 with the stencil.
+    geo = GridGeometry(32, 1.0)
+    cache = make_cache(geo)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    cfg = _cfg(scheme, tau=1e-4)
+    state = _perturbed_state(rng, geometry=geo)
+    if scheme in TWO_STEP_SCHEMES:
+        state, _ = advance(state, cfg, kernel, cache)  # bootstrap
+    result = STEP_FUNCTIONS[scheme](state, cfg, kernel, cache)
+    u_n = state.u.values
+    if scheme == "bdf2":
+        a, rhs = 3.0 / (2.0 * cfg.tau), (4.0 * u_n - state.u_prev.values) / (2.0 * cfg.tau)
+    else:
+        a, rhs = 1.0 / cfg.tau, u_n / cfg.tau
+    residual = a * result.u.values - rhs - laplacian_apply(result.omega.values, geo.h)
+    assert geo.h * np.linalg.norm(residual) <= 10.0 * cfg.newton_tol
 
 
 # --- energy dissipation -----------------------------------------------------
