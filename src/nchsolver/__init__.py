@@ -19,9 +19,8 @@ from .grid import (EdgeField, Field, GridGeometry, edge_inner_product, inner_pro
                    mean, norm2, norm4, project_zero_mean)
 from .kernels import KernelSpec, SampledKernel, convolve, gamma0, sample_kernel
 from .solvers import newton_solve
-from .spectral import (SpectralCache, dft_forward, dft_inverse, divergence, gradient,
-                       inverse_laplacian_zero_mean, laplacian, laplacian_eigenvalues,
-                       laplacian_spectral, make_cache, norm_neg1)
+from .spectral import (SpectralCache, divergence, gradient, inverse_laplacian_zero_mean,
+                       laplacian, laplacian_eigenvalues, make_cache, norm_neg1)
 from .steppers import (SchemeConfig, SchemeState, SolvabilityReport, StepResult, advance,
                        check_solvability, step_backward_euler, step_bdf2,
                        step_convex_splitting, step_ssi1, step_two_li)

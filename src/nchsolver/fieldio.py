@@ -1,4 +1,4 @@
-"""Binary field snapshots, CSV exports, checkpoints, and diagnostics files.
+"""Binary field snapshots, checkpoints, and diagnostics files.
 
 Snapshot layout (little endian): magic bytes ``NCHF``, u32 cell count N,
 f64 domain edge length L, f64 simulation time t, then N*N f64 values in
@@ -75,17 +75,6 @@ def read_field(path) -> tuple[Field, float]:
     field, t, end = _parse_snapshot(blob)
     _reject_trailing(blob, end, "field snapshot")
     return field, t
-
-
-def field_to_csv(path, field: Field) -> None:
-    """CSV export with one row (i, j, x, y, value) per cell, 1-based indices."""
-    xs, ys = field.geometry.cell_coords()
-    lines = ["i,j,x,y,value"]
-    for i in range(field.geometry.n):
-        for j in range(field.geometry.n):
-            lines.append(f"{i + 1},{j + 1},{float(xs[i])!r},{float(ys[j])!r},"
-                         f"{float(field.values[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_checkpoint(path, state) -> None:

@@ -15,7 +15,9 @@ h^2 (phi||psi), and
 All reductions accumulate pairwise in extended precision (long double) so
 energy-monotonicity checks are not limited by summation error.  A field is
 immutable, so its mean is reduced at most once, on the first ``mean`` call,
-however many steps, state checks and diagnostics ask for it.
+however many steps, state checks and diagnostics ask for it.  A field keeps
+a copy of a caller's writeable array; the schemes instead freeze each new
+level they compute (``_freeze``), which the field adopts without copying.
 """
 
 from __future__ import annotations
@@ -74,7 +76,12 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """Cell-centered periodic grid function; immutable after construction."""
+    """Cell-centered periodic grid function; immutable after construction.
+
+    A writeable or borrowed array is copied, so later changes to the
+    caller's array do not reach the field; a read-only array that owns its
+    data is adopted as it is.
+    """
 
     geometry: GridGeometry
     values: np.ndarray = field(repr=False)
@@ -91,10 +98,6 @@ class Field:
         object.__setattr__(self, "values", _freeze(values))
 
     @classmethod
-    def from_values(cls, geometry: GridGeometry, values) -> "Field":
-        return cls(geometry, np.array(values, dtype=np.float64))
-
-    @classmethod
     def constant(cls, geometry: GridGeometry, value: float) -> "Field":
         return cls(geometry, np.full((geometry.n, geometry.n), float(value)))
 
@@ -105,11 +108,6 @@ class Field:
     @cached_property
     def _mean(self) -> float:
         return _reduce(self.values) / self.geometry.n**2
-
-    def at(self, i: int, j: int) -> float:
-        """Value at (possibly out-of-range) indices, resolved by periodic wrap."""
-        n = self.geometry.n
-        return float(self.values[i % n, j % n])
 
 
 @dataclass(frozen=True)

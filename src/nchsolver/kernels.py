@@ -14,8 +14,10 @@ diffusive when gamma0 = eps^2 [J (*) 1] - 1 > 0.
 The model uses the kernel only through the nonnegative nonlocal operator
 eps^2 ([J(*)1] phi - [J (*) phi]).  The production path (schemes, chemical
 potential, energy, admissibility check) applies it only through its
-half-spectrum symbol ``nonlocal_gap``; ``convolve`` (a ``Field`` wrapper of
-``convolve_values``) is the public reference for the convolution itself.
+half-spectrum symbol ``nonlocal_gap``, the one place that symbol is built;
+the oracle suite compares it mode by mode with the closed-form eigenvalues.
+``convolve`` (a ``Field`` wrapper of ``convolve_values``) is the public
+reference for the convolution itself, with no production caller.
 
 Supported kernels: a periodized Gaussian c * exp(-xi |x|^2) (folded over a
 configurable number of image cells), a constant kernel, and tabulated
@@ -177,7 +179,3 @@ def nonlocal_gap(kernel: SampledKernel, eps2: float) -> np.ndarray:
     """Half-spectrum symbol eps^2 ([J(*)1] - j_hat) of the nonlocal operator; zero at mode 0."""
     return eps2 * (kernel.conv_one - half_spectrum(kernel.symbol))
 
-
-def nonlocal_eigenvalues(kernel: SampledKernel) -> np.ndarray:
-    """Per-mode eigenvalues [J (*) 1] - j_hat of the operator phi -> [J(*)1] phi - [J (*) phi]."""
-    return kernel.conv_one - kernel.symbol

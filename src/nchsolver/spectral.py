@@ -21,17 +21,17 @@ l = 0..N/2 (N x (N/2+1), all values of a real even symbol), cut by
 (v || A v) of such an operator -- the negative norm here, the nonlocal
 energy in :mod:`nchsolver.energetics` -- are one modal sum by Parseval from
 a single ``rfft2``, taken by the one private helper ``_modal_sum``, which
-holds the rule that interior half-spectrum columns count twice.  The full
-N x N symbols (``laplacian_eigenvalues``, ``SampledKernel.symbol``,
-``nonlocal_eigenvalues``) are the reference the oracles compare with dense
-matrices.
+holds the rule that interior half-spectrum columns count twice.  The only
+transforms are ``rfft2`` and ``irfft2(..., s=(N, N))``; the oracle suite
+checks them against a direct DFT sum.
 
-The production path applies the Laplacian only through its half-spectrum
-symbol (``SpectralCache.minus_laplacian_eigenvalues``, in every scheme's
-solve); the stencils ``laplacian`` and ``laplacian_apply`` are the
-reference those applies are tested against.  The dense matrix of minus the
-Laplacian is never assembled here; it exists only in the test oracles that
-validate these symbols.
+The symbol lambda is built once, as the full N x N ``laplacian_eigenvalues``
+(the form the oracles compare with dense matrices), and ``make_cache``
+stores its half spectrum as ``SpectralCache.minus_laplacian_eigenvalues``,
+through which every scheme's solve applies the Laplacian.  The stencils
+``laplacian`` and ``laplacian_apply`` are the reference those applies are
+tested against.  The dense matrix of minus the Laplacian is never assembled
+here; it exists only in the test oracles that validate these symbols.
 """
 
 from __future__ import annotations
@@ -69,27 +69,23 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 class SpectralCache:
     """Per-mode DFT symbols shared by solvers and norms.
 
-    ``laplacian_symbol`` holds the symbol of the Laplacian on the
-    half spectrum (non-positive, zero exactly at the constant mode).
-    Immutable, safe to share across threads.
+    ``minus_laplacian_eigenvalues`` holds the symbol lambda of minus the
+    Laplacian on the half spectrum (nonnegative, zero exactly at the
+    constant mode).  Immutable, safe to share across threads.
     """
 
     geometry: GridGeometry
-    laplacian_symbol: np.ndarray = field(repr=False)
+    minus_laplacian_eigenvalues: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        sym = np.asarray(self.laplacian_symbol, dtype=np.float64)
-        sym.setflags(write=False)
-        object.__setattr__(self, "laplacian_symbol", sym)
-
-    @property
-    def minus_laplacian_eigenvalues(self) -> np.ndarray:
-        return -self.laplacian_symbol
+        lam = np.array(self.minus_laplacian_eigenvalues, dtype=np.float64)
+        lam.setflags(write=False)
+        object.__setattr__(self, "minus_laplacian_eigenvalues", lam)
 
 
 def make_cache(geometry: GridGeometry) -> SpectralCache:
     """Build the spectral cache for a grid."""
-    return SpectralCache(geometry, -half_spectrum(laplacian_eigenvalues(geometry)))
+    return SpectralCache(geometry, half_spectrum(laplacian_eigenvalues(geometry)))
 
 
 def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,21 +115,6 @@ def laplacian_apply(values: np.ndarray, h: float) -> np.ndarray:
     """Array-level 5-point stencil, equal to ``laplacian``; the reference for the symbol applies."""
     gx, gy = _forward_differences(values, h)
     return (gx - np.roll(gx, 1, axis=0)) / h + (gy - np.roll(gy, 1, axis=1)) / h
-
-
-def laplacian_spectral(phi: Field, cache: SpectralCache) -> Field:
-    """Laplacian applied through its DFT symbol; equals the stencil to rounding."""
-    return Field(phi.geometry, apply_symbol(phi.values, cache.laplacian_symbol))
-
-
-def dft_forward(phi: Field) -> np.ndarray:
-    """Forward 2D DFT of the field values (unnormalized, numpy convention)."""
-    return np.fft.fft2(phi.values)
-
-
-def dft_inverse(modes: np.ndarray, geometry: GridGeometry) -> Field:
-    """Inverse 2D DFT; the (numerically tiny) imaginary residue is discarded."""
-    return Field(geometry, np.fft.ifft2(modes).real)
 
 
 def _zero_mean_values(phi: Field, what: str) -> np.ndarray:

@@ -77,7 +77,7 @@ import numpy as np
 
 from .energetics import PotentialSpec, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
-from .grid import Field, GridGeometry, mean
+from .grid import Field, GridGeometry, _freeze, mean
 from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve, spectral_preconditioner
 from .spectral import SpectralCache, apply_symbol
@@ -145,8 +145,8 @@ class SchemeConfig:
 
     @property
     def beta(self) -> float:
-        """Curvature bound 3K^2 - 1 of the truncated potential."""
-        return 3.0 * self.cutoff**2 - 1.0
+        """Curvature bound of the truncated potential at the cutoff K."""
+        return PotentialSpec("truncated", self.cutoff).curvature_bound
 
     @property
     def potential(self) -> PotentialSpec:
@@ -181,9 +181,14 @@ class StepResult(NamedTuple):
 
 
 def _step_result(geometry: GridGeometry, u_vals, omega_vals, newton_iters: int) -> StepResult:
-    """Wrap a step's new level; a non-finite level (a diverged step) is a solver failure."""
+    """Wrap a step's new level; a non-finite level (a diverged step) is a solver failure.
+
+    Both arrays are fresh and owned by the step, so they are frozen and the
+    ``Field``s adopt them without a copy.
+    """
     try:
-        return StepResult(Field(geometry, u_vals), Field(geometry, omega_vals), newton_iters)
+        return StepResult(Field(geometry, _freeze(u_vals)), Field(geometry, _freeze(omega_vals)),
+                          newton_iters)
     except ValueError as err:  # the shapes come from the state: only finiteness can fail
         raise SolverError(f"diverged: {err}") from err
 
@@ -208,18 +213,12 @@ class SolvabilityReport:
     margin: float
     per_mode_min: float
     note: str = ""
-    # Literal step-size bound 2 gamma0 / (C eps^4) (or its two-step analogue)
-    # for a caller-supplied kernel constant C; reporting only, never enforced.
-    literal_tau_bound: Optional[float] = None
 
 
-def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
-                      kernel_constant: Optional[float] = None) -> SolvabilityReport:
+def check_solvability(cfg: SchemeConfig, kernel: SampledKernel,
+                      cache: SpectralCache) -> SolvabilityReport:
     """Evaluate the scheme's admissibility condition mode by mode.
 
-    Admissibility is always decided by the exact per-mode quantities; when a
-    ``kernel_constant`` is supplied explicitly, the coarser literal bound it
-    induces on the step size is reported alongside for comparison.
     Boundary cases with margin exactly 0 are admissible; the note records
     that the underlying sufficient conditions are sharp there.
     """
@@ -257,13 +256,6 @@ def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralC
     elif margin == 0.0:
         note = "margin is exactly 0: admissibility is decided at the sharp boundary"
 
-    literal = None
-    if kernel_constant is not None and kernel_constant > 0.0:
-        if cfg.scheme in ("backward_euler", "bdf2"):
-            literal = 2.0 * g0 / (kernel_constant * cfg.epsilon**4)
-        elif cfg.scheme == "two_li":
-            literal = 2.0 * (g0 + 1.0 - 3.0 * beta) / (kernel_constant * cfg.epsilon**4)
-
     return SolvabilityReport(
         scheme=cfg.scheme,
         tau=cfg.tau,
@@ -275,7 +267,6 @@ def check_solvability(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralC
         margin=float(margin),
         per_mode_min=float(per_mode_min),
         note=note,
-        literal_tau_bound=literal,
     )
 
 

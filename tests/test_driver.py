@@ -1,15 +1,19 @@
+import importlib
 import math
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 
+import nchsolver
 from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec,
                        RunOptions, SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
                        h1h2_probe, make_cache, mean, modified_energy_two_step,
                        modified_energy_two_step_linear, norm2, norm_neg1, project_zero_mean,
                        random_initial_field, run, sample_kernel)
 from nchsolver.spectral import gradient
-from nchsolver import steppers
+from nchsolver import kernels, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 
 GEO = GridGeometry(16, 1.0)
@@ -147,9 +151,9 @@ def test_admissibility_checked_once_per_config(monkeypatch):
     calls = []
     original = steppers.check_solvability
 
-    def counting(cfg, kernel, cache, kernel_constant=None):
+    def counting(cfg, kernel, cache):
         calls.append(cfg.scheme)
-        return original(cfg, kernel, cache, kernel_constant)
+        return original(cfg, kernel, cache)
 
     validations = []
     validate = SchemeConfig.__post_init__
@@ -241,6 +245,35 @@ def test_loop_norms_equal_field_definitions(scheme):
         assert record.increment_l2 == norm2(Field(geo, state.u.values - previous.values))
         assert record.omega_variance == norm2(project_zero_mean(step.omega))
         assert record.grad_omega_l2 == geo.h * math.sqrt(float(squares))
+
+
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_production_path_never_calls_reference_code(scheme, monkeypatch):
+    # Steps and records apply every operator through its symbol; the direct
+    # convolution, the stencil and the public negative norm are references only.
+    references = (kernels.convolve, kernels.convolve_values, spectral.laplacian_apply,
+                  spectral.norm_neg1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference code called on the production path")
+
+    for info in pkgutil.iter_modules(nchsolver.__path__):
+        importlib.import_module(f"nchsolver.{info.name}")
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "nchsolver" or name.startswith("nchsolver."):
+            for attr, value in list(vars(module).items()):
+                if any(value is ref for ref in references):
+                    monkeypatch.setattr(module, attr, forbidden)
+                    patched.add(attr)
+    assert patched == {"convolve", "convolve_values", "laplacian_apply", "norm_neg1"}
+    geo = GridGeometry(8, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=43)
+    result = run(u0, _cfg(scheme, tau=2e-3), kernel, make_cache(geo),
+                 RunOptions(max_steps=4, eq_tol=1e-14))
+    assert result.termination == "max_steps"
+    assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
 
 
 def test_max_steps_termination():

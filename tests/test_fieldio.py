@@ -5,9 +5,8 @@ import pytest
 
 from nchsolver import Field, GridGeometry, SchemeState
 from nchsolver.driver import DiagnosticsRecord
-from nchsolver.fieldio import (DIAGNOSTICS_HEADER, field_to_csv, read_checkpoint,
-                               read_field, write_checkpoint, write_diagnostics,
-                               write_field)
+from nchsolver.fieldio import (DIAGNOSTICS_HEADER, read_checkpoint, read_field,
+                               write_checkpoint, write_diagnostics, write_field)
 
 from conftest import random_field
 
@@ -54,17 +53,6 @@ def test_readers_reject_trailing_and_truncated_bytes(tmp_path, rng):
             path.write_bytes(bad)
             with pytest.raises(ValueError):
                 reader(path)
-
-
-def test_field_csv_export(tmp_path):
-    geo = GridGeometry(2, 1.0)
-    u = Field(geo, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    path = tmp_path / "u.csv"
-    field_to_csv(path, u)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,x,y,value"
-    assert lines[1] == "1,1,0.25,0.25,1.0"
-    assert lines[-1] == "2,2,0.75,0.75,4.0"
 
 
 def test_checkpoint_roundtrip_with_history(tmp_path, rng):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nchsolver import (Field, GridGeometry, GeometryMismatchError, NonZeroMeanError,
-                       grid, inner_product, mean, norm2, norm4, norm_neg1,
-                       project_zero_mean)
+from nchsolver import (Field, GridGeometry, GeometryMismatchError, KernelSpec,
+                       NonZeroMeanError, SchemeConfig, SchemeState, advance, grid,
+                       inner_product, make_cache, mean, norm2, norm4, norm_neg1,
+                       project_zero_mean, sample_kernel, steppers)
 from nchsolver.oracles import (dense_minus_laplacian_pinv, naive_inner_product,
                                naive_mean, naive_norm2, naive_norm4)
 from nchsolver.spectral import laplacian_eigenvalues
@@ -34,8 +35,38 @@ def test_field_is_immutable_and_wraps():
     f = Field(geo, np.arange(16.0).reshape(4, 4))
     with pytest.raises(ValueError):
         f.values[0, 0] = 7.0
-    assert f.at(0, 0) == f.at(4, 4) == f.at(-4, -4)
-    assert f.at(5, 2) == f.at(1, 2)
+
+
+def test_field_copies_a_writeable_caller_array():
+    geo = GridGeometry(4, 1.0)
+    arr = np.arange(16.0).reshape(4, 4)
+    f = Field(geo, arr)
+    arr[0, 0] = -1.0
+    assert f.values[0, 0] == 0.0
+    assert arr.flags.writeable
+    assert not f.values.flags.writeable
+
+
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_step_levels_are_read_only_and_adopted_without_copy(scheme, rng, monkeypatch):
+    geo = GridGeometry(8, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    cfg = SchemeConfig(scheme, 2e-3, 1.0, stabilization=5.5, cutoff=2.0)
+    frozen = []
+
+    def recording_freeze(values):
+        frozen.append(values)
+        return grid._freeze(values)
+
+    monkeypatch.setattr(steppers, "_freeze", recording_freeze)
+    u = project_zero_mean(random_field(geo, rng, 0.05))
+    state = SchemeState(u=u, u_prev=u if scheme in steppers.TWO_STEP_SCHEMES else None)
+    _, result = advance(state, cfg, kernel, make_cache(geo))
+    assert not result.u.values.flags.writeable
+    assert not result.omega.values.flags.writeable
+    # The fields hold the very arrays the step froze: no copy was made.
+    assert result.u.values is frozen[0]
+    assert result.omega.values is frozen[1]
 
 
 def test_inner_product_ones_counts_cells():

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from nchsolver import (EdgeField, Field, GridGeometry, NonZeroMeanError, dft_forward,
-                       dft_inverse, divergence, edge_inner_product, gradient,
-                       inner_product, inverse_laplacian_zero_mean, laplacian,
-                       laplacian_spectral, make_cache, mean, norm2, norm_neg1,
-                       project_zero_mean)
+from nchsolver import (EdgeField, Field, GridGeometry, NonZeroMeanError, divergence,
+                       edge_inner_product, gradient, inner_product,
+                       inverse_laplacian_zero_mean, laplacian, make_cache, mean, norm2,
+                       norm_neg1, project_zero_mean)
 from nchsolver.oracles import (dense_minus_laplacian, dense_minus_laplacian_pinv,
                                direct_dft2, laplacian_eigenvalue_formula)
-from nchsolver.spectral import laplacian_apply, laplacian_eigenvalues
+from nchsolver.spectral import apply_symbol, laplacian_apply, laplacian_eigenvalues
 
 from conftest import random_field
 
@@ -128,9 +127,10 @@ def test_spectral_laplacian_matches_stencil(rng, geo16):
     for _ in range(10):
         phi = random_field(geo16, rng)
         stencil = laplacian(phi)
-        spectral = laplacian_spectral(phi, cache)
+        # What the schemes do: apply the stored symbol of -Lap, negated.
+        spectral = apply_symbol(phi.values, -cache.minus_laplacian_eigenvalues)
         scale = max(np.abs(stencil.values).max(), 1e-30)
-        assert np.abs(stencil.values - spectral.values).max() / scale <= 1e-12
+        assert np.abs(stencil.values - spectral).max() / scale <= 1e-12
 
 
 def test_inverse_laplacian_zero_field(geo8, cache8):
@@ -164,7 +164,7 @@ def test_half_spectrum_operators_match_dense(n, rng):
     # rfft2 keeps columns 0..N/2; only even N has a Nyquist column among them.
     geo = GridGeometry(n, 1.0)
     cache = make_cache(geo)
-    assert cache.laplacian_symbol.shape == (n, n // 2 + 1)
+    assert cache.minus_laplacian_eigenvalues.shape == (n, n // 2 + 1)
     assert np.array_equal(cache.minus_laplacian_eigenvalues,
                           laplacian_eigenvalues(geo)[:, : n // 2 + 1])
     pinv = dense_minus_laplacian_pinv(geo)
@@ -179,7 +179,7 @@ def test_half_spectrum_operators_match_dense(n, rng):
         stencil = laplacian(phi).values
         # The array-level stencil, the reference for the symbol applies, is the same stencil.
         assert np.array_equal(laplacian_apply(phi.values, geo.h), stencil)
-        spectral = laplacian_spectral(phi, cache).values
+        spectral = apply_symbol(phi.values, -cache.minus_laplacian_eigenvalues)
         assert np.abs(stencil - spectral).max() <= 1e-12 * np.abs(stencil).max()
 
 
@@ -188,25 +188,29 @@ def test_inverse_laplacian_rejects_nonzero_mean(geo8, cache8):
         inverse_laplacian_zero_mean(Field.constant(geo8, 1.0), cache8)
 
 
-def test_dft_delta_and_constant(geo8):
-    delta = np.zeros((8, 8))
-    delta[0, 0] = 1.0
-    modes = dft_forward(Field(geo8, delta))
-    assert np.abs(np.abs(modes) - 1.0).max() <= 1e-14
-    modes_const = dft_forward(Field.constant(geo8, 1.0))
-    assert modes_const[0, 0] == pytest.approx(64.0)
-    off = np.abs(modes_const).copy()
-    off[0, 0] = 0.0
-    assert off.max() <= 1e-12
+def test_dft_delta_and_constant():
+    # The production transform: rfft2, columns 0..N/2 of the full DFT.
+    for n in (7, 8):
+        delta = np.zeros((n, n))
+        delta[0, 0] = 1.0
+        modes = np.fft.rfft2(delta)
+        assert modes.shape == (n, n // 2 + 1)
+        assert np.abs(np.abs(modes) - 1.0).max() <= 1e-14
+        modes_const = np.fft.rfft2(np.ones((n, n)))
+        assert modes_const[0, 0] == pytest.approx(float(n * n))
+        off = np.abs(modes_const).copy()
+        off[0, 0] = 0.0
+        assert off.max() <= 1e-12
 
 
-def test_dft_roundtrip_and_direct_oracle(rng, geo8):
-    phi = random_field(geo8, rng)
-    modes = dft_forward(phi)
-    direct = direct_dft2(phi.values)
-    assert np.abs(modes - direct).max() <= 1e-12 * np.abs(direct).max()
-    back = dft_inverse(modes, geo8)
-    assert np.abs(back.values - phi.values).max() <= 1e-13
-    # Hermitian symmetry of real input.
-    conj_flip = np.conj(np.roll(modes[::-1, ::-1], 1, axis=(0, 1)))
-    assert np.abs(modes - conj_flip).max() <= 1e-10
+def test_dft_roundtrip_and_direct_oracle(rng):
+    for n in (7, 8):  # odd N: the half spectrum has no Nyquist column
+        values = random_field(GridGeometry(n, 1.0), rng).values
+        modes = np.fft.rfft2(values)
+        direct = direct_dft2(values)
+        assert np.abs(modes - direct[:, : n // 2 + 1]).max() <= 1e-12 * np.abs(direct).max()
+        back = np.fft.irfft2(modes, s=values.shape)
+        assert np.abs(back - values).max() <= 1e-13
+        # Hermitian symmetry of real input: the dropped columns are mirrored conjugates.
+        conj_flip = np.conj(np.roll(direct[::-1, ::-1], 1, axis=(0, 1)))
+        assert np.abs(direct - conj_flip).max() <= 1e-10

@@ -278,13 +278,6 @@ def test_ssi1_margin_is_stabilization_slack():
     assert not weak.admissible
 
 
-def test_literal_kernel_constant_bound_is_reported():
-    report = check_solvability(_cfg("backward_euler", tau=0.1), GAUSS, CACHE,
-                               kernel_constant=2.0)
-    assert report.literal_tau_bound == pytest.approx(report.gamma0)  # 2 g0 / (2 * 1)
-    assert check_solvability(_cfg("backward_euler", tau=0.1), GAUSS, CACHE).literal_tau_bound is None
-
-
 def test_two_li_beta_bound_is_binding():
     # gamma0 of the weak kernel is far below 3 beta - 1, so no tau is admissible.
     for tau in (1e-8, 1e-2):
