@@ -8,6 +8,8 @@ BDF2, and a linearly implicit two-step scheme) share the staggered-grid
 spatial discretization and are cross-validated against dense oracles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .driver import (DecayProbe, DiagnosticsRecord, RunOptions, RunResult,
                      equilibrium_residual, h1h2_probe, random_initial_field, run)
 from .energetics import (PotentialSpec, chemical_potential, energy,
@@ -25,5 +27,6 @@ from .steppers import (SchemeConfig, SchemeState, SolvabilityReport, StepResult,
                        check_solvability, step_backward_euler, step_bdf2,
                        step_convex_splitting, step_ssi1, step_two_li)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -1,17 +1,18 @@
-"""Matrix-free damped Newton solver with a DFT-diagonal preconditioner.
+"""Matrix-free damped Newton-Krylov solver.
 
-The implicit schemes reduce to one nonlinear equation per step in the field
-u alone, a u + (-Lap)(omega(u)) = rhs (the chemical potential is eliminated
-and reconstructed after the solve); the residual and Jacobian they pass in
-apply -Lap and the nonlocal operator through their DFT symbols.  The
-Jacobian a + (-Lap)(D + G) is circulant except for the pointwise diagonal D
-of the potential's derivative, so freezing D at a constant slope gives an
-operator diagonal in the DFT basis, which preconditions the inner Krylov
-solve (GMRES).
+The implicit schemes reduce to one nonlinear equation per step,
+a u + (-Lap)(omega(u)) = rhs, and solve it for the half-spectrum
+coefficients rfft2(u), with a pointwise-division preconditioner (see
+``steppers._newton_step``).  ``newton_solve`` knows none of this: the
+unknown may be a real or a complex array, and the inner Krylov solve
+(GMRES) works on its float64 view.
 
 The outer iteration is plain Newton with a backtracking line search on the
-residual norm; convergence is declared on the true residual in the
-mesh-weighted L2 norm.
+residual norm; convergence is declared on the true residual in the norm the
+caller passes (the steppers pass the mesh-weighted L2 norm of the field,
+taken by Parseval).  An inner solve that stops at its iteration cap does
+not fail the step, since the line search guards the direction it returns;
+a failed Newton solve reports how many inner solves did not converge.
 """
 
 from __future__ import annotations
@@ -22,19 +23,11 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
-from .spectral import apply_symbol, half_spectrum
 
 
-def spectral_preconditioner(symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of a DFT-diagonal operator with the given (positive) symbol."""
-    if np.min(symbol) <= 0.0:
-        raise ValueError("preconditioner symbol must be strictly positive")
-    inv = 1.0 / half_spectrum(symbol)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        return apply_symbol(values, inv)
-
-    return apply
+def _float_view(x: np.ndarray) -> np.ndarray:
+    """Flat float64 view of a real or complex array (real and imaginary parts interleaved)."""
+    return np.ascontiguousarray(x).reshape(-1).view(np.float64)
 
 
 def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
@@ -47,39 +40,49 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  norm: Callable[[np.ndarray], float] | None = None) -> tuple[np.ndarray, int, list[float]]:
     """Solve residual_map(u) = 0 by preconditioned Newton-Krylov iteration.
 
+    ``u_init`` is a real or complex array; the callables receive and return
+    arrays of its shape and dtype, and ``jacobian_apply`` is always called
+    with the iterate the last ``residual_map`` call was evaluated at.
     Returns (solution, iterations, residual history).  The initial guess is
     returned unchanged with zero iterations when it already satisfies the
-    tolerance.  Raises SolverError (carrying the residual history) when
+    tolerance.  Raises SolverError (carrying the residual history, its
+    message counting the inner solves that did not converge) when
     ``max_iter`` Newton steps do not reach ``tol``.
     """
     if norm is None:
-        norm = lambda r: float(np.sqrt(np.sum(r * r, dtype=np.longdouble)))
-    u = np.array(u_init, dtype=np.float64)
-    shape = u.shape
-    size = u.size
+        norm = lambda r: float(np.sqrt(np.sum(_float_view(r)**2, dtype=np.longdouble)))
+    u = np.array(u_init, dtype=np.result_type(u_init, np.float64))
+    shape, dtype = u.shape, u.dtype
+    size = _float_view(u).size
+
+    def unknown(v):
+        # A copy: GMRES works on the arrays the callables return, which may be their input.
+        return np.array(v, dtype=np.float64).reshape(-1).view(dtype).reshape(shape)
 
     r = residual_map(u)
     rnorm = norm(r)
     history = [rnorm]
+    unconverged = 0
     for iteration in range(max_iter):
         if rnorm <= tol:
             return u, iteration, history
 
         jac = LinearOperator(
             (size, size),
-            matvec=lambda v: jacobian_apply(u, v.reshape(shape)).ravel(),
+            matvec=lambda v: _float_view(jacobian_apply(u, unknown(v))), dtype=np.float64,
         )
         precond = LinearOperator(
             (size, size),
-            matvec=lambda v: preconditioner(v.reshape(shape)).ravel(),
+            matvec=lambda v: _float_view(preconditioner(unknown(v))), dtype=np.float64,
         )
         # Bounded Krylov work per Newton step (maxiter counts restart cycles);
         # an inexact direction is acceptable, the line search guards it.
-        delta, info = gmres(jac, -r.ravel(), M=precond, rtol=krylov_tol, atol=0.0,
+        delta, info = gmres(jac, -_float_view(r), M=precond, rtol=krylov_tol, atol=0.0,
                             restart=min(size, 40), maxiter=4)
         if info < 0:
             raise SolverError(f"inner Krylov solve failed (info={info})", history)
-        delta = delta.reshape(shape)
+        unconverged += info > 0
+        delta = unknown(delta)
 
         # Backtracking line search on the residual norm.
         alpha = 1.0
@@ -95,7 +98,8 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
         if not accepted:
             raise SolverError(
                 f"Newton stagnated at residual {rnorm:.3e} (no descent direction); "
-                "the step is likely outside the solvable regime",
+                "the step is likely outside the solvable regime "
+                f"({unconverged} of {iteration + 1} inner solves did not converge)",
                 history,
             )
         u, r, rnorm = trial, r_trial, r_trial_norm
@@ -105,6 +109,6 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
         return u, max_iter, history
     raise SolverError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {max_iter} steps "
-        f"(last residual {rnorm:.3e})",
+        f"(last residual {rnorm:.3e}; {unconverged} of {max_iter} inner solves did not converge)",
         history,
     )

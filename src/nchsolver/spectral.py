@@ -143,14 +143,42 @@ def _modal_sum(symbol: np.ndarray, values: np.ndarray) -> float:
     """Pairing (v || A v) of real values v with the circulant A of a half-spectrum symbol.
 
     Parseval: (v || A v) = (1/N^2) sum_kl a_kl |v_hat_kl|^2 over all N^2 modes.
-    Interior columns 1..(N-1)//2 also stand for their mirrored modes; column
-    0 and, for even N, the Nyquist column N/2 already hold theirs.
     """
     modes = np.fft.rfft2(values)
-    weighted = symbol * (modes.real**2 + modes.imag**2)
-    n = values.shape[0]
+    return _parseval(symbol * (modes.real**2 + modes.imag**2))
+
+
+def _parseval(weighted: np.ndarray) -> float:
+    """(1/N^2) times the sum over all N^2 modes of an even per-mode quantity on the half spectrum.
+
+    Interior columns 1..(N-1)//2 also stand for their mirrored modes; column
+    0 and, for even N, the Nyquist column N/2 already hold theirs.  Scales
+    ``weighted`` in place; sums in long double.
+    """
+    n = weighted.shape[0]
     weighted[:, 1:(n + 1) // 2] *= 2.0
     return float(np.sum(weighted, dtype=np.longdouble)) / n**2
+
+
+def _modes_norm(modes: np.ndarray) -> float:
+    """Plain L2 norm sqrt(sum v^2) of the real field whose rfft2 coefficients are ``modes``."""
+    return float(np.sqrt(_parseval(modes.real**2 + modes.imag**2)))
+
+
+def _project_hermitian(modes: np.ndarray) -> np.ndarray:
+    """Project half-spectrum coefficients onto those of a real field, in place.
+
+    Column 0 and, for even N, the Nyquist column N/2 hold each mode (k, l)
+    together with its mirror (-k, -l), whose coefficient must be the
+    conjugate; averaging the two removes the rounding that breaks this.
+    Every other column is unconstrained.  O(N).
+    """
+    n = modes.shape[0]
+    mirror = -np.arange(n) % n
+    for col in ((0, n // 2) if n % 2 == 0 else (0,)):
+        column = modes[:, col]
+        modes[:, col] = 0.5 * (column + np.conj(column[mirror]))
+    return modes
 
 
 def _norm_neg1_values(values: np.ndarray, cache: SpectralCache) -> float:

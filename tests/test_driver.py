@@ -13,7 +13,7 @@ from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, 
                        modified_energy_two_step_linear, norm2, norm_neg1, project_zero_mean,
                        random_initial_field, run, sample_kernel)
 from nchsolver.spectral import gradient
-from nchsolver import kernels, spectral, steppers
+from nchsolver import kernels, solvers, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 
 GEO = GridGeometry(16, 1.0)
@@ -274,6 +274,45 @@ def test_production_path_never_calls_reference_code(scheme, monkeypatch):
                  RunOptions(max_steps=4, eq_tol=1e-14))
     assert result.termination == "max_steps"
     assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("n, scheme, steps", [(256, "backward_euler", 4),
+                                                (256, "convex_splitting", 4),
+                                                (256, "bdf2", 4),
+                                                (512, "convex_splitting", 1)])
+def test_newton_schemes_run_at_production_grid_sizes(n, scheme, steps, monkeypatch):
+    # The benchmark problem with default solver settings, at the grid sizes it
+    # is run at: every step converges, and so does every inner GMRES.
+    infos = []
+    real_gmres = solvers.gmres
+
+    def recording_gmres(*args, **kwargs):
+        x, info = real_gmres(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(solvers, "gmres", recording_gmres)
+    geo = GridGeometry(n, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0, 3), geo)
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=7)
+    result = run(u0, SchemeConfig(scheme, 1e-4, 1.0), kernel, make_cache(geo),
+                 RunOptions(max_steps=steps))
+    assert result.termination == "max_steps", result.error_detail
+    ulp = np.finfo(np.float64).eps
+    masses = [r.mass for r in result.records]
+    assert max(abs(m - masses[0]) for m in masses) <= 64 * ulp * max(1.0, abs(masses[0]))
+    dissipated = [r.modified_energy if scheme == "bdf2" else r.energy for r in result.records]
+    dissipated = [value for value in dissipated if value is not None]
+    for before, after in zip(dissipated, dissipated[1:]):
+        assert after <= before + 64 * ulp * max(1.0, abs(before))
+    assert infos and all(info == 0 for info in infos)
+
+
+def test_package_exports_no_modules():
+    modules = [name for name in nchsolver.__all__
+               if isinstance(getattr(nchsolver, name), type(nchsolver))]
+    assert modules == []
+    assert {"run", "newton_solve", "SchemeConfig"} <= set(nchsolver.__all__)
 
 
 def test_max_steps_termination():

@@ -19,6 +19,17 @@ def test_perfbench_cli_workload_runs_and_checks_out():
     assert result["failed"] == 0
 
 
+def test_perfbench_implicit_workload_completes_every_run():
+    # backward_euler, convex_splitting and bdf2 at N = 256 with default solver settings.
+    completed = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "implicit_n256", "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
 def test_perfbench_trace_resolves_every_hook():
     # A traced run patches each hook by name; a renamed target would drop
     # out of the per-layer split with only this line to show for it.

@@ -7,7 +7,7 @@ from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec,
                        laplacian, make_cache, mean,
                        modified_energy_two_step, modified_energy_two_step_linear,
                        newton_solve, norm2, project_zero_mean, sample_kernel)
-from nchsolver.solvers import spectral_preconditioner
+from nchsolver import solvers
 from nchsolver.spectral import laplacian_apply
 from nchsolver.steppers import STEP_FUNCTIONS, TWO_STEP_SCHEMES, bootstrap_config
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
@@ -349,28 +349,56 @@ def test_newton_returns_initial_guess_when_converged():
         calls.append(1)
         return np.zeros_like(u)
 
-    precond = spectral_preconditioner(np.ones((4, 4)))
-    u, iters, history = newton_solve(residual, lambda u, v: v, u0, 1e-11, 10, precond)
+    u, iters, history = newton_solve(residual, lambda u, v: v, u0, 1e-11, 10, lambda v: v)
     assert iters == 0
     assert np.array_equal(u, u0)
 
 
 def test_newton_linear_problem_converges_in_one_iteration(rng):
     a = rng.uniform(-1, 1, (4, 4))
-    precond = spectral_preconditioner(np.ones((4, 4)))
     u, iters, _ = newton_solve(lambda u: u - a, lambda u, v: v,
-                               np.zeros((4, 4)), 1e-12, 10, precond)
+                               np.zeros((4, 4)), 1e-12, 10, lambda v: v)
     assert iters == 1
     assert np.abs(u - a).max() <= 1e-12
 
 
 def test_newton_nonconvergence_raises_with_history():
-    precond = spectral_preconditioner(np.ones((2, 2)))
     # Residual with no root: r(u) = u^2 + 1 elementwise.
     with pytest.raises(SolverError) as excinfo:
         newton_solve(lambda u: u * u + 1.0, lambda u, v: 2.0 * u * v,
-                     np.zeros((2, 2)), 1e-12, 5, precond)
+                     np.zeros((2, 2)), 1e-12, 5, lambda v: v)
     assert len(excinfo.value.residuals) >= 1
+
+
+def test_newton_counts_inner_solves_that_did_not_converge(monkeypatch, rng):
+    real_gmres = solvers.gmres
+
+    def capped_gmres(*args, **kwargs):
+        x, _ = real_gmres(*args, **kwargs)
+        return x, 4  # as if every inner solve hit its iteration cap
+
+    monkeypatch.setattr(solvers, "gmres", capped_gmres)
+    # A direction that still reduces the residual is taken: the step converges.
+    a = rng.uniform(-1, 1, (4, 4))
+    u, iters, _ = newton_solve(lambda u: u - a, lambda u, v: v,
+                               np.zeros((4, 4)), 1e-12, 10, lambda v: v)
+    assert iters == 1
+    assert np.abs(u - a).max() <= 1e-12
+    with pytest.raises(SolverError, match=r"\b(\d+) of \1 inner solves did not converge"):
+        newton_solve(lambda u: u * u + 1.0, lambda u, v: 2.0 * u * v,
+                     np.ones((2, 2)), 1e-12, 5, lambda v: v)
+
+
+def test_newton_step_stops_at_the_rounding_floor(rng):
+    # A tolerance far below rounding in the residual's terms (which scale like
+    # 1/h^2) still converges, at C eps scale, in a few iterations.
+    geo = GridGeometry(64, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    state = _perturbed_state(rng, geometry=geo)
+    for scheme in ("backward_euler", "convex_splitting"):
+        cfg = _cfg(scheme, tau=1e-4, newton_tol=1e-30)
+        result = STEP_FUNCTIONS[scheme](state, cfg, kernel, make_cache(geo))
+        assert 1 <= result.newton_iters <= 5
 
 
 # --- mass conservation -------------------------------------------------------
