@@ -6,10 +6,10 @@ vertices (i*h, j*h) and enters the model through the discrete convolution
     [J (*) phi]_{i,j} = h^2 sum_{k,l} J_{k,l} phi_{i-k, j-l}   (periodic wrap),
 
 a circulant operator that is diagonal in the DFT basis with the real symbol
-j_hat = h^2 * DFT2(J), applied on the half spectrum of real transforms (see
-:mod:`nchsolver.spectral`).  The scalar [J (*) 1] = h^2 sum J (the zero mode of
-the symbol) plays the role of the kernel mass; the model is positive
-diffusive when gamma0 = eps^2 [J (*) 1] - 1 > 0.
+j_hat = h^2 * DFT2(J), stored and applied on the half spectrum of real
+transforms (see :mod:`nchsolver.spectral`).  The scalar [J (*) 1] = h^2 sum J
+(the zero mode of the symbol) plays the role of the kernel mass; the model is
+positive diffusive when gamma0 = eps^2 [J (*) 1] - 1 > 0.
 
 The model uses the kernel only through the nonnegative nonlocal operator
 eps^2 ([J(*)1] phi - [J (*) phi]).  The production path (schemes, chemical
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Field, GridGeometry, require_same_geometry
-from .spectral import apply_symbol, half_spectrum
+from .spectral import apply_symbol
 
 KERNEL_VARIANTS = ("gaussian", "constant", "tabulated")
 
@@ -99,7 +99,8 @@ class SampledKernel:
 
     ``values[a, b]`` is the kernel at the vertex (a*h, b*h); ``conv_one``
     the scalar [J (*) 1] = h^2 sum J; ``symbol`` the real DFT symbol of the
-    convolution operator (zero mode equals ``conv_one`` exactly).
+    convolution operator on the half spectrum, the N x (N/2+1) modes of
+    ``rfft2`` (zero mode equals ``conv_one`` exactly).
     Immutable and shareable across threads; convolution is a pure function.
     """
 
@@ -146,7 +147,8 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
 
     values = 0.5 * (values + _reflect(values))
     conv_one = float(geometry.h**2 * np.sum(values, dtype=np.longdouble))
-    symbol = geometry.h**2 * np.fft.fft2(values)
+    # Even and real: the half spectrum from rfft2 holds every value of the symbol.
+    symbol = geometry.h**2 * np.fft.rfft2(values)
     scale = np.abs(symbol.real).max()
     if scale > 0.0 and np.abs(symbol.imag).max() > 1e-12 * scale:
         raise ConfigError("kernel symbol has a non-negligible imaginary part; kernel is not even")
@@ -163,7 +165,7 @@ def convolve(kernel: SampledKernel, phi: Field) -> Field:
 
 def convolve_values(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolution [J (*) phi] of the values of phi."""
-    return apply_symbol(values, half_spectrum(kernel.symbol))
+    return apply_symbol(values, kernel.symbol)
 
 
 def gamma0(kernel: SampledKernel, epsilon: float) -> float:
@@ -177,5 +179,5 @@ def gamma0(kernel: SampledKernel, epsilon: float) -> float:
 
 def nonlocal_gap(kernel: SampledKernel, eps2: float) -> np.ndarray:
     """Half-spectrum symbol eps^2 ([J(*)1] - j_hat) of the nonlocal operator; zero at mode 0."""
-    return eps2 * (kernel.conv_one - half_spectrum(kernel.symbol))
+    return eps2 * (kernel.conv_one - kernel.symbol)
 

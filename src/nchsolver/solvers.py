@@ -1,4 +1,4 @@
-"""Matrix-free damped Newton-Krylov solver.
+"""Matrix-free preconditioned fixed-point and damped Newton-Krylov solver.
 
 The implicit schemes reduce to one nonlinear equation per step,
 a u + (-Lap)(omega(u)) = rhs, and solve it for the half-spectrum
@@ -7,12 +7,17 @@ coefficients rfft2(u), with a pointwise-division preconditioner (see
 unknown may be a real or a complex array, and the inner Krylov solve
 (GMRES) works on its float64 view.
 
-The outer iteration is plain Newton with a backtracking line search on the
-residual norm; convergence is declared on the true residual in the norm the
-caller passes (the steppers pass the mesh-weighted L2 norm of the field,
-taken by Parseval).  An inner solve that stops at its iteration cap does
-not fail the step, since the line search guards the direction it returns;
-a failed Newton solve reports how many inner solves did not converge.
+The solve starts with preconditioned fixed-point steps u <- u - P^{-1} F(u),
+one residual each and no Jacobian apply.  They go on while each cuts the
+residual at least ``FIXED_POINT_CONTRACTION``-fold, which holds when P is
+close to the Jacobian, as the frozen-coefficient preconditioner of the
+schemes is for moderate step sizes.  Once a step contracts less, plain
+Newton with a backtracking line search on the residual norm continues from
+the best iterate.  Convergence is declared on the true residual in the norm
+the caller passes (the steppers pass the mesh-weighted L2 norm of the
+field, taken by Parseval).  An inner solve that stops at its iteration cap
+does not fail the step, since the line search guards the direction it
+returns; a failed solve reports how many inner solves did not converge.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ def _float_view(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(-1).view(np.float64)
 
 
+# A fixed-point step that cuts the residual less than this many times hands
+# over to Newton-Krylov, whose convergence is then worth its Jacobian applies.
+FIXED_POINT_CONTRACTION = 10.0
+
+
 def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  jacobian_apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  u_init: np.ndarray,
@@ -38,16 +48,19 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  preconditioner: Callable[[np.ndarray], np.ndarray],
                  krylov_tol: float = 1e-12,
                  norm: Callable[[np.ndarray], float] | None = None) -> tuple[np.ndarray, int, list[float]]:
-    """Solve residual_map(u) = 0 by preconditioned Newton-Krylov iteration.
+    """Solve residual_map(u) = 0 by preconditioned fixed-point steps, then Newton-Krylov.
 
     ``u_init`` is a real or complex array; the callables receive and return
     arrays of its shape and dtype, and ``jacobian_apply`` is always called
-    with the iterate the last ``residual_map`` call was evaluated at.
-    Returns (solution, iterations, residual history).  The initial guess is
+    with the iterate the last ``residual_map`` call was evaluated at.  A
+    fixed-point trial that does not lower the residual is dropped, and
+    Newton-Krylov takes that iteration instead.  Returns (solution,
+    iterations, residual history), the iterations counting fixed-point and
+    Newton steps alike; ``max_iter`` bounds their sum.  The initial guess is
     returned unchanged with zero iterations when it already satisfies the
     tolerance.  Raises SolverError (carrying the residual history, its
     message counting the inner solves that did not converge) when
-    ``max_iter`` Newton steps do not reach ``tol``.
+    ``max_iter`` iterations do not reach ``tol``.
     """
     if norm is None:
         norm = lambda r: float(np.sqrt(np.sum(_float_view(r)**2, dtype=np.longdouble)))
@@ -62,10 +75,22 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
     r = residual_map(u)
     rnorm = norm(r)
     history = [rnorm]
-    unconverged = 0
+    solves = unconverged = 0
+    fixed_point = True
     for iteration in range(max_iter):
         if rnorm <= tol:
             return u, iteration, history
+
+        if fixed_point:
+            trial = u - preconditioner(r)
+            r_trial = residual_map(trial)
+            r_trial_norm = norm(r_trial)
+            fixed_point = r_trial_norm * FIXED_POINT_CONTRACTION <= rnorm
+            if r_trial_norm < rnorm:
+                u, r, rnorm = trial, r_trial, r_trial_norm
+                history.append(rnorm)
+                continue
+            r = residual_map(u)  # the Jacobian is applied at the last residual's iterate
 
         jac = LinearOperator(
             (size, size),
@@ -81,6 +106,7 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                             restart=min(size, 40), maxiter=4)
         if info < 0:
             raise SolverError(f"inner Krylov solve failed (info={info})", history)
+        solves += 1
         unconverged += info > 0
         delta = unknown(delta)
 
@@ -99,7 +125,7 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
             raise SolverError(
                 f"Newton stagnated at residual {rnorm:.3e} (no descent direction); "
                 "the step is likely outside the solvable regime "
-                f"({unconverged} of {iteration + 1} inner solves did not converge)",
+                f"({unconverged} of {solves} inner solves did not converge)",
                 history,
             )
         u, r, rnorm = trial, r_trial, r_trial_norm
@@ -109,6 +135,6 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
         return u, max_iter, history
     raise SolverError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {max_iter} steps "
-        f"(last residual {rnorm:.3e}; {unconverged} of {max_iter} inner solves did not converge)",
+        f"(last residual {rnorm:.3e}; {unconverged} of {solves} inner solves did not converge)",
         history,
     )

@@ -52,10 +52,14 @@ coefficients rfft2(u) alone, matrix-free, and reconstructs omega from the
 solution.  The linear part a + lambda G is then a product, a residual or
 Jacobian apply takes one inverse and one forward transform around the
 pointwise part of omega, and the frozen-coefficient preconditioner
-a + lambda (slope + G) is a division.  Convex splitting's nonlocal term is
-explicit and part of local(u).  Newton stops at max(newton_tol,
-C eps scale), where scale measures the step's equation terms, so the stop
-holds at every N although rounding in those terms grows like 1/h^2.
+a + lambda (slope + G) is a division.  It is close enough to the
+Jacobian that ``newton_solve`` first takes fixed-point steps with it, one
+residual each, and hands over to Newton-Krylov once they stop contracting.
+Convex splitting's nonlocal term is explicit and part of local(u), built
+from the same rfft2(u^n) as the guess.  Newton stops at max(newton_tol,
+C eps scale), where scale measures the step's equation terms and the
+rounding of local(u), so the stop holds at every N although that rounding
+grows like 1/h^2.
 Backward Euler and BDF2 differ only in (a, rhs).  The two linear schemes
 share one DFT-diagonal solve (``_linear_step``) of a u + (-Lap)(explicit + S u + G u) = rhs: ssi1 with
 explicit F_K'(u^n) - S u^n, two_li with 2 F_K'(u^n) - F_K'(u^{n-1}) and
@@ -81,7 +85,7 @@ import numpy as np
 
 from .energetics import PotentialSpec, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
-from .grid import Field, GridGeometry, _freeze, mean
+from .grid import Field, GridGeometry, _freeze, _norm2_values, mean
 from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve
 from .spectral import SpectralCache, _modes_norm, _project_hermitian, apply_symbol
@@ -293,32 +297,38 @@ def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
     return values + (target - float(np.sum(values, dtype=np.longdouble)) / values.size)
 
 
-# C of the Newton stop max(newton_tol, C eps scale).  On the benchmark
-# problem the residual stagnates at 0.6-0.9 eps scale for N in 128..512,
-# so 4 stops just above the rounding floor.
+# C of the Newton stop max(newton_tol, C eps scale).  Convex splitting's
+# residual stagnates at 0.15-0.25 eps scale (the benchmark problem at N in
+# 128..512, the phase-separating one at N = 64 and 128), the fully implicit
+# schemes' far lower, so 4 stops clear of the rounding floor.
 NEWTON_FLOOR_ULPS = 4.0
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a: float,
-                 rhs: np.ndarray, local, local_slope, slope,
-                 gap: Optional[np.ndarray]) -> StepResult:
+                 rhs_hat: np.ndarray, u_hat: np.ndarray, local, local_slope, slope,
+                 gap: Optional[np.ndarray], explicit=0.0) -> StepResult:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
-    omega(u) = local(u) + G u with G the half-spectrum symbol ``gap`` (None
-    when the nonlocal term is explicit, folded into ``local``), and
+    ``rhs_hat`` and ``u_hat`` are rfft2(rhs) and rfft2(u^n), which the
+    callers build from one transform of each level.  omega(u) = local(u) +
+    G u with G the half-spectrum symbol ``gap`` (None when the nonlocal term
+    is explicit, folded into ``local`` as its part ``explicit``), and
     ``local_slope(u)`` the pointwise derivative of ``local``.  The unknown
     is u_hat = rfft2(u), with residual
-        (a + lambda G) u_hat - rfft2(rhs) + lambda rfft2(local(irfft2(u_hat)))
+        (a + lambda G) u_hat - rhs_hat + lambda rfft2(local(irfft2(u_hat)))
     projected onto the coefficients of real fields (rounding breaks their
     symmetry, and GMRES then stalls), and its norm the mesh-weighted L2 norm
     of the field, by Parseval.  The frozen-coefficient preconditioner
-    a + lambda (slope + G) is a division.  Newton stops at
-    max(newton_tol, C eps scale), scale the norm of rfft2(rhs) plus that of
-    the preconditioner applied forward to u_hat^n: the residual cannot fall
-    below rounding in terms of that size.
+    a + lambda (slope + G) is a division; ``newton_solve`` takes fixed-point
+    steps with it before Newton-Krylov.  Newton stops at
+    max(newton_tol, C eps scale): scale is the norm of rhs_hat, plus that of
+    the preconditioner applied forward to u_hat^n, plus lambda_max times the
+    norm of |u^n|^3 + |slope| |u^n| + |explicit|.  The last term bounds the
+    rounding of local(u), which is white and which lambda amplifies at the
+    high modes where u_hat itself is small.  None of it takes a transform.
     """
     lam = cache.minus_laplacian_eigenvalues
-    shape = rhs.shape
+    shape = state.u.values.shape
     linear = a if gap is None else a + lam * gap
     shift = slope if gap is None else slope + gap
     symbol = a + lam * shift
@@ -327,10 +337,11 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
         symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
 
     h = cache.geometry.h
-    rhs_hat = np.fft.rfft2(rhs)
-    u_hat = np.fft.rfft2(state.u.values)
     norm = lambda modes: h * _modes_norm(modes)
-    scale = norm(rhs_hat) + norm(symbol * u_hat)
+    terms = np.abs(state.u.values)
+    terms *= terms * terms + abs(slope)
+    terms += np.abs(explicit)
+    scale = norm(rhs_hat) + norm(symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
 
     # newton_solve applies the Jacobian at the iterate of its last residual,
@@ -357,11 +368,12 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
 
 
 def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                             cache: SpectralCache, a: float, rhs: np.ndarray) -> StepResult:
+                             cache: SpectralCache, a: float, rhs_hat: np.ndarray,
+                             u_hat: np.ndarray) -> StepResult:
     """Newton step with the fully implicit chemical potential (backward Euler, BDF2)."""
     pot = cfg.potential
     # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-    return _newton_step(state, cfg, cache, a, rhs,
+    return _newton_step(state, cfg, cache, a, rhs_hat, u_hat,
                         lambda u: potential_d1(pot, u), lambda u: potential_d2(pot, u),
                         -1.0, nonlocal_gap(kernel, cfg.epsilon**2))
 
@@ -370,8 +382,8 @@ def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKe
                         cache: SpectralCache) -> StepResult:
     """One fully implicit step; nonlinear solve with the previous level as guess."""
     _apply_policy(cfg, kernel, cache)
-    return _implicit_potential_step(state, cfg, kernel, cache,
-                                    1.0 / cfg.tau, state.u.values / cfg.tau)
+    u_hat = np.fft.rfft2(state.u.values)
+    return _implicit_potential_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat)
 
 
 def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -384,12 +396,14 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
     _apply_policy(cfg, kernel, cache)
     strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
     u_n = state.u.values
+    u_hat = np.fft.rfft2(u_n)
     # Explicit part of the chemical potential, fixed during the solve.
-    explicit = u_n + strong * u_n - apply_symbol(u_n, nonlocal_gap(kernel, cfg.epsilon**2))
-    return _newton_step(state, cfg, cache, 1.0 / cfg.tau, u_n / cfg.tau,
+    explicit = u_n + strong * u_n - np.fft.irfft2(nonlocal_gap(kernel, cfg.epsilon**2) * u_hat,
+                                                  s=u_n.shape)
+    return _newton_step(state, cfg, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat,
                         lambda u: u * u * u + strong * u - explicit,
                         lambda u: 3.0 * (u * u) + strong,
-                        strong, None)
+                        strong, None, explicit)
 
 
 def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -435,8 +449,10 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     """One two-step backward-differentiation step with implicit potential."""
     u_prev = _require_history(state, "bdf2")
     _apply_policy(cfg, kernel, cache)
-    rhs = (4.0 * state.u.values - u_prev.values) / (2.0 * cfg.tau)
-    return _implicit_potential_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau), rhs)
+    u_hat = np.fft.rfft2(state.u.values)
+    rhs_hat = (4.0 * u_hat - np.fft.rfft2(u_prev.values)) / (2.0 * cfg.tau)
+    return _implicit_potential_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
+                                    rhs_hat, u_hat)
 
 
 def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,

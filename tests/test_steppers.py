@@ -362,6 +362,21 @@ def test_newton_linear_problem_converges_in_one_iteration(rng):
     assert np.abs(u - a).max() <= 1e-12
 
 
+def test_newton_exact_preconditioner_needs_no_jacobian(rng):
+    # A preconditioner equal to the Jacobian of a linear problem makes the
+    # first fixed-point step exact: no Krylov solve, no Jacobian apply.
+    d = rng.uniform(1.0, 3.0, (4, 4))
+    b = rng.uniform(-1, 1, (4, 4))
+
+    def jacobian(u, v):
+        raise AssertionError("jacobian_apply called")
+
+    u, iters, history = newton_solve(lambda u: d * u - b, jacobian,
+                                     np.zeros((4, 4)), 1e-12, 10, lambda r: r / d)
+    assert iters == 1 and len(history) == 2
+    assert np.abs(u - b / d).max() <= 1e-15
+
+
 def test_newton_nonconvergence_raises_with_history():
     # Residual with no root: r(u) = u^2 + 1 elementwise.
     with pytest.raises(SolverError) as excinfo:
