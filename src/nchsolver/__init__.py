@@ -24,8 +24,7 @@ from .solvers import newton_solve
 from .spectral import (SpectralCache, divergence, gradient, inverse_laplacian_zero_mean,
                        laplacian, laplacian_eigenvalues, make_cache, norm_neg1)
 from .steppers import (SchemeConfig, SchemeState, SolvabilityReport, StepResult, advance,
-                       check_solvability, step_backward_euler, step_bdf2,
-                       step_convex_splitting, step_ssi1, step_two_li)
+                       check_solvability)
 
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_") and not isinstance(value, _ModuleType))

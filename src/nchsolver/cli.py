@@ -23,7 +23,7 @@ from .driver import run as run_driver
 from .errors import ConfigError, SolverError
 from .fieldio import write_checkpoint, write_diagnostics, write_field
 from .spectral import make_cache
-from .steppers import check_solvability
+from .steppers import TWO_STEP_SCHEMES, bootstrap_config, check_solvability
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 1
@@ -89,8 +89,14 @@ def cmd_check(args) -> int:
     print(f"margin: {report.margin!r}")
     if report.note:
         print(f"note: {report.note}")
-    print(f"verdict: {'admissible' if report.admissible else 'inadmissible'}")
-    return EXIT_OK if report.admissible else EXIT_INADMISSIBLE
+    admissible = report.admissible
+    if scheme_cfg.scheme in TWO_STEP_SCHEMES:  # a run's first step takes the bootstrap scheme
+        boot = check_solvability(bootstrap_config(scheme_cfg), kernel, cache)
+        print(f"bootstrap: {boot.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
+              f"margin {boot.margin!r}")
+        admissible = admissible and boot.admissible
+    print(f"verdict: {'admissible' if admissible else 'inadmissible'}")
+    return EXIT_OK if admissible else EXIT_INADMISSIBLE
 
 
 def cmd_verify(_args) -> int:

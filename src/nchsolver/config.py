@@ -8,10 +8,10 @@ Grammar (one assignment per line):
 
 Keys are drawn from a fixed schema; unknown or duplicate keys are rejected
 with the offending key and line number.  Values are typed (int, float,
-string, enumeration) and range-checked before any allocation happens.
-Re-emitting a parsed configuration produces the canonical form: schema
-order, resolved defaults, one assignment per line; parsing that text again
-is the identity.
+string, enumeration) and range-checked before any allocation happens;
+floats must be finite.  Re-emitting a parsed configuration produces the
+canonical form: schema order, resolved defaults, one assignment per line;
+parsing that text again is the identity.
 
 The only environment override honored is ``OUTPUT_DIR`` (for
 ``output.dir``); command-line flags take precedence over both.
@@ -19,6 +19,7 @@ The only environment override honored is ``OUTPUT_DIR`` (for
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,7 +88,9 @@ def _convert(key: _Key, raw: str, line_no: int):
                 raise ValueError
             return int(raw)
         if key.kind == "float":
-            return float(raw)
+            if not math.isfinite(value := float(raw)):
+                raise ConfigError(f"line {line_no}: key {key.name!r} must be finite, got {raw!r}")
+            return value
         if key.kind == "enum":
             if raw not in key.choices:
                 raise ConfigError(

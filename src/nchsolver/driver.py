@@ -181,7 +181,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     termination = "max_steps"
     detail = ""
     final_omega = state.omega
-    admitted: dict[SchemeConfig, SchemeConfig] = {}  # bootstrap and main config, checked once each
+    admitted: set[SchemeConfig] = set()  # bootstrap and main config, checked once each
     while state.step_index < options.max_steps:
         previous = state.u
         try:

@@ -16,14 +16,14 @@ norm ||u||_{-1} = sqrt(h^2 ((-Lap)^{-1} u || u)) are computed by dividing
 DFT coefficients by lambda and zeroing the constant mode.
 
 The production path uses real transforms on the half spectrum of modes
-l = 0..N/2 (N x (N/2+1), all values of a real even symbol), cut by
-``half_spectrum`` and applied by ``apply_symbol``.  Quadratic forms
-(v || A v) of such an operator -- the negative norm here, the nonlocal
-energy in :mod:`nchsolver.energetics` -- are one modal sum by Parseval from
-a single ``rfft2``, taken by the one private helper ``_modal_sum``, which
-holds the rule that interior half-spectrum columns count twice.  The only
-transforms are ``rfft2`` and ``irfft2(..., s=(N, N))``; the oracle suite
-checks them against a direct DFT sum.
+l = 0..N/2 (N x (N/2+1), all values of a real even symbol), applied by
+``apply_symbol``.  Quadratic forms (v || A v) of such an operator -- the
+negative norm here, the nonlocal energy in :mod:`nchsolver.energetics` --
+are one modal sum by Parseval from a single ``rfft2``, taken by the one
+private helper ``_modal_sum``, which holds the rule that interior
+half-spectrum columns count twice.  The only transforms are ``rfft2`` and
+``irfft2(..., s=(N, N))``; the oracle suite checks them against a direct
+DFT sum.
 
 The symbol lambda is built once, as the full N x N ``laplacian_eigenvalues``
 (the form the oracles compare with dense matrices), and ``make_cache``
@@ -55,11 +55,6 @@ def laplacian_eigenvalues(geometry: GridGeometry) -> np.ndarray:
     return (2.0 / h**2) * (2.0 - np.add.outer(c, c))
 
 
-def half_spectrum(symbol: np.ndarray) -> np.ndarray:
-    """View of columns 0..N/2 of an N-row symbol (the rfft2 modes); idempotent."""
-    return symbol[:, : symbol.shape[0] // 2 + 1]
-
-
 def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply the circulant operator with a half-spectrum symbol to real values."""
     return np.fft.irfft2(np.fft.rfft2(values) * symbol, s=values.shape)
@@ -84,8 +79,8 @@ class SpectralCache:
 
 
 def make_cache(geometry: GridGeometry) -> SpectralCache:
-    """Build the spectral cache for a grid."""
-    return SpectralCache(geometry, half_spectrum(laplacian_eigenvalues(geometry)))
+    """Build the spectral cache for a grid: lambda on columns 0..N/2, the rfft2 modes."""
+    return SpectralCache(geometry, laplacian_eigenvalues(geometry)[:, : geometry.n // 2 + 1])
 
 
 def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

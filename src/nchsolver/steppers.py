@@ -29,8 +29,10 @@ scheme, matching the coefficient of the negative-norm term in the
 respective convexity computations).  The linear schemes use the closed-form
 inequalities on (S, beta) and (beta, tau, gamma0), with the same per-mode
 surrogate replacing the kernel constant.  The policy field decides whether
-an inadmissible configuration rejects the step, warns, or is ignored; a
-run applies it once per configuration (see ``advance``).
+an inadmissible configuration rejects the step, warns, or is ignored.
+``advance`` is the one place that applies it, and so the public way to take
+a step: on every call, or once per configuration of a run.  The step
+functions in ``STEP_FUNCTIONS`` are unchecked solves.
 
 Every scheme is one equation per step,
 
@@ -381,7 +383,6 @@ def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: Samp
 def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                         cache: SpectralCache) -> StepResult:
     """One fully implicit step; nonlinear solve with the previous level as guess."""
-    _apply_policy(cfg, kernel, cache)
     u_hat = np.fft.rfft2(state.u.values)
     return _implicit_potential_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat)
 
@@ -393,7 +394,6 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
     Unconditionally uniquely solvable; dissipates the plain energy for every
     step size.
     """
-    _apply_policy(cfg, kernel, cache)
     strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
     u_n = state.u.values
     u_hat = np.fft.rfft2(u_n)
@@ -432,7 +432,6 @@ def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
 def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
               cache: SpectralCache) -> StepResult:
     """One stabilized linear semi-implicit step (single DFT-diagonal solve)."""
-    _apply_policy(cfg, kernel, cache)
     u_n, s = state.u.values, cfg.stabilization
     return _linear_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_n / cfg.tau,
                         potential_d1(cfg.potential, u_n) - s * u_n, s)
@@ -448,7 +447,6 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
               cache: SpectralCache) -> StepResult:
     """One two-step backward-differentiation step with implicit potential."""
     u_prev = _require_history(state, "bdf2")
-    _apply_policy(cfg, kernel, cache)
     u_hat = np.fft.rfft2(state.u.values)
     rhs_hat = (4.0 * u_hat - np.fft.rfft2(u_prev.values)) / (2.0 * cfg.tau)
     return _implicit_potential_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
@@ -459,7 +457,6 @@ def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                 cache: SpectralCache) -> StepResult:
     """One linearly implicit two-step step with extrapolated nonlinearity."""
     u_prev = _require_history(state, "two_li").values
-    _apply_policy(cfg, kernel, cache)
     pot, u_n = cfg.potential, state.u.values
     return _linear_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
                         (4.0 * u_n - u_prev) / (2.0 * cfg.tau),
@@ -492,21 +489,22 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-            cache: SpectralCache, admitted: Optional[dict] = None) -> tuple[SchemeState, StepResult]:
+            cache: SpectralCache, admitted: Optional[set] = None) -> tuple[SchemeState, StepResult]:
     """Advance one step, bootstrapping a fresh two-step state transparently.
 
-    ``admitted``, when given, maps each configuration already checked for
-    this kernel and cache to its copy with the ``ignore`` policy, which the
-    step then runs; a newly seen configuration is checked once and added.
+    The one place the stability policy is applied, to the configuration the
+    step runs (the bootstrap's for a fresh two-step state).  Without
+    ``admitted`` every call checks it; with it, only a configuration not yet
+    in that set is checked, and it is added once it passes.  The set belongs
+    to one kernel and cache.
     """
     step_cfg = cfg
     if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
         step_cfg = bootstrap_config(cfg)
-    if admitted is not None:
-        if step_cfg not in admitted:
-            _apply_policy(step_cfg, kernel, cache)
-            admitted[step_cfg] = replace(step_cfg, stability_policy="ignore")
-        step_cfg = admitted[step_cfg]
+    if admitted is None or step_cfg not in admitted:
+        _apply_policy(step_cfg, kernel, cache)
+        if admitted is not None:
+            admitted.add(step_cfg)
     result = STEP_FUNCTIONS[step_cfg.scheme](state, step_cfg, kernel, cache)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
     try:

@@ -238,6 +238,49 @@ def test_cli_check_admissible_and_not(tmp_path, capsys):
     assert "inadmissible" in capsys.readouterr().out
 
 
+def test_cli_check_covers_the_bootstrap_step(tmp_path, capsys):
+    # The bdf2 step is admissible, its backward-Euler bootstrap is not, so the
+    # run fails at step 1: check must say inadmissible too.
+    text = BASE.format(out=tmp_path / "out").replace("grid.N = 8", "grid.N = 32") \
+        .replace("cJ = 12.5", "cJ = 3000.0").replace("xi = 10.0", "xi = 1000.0") \
+        .replace("backward_euler", "bdf2").replace("tau = 0.05", "tau = 0.01") \
+        .replace("run.seed = 3", "run.seed = 7")
+    cfg = _write_config(tmp_path, text)
+    assert main(["check", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert float(next(l.split(": ")[1] for l in lines if l.startswith("margin:"))) > 0.0
+    assert any(l.startswith("bootstrap: backward_euler inadmissible") for l in lines)
+    assert lines[-1] == "verdict: inadmissible"
+    assert main(["run", str(cfg)]) == 3
+    assert "step 1: backward_euler inadmissible" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_cli_check_reports_admissible_bootstrap(tmp_path, capsys):
+    text = BASE.format(out=tmp_path / "out").replace("backward_euler", "two_li") \
+        .replace("cJ = 12.5", "cJ = 130.0").replace("tau = 0.05", "tau = 0.001") \
+        + "model.potential.K = 2.0\n"
+    cfg = _write_config(tmp_path, text)
+    assert main(["check", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "bootstrap: ssi1 admissible" in out and out.endswith("verdict: admissible\n")
+    assert main(["run", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("assignment", ["grid.L = inf", "model.epsilon = inf",
+                                        "model.kernel.cJ = inf", "run.init.mean = inf",
+                                        "run.init.mean = nan", "run.init.delta = inf"])
+def test_cli_non_finite_float_exits_2(tmp_path, capsys, assignment):
+    key = assignment.split(" = ")[0]
+    lines = [l for l in BASE.format(out=tmp_path / "out").splitlines()
+             if not l.startswith(key + " ")]
+    cfg = _write_config(tmp_path, "\n".join(lines + [assignment]) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}: key {key!r} must be finite" in err
+        assert "Traceback" not in err
+
+
 def test_cli_check_ssi1_at_boundary(tmp_path, capsys):
     text = BASE.format(out="o").replace("backward_euler", "ssi1") \
         + "model.potential.K = 2.0\nscheme.S = 5.5\n"

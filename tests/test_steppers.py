@@ -7,7 +7,7 @@ from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec,
                        laplacian, make_cache, mean,
                        modified_energy_two_step, modified_energy_two_step_linear,
                        newton_solve, norm2, project_zero_mean, sample_kernel)
-from nchsolver import solvers
+from nchsolver import solvers, steppers
 from nchsolver.spectral import laplacian_apply
 from nchsolver.steppers import STEP_FUNCTIONS, TWO_STEP_SCHEMES, bootstrap_config
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
@@ -295,7 +295,7 @@ def test_enforce_policy_rejects_step(rng):
     cfg = _cfg("backward_euler", tau=0.1, stability_policy="enforce")
     state = _perturbed_state(rng)
     with pytest.raises(StabilityError):
-        STEP_FUNCTIONS["backward_euler"](state, cfg, boundary, CACHE)
+        advance(state, cfg, boundary, CACHE)
 
 
 def test_warn_policy_warns_and_steps(rng):
@@ -303,7 +303,22 @@ def test_warn_policy_warns_and_steps(rng):
     cfg = _cfg("backward_euler", tau=1e-3, stability_policy="warn")
     state = _perturbed_state(rng)
     with pytest.warns(RuntimeWarning):
-        result = STEP_FUNCTIONS["backward_euler"](state, cfg, boundary, CACHE)
+        _, result = advance(state, cfg, boundary, CACHE)
+    assert np.isfinite(result.u.values).all()
+
+
+@pytest.mark.parametrize("scheme", STEP_FUNCTIONS)
+def test_step_functions_never_check_admissibility(scheme, rng, monkeypatch):
+    # advance alone applies the stability policy; the steps are pure solves.
+    def refuse(*args):
+        raise AssertionError("a step function checked admissibility")
+
+    monkeypatch.setattr(steppers, "check_solvability", refuse)
+    cfg = _cfg(scheme, tau=1e-3, stability_policy="enforce")
+    state = _perturbed_state(rng)
+    if scheme in TWO_STEP_SCHEMES:
+        state = SchemeState(u=state.u, u_prev=state.u)
+    result = STEP_FUNCTIONS[scheme](state, cfg, GAUSS, CACHE)
     assert np.isfinite(result.u.values).all()
 
 
