@@ -246,7 +246,10 @@ def apply_overrides(values: dict[str, Any], output_dir: Optional[str] = None,
 
 
 def build_geometry(values: dict[str, Any]) -> GridGeometry:
-    return GridGeometry(values["grid.N"], values["grid.L"])
+    try:
+        return GridGeometry(values["grid.N"], values["grid.L"])
+    except ValueError as err:  # grid.N >= 2 is checked on parsing: grid.L is out of range
+        raise ConfigError(f"key 'grid.L': {err}") from err
 
 
 def _read_field_key(values: dict[str, Any], name: str, geometry: GridGeometry) -> Field:

@@ -33,7 +33,7 @@ from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
-from .spectral import SpectralCache, _forward_differences, _norm_neg1_values
+from .spectral import SpectralCache, _forward_differences, _norm_neg1_modes
 from .steppers import TWO_STEP_SCHEMES, SchemeConfig, SchemeState, advance
 
 
@@ -120,15 +120,19 @@ def _grad_norm(omega: Field) -> float:
     return omega.geometry.h * math.sqrt(float(squares))
 
 
-def _record(step_index: int, time: float, state: SchemeState, increment: Optional[np.ndarray],
+def _record(step_index: int, time: float, state: SchemeState, previous: Optional[Field],
             increment_l2: float, omega: Field, omega_variance: float, newton_iters: int,
             cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache) -> DiagnosticsRecord:
-    """One diagnostics row; each functional is evaluated once and reused."""
+    """One diagnostics row; each functional is evaluated once and reused.
+
+    The energy and ``||du||_{-1}`` read the spectra the two levels keep, so a
+    row transforms nothing that the steps do not transform anyway.
+    """
     e = energy(state.u, kernel, cfg.epsilon, cfg.potential)
     modified = None
     inc_neg = 0.0
-    if increment is not None:
-        inc_neg = _norm_neg1_values(increment, cache)
+    if previous is not None:
+        inc_neg = _norm_neg1_modes(state.u.spectrum - previous.spectrum, cache)
         if cfg.scheme in TWO_STEP_SCHEMES:
             modified = e + inc_neg**2 / (4.0 * cfg.tau)
             if cfg.scheme == "two_li":
@@ -190,15 +194,14 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             termination = "error"
             detail = f"step {state.step_index + 1}: {err}"
             break
-        increment = state.u.values - previous.values
         final_omega = result.omega
 
         at_cadence = state.step_index % options.record_every == 0
-        inc_l2 = _norm2_values(increment, previous.geometry.h)
+        inc_l2 = _norm2_values(state.u.values - previous.values, previous.geometry.h)
         variance = _variance(result.omega)
         reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
         if at_cadence or reached_equilibrium or state.step_index >= options.max_steps:
-            records.append(_record(state.step_index, state.time, state, increment, inc_l2,
+            records.append(_record(state.step_index, state.time, state, previous, inc_l2,
                                    result.omega, variance, result.newton_iters,
                                    cfg, kernel, cache))
         if options.snapshot_every and state.step_index % options.snapshot_every == 0:

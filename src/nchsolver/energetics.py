@@ -17,9 +17,9 @@ the chemical potential
     omega(u) = F'(u) + eps^2 ([J(*)1] u - [J (*) u]),
 
 whose nonlocal operator is applied, here and in every scheme, only through
-its half-spectrum symbol eps^2 ([J(*)1] - j_hat) (``kernels.nonlocal_gap``).
-The quadratic nonlocal part of E is evaluated from one real transform by
-Parseval,
+its half-spectrum symbol eps^2 ([J(*)1] - j_hat) (``kernels.nonlocal_gap``)
+and the spectrum the field keeps (``Field.spectrum``), one ``irfft2``.  The
+quadratic nonlocal part of E is evaluated from that spectrum by Parseval,
 
     (h^2 / (2 N^2)) sum_k eps^2 ([J(*)1] - j_hat_k) |u_hat_k|^2,
 
@@ -39,9 +39,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, norm2, require_same_geometry
+from .grid import Field, _freeze, norm2, require_same_geometry
 from .kernels import SampledKernel, nonlocal_gap
-from .spectral import SpectralCache, _modal_sum, apply_symbol, norm_neg1
+from .spectral import SpectralCache, _apply_to_field, _modal_sum, norm_neg1
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -108,15 +108,16 @@ def energy(u: Field, kernel: SampledKernel, epsilon: float, spec: PotentialSpec 
     require_same_geometry(kernel, u)
     h2 = u.geometry.h**2
     bulk = h2 * float(np.sum(potential_value(spec, u.values), dtype=np.longdouble))
-    return bulk + 0.5 * h2 * _modal_sum(nonlocal_gap(kernel, epsilon**2), u.values)
+    return bulk + 0.5 * h2 * _modal_sum(nonlocal_gap(kernel, epsilon**2), u.spectrum)
 
 
 def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,
                        spec: PotentialSpec = DOUBLE_WELL) -> Field:
     """Variational derivative F'(u) + eps^2 [J(*)1] u - eps^2 [J (*) u]."""
     require_same_geometry(kernel, u)
-    gap = nonlocal_gap(kernel, epsilon**2)
-    return Field(u.geometry, potential_d1(spec, u.values) + apply_symbol(u.values, gap))
+    omega = potential_d1(spec, u.values)
+    omega += _apply_to_field(u, nonlocal_gap(kernel, epsilon**2))
+    return Field(u.geometry, _freeze(omega))
 
 
 def modified_energy_two_step(u: Field, du: Field, tau: float, kernel: SampledKernel,

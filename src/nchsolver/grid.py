@@ -15,9 +15,13 @@ h^2 (phi||psi), and
 All reductions accumulate pairwise in extended precision (long double) so
 energy-monotonicity checks are not limited by summation error.  A field is
 immutable, so its mean is reduced at most once, on the first ``mean`` call,
-however many steps, state checks and diagnostics ask for it.  A field keeps
-a copy of a caller's writeable array; the schemes instead freeze each new
-level they compute (``_freeze``), which the field adopts without copying.
+and its half spectrum ``rfft2(values)`` (``Field.spectrum``) is transformed
+at most once, on first use, however many steps, state checks and
+diagnostics ask for them: a level's spectrum serves the step that solves
+from it, the next step, the energy and the increment norm of the record.
+A field keeps a copy of a caller's writeable array; the schemes instead
+freeze each new level they compute (``_freeze``), which the field adopts
+without copying.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import rfft2
 
 from .errors import GeometryMismatchError
 
@@ -47,6 +52,12 @@ class GridGeometry:
             raise ValueError(f"grid needs at least 2 cells per axis, got {self.n}")
         if not (self.length > 0.0 and np.isfinite(self.length)):
             raise ValueError(f"domain edge length must be positive, got {self.length}")
+        # The area L^2, the mesh weight h^2 and the largest Laplacian
+        # eigenvalue 8/h^2 must all be finite positive floats.
+        h2 = self.h * self.h
+        if not (self.area < np.inf and h2 > 0.0 and 8.0 / h2 < np.inf):
+            raise ValueError(f"domain edge length {self.length!r} is out of range for "
+                             f"{self.n} cells: L^2, h^2 and 8/h^2 must be finite and positive")
 
     @property
     def h(self) -> float:
@@ -108,6 +119,11 @@ class Field:
     @cached_property
     def _mean(self) -> float:
         return _reduce(self.values) / self.geometry.n**2
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Half spectrum ``rfft2(values)``, the N x (N/2+1) modes l = 0..N/2; read-only."""
+        return _freeze(rfft2(self.values))
 
 
 @dataclass(frozen=True)

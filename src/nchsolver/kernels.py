@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.fft import rfft2
 
 from .errors import ConfigError
 from .grid import Field, GridGeometry, require_same_geometry
@@ -148,7 +149,7 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
     values = 0.5 * (values + _reflect(values))
     conv_one = float(geometry.h**2 * np.sum(values, dtype=np.longdouble))
     # Even and real: the half spectrum from rfft2 holds every value of the symbol.
-    symbol = geometry.h**2 * np.fft.rfft2(values)
+    symbol = geometry.h**2 * rfft2(values)
     scale = np.abs(symbol.real).max()
     if scale > 0.0 and np.abs(symbol.imag).max() > 1e-12 * scale:
         raise ConfigError("kernel symbol has a non-negligible imaginary part; kernel is not even")

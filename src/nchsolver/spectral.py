@@ -16,14 +16,16 @@ norm ||u||_{-1} = sqrt(h^2 ((-Lap)^{-1} u || u)) are computed by dividing
 DFT coefficients by lambda and zeroing the constant mode.
 
 The production path uses real transforms on the half spectrum of modes
-l = 0..N/2 (N x (N/2+1), all values of a real even symbol), applied by
-``apply_symbol``.  Quadratic forms (v || A v) of such an operator -- the
-negative norm here, the nonlocal energy in :mod:`nchsolver.energetics` --
-are one modal sum by Parseval from a single ``rfft2``, taken by the one
-private helper ``_modal_sum``, which holds the rule that interior
-half-spectrum columns count twice.  The only transforms are ``rfft2`` and
-``irfft2(..., s=(N, N))``; the oracle suite checks them against a direct
-DFT sum.
+l = 0..N/2 (N x (N/2+1), all values of a real even symbol).  A ``Field``
+keeps its own half spectrum (``Field.spectrum``), so applying a symbol to a
+field (``_apply_to_field``) takes one ``irfft2``; ``apply_symbol`` is the
+same apply to bare values, with an ``rfft2`` in front.  Quadratic forms
+(v || A v) of such an operator -- the negative norm here, the nonlocal
+energy in :mod:`nchsolver.energetics` -- are one modal sum by Parseval over
+the spectrum of v, taken by the one private helper ``_modal_sum``, which
+holds the rule that interior half-spectrum columns count twice.  The only
+transforms are ``scipy.fft.rfft2`` and ``irfft2(..., s=(N, N))``; the
+oracle suite checks them against a direct DFT sum.
 
 The symbol lambda is built once, as the full N x N ``laplacian_eigenvalues``
 (the form the oracles compare with dense matrices), and ``make_cache``
@@ -39,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from .errors import NonZeroMeanError
 from .grid import EdgeField, Field, GridGeometry, mean, norm2
@@ -57,7 +60,12 @@ def laplacian_eigenvalues(geometry: GridGeometry) -> np.ndarray:
 
 def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply the circulant operator with a half-spectrum symbol to real values."""
-    return np.fft.irfft2(np.fft.rfft2(values) * symbol, s=values.shape)
+    return irfft2(rfft2(values) * symbol, s=values.shape)
+
+
+def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
+    """``apply_symbol`` to the values of phi, from the spectrum the field keeps."""
+    return irfft2(phi.spectrum * symbol, s=phi.values.shape)
 
 
 @dataclass(frozen=True)
@@ -128,18 +136,17 @@ def inverse_laplacian_zero_mean(phi: Field, cache: SpectralCache) -> Field:
     """Solve -Lap(psi) = phi for the zero-mean psi, via the spectral inverse."""
     values = _zero_mean_values(phi, "the inverse Laplacian")
     lam = cache.minus_laplacian_eigenvalues
-    modes = np.fft.rfft2(values)
+    modes = rfft2(values)
     out = np.zeros_like(modes)
     np.divide(modes, lam, out=out, where=lam > 0.0)
-    return Field(phi.geometry, np.fft.irfft2(out, s=values.shape))
+    return Field(phi.geometry, irfft2(out, s=values.shape))
 
 
-def _modal_sum(symbol: np.ndarray, values: np.ndarray) -> float:
-    """Pairing (v || A v) of real values v with the circulant A of a half-spectrum symbol.
+def _modal_sum(symbol: np.ndarray, modes: np.ndarray) -> float:
+    """Pairing (v || A v) of the real v with half spectrum ``modes`` and the circulant A of a symbol.
 
     Parseval: (v || A v) = (1/N^2) sum_kl a_kl |v_hat_kl|^2 over all N^2 modes.
     """
-    modes = np.fft.rfft2(values)
     return _parseval(symbol * (modes.real**2 + modes.imag**2))
 
 
@@ -176,11 +183,14 @@ def _project_hermitian(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _norm_neg1_values(values: np.ndarray, cache: SpectralCache) -> float:
-    """||.||_{-1} of the zero-mean part of ``values``; the constant mode carries no weight."""
+def _norm_neg1_modes(modes: np.ndarray, cache: SpectralCache) -> float:
+    """||.||_{-1} of the zero-mean part of the field with half spectrum ``modes``.
+
+    The constant mode carries no weight, so the mean never needs removing.
+    """
     lam = cache.minus_laplacian_eigenvalues
     inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    return float(np.sqrt(cache.geometry.h**2 * _modal_sum(inverse, values)))
+    return float(np.sqrt(cache.geometry.h**2 * _modal_sum(inverse, modes)))
 
 
 def norm_neg1(phi: Field, cache: SpectralCache) -> float:
@@ -189,4 +199,4 @@ def norm_neg1(phi: Field, cache: SpectralCache) -> float:
     Defined for zero-mean fields only; inputs within the zero-mean tolerance
     are projected before inversion.
     """
-    return _norm_neg1_values(_zero_mean_values(phi, "the negative-order norm"), cache)
+    return _norm_neg1_modes(rfft2(_zero_mean_values(phi, "the negative-order norm")), cache)

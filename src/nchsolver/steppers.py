@@ -48,17 +48,24 @@ nonlocal operator eps^2 ([J(*)1] u - [J (*) u]) through G =
 ``spectral.laplacian_apply`` is the reference the steps are tested
 against, not a production path.
 
+Each level is transformed forward at most once: a step reads rfft2(u^n)
+(and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
+for the right-hand side rfft2(rhs) and the Newton guess, and the spectrum
+of the new level, taken once, serves omega's nonlocal part, the record's
+energy and ||du||_{-1}, and the next step.  All transforms come from
+``scipy.fft``.
+
 The three nonlinear schemes share one Newton step (``_newton_step``): with
 omega = local(u) + G u eliminated, it solves for the half-spectrum
 coefficients rfft2(u) alone, matrix-free, and reconstructs omega from the
-solution.  The linear part a + lambda G is then a product, a residual or
+new level.  The linear part a + lambda G is then a product, a residual or
 Jacobian apply takes one inverse and one forward transform around the
 pointwise part of omega, and the frozen-coefficient preconditioner
 a + lambda (slope + G) is a division.  It is close enough to the
 Jacobian that ``newton_solve`` first takes fixed-point steps with it, one
 residual each, and hands over to Newton-Krylov once they stop contracting.
 Convex splitting's nonlocal term is explicit and part of local(u), built
-from the same rfft2(u^n) as the guess.  Newton stops at max(newton_tol,
+from the spectrum of u^n, which is also the guess.  Newton stops at max(newton_tol,
 C eps scale), where scale measures the step's equation terms and the
 rounding of local(u), so the stop holds at every N although that rounding
 grows like 1/h^2.
@@ -84,13 +91,14 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from .energetics import PotentialSpec, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, _freeze, _norm2_values, mean
 from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve
-from .spectral import SpectralCache, _modes_norm, _project_hermitian, apply_symbol
+from .spectral import SpectralCache, _apply_to_field, _modes_norm, _project_hermitian
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -190,15 +198,14 @@ class StepResult(NamedTuple):
     newton_iters: int
 
 
-def _step_result(geometry: GridGeometry, u_vals, omega_vals, newton_iters: int) -> StepResult:
-    """Wrap a step's new level; a non-finite level (a diverged step) is a solver failure.
+def _step_field(geometry: GridGeometry, values: np.ndarray) -> Field:
+    """Wrap a fresh array of a step (its u or omega); a non-finite one (a diverged step) is a solver failure.
 
-    Both arrays are fresh and owned by the step, so they are frozen and the
-    ``Field``s adopt them without a copy.
+    The array is owned by the step, so it is frozen and the ``Field`` adopts
+    it without a copy.
     """
     try:
-        return StepResult(Field(geometry, _freeze(u_vals)), Field(geometry, _freeze(omega_vals)),
-                          newton_iters)
+        return Field(geometry, _freeze(values))
     except ValueError as err:  # the shapes come from the state: only finiteness can fail
         raise SolverError(f"diverged: {err}") from err
 
@@ -312,7 +319,10 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
     ``rhs_hat`` and ``u_hat`` are rfft2(rhs) and rfft2(u^n), which the
-    callers build from one transform of each level.  omega(u) = local(u) +
+    callers build from the spectra the levels keep (``Field.spectrum``).
+    omega's nonlocal part is irfft2(G rfft2(u)) from the spectrum of the new
+    level, as ``chemical_potential`` computes it, so the two agree bit for
+    bit and that spectrum is the one the record and the next step read.  omega(u) = local(u) +
     G u with G the half-spectrum symbol ``gap`` (None when the nonlocal term
     is explicit, folded into ``local`` as its part ``explicit``), and
     ``local_slope(u)`` the pointwise derivative of ``local``.  The unknown
@@ -351,22 +361,22 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     iterate = {}
 
     def residual(modes):
-        iterate["values"] = values = np.fft.irfft2(modes, s=shape)
+        iterate["values"] = values = irfft2(modes, s=shape)
         iterate["slope"] = None
-        return _project_hermitian(linear * modes - rhs_hat + lam * np.fft.rfft2(local(values)))
+        return _project_hermitian(linear * modes - rhs_hat + lam * rfft2(local(values)))
 
     def jacobian(modes, v_hat):
         if iterate["slope"] is None:
             iterate["slope"] = local_slope(iterate["values"])
-        return linear * v_hat + lam * np.fft.rfft2(iterate["slope"] * np.fft.irfft2(v_hat, s=shape))
+        return linear * v_hat + lam * rfft2(iterate["slope"] * irfft2(v_hat, s=shape))
 
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, cfg.newton_max_iter,
                                    lambda r: r / symbol, cfg.krylov_tol, norm)
-    u_vals = _snap_mass(np.fft.irfft2(u_hat, s=shape), mean(state.u))
-    omega_vals = local(u_vals)
-    if gap is not None:
-        omega_vals += apply_symbol(u_vals, gap)
-    return _step_result(state.u.geometry, u_vals, omega_vals, iters)
+    u = _step_field(state.u.geometry, _snap_mass(irfft2(u_hat, s=shape), mean(state.u)))
+    omega_vals = local(u.values)
+    if gap is not None:  # from the spectrum of u itself, as chemical_potential takes it
+        omega_vals += _apply_to_field(u, gap)
+    return StepResult(u, _step_field(u.geometry, omega_vals), iters)
 
 
 def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
@@ -383,7 +393,7 @@ def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: Samp
 def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                         cache: SpectralCache) -> StepResult:
     """One fully implicit step; nonlinear solve with the previous level as guess."""
-    u_hat = np.fft.rfft2(state.u.values)
+    u_hat = state.u.spectrum
     return _implicit_potential_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat)
 
 
@@ -395,11 +405,9 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
     step size.
     """
     strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
-    u_n = state.u.values
-    u_hat = np.fft.rfft2(u_n)
+    u_n, u_hat = state.u.values, state.u.spectrum
     # Explicit part of the chemical potential, fixed during the solve.
-    explicit = u_n + strong * u_n - np.fft.irfft2(nonlocal_gap(kernel, cfg.epsilon**2) * u_hat,
-                                                  s=u_n.shape)
+    explicit = u_n + strong * u_n - _apply_to_field(state.u, nonlocal_gap(kernel, cfg.epsilon**2))
     return _newton_step(state, cfg, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat,
                         lambda u: u * u * u + strong * u - explicit,
                         lambda u: 3.0 * (u * u) + strong,
@@ -407,13 +415,17 @@ def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: Sampled
 
 
 def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                 cache: SpectralCache, a: float, rhs: np.ndarray, explicit: np.ndarray,
+                 cache: SpectralCache, a: float, rhs_hat: np.ndarray, explicit: np.ndarray,
                  s: float) -> StepResult:
     """One DFT-diagonal solve of a u + (-Lap)(explicit + s u + G u) = rhs (ssi1, two_li).
 
-    lambda vanishes at the constant mode, so it needs no special case; the
-    mass snap shifts only that mode, and omega takes its implicit part from
-    the solved spectrum.
+    ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep, so a
+    step transforms only ``explicit`` forward.  lambda vanishes at the
+    constant mode, so it needs no special case; the mass snap shifts only
+    that mode, and omega takes its implicit part from the solved spectrum.
+    The solve updates the spectrum of ``explicit`` in place, and omega is
+    ``explicit`` plus its implicit part, so the step holds no more arrays
+    than it needs.
     """
     lam = cache.minus_laplacian_eigenvalues
     shift = s + nonlocal_gap(kernel, cfg.epsilon**2)
@@ -423,17 +435,21 @@ def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
             "non-positive modal denominator in the linear solve; "
             "the kernel/stabilization configuration is outside the solvable regime"
         )
-    u_hat = (np.fft.rfft2(rhs) - lam * np.fft.rfft2(explicit)) / denominator
-    u_vals = _snap_mass(np.fft.irfft2(u_hat, s=rhs.shape), mean(state.u))
-    omega_vals = explicit + np.fft.irfft2(shift * u_hat, s=rhs.shape)
-    return _step_result(state.u.geometry, u_vals, omega_vals, 0)
+    u_hat = rfft2(explicit)
+    u_hat *= lam
+    np.subtract(rhs_hat, u_hat, out=u_hat)
+    u_hat /= denominator
+    u = _step_field(state.u.geometry, _snap_mass(irfft2(u_hat, s=explicit.shape), mean(state.u)))
+    u_hat *= shift
+    explicit += irfft2(u_hat, s=explicit.shape)
+    return StepResult(u, _step_field(u.geometry, explicit), 0)
 
 
 def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
               cache: SpectralCache) -> StepResult:
     """One stabilized linear semi-implicit step (single DFT-diagonal solve)."""
     u_n, s = state.u.values, cfg.stabilization
-    return _linear_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_n / cfg.tau,
+    return _linear_step(state, cfg, kernel, cache, 1.0 / cfg.tau, state.u.spectrum / cfg.tau,
                         potential_d1(cfg.potential, u_n) - s * u_n, s)
 
 
@@ -447,8 +463,8 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
               cache: SpectralCache) -> StepResult:
     """One two-step backward-differentiation step with implicit potential."""
     u_prev = _require_history(state, "bdf2")
-    u_hat = np.fft.rfft2(state.u.values)
-    rhs_hat = (4.0 * u_hat - np.fft.rfft2(u_prev.values)) / (2.0 * cfg.tau)
+    u_hat = state.u.spectrum
+    rhs_hat = (4.0 * u_hat - u_prev.spectrum) / (2.0 * cfg.tau)
     return _implicit_potential_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
                                     rhs_hat, u_hat)
 
@@ -456,11 +472,11 @@ def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
 def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
                 cache: SpectralCache) -> StepResult:
     """One linearly implicit two-step step with extrapolated nonlinearity."""
-    u_prev = _require_history(state, "two_li").values
+    u_prev = _require_history(state, "two_li")
     pot, u_n = cfg.potential, state.u.values
     return _linear_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
-                        (4.0 * u_n - u_prev) / (2.0 * cfg.tau),
-                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev), 0.0)
+                        (4.0 * state.u.spectrum - u_prev.spectrum) / (2.0 * cfg.tau),
+                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev.values), 0.0)
 
 
 STEP_FUNCTIONS = {

@@ -281,6 +281,37 @@ def test_cli_non_finite_float_exits_2(tmp_path, capsys, assignment):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("length", ["1e308", "1e-200"])
+def test_cli_out_of_range_grid_length_exits_2(tmp_path, capsys, length):
+    # Finite, but L^2 or 1/h^2 overflows: the kernel's sampling would end in
+    # an OverflowError or a division by zero.
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        .replace("grid.L = 1.0", f"grid.L = {length}"))
+    for command in ("run", "check"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "grid.L" in err
+        assert "Traceback" not in err
+
+
+def test_cli_check_reports_inadmissible_ssi1_under_enforce(tmp_path, capsys):
+    # S = 1 < beta/2 = 5.5: check prints the margin and the verdict under
+    # every policy, and a run under enforce still refuses the configuration.
+    text = BASE.format(out=tmp_path / "out").replace("backward_euler", "ssi1") \
+        + "model.potential.K = 2.0\nscheme.S = 1.0\n"
+    outputs = {}
+    for policy in ("enforce", "warn"):
+        cfg = _write_config(tmp_path, text + f"scheme.stability_policy = {policy}\n",
+                            name=f"{policy}.cfg")
+        assert main(["check", str(cfg)]) == 1
+        outputs[policy] = capsys.readouterr().out
+        assert "margin: -4.5\n" in outputs[policy]
+        assert outputs[policy].endswith("verdict: inadmissible\n")
+    assert outputs["enforce"] == outputs["warn"]
+    assert main(["run", str(tmp_path / "enforce.cfg")]) == 2
+    assert "ssi1 under the enforce policy needs S >= beta/2" in capsys.readouterr().err
+
+
 def test_cli_check_ssi1_at_boundary(tmp_path, capsys):
     text = BASE.format(out="o").replace("backward_euler", "ssi1") \
         + "model.potential.K = 2.0\nscheme.S = 5.5\n"

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import nchsolver
 from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec,
@@ -274,6 +275,115 @@ def test_production_path_never_calls_reference_code(scheme, monkeypatch):
                  RunOptions(max_steps=4, eq_tol=1e-14))
     assert result.termination == "max_steps"
     assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
+
+
+def _import_package():
+    for info in pkgutil.iter_modules(nchsolver.__path__):
+        importlib.import_module(f"nchsolver.{info.name}")
+    return [module for name, module in list(sys.modules.items())
+            if name == "nchsolver" or name.startswith("nchsolver.")]
+
+
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_production_path_never_calls_numpy_fft(scheme, monkeypatch):
+    # Every production transform comes from scipy.fft: no module binds
+    # numpy.fft or one of its functions, and a run completes with all of
+    # them patched to raise.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called on the production path")
+
+    numpy_fft = [np.fft] + [getattr(np.fft, attr) for attr in np.fft.__all__]
+    for module in _import_package():
+        bound = [attr for attr, value in vars(module).items()
+                 if any(value is target for target in numpy_fft)]
+        assert bound == [], f"{module.__name__} binds numpy.fft as {bound}"
+    for attr in np.fft.__all__:
+        monkeypatch.setattr(np.fft, attr, forbidden)
+    geo = GridGeometry(8, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=43)
+    result = run(u0, _cfg(scheme, tau=2e-3), kernel, make_cache(geo),
+                 RunOptions(max_steps=4, eq_tol=1e-14))
+    assert result.termination == "max_steps", result.error_detail
+
+
+def _count_transforms(monkeypatch) -> dict:
+    """Count the package's rfft2/irfft2 calls, patched wherever a module binds them."""
+    counts = {"rfft2": 0, "irfft2": 0}
+
+    def counting(name, transform):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    wrappers = [(getattr(scipy.fft, name), counting(name, getattr(scipy.fft, name)))
+                for name in counts]
+    patched = set()
+    for module in _import_package():
+        for attr, value in list(vars(module).items()):
+            for transform, wrapper in wrappers:
+                if value is transform:
+                    monkeypatch.setattr(module, attr, wrapper)
+                    patched.add(attr)
+    assert patched == set(counts)
+    return counts
+
+
+def _fourth_step_transforms(scheme: str, counts: dict) -> dict:
+    """Transforms of step 4 of a run recording every step: a 4-step run minus a 3-step one.
+
+    Each run starts from a fresh field, so no spectrum is carried between them.
+    """
+    geo = GridGeometry(8, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    cache = make_cache(geo)
+    taken = []
+    for steps in (3, 4):
+        before = dict(counts)
+        u0 = random_initial_field(geo, 0.0, 0.05, seed=43)
+        result = run(u0, _cfg(scheme, tau=2e-3), kernel, cache,
+                     RunOptions(max_steps=steps, eq_tol=1e-14))
+        assert result.termination == "max_steps", result.error_detail
+        taken.append({name: counts[name] - before[name] for name in counts})
+    return {name: taken[1][name] - taken[0][name] for name in counts}
+
+
+@pytest.mark.parametrize("scheme", ["ssi1", "two_li"])
+def test_recorded_linear_step_takes_two_transforms_each_way(scheme, monkeypatch):
+    # rfft2 of the explicit term and of the new level (which the energy, the
+    # increment's ||.||_{-1} and the next step all read); irfft2 of the solved
+    # spectrum and of omega's implicit part.  u^n and u^{n-1} are not transformed again.
+    counts = _count_transforms(monkeypatch)
+    assert _fourth_step_transforms(scheme, counts) == {"rfft2": 2, "irfft2": 2}
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
+def test_newton_step_omega_takes_one_irfft2_from_the_new_level(scheme, monkeypatch):
+    # Residuals and Jacobian applies take one transform each way.  Beyond
+    # them a recorded step transforms its new level forward once, and omega's
+    # nonlocal part reads that spectrum: it adds one irfft2 to the solution's
+    # and no rfft2.
+    counts = _count_transforms(monkeypatch)
+    counts["applies"] = 0
+    real_newton = steppers.newton_solve
+
+    def counting_newton(residual, jacobian, *args, **kwargs):
+        def counted_residual(modes):
+            counts["applies"] += 1
+            return residual(modes)
+
+        def counted_jacobian(modes, v_hat):
+            counts["applies"] += 1
+            return jacobian(modes, v_hat)
+
+        return real_newton(counted_residual, counted_jacobian, *args, **kwargs)
+
+    monkeypatch.setattr(steppers, "newton_solve", counting_newton)
+    step = _fourth_step_transforms(scheme, counts)
+    assert step["applies"] >= 2
+    assert step["rfft2"] == step["applies"] + 1
+    assert step["irfft2"] == step["applies"] + 2
 
 
 @pytest.mark.parametrize("n, scheme, steps", [(256, "backward_euler", 4),

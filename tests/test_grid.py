@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from nchsolver import (Field, GridGeometry, GeometryMismatchError, KernelSpec,
                        NonZeroMeanError, SchemeConfig, SchemeState, advance, grid,
@@ -20,6 +21,27 @@ def test_geometry_basics():
         GridGeometry(1, 1.0)
     with pytest.raises(ValueError):
         GridGeometry(4, -1.0)
+
+
+def test_geometry_rejects_lengths_whose_squares_leave_the_float_range():
+    # L^2 (the area), h^2 and the Laplacian's 8/h^2 must stay finite and positive.
+    for length in (1e308, 1e200, 1e-200):
+        with pytest.raises(ValueError, match="out of range"):
+            GridGeometry(4, length)
+    GridGeometry(4, 1e150)
+    GridGeometry(4, 1e-150)
+
+
+def test_field_spectrum_is_the_read_only_rfft2_of_its_values(rng, geo8):
+    for geometry in (geo8, GridGeometry(7, 1.0)):
+        phi = random_field(geometry, rng)
+        spectrum = phi.spectrum
+        assert spectrum.shape == (geometry.n, geometry.n // 2 + 1)
+        assert np.array_equal(spectrum, scipy.fft.rfft2(phi.values))  # bit for bit
+        assert phi.spectrum is spectrum  # transformed once
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0, 0] = 0.0
 
 
 def test_field_rejects_nonfinite():
