@@ -12,17 +12,14 @@ from types import ModuleType as _ModuleType
 
 from .driver import (DecayProbe, DiagnosticsRecord, RunOptions, RunResult,
                      equilibrium_residual, h1h2_probe, random_initial_field, run)
-from .energetics import (PotentialSpec, chemical_potential, energy,
-                         modified_energy_two_step, modified_energy_two_step_linear,
-                         potential_d1, potential_d2, potential_value)
+from .energetics import (PotentialSpec, chemical_potential, energy, potential_d1,
+                         potential_d2, potential_value)
 from .errors import (ConfigError, GeometryMismatchError, NonZeroMeanError,
                      SolverError, StabilityError, StateError)
-from .grid import (EdgeField, Field, GridGeometry, edge_inner_product, inner_product,
-                   mean, norm2, norm4, project_zero_mean)
-from .kernels import KernelSpec, SampledKernel, convolve, gamma0, sample_kernel
+from .grid import Field, GridGeometry, inner_product, mean, norm2, project_zero_mean
+from .kernels import KernelSpec, SampledKernel, gamma0, sample_kernel
 from .solvers import newton_solve
-from .spectral import (SpectralCache, divergence, gradient, inverse_laplacian_zero_mean,
-                       laplacian, laplacian_eigenvalues, make_cache, norm_neg1)
+from .spectral import SpectralCache, laplacian_eigenvalues, make_cache
 from .steppers import (SchemeConfig, SchemeState, SolvabilityReport, StepResult, advance,
                        check_solvability)
 

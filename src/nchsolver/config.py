@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from .driver import RunOptions, random_initial_field
 from .errors import ConfigError
 from .fieldio import read_field
@@ -266,6 +268,12 @@ def _read_field_key(values: dict[str, Any], name: str, geometry: GridGeometry) -
 
 
 def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKernel:
+    """Sample the configured kernel; a scale that overflows on the way is a ConfigError.
+
+    The domain sets the kernel's scales (the squared distances to its
+    images, h^2 J): at grid.L = 1e154 they leave the float range and the
+    run would go on with a kernel of mass 2e307.
+    """
     kind = values["model.kernel.type"]
     if kind == "gaussian":
         spec = KernelSpec.gaussian(values["model.kernel.cJ"], values["model.kernel.xi"],
@@ -274,7 +282,12 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
         spec = KernelSpec.constant(values["model.kernel.cJ"])
     else:
         spec = KernelSpec.tabulated(_read_field_key(values, "model.kernel.path", geometry).values)
-    return sample_kernel(spec, geometry)
+    try:
+        with np.errstate(over="raise"):
+            return sample_kernel(spec, geometry)
+    except FloatingPointError as err:
+        raise ConfigError(f"key 'grid.L': the kernel's scales overflow on a domain of edge "
+                          f"{geometry.length!r} with this kernel ({err})") from err
 
 
 def build_scheme_config(values: dict[str, Any]) -> SchemeConfig:

@@ -13,8 +13,9 @@ assert that different schemes reach the *same* equilibrium -- each
 trajectory converges to *a* steady state, and the driver only records what
 it finds.
 
-Per-step diagnostics (mass, energies, increment norms, stationarity
-residuals, Newton iteration counts) are collected at a configurable cadence
+Per-step diagnostics (mass, the energy and the functional the scheme
+dissipates, increment norms, stationarity residuals, Newton iteration
+counts) are collected at a configurable cadence
 plus always at the terminating step; field snapshots and checkpoints use
 the binary formats from :mod:`nchsolver.fieldio`.
 """
@@ -34,7 +35,7 @@ from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
 from .spectral import SpectralCache, _forward_differences, _norm_neg1_modes
-from .steppers import TWO_STEP_SCHEMES, SchemeConfig, SchemeState, advance
+from .steppers import SchemeConfig, SchemeState, advance, modified_energy
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,16 @@ def _record(step_index: int, time: float, state: SchemeState, previous: Optional
     """One diagnostics row; each functional is evaluated once and reused.
 
     The energy and ``||du||_{-1}`` read the spectra the two levels keep, so a
-    row transforms nothing that the steps do not transform anyway.
+    row transforms nothing that the steps do not transform anyway.  The
+    modified energy column is ``steppers.modified_energy`` of them, empty for
+    a one-step scheme, whose dissipated functional is the energy column.
     """
     e = energy(state.u, kernel, cfg.epsilon, cfg.potential)
     modified = None
     inc_neg = 0.0
     if previous is not None:
         inc_neg = _norm_neg1_modes(state.u.spectrum - previous.spectrum, cache)
-        if cfg.scheme in TWO_STEP_SCHEMES:
-            modified = e + inc_neg**2 / (4.0 * cfg.tau)
-            if cfg.scheme == "two_li":
-                modified += 0.5 * cfg.beta * increment_l2**2
+        modified = modified_energy(cfg, e, inc_neg, increment_l2)
     return DiagnosticsRecord(
         step=step_index,
         time=time,

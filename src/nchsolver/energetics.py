@@ -25,10 +25,10 @@ quadratic nonlocal part of E is evaluated from that spectrum by Parseval,
 
 a single sum in place of two that cancel: for a nonnegative kernel (the
 Gaussian and constant ones) |j_hat_k| <= [J(*)1], so every weight is >= 0,
-and the constant mode has weight exactly 0.  Two-step schemes dissipate
-modified energies that add increment-dependent terms: (1/(4 tau)) times the
-squared negative-order norm of the last increment, and for the linearly
-implicit two-step variant additionally (beta/2) times its squared L2 norm.
+and the constant mode has weight exactly 0.  E is the functional the
+one-step schemes dissipate; the two-step schemes dissipate modified
+energies that add increment terms to it, written once, in
+``steppers.modified_energy``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, _freeze, norm2, require_same_geometry
+from .grid import Field, _freeze, require_same_geometry
 from .kernels import SampledKernel, nonlocal_gap
-from .spectral import SpectralCache, _apply_to_field, _modal_sum, norm_neg1
+from .spectral import _apply_to_field, _modal_sum
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -118,26 +118,3 @@ def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,
     omega = potential_d1(spec, u.values)
     omega += _apply_to_field(u, nonlocal_gap(kernel, epsilon**2))
     return Field(u.geometry, _freeze(omega))
-
-
-def modified_energy_two_step(u: Field, du: Field, tau: float, kernel: SampledKernel,
-                             epsilon: float, cache: SpectralCache,
-                             spec: PotentialSpec = DOUBLE_WELL) -> float:
-    """Modified energy E(u) + (1/(4 tau)) ||du||_{-1}^2 dissipated by the two-step scheme.
-
-    ``du`` must have zero mean (difference of equal-mass states); the
-    negative-order norm's precondition propagates.
-    """
-    return energy(u, kernel, epsilon, spec) + norm_neg1(du, cache) ** 2 / (4.0 * tau)
-
-
-def modified_energy_two_step_linear(u: Field, du: Field, tau: float, beta: float,
-                                    kernel: SampledKernel, epsilon: float,
-                                    cache: SpectralCache, spec: PotentialSpec) -> float:
-    """Modified energy of the linearly implicit two-step scheme.
-
-    Adds (beta/2) ||du||_2^2 on top of the two-step modified energy; ``spec``
-    is expected to be the truncated potential whose curvature bound is beta.
-    """
-    base = modified_energy_two_step(u, du, tau, kernel, epsilon, cache, spec)
-    return base + 0.5 * beta * norm2(du) ** 2

@@ -16,8 +16,9 @@ eps^2 ([J(*)1] phi - [J (*) phi]).  The production path (schemes, chemical
 potential, energy, admissibility check) applies it only through its
 half-spectrum symbol ``nonlocal_gap``, the one place that symbol is built;
 the oracle suite compares it mode by mode with the closed-form eigenvalues.
-``convolve`` (a ``Field`` wrapper of ``convolve_values``) is the public
-reference for the convolution itself, with no production caller.
+``convolve`` (a ``Field`` wrapper of ``convolve_values``) is the reference
+for the convolution itself, with no production caller, which the tests and
+the oracle suite import from here.
 
 Supported kernels: a periodized Gaussian c * exp(-xi |x|^2) (folded over a
 configurable number of image cells), a constant kernel, and tabulated

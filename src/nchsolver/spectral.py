@@ -27,35 +27,42 @@ holds the rule that interior half-spectrum columns count twice.  The only
 transforms are ``scipy.fft.rfft2`` and ``irfft2(..., s=(N, N))``; the
 oracle suite checks them against a direct DFT sum.
 
-The symbol lambda is built once, as the full N x N ``laplacian_eigenvalues``
-(the form the oracles compare with dense matrices), and ``make_cache``
-stores its half spectrum as ``SpectralCache.minus_laplacian_eigenvalues``,
-through which every scheme's solve applies the Laplacian.  The stencils
-``laplacian`` and ``laplacian_apply`` are the reference those applies are
-tested against.  The dense matrix of minus the Laplacian is never assembled
-here; it exists only in the test oracles that validate these symbols.
+The symbol lambda is built by one formula, ``laplacian_eigenvalues``: all
+N x N modes for the oracles, which compare them with dense matrices, and
+columns 0..N/2 alone for ``make_cache``, which stores that half spectrum as
+``SpectralCache.minus_laplacian_eigenvalues``, through which every
+scheme's solve applies the Laplacian, and 1/lambda (0 at the constant mode)
+as ``inverse_eigenvalues``, the weights every ||.||_{-1} of the diagnostics
+reads.  The stencils ``laplacian`` and ``laplacian_apply`` are the
+reference those applies are tested against.  The dense matrix of minus the
+Laplacian is never assembled here; it exists only in the test oracles that
+validate these symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
 from .errors import NonZeroMeanError
-from .grid import EdgeField, Field, GridGeometry, mean, norm2
+from .grid import EdgeField, Field, GridGeometry, _freeze, mean, norm2
 
 # Relative tolerance under which a nominally zero-mean input is accepted
 # and silently projected before inverting the Laplacian.
 ZERO_MEAN_RTOL = 1e-12
 
 
-def laplacian_eigenvalues(geometry: GridGeometry) -> np.ndarray:
-    """Eigenvalues of minus the discrete Laplacian, indexed by DFT mode (k, l)."""
+def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
+    """Eigenvalues of minus the discrete Laplacian, indexed by DFT mode (k, l).
+
+    All N columns l, or the first ``columns`` of them.
+    """
     n, h = geometry.n, geometry.h
     c = np.cos(2.0 * np.pi * np.arange(n) / n)
-    return (2.0 / h**2) * (2.0 - np.add.outer(c, c))
+    return (2.0 / h**2) * (2.0 - np.add.outer(c, c[:columns]))
 
 
 def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -74,21 +81,27 @@ class SpectralCache:
 
     ``minus_laplacian_eigenvalues`` holds the symbol lambda of minus the
     Laplacian on the half spectrum (nonnegative, zero exactly at the
-    constant mode).  Immutable, safe to share across threads.
+    constant mode), and ``inverse_eigenvalues`` 1/lambda there, 0 at the
+    constant mode: the weights of the negative norm.  Immutable, safe to
+    share across threads.
     """
 
     geometry: GridGeometry
     minus_laplacian_eigenvalues: np.ndarray = field(repr=False)
+    inverse_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.array(self.minus_laplacian_eigenvalues, dtype=np.float64)
-        lam.setflags(write=False)
-        object.__setattr__(self, "minus_laplacian_eigenvalues", lam)
+        with np.errstate(divide="ignore"):
+            inverse = 1.0 / lam
+        inverse[lam == 0.0] = 0.0  # the constant mode
+        object.__setattr__(self, "minus_laplacian_eigenvalues", _freeze(lam))
+        object.__setattr__(self, "inverse_eigenvalues", _freeze(inverse))
 
 
 def make_cache(geometry: GridGeometry) -> SpectralCache:
     """Build the spectral cache for a grid: lambda on columns 0..N/2, the rfft2 modes."""
-    return SpectralCache(geometry, laplacian_eigenvalues(geometry)[:, : geometry.n // 2 + 1])
+    return SpectralCache(geometry, laplacian_eigenvalues(geometry, geometry.n // 2 + 1))
 
 
 def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +201,7 @@ def _norm_neg1_modes(modes: np.ndarray, cache: SpectralCache) -> float:
 
     The constant mode carries no weight, so the mean never needs removing.
     """
-    lam = cache.minus_laplacian_eigenvalues
-    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    return float(np.sqrt(cache.geometry.h**2 * _modal_sum(inverse, modes)))
+    return float(np.sqrt(cache.geometry.h**2 * _modal_sum(cache.inverse_eigenvalues, modes)))
 
 
 def norm_neg1(phi: Field, cache: SpectralCache) -> float:

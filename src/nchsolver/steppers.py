@@ -18,6 +18,23 @@ in one of five ways:
 * ``two_li``          -- two-step linearly implicit with extrapolated
   2 F_K'(u^n) - F_K'(u^{n-1}); one DFT-diagonal linear solve.
 
+Every scheme is one equation per step,
+
+    a u + (-Lap)(omega(u)) = rhs,
+
+and ``step`` takes it: it builds (a, rhs) once, (1/tau, u^n/tau) for the
+one-step schemes and (3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for the
+two-step ones, and the schemes differ only in how omega treats its terms.
+Both operators are diagonal in the DFT basis and applied only through their
+half-spectrum symbols: -Lap through lambda =
+``cache.minus_laplacian_eigenvalues`` and the nonlocal operator
+eps^2 ([J(*)1] u - [J (*) u]) through G = ``kernels.nonlocal_gap``, built
+once per step.  The 5-point stencil ``spectral.laplacian_apply`` is the
+reference the steps are tested against, not a production path.  What the
+convergence proof needs of each scheme is the functional it dissipates:
+the energy E for the one-step schemes, and for the two-step ones the
+modified energy ``modified_energy``, the one place it is written.
+
 Admissibility is decided by an exact per-mode check instead of a
 non-constructive kernel constant: for each nonzero DFT mode the convexity
 quantity
@@ -31,22 +48,8 @@ inequalities on (S, beta) and (beta, tau, gamma0), with the same per-mode
 surrogate replacing the kernel constant.  The policy field decides whether
 an inadmissible configuration rejects the step, warns, or is ignored.
 ``advance`` is the one place that applies it, and so the public way to take
-a step: on every call, or once per configuration of a run.  The step
-functions in ``STEP_FUNCTIONS`` are unchecked solves.
-
-Every scheme is one equation per step,
-
-    a u + (-Lap)(omega(u)) = rhs,
-
-with (a, rhs) = (1/tau, u^n/tau) for the one-step schemes and
-(3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for the two-step ones; the schemes
-differ only in how omega treats its terms.  Both operators are diagonal in
-the DFT basis and applied only through their half-spectrum symbols:
--Lap through lambda = ``cache.minus_laplacian_eigenvalues`` and the
-nonlocal operator eps^2 ([J(*)1] u - [J (*) u]) through G =
-``kernels.nonlocal_gap``, built once per step.  The 5-point stencil
-``spectral.laplacian_apply`` is the reference the steps are tested
-against, not a production path.
+a step: on every call, or once per configuration of a run.  ``step`` itself
+is an unchecked solve.
 
 Each level is transformed forward at most once: a step reads rfft2(u^n)
 (and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
@@ -55,8 +58,9 @@ of the new level, taken once, serves omega's nonlocal part, the record's
 energy and ||du||_{-1}, and the next step.  All transforms come from
 ``scipy.fft``.
 
-The three nonlinear schemes share one Newton step (``_newton_step``): with
-omega = local(u) + G u eliminated, it solves for the half-spectrum
+The fully implicit potential (backward Euler and BDF2, which differ only in
+(a, rhs)) and convex splitting share one Newton step (``_newton_step``):
+with omega = local(u) + G u eliminated, it solves for the half-spectrum
 coefficients rfft2(u) alone, matrix-free, and reconstructs omega from the
 new level.  The linear part a + lambda G is then a product, a residual or
 Jacobian apply takes one inverse and one forward transform around the
@@ -69,10 +73,10 @@ from the spectrum of u^n, which is also the guess.  Newton stops at max(newton_t
 C eps scale), where scale measures the step's equation terms and the
 rounding of local(u), so the stop holds at every N although that rounding
 grows like 1/h^2.
-Backward Euler and BDF2 differ only in (a, rhs).  The two linear schemes
-share one DFT-diagonal solve (``_linear_step``) of a u + (-Lap)(explicit + S u + G u) = rhs: ssi1 with
-explicit F_K'(u^n) - S u^n, two_li with 2 F_K'(u^n) - F_K'(u^{n-1}) and
-S = 0.
+The two linear schemes share one DFT-diagonal solve (``_linear_step``) of
+a u + (-Lap)(explicit + shift u) = rhs: ssi1 with explicit
+F_K'(u^n) - S u^n and shift S + G, two_li with 2 F_K'(u^n) - F_K'(u^{n-1})
+and shift G.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -314,12 +318,12 @@ NEWTON_FLOOR_ULPS = 4.0
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a: float,
-                 rhs_hat: np.ndarray, u_hat: np.ndarray, local, local_slope, slope,
-                 gap: Optional[np.ndarray], explicit=0.0) -> StepResult:
+                 rhs_hat: np.ndarray, local, local_slope, slope, gap: Optional[np.ndarray],
+                 explicit=0.0) -> StepResult:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
-    ``rhs_hat`` and ``u_hat`` are rfft2(rhs) and rfft2(u^n), which the
-    callers build from the spectra the levels keep (``Field.spectrum``).
+    ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep
+    (``Field.spectrum``); the guess is the spectrum of u^n.
     omega's nonlocal part is irfft2(G rfft2(u)) from the spectrum of the new
     level, as ``chemical_potential`` computes it, so the two agree bit for
     bit and that spectrum is the one the record and the next step read.  omega(u) = local(u) +
@@ -339,7 +343,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     rounding of local(u), which is white and which lambda amplifies at the
     high modes where u_hat itself is small.  None of it takes a transform.
     """
-    lam = cache.minus_laplacian_eigenvalues
+    lam, u_hat = cache.minus_laplacian_eigenvalues, state.u.spectrum
     shape = state.u.values.shape
     linear = a if gap is None else a + lam * gap
     shift = slope if gap is None else slope + gap
@@ -379,47 +383,11 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     return StepResult(u, _step_field(u.geometry, omega_vals), iters)
 
 
-def _implicit_potential_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                             cache: SpectralCache, a: float, rhs_hat: np.ndarray,
-                             u_hat: np.ndarray) -> StepResult:
-    """Newton step with the fully implicit chemical potential (backward Euler, BDF2)."""
-    pot = cfg.potential
-    # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-    return _newton_step(state, cfg, cache, a, rhs_hat, u_hat,
-                        lambda u: potential_d1(pot, u), lambda u: potential_d2(pot, u),
-                        -1.0, nonlocal_gap(kernel, cfg.epsilon**2))
+def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np.ndarray,
+                 explicit: np.ndarray, shift: np.ndarray) -> StepResult:
+    """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
-
-def step_backward_euler(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                        cache: SpectralCache) -> StepResult:
-    """One fully implicit step; nonlinear solve with the previous level as guess."""
-    u_hat = state.u.spectrum
-    return _implicit_potential_step(state, cfg, kernel, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat)
-
-
-def step_convex_splitting(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                          cache: SpectralCache) -> StepResult:
-    """One convex-splitting step: cubic and strong quadratic implicit, rest explicit.
-
-    Unconditionally uniquely solvable; dissipates the plain energy for every
-    step size.
-    """
-    strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
-    u_n, u_hat = state.u.values, state.u.spectrum
-    # Explicit part of the chemical potential, fixed during the solve.
-    explicit = u_n + strong * u_n - _apply_to_field(state.u, nonlocal_gap(kernel, cfg.epsilon**2))
-    return _newton_step(state, cfg, cache, 1.0 / cfg.tau, u_hat / cfg.tau, u_hat,
-                        lambda u: u * u * u + strong * u - explicit,
-                        lambda u: 3.0 * (u * u) + strong,
-                        strong, None, explicit)
-
-
-def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                 cache: SpectralCache, a: float, rhs_hat: np.ndarray, explicit: np.ndarray,
-                 s: float) -> StepResult:
-    """One DFT-diagonal solve of a u + (-Lap)(explicit + s u + G u) = rhs (ssi1, two_li).
-
-    ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep, so a
+    ``shift`` is the half-spectrum symbol S + G of ssi1 or G of two_li.  A
     step transforms only ``explicit`` forward.  lambda vanishes at the
     constant mode, so it needs no special case; the mass snap shifts only
     that mode, and omega takes its implicit part from the solved spectrum.
@@ -428,7 +396,6 @@ def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     than it needs.
     """
     lam = cache.minus_laplacian_eigenvalues
-    shift = s + nonlocal_gap(kernel, cfg.epsilon**2)
     denominator = a + lam * shift
     if denominator.min() <= 0.0:
         raise ConfigError(
@@ -445,47 +412,56 @@ def _linear_step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     return StepResult(u, _step_field(u.geometry, explicit), 0)
 
 
-def step_ssi1(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-              cache: SpectralCache) -> StepResult:
-    """One stabilized linear semi-implicit step (single DFT-diagonal solve)."""
-    u_n, s = state.u.values, cfg.stabilization
-    return _linear_step(state, cfg, kernel, cache, 1.0 / cfg.tau, state.u.spectrum / cfg.tau,
-                        potential_d1(cfg.potential, u_n) - s * u_n, s)
+def step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
+         cache: SpectralCache) -> StepResult:
+    """One unchecked step of ``cfg.scheme``: the solve of a u + (-Lap)(omega(u)) = rhs.
+
+    (a, rhs) is (1/tau, u^n/tau), or (3/(2 tau), (4 u^n - u^{n-1})/(2 tau))
+    for a two-step scheme, which raises ``StateError`` without ``u_prev``.
+    The implicit potential (backward Euler, BDF2) and convex splitting are
+    Newton solves; ssi1 and two_li one DFT-diagonal solve each.  No policy
+    is applied: ``advance`` is the checked way to take a step.
+    """
+    u_n, u_hat, tau, pot = state.u.values, state.u.spectrum, cfg.tau, cfg.potential
+    if cfg.scheme in TWO_STEP_SCHEMES:
+        if state.u_prev is None:
+            raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
+        a, rhs_hat = 3.0 / (2.0 * tau), (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * tau)
+    else:
+        a, rhs_hat = 1.0 / tau, u_hat / tau
+    gap = nonlocal_gap(kernel, cfg.epsilon**2)
+    if cfg.scheme in ("backward_euler", "bdf2"):
+        # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
+        return _newton_step(state, cfg, cache, a, rhs_hat, lambda u: potential_d1(pot, u),
+                            lambda u: potential_d2(pot, u), -1.0, gap)
+    if cfg.scheme == "convex_splitting":
+        # Cubic and strong quadratic implicit; the rest is explicit, fixed during the solve.
+        strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
+        explicit = u_n + strong * u_n - _apply_to_field(state.u, gap)
+        return _newton_step(state, cfg, cache, a, rhs_hat,
+                            lambda u: u * u * u + strong * u - explicit,
+                            lambda u: 3.0 * (u * u) + strong, strong, None, explicit)
+    if cfg.scheme == "ssi1":
+        s = cfg.stabilization
+        return _linear_step(state, cache, a, rhs_hat, potential_d1(pot, u_n) - s * u_n, s + gap)
+    return _linear_step(state, cache, a, rhs_hat,
+                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, state.u_prev.values), gap)
 
 
-def _require_history(state: SchemeState, scheme: str) -> Field:
-    if state.u_prev is None:
-        raise StateError(f"{scheme} needs the previous level u_prev; bootstrap the state first")
-    return state.u_prev
+def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
+                    du_l2: float) -> Optional[float]:
+    """The modified energy a two-step scheme dissipates; None for a one-step scheme, which dissipates E.
 
-
-def step_bdf2(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-              cache: SpectralCache) -> StepResult:
-    """One two-step backward-differentiation step with implicit potential."""
-    u_prev = _require_history(state, "bdf2")
-    u_hat = state.u.spectrum
-    rhs_hat = (4.0 * u_hat - u_prev.spectrum) / (2.0 * cfg.tau)
-    return _implicit_potential_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
-                                    rhs_hat, u_hat)
-
-
-def step_two_li(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-                cache: SpectralCache) -> StepResult:
-    """One linearly implicit two-step step with extrapolated nonlinearity."""
-    u_prev = _require_history(state, "two_li")
-    pot, u_n = cfg.potential, state.u.values
-    return _linear_step(state, cfg, kernel, cache, 3.0 / (2.0 * cfg.tau),
-                        (4.0 * state.u.spectrum - u_prev.spectrum) / (2.0 * cfg.tau),
-                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, u_prev.values), 0.0)
-
-
-STEP_FUNCTIONS = {
-    "backward_euler": step_backward_euler,
-    "convex_splitting": step_convex_splitting,
-    "ssi1": step_ssi1,
-    "bdf2": step_bdf2,
-    "two_li": step_two_li,
-}
+    From the energy E of the new level and the norms ||du||_{-1}, ||du||_2
+    of the last increment (a zero-mean difference of equal-mass levels):
+    E + ||du||_{-1}^2 / (4 tau), plus (beta/2) ||du||_2^2 for two_li.
+    """
+    if cfg.scheme not in TWO_STEP_SCHEMES:
+        return None
+    modified = energy + du_neg1**2 / (4.0 * cfg.tau)
+    if cfg.scheme == "two_li":
+        modified += 0.5 * cfg.beta * du_l2**2
+    return modified
 
 
 def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
@@ -521,7 +497,7 @@ def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
         _apply_policy(step_cfg, kernel, cache)
         if admitted is not None:
             admitted.add(step_cfg)
-    result = STEP_FUNCTIONS[step_cfg.scheme](state, step_cfg, kernel, cache)
+    result = step(state, step_cfg, kernel, cache)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
     try:
         next_state = SchemeState(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nchsolver import Field, GridGeometry, KernelSpec, make_cache, sample_kernel
+from nchsolver import Field, GridGeometry, KernelSpec, energy, make_cache, norm2, sample_kernel
+from nchsolver.spectral import norm_neg1
 
 
 @pytest.fixture
@@ -31,3 +32,14 @@ def gaussian_kernel8(geo8):
 
 def random_field(geometry, rng, scale=1.0):
     return Field(geometry, scale * rng.uniform(-1.0, 1.0, size=(geometry.n, geometry.n)))
+
+
+def recomposed_modified_energy(u, du, tau, kernel, epsilon, cache, spec, beta=0.0):
+    """E(u) + ||du||_{-1}^2 / (4 tau) + (beta/2) ||du||_2^2 from the Field-level functionals.
+
+    The two-step modified energy (beta = 0 for bdf2, the curvature bound for
+    two_li) by a path independent of ``steppers.modified_energy``, which the
+    records and that function are checked against.
+    """
+    return energy(u, kernel, epsilon, spec) + norm_neg1(du, cache) ** 2 / (4.0 * tau) \
+        + 0.5 * beta * norm2(du) ** 2

@@ -11,16 +11,18 @@ import numpy as np
 import pytest
 
 from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig,
-                       SchemeState, check_solvability, convolve, energy,
-                       edge_inner_product, gamma0, gradient, inner_product, laplacian,
-                       make_cache, mean, modified_energy_two_step,
-                       modified_energy_two_step_linear, norm2, project_zero_mean,
-                       random_initial_field, run, sample_kernel)
+                       SchemeState, check_solvability, energy, gamma0, inner_product,
+                       make_cache, mean, norm2, project_zero_mean, random_initial_field, run,
+                       sample_kernel)
+from nchsolver.grid import edge_inner_product
+from nchsolver.kernels import convolve
 from nchsolver.oracles import (dense_linear_step, dense_minus_laplacian,
                                dense_nonlinear_step, dense_nonlocal_matrix,
                                direct_convolution, nonlocal_eigenvalue_formula)
-from nchsolver.spectral import laplacian_eigenvalues
-from nchsolver.steppers import STEP_FUNCTIONS, TWO_STEP_SCHEMES, advance
+from nchsolver.spectral import gradient, laplacian, laplacian_eigenvalues
+from nchsolver.steppers import TWO_STEP_SCHEMES, advance, step
+
+from conftest import recomposed_modified_energy
 
 GEO32 = GridGeometry(32, 1.0)
 CACHE32 = make_cache(GEO32)
@@ -215,13 +217,14 @@ def test_c06_energy_dissipation():
     cfg = _cfg("bdf2", tau)
     state, _ = advance(SchemeState(u=u0), cfg, GAUSS32, CACHE32)  # bootstrap
     du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
-    modified = [modified_energy_two_step(state.u, du, tau, GAUSS32, cfg.epsilon, CACHE32)]
+    modified = [recomposed_modified_energy(state.u, du, tau, GAUSS32, cfg.epsilon, CACHE32,
+                                           cfg.potential)]
     for _ in range(steps):
         prev = state.u
         state, _ = advance(state, cfg, GAUSS32, CACHE32)
         du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
-        modified.append(modified_energy_two_step(state.u, du, tau, GAUSS32,
-                                                 cfg.epsilon, CACHE32))
+        modified.append(recomposed_modified_energy(state.u, du, tau, GAUSS32, cfg.epsilon,
+                                                   CACHE32, cfg.potential))
     _assert_non_increasing(modified, "bdf2 modified energy")
 
     # (d) linearly implicit two-step scheme under the curvature bound.
@@ -231,14 +234,14 @@ def test_c06_energy_dissipation():
     pot = cfg.potential
     state, _ = advance(SchemeState(u=u0), cfg, STRONG32, CACHE32)
     du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
-    modified = [modified_energy_two_step_linear(state.u, du, tau, cfg.beta, STRONG32,
-                                                cfg.epsilon, CACHE32, pot)]
+    modified = [recomposed_modified_energy(state.u, du, tau, STRONG32, cfg.epsilon, CACHE32,
+                                           pot, cfg.beta)]
     for _ in range(steps):
         prev = state.u
         state, _ = advance(state, cfg, STRONG32, CACHE32)
         du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
-        modified.append(modified_energy_two_step_linear(state.u, du, tau, cfg.beta,
-                                                        STRONG32, cfg.epsilon, CACHE32, pot))
+        modified.append(recomposed_modified_energy(state.u, du, tau, STRONG32, cfg.epsilon,
+                                                   CACHE32, pot, cfg.beta))
     _assert_non_increasing(modified, "two_li modified energy")
 
     elapsed = time.perf_counter() - started
@@ -260,7 +263,7 @@ def test_c07_dense_oracle_equivalence():
     for scheme in ALL_SCHEMES:
         cfg = _cfg(scheme, tau=1e-3)
         state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
-        result = STEP_FUNCTIONS[scheme](state, cfg, kernel, cache)
+        result = step(state, cfg, kernel, cache)
         if scheme in ("ssi1", "two_li"):
             ref_u, _ = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
                                          cfg.stabilization, kernel, cfg.potential)

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,29 @@ def test_cli_out_of_range_grid_length_exits_2(tmp_path, capsys, length):
         err = capsys.readouterr().err
         assert "configuration error" in err and "grid.L" in err
         assert "Traceback" not in err
+
+
+def _overflowing_scales_exit(tmp_path, capsys, command):
+    # L^2, h^2 and 8/h^2 fit, but the kernel's scales (the squared distances
+    # to its images, h^2 J) overflow: numpy's overflow warnings and a kernel
+    # of mass 2e307 used to pass as an admissible configuration.
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        .replace("grid.L = 1.0", "grid.L = 1e154"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, str(cfg)])
+    captured = capsys.readouterr()
+    assert "configuration error: key 'grid.L'" in captured.err and "overflow" in captured.err
+    assert "verdict" not in captured.out and not (tmp_path / "out").exists()
+    return code
+
+
+def test_cli_check_overflowing_scales_exits_2(tmp_path, capsys):
+    assert _overflowing_scales_exit(tmp_path, capsys, "check") == 2
+
+
+def test_cli_run_overflowing_scales_exits_2(tmp_path, capsys):
+    assert _overflowing_scales_exit(tmp_path, capsys, "run") == 2
 
 
 def test_cli_check_reports_inadmissible_ssi1_under_enforce(tmp_path, capsys):

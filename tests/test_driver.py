@@ -10,12 +10,13 @@ import scipy.fft
 import nchsolver
 from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec,
                        RunOptions, SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
-                       h1h2_probe, make_cache, mean, modified_energy_two_step,
-                       modified_energy_two_step_linear, norm2, norm_neg1, project_zero_mean,
+                       h1h2_probe, make_cache, mean, norm2, project_zero_mean,
                        random_initial_field, run, sample_kernel)
-from nchsolver.spectral import gradient
+from nchsolver.spectral import gradient, norm_neg1
 from nchsolver import kernels, solvers, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
+
+from conftest import recomposed_modified_energy
 
 GEO = GridGeometry(16, 1.0)
 CACHE = make_cache(GEO)
@@ -215,12 +216,8 @@ def test_records_match_public_functionals(scheme):
         state, _ = advance(state, cfg, kernel, CACHE)
         assert record.step == state.step_index
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        if scheme == "bdf2":
-            modified = modified_energy_two_step(state.u, du, cfg.tau, kernel, cfg.epsilon,
-                                                CACHE, pot)
-        else:
-            modified = modified_energy_two_step_linear(state.u, du, cfg.tau, cfg.beta, kernel,
-                                                       cfg.epsilon, CACHE, pot)
+        modified = recomposed_modified_energy(state.u, du, cfg.tau, kernel, cfg.epsilon, CACHE,
+                                              pot, cfg.beta if scheme == "two_li" else 0.0)
         assert close(record.energy, energy(state.u, kernel, cfg.epsilon, pot))
         assert close(record.modified_energy, modified)
         assert close(record.increment_hneg1, norm_neg1(du, CACHE))

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, PotentialSpec,
-                       chemical_potential, energy,
-                       modified_energy_two_step, modified_energy_two_step_linear,
-                       norm2, norm_neg1, potential_d1, potential_d2, potential_value,
-                       project_zero_mean, sample_kernel)
+                       SchemeConfig, chemical_potential, energy, norm2, potential_d1,
+                       potential_d2, potential_value, project_zero_mean, sample_kernel)
 from nchsolver.oracles import dense_nonlocal_matrix, naive_energy
+from nchsolver.spectral import norm_neg1
+from nchsolver.steppers import modified_energy
 
-from conftest import random_field
+from conftest import random_field, recomposed_modified_energy
 
 DW = PotentialSpec("double_well")
 
@@ -123,12 +123,12 @@ def test_chemical_potential_matches_dense_operator(n, rng):
 def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kernel8, cache8):
     u = Field.constant(geo8, 0.2)
     du = Field.zeros(geo8)
-    base = energy(u, gaussian_kernel8, 1.0)
-    assert modified_energy_two_step(u, du, 0.5, gaussian_kernel8, 1.0, cache8) == pytest.approx(base)
-    spec = PotentialSpec("truncated", 2.0)
-    base_k = energy(u, gaussian_kernel8, 1.0, spec)
-    assert modified_energy_two_step_linear(
-        u, du, 0.5, 11.0, gaussian_kernel8, 1.0, cache8, spec) == pytest.approx(base_k)
+    for scheme, cutoff in (("bdf2", 2.0), ("two_li", 2.0)):
+        cfg = SchemeConfig(scheme, 0.5, 1.0, cutoff=cutoff, stability_policy="ignore")
+        base = energy(u, gaussian_kernel8, 1.0, cfg.potential)
+        assert modified_energy(cfg, base, norm_neg1(du, cache8), norm2(du)) == base
+        assert recomposed_modified_energy(u, du, 0.5, gaussian_kernel8, 1.0, cache8,
+                                          cfg.potential, cfg.beta) == pytest.approx(base)
 
 
 def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kernel8, cache8):
@@ -136,20 +136,23 @@ def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kern
     du = project_zero_mean(random_field(geo8, rng, scale=0.1))
     tau = 0.25
     e = energy(u, gaussian_kernel8, 1.0)
-    m1 = modified_energy_two_step(u, du, tau, gaussian_kernel8, 1.0, cache8)
-    m2 = modified_energy_two_step(u, du, 2 * tau, gaussian_kernel8, 1.0, cache8)
+    norms = (norm_neg1(du, cache8), norm2(du))
+    m1 = modified_energy(SchemeConfig("bdf2", tau, 1.0), e, *norms)
+    m2 = modified_energy(SchemeConfig("bdf2", 2 * tau, 1.0), e, *norms)
     assert m2 - e == pytest.approx(0.5 * (m1 - e), rel=1e-12)
 
 
 def test_modified_energy_recomposition(rng, geo8, gaussian_kernel8, cache8):
-    spec = PotentialSpec("truncated", 1.5)
     u = random_field(geo8, rng)
     du = project_zero_mean(random_field(geo8, rng, scale=0.3))
-    tau, beta = 0.1, 3 * 1.5**2 - 1
-    expected = energy(u, gaussian_kernel8, 1.0, spec) \
-        + norm_neg1(du, cache8) ** 2 / (4 * tau) + 0.5 * beta * norm2(du) ** 2
-    actual = modified_energy_two_step_linear(u, du, tau, beta, gaussian_kernel8, 1.0, cache8, spec)
+    tau = 0.1
+    cfg = SchemeConfig("two_li", tau, 1.0, cutoff=1.5, stability_policy="ignore")
+    spec, beta = cfg.potential, 3 * 1.5**2 - 1
+    e = energy(u, gaussian_kernel8, 1.0, spec)
+    expected = e + norm_neg1(du, cache8) ** 2 / (4 * tau) + 0.5 * beta * norm2(du) ** 2
+    actual = modified_energy(cfg, e, norm_neg1(du, cache8), norm2(du))
     assert actual == pytest.approx(expected, rel=1e-13)
-    # beta = 0 reduces to the plain two-step modified energy.
-    assert modified_energy_two_step_linear(u, du, tau, 0.0, gaussian_kernel8, 1.0, cache8, spec) \
-        == pytest.approx(modified_energy_two_step(u, du, tau, gaussian_kernel8, 1.0, cache8, spec))
+    # bdf2 drops the (beta/2) ||du||^2 term: the plain two-step modified energy.
+    assert modified_energy(SchemeConfig("bdf2", tau, 1.0, potential_variant="truncated",
+                                        cutoff=1.5), e, norm_neg1(du, cache8), norm2(du)) \
+        == pytest.approx(recomposed_modified_energy(u, du, tau, gaussian_kernel8, 1.0, cache8, spec))

@@ -4,11 +4,12 @@ import scipy.fft
 
 from nchsolver import (Field, GridGeometry, GeometryMismatchError, KernelSpec,
                        NonZeroMeanError, SchemeConfig, SchemeState, advance, grid,
-                       inner_product, make_cache, mean, norm2, norm4, norm_neg1,
-                       project_zero_mean, sample_kernel, steppers)
+                       inner_product, make_cache, mean, norm2, project_zero_mean,
+                       sample_kernel, steppers)
+from nchsolver.grid import norm4
 from nchsolver.oracles import (dense_minus_laplacian_pinv, naive_inner_product,
                                naive_mean, naive_norm2, naive_norm4)
-from nchsolver.spectral import laplacian_eigenvalues
+from nchsolver.spectral import laplacian_eigenvalues, norm_neg1
 
 from conftest import random_field
 

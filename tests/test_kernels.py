@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, convolve, gamma0,
-                       inner_product, mean, sample_kernel)
-from nchsolver.kernels import nonlocal_gap
+from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, gamma0, inner_product,
+                       mean, sample_kernel)
+from nchsolver.kernels import convolve, nonlocal_gap
 from nchsolver.oracles import (dense_nonlocal_matrix, direct_convolution,
                                nonlocal_eigenvalue_formula, periodized_gaussian_mass)
 

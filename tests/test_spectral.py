@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nchsolver import (EdgeField, Field, GridGeometry, NonZeroMeanError, divergence,
-                       edge_inner_product, gradient, inner_product,
-                       inverse_laplacian_zero_mean, laplacian, make_cache, mean, norm2,
-                       norm_neg1, project_zero_mean)
+from nchsolver import (Field, GridGeometry, NonZeroMeanError, inner_product, make_cache, mean,
+                       norm2, project_zero_mean)
+from nchsolver.grid import EdgeField, edge_inner_product
 from nchsolver.oracles import (dense_minus_laplacian, dense_minus_laplacian_pinv,
                                direct_dft2, laplacian_eigenvalue_formula)
-from nchsolver.spectral import apply_symbol, laplacian_apply, laplacian_eigenvalues
+from nchsolver.spectral import (apply_symbol, divergence, gradient, inverse_laplacian_zero_mean,
+                                laplacian, laplacian_apply, laplacian_eigenvalues, norm_neg1)
 
 from conftest import random_field
 

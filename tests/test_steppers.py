@@ -4,15 +4,13 @@ import pytest
 from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec,
                        SchemeConfig, SchemeState, SolverError, StabilityError, StateError,
                        advance, chemical_potential, check_solvability, energy,
-                       laplacian, make_cache, mean,
-                       modified_energy_two_step, modified_energy_two_step_linear,
-                       newton_solve, norm2, project_zero_mean, sample_kernel)
+                       make_cache, mean, newton_solve, norm2, project_zero_mean, sample_kernel)
 from nchsolver import solvers, steppers
-from nchsolver.spectral import laplacian_apply
-from nchsolver.steppers import STEP_FUNCTIONS, TWO_STEP_SCHEMES, bootstrap_config
+from nchsolver.spectral import laplacian, laplacian_apply, norm_neg1
+from nchsolver.steppers import SCHEMES, TWO_STEP_SCHEMES, bootstrap_config, step
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
 
-from conftest import random_field
+from conftest import random_field, recomposed_modified_energy
 
 GEO = GridGeometry(8, 1.0)
 CACHE = make_cache(GEO)
@@ -40,14 +38,14 @@ def _two_step_state(rng, cfg, kernel, cache):
 
 # --- fixed points -----------------------------------------------------------
 
-@pytest.mark.parametrize("scheme", STEP_FUNCTIONS)
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_constant_field_is_fixed_point(scheme):
     cfg = _cfg(scheme, tau=0.5, stability_policy="ignore")
     c = 0.35
     state = SchemeState(u=Field.constant(GEO, c),
                         u_prev=Field.constant(GEO, c) if scheme in TWO_STEP_SCHEMES else None)
     for _ in range(10):
-        result = STEP_FUNCTIONS[scheme](state, cfg, GAUSS, CACHE)
+        result = step(state, cfg, GAUSS, CACHE)
         state = SchemeState(u=result.u,
                             u_prev=state.u if scheme in TWO_STEP_SCHEMES else None)
     assert np.abs(state.u.values - c).max() <= 1e-13
@@ -60,7 +58,7 @@ def test_constant_field_is_fixed_point(scheme):
 def test_backward_euler_residual_and_mass(rng):
     cfg = _cfg("backward_euler", tau=0.01)
     state = _perturbed_state(rng)
-    result = STEP_FUNCTIONS["backward_euler"](state, cfg, GAUSS, CACHE)
+    result = step(state, cfg, GAUSS, CACHE)
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian(result.omega).values
     assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
@@ -72,7 +70,7 @@ def test_backward_euler_residual_and_mass(rng):
 def test_ssi1_residual_small(rng):
     cfg = _cfg("ssi1", tau=0.1)
     state = _perturbed_state(rng)
-    result = STEP_FUNCTIONS["ssi1"](state, cfg, GAUSS, CACHE)
+    result = step(state, cfg, GAUSS, CACHE)
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian(result.omega).values
     scale = max(np.abs(lhs).max(), 1.0)
@@ -82,7 +80,7 @@ def test_ssi1_residual_small(rng):
 def test_two_li_residual_small(rng):
     cfg = _cfg("two_li", tau=0.005)
     state = _two_step_state(rng, cfg, STRONG, CACHE)
-    result = STEP_FUNCTIONS["two_li"](state, cfg, STRONG, CACHE)
+    result = step(state, cfg, STRONG, CACHE)
     lhs = (3.0 * result.u.values - 4.0 * state.u.values + state.u_prev.values) / (2.0 * cfg.tau)
     residual = lhs - laplacian(result.omega).values
     scale = max(np.abs(lhs).max(), 1.0)
@@ -100,7 +98,7 @@ def test_newton_steps_satisfy_stencil_equation(scheme, rng):
     state = _perturbed_state(rng, geometry=geo)
     if scheme in TWO_STEP_SCHEMES:
         state, _ = advance(state, cfg, kernel, cache)  # bootstrap
-    result = STEP_FUNCTIONS[scheme](state, cfg, kernel, cache)
+    result = step(state, cfg, kernel, cache)
     u_n = state.u.values
     if scheme == "bdf2":
         a, rhs = 3.0 / (2.0 * cfg.tau), (4.0 * u_n - state.u_prev.values) / (2.0 * cfg.tau)
@@ -159,11 +157,12 @@ def test_bdf2_dissipates_modified_energy(rng):
     assert check_solvability(cfg, GAUSS, CACHE).admissible
     state = _two_step_state(rng, cfg, GAUSS, CACHE)
     du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-    m_prev = modified_energy_two_step(state.u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE)
+    pot = cfg.potential
+    m_prev = recomposed_modified_energy(state.u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE, pot)
     for _ in range(15):
         state, _ = advance(state, cfg, GAUSS, CACHE)
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        m = modified_energy_two_step(state.u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE)
+        m = recomposed_modified_energy(state.u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE, pot)
         assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
         m_prev = m
 
@@ -178,15 +177,34 @@ def test_two_li_dissipates_modified_energy_any_tau_with_constant_kernel(rng):
         state = _two_step_state(rng, cfg, CONST40, CACHE)
         pot = cfg.potential
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        m_prev = modified_energy_two_step_linear(state.u, du, cfg.tau, cfg.beta,
-                                                 CONST40, cfg.epsilon, CACHE, pot)
+        m_prev = recomposed_modified_energy(state.u, du, cfg.tau, CONST40, cfg.epsilon,
+                                            CACHE, pot, cfg.beta)
         for _ in range(15):
             state, _ = advance(state, cfg, CONST40, CACHE)
             du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-            m = modified_energy_two_step_linear(state.u, du, cfg.tau, cfg.beta,
-                                                CONST40, cfg.epsilon, CACHE, pot)
+            m = recomposed_modified_energy(state.u, du, cfg.tau, CONST40, cfg.epsilon,
+                                           CACHE, pot, cfg.beta)
             assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
             m_prev = m
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_modified_energy_is_the_two_step_functional(scheme, rng):
+    # A one-step scheme dissipates E itself; a two-step scheme the recomposed
+    # modified energy, with the (beta/2) ||du||^2 term for two_li only.
+    cfg = _cfg(scheme, tau=0.05)
+    u = random_field(GEO, rng)
+    du = project_zero_mean(random_field(GEO, rng, scale=0.1))
+    e = energy(u, GAUSS, cfg.epsilon, cfg.potential)
+    actual = steppers.modified_energy(cfg, e, norm_neg1(du, CACHE), norm2(du))
+    if scheme not in TWO_STEP_SCHEMES:
+        assert actual is None
+        return
+    beta = cfg.beta if scheme == "two_li" else 0.0
+    expected = recomposed_modified_energy(u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE,
+                                          cfg.potential, beta)
+    assert actual == pytest.approx(expected, rel=1e-14)
+    assert actual > e
 
 
 # --- dense oracle equivalence ------------------------------------------------
@@ -208,7 +226,7 @@ def _check_step_against_dense_oracle(scheme, tol, kernel, cache, rng):
     u0 = project_zero_mean(random_field(geometry, rng, scale=0.5))
     u1 = Field(geometry, u0.values + 0.01 * project_zero_mean(random_field(geometry, rng)).values)
     state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
-    result = STEP_FUNCTIONS[scheme](state, cfg, kernel, cache)
+    result = step(state, cfg, kernel, cache)
     if scheme in ("ssi1", "two_li"):
         ref_u, ref_w = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
                                          cfg.stabilization, kernel, cfg.potential)
@@ -307,18 +325,18 @@ def test_warn_policy_warns_and_steps(rng):
     assert np.isfinite(result.u.values).all()
 
 
-@pytest.mark.parametrize("scheme", STEP_FUNCTIONS)
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_step_functions_never_check_admissibility(scheme, rng, monkeypatch):
-    # advance alone applies the stability policy; the steps are pure solves.
+    # advance alone applies the stability policy; step is a pure solve.
     def refuse(*args):
-        raise AssertionError("a step function checked admissibility")
+        raise AssertionError("step checked admissibility")
 
     monkeypatch.setattr(steppers, "check_solvability", refuse)
     cfg = _cfg(scheme, tau=1e-3, stability_policy="enforce")
     state = _perturbed_state(rng)
     if scheme in TWO_STEP_SCHEMES:
         state = SchemeState(u=state.u, u_prev=state.u)
-    result = STEP_FUNCTIONS[scheme](state, cfg, GAUSS, CACHE)
+    result = step(state, cfg, GAUSS, CACHE)
     assert np.isfinite(result.u.values).all()
 
 
@@ -326,8 +344,7 @@ def test_missing_history_raises_state_error(rng):
     state = _perturbed_state(rng)
     for scheme in TWO_STEP_SCHEMES:
         with pytest.raises(StateError):
-            STEP_FUNCTIONS[scheme](state, _cfg(scheme, tau=0.01, stability_policy="ignore"),
-                                   GAUSS, CACHE)
+            step(state, _cfg(scheme, tau=0.01, stability_policy="ignore"), GAUSS, CACHE)
 
 
 def test_state_mass_invariant():
@@ -427,13 +444,13 @@ def test_newton_step_stops_at_the_rounding_floor(rng):
     state = _perturbed_state(rng, geometry=geo)
     for scheme in ("backward_euler", "convex_splitting"):
         cfg = _cfg(scheme, tau=1e-4, newton_tol=1e-30)
-        result = STEP_FUNCTIONS[scheme](state, cfg, kernel, make_cache(geo))
+        result = step(state, cfg, kernel, make_cache(geo))
         assert 1 <= result.newton_iters <= 5
 
 
 # --- mass conservation -------------------------------------------------------
 
-@pytest.mark.parametrize("scheme", STEP_FUNCTIONS)
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_mass_conserved_over_fifty_steps(scheme, rng):
     kernel = STRONG
     cfg = _cfg(scheme, tau=2e-3)
