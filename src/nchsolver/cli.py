@@ -31,16 +31,14 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _build(args, policy=None):
-    """Load, override and build; ``policy`` replaces the configured stability policy."""
+def _build(args):
+    """Load the configuration, apply the command-line overrides and build the run's parts."""
     values = config_mod.load_config(args.config)
     values = config_mod.apply_overrides(values, output_dir=args.output_dir,
                                         seed=args.seed, max_steps=args.max_steps)
     geometry = config_mod.build_geometry(values)
     kernel = config_mod.build_kernel(values, geometry)
     cache = make_cache(geometry)
-    if policy is not None:
-        values = {**values, "scheme.stability_policy": policy}
     scheme_cfg = config_mod.build_scheme_config(values)
     return values, geometry, kernel, cache, scheme_cfg
 
@@ -80,9 +78,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # The report does not depend on the policy, and under enforce an ssi1
-    # configuration with S < beta/2 cannot be built: check it under ignore.
-    values, geometry, kernel, cache, scheme_cfg = _build(args, policy="ignore")
+    values, geometry, kernel, cache, scheme_cfg = _build(args)
     report = check_solvability(scheme_cfg, kernel, cache)
     print(f"scheme: {report.scheme}")
     print(f"tau: {report.tau!r}")

@@ -11,7 +11,9 @@ with the offending key and line number.  Values are typed (int, float,
 string, enumeration) and range-checked before any allocation happens;
 floats must be finite.  Re-emitting a parsed configuration produces the
 canonical form: schema order, resolved defaults, one assignment per line;
-parsing that text again is the identity.
+parsing that text again is the identity.  The Newton iteration cap and the
+GMRES tolerance are constants of the solver, not keys
+(``steppers.NEWTON_MAX_ITER``, ``solvers.KRYLOV_RTOL``).
 
 The only environment override honored is ``OUTPUT_DIR`` (for
 ``output.dir``); command-line flags take precedence over both.
@@ -69,8 +71,6 @@ _SCHEMA: dict[str, _Key] = {k.name: k for k in (
     _Key("scheme.S", "float", default=0.0, check=_at_least(0.0, "scheme.S")),
     _Key("scheme.stability_policy", "enum", default="enforce", choices=STABILITY_POLICIES),
     _Key("solver.newton_tol", "float", default=1e-11, check=_positive("solver.newton_tol")),
-    _Key("solver.newton_max_iter", "int", default=50, check=_at_least(1, "solver.newton_max_iter")),
-    _Key("solver.krylov_tol", "float", default=1e-12, check=_positive("solver.krylov_tol")),
     _Key("run.max_steps", "int", required=True, check=_at_least(1, "run.max_steps")),
     _Key("run.eq_tol", "float", default=1e-9, check=_positive("run.eq_tol")),
     _Key("run.record_every", "int", default=1, check=_at_least(1, "run.record_every")),
@@ -215,8 +215,6 @@ def template_config() -> str:
         "scheme.tau = 0.01",
         "scheme.stability_policy = enforce",
         "solver.newton_tol = 1e-11",
-        "solver.newton_max_iter = 50",
-        "solver.krylov_tol = 1e-12",
         "run.max_steps = 100000",
         "run.eq_tol = 1e-9",
         "run.record_every = 1",
@@ -291,6 +289,7 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
 
 
 def build_scheme_config(values: dict[str, Any]) -> SchemeConfig:
+    """The run's ``SchemeConfig``; its stability policy is applied by ``steppers.advance``, not here."""
     return SchemeConfig(
         scheme=values["scheme.name"],
         tau=values["scheme.tau"],
@@ -298,8 +297,6 @@ def build_scheme_config(values: dict[str, Any]) -> SchemeConfig:
         stabilization=values.get("scheme.S", 0.0),
         cutoff=values.get("model.potential.K", 2.0),
         newton_tol=values["solver.newton_tol"],
-        newton_max_iter=values["solver.newton_max_iter"],
-        krylov_tol=values["solver.krylov_tol"],
         stability_policy=values["scheme.stability_policy"],
         potential_variant=values["model.potential.type"],
     )

@@ -15,9 +15,10 @@ schemes is for moderate step sizes.  Once a step contracts less, plain
 Newton with a backtracking line search on the residual norm continues from
 the best iterate.  Convergence is declared on the true residual in the norm
 the caller passes (the steppers pass the mesh-weighted L2 norm of the
-field, taken by Parseval).  An inner solve that stops at its iteration cap
-does not fail the step, since the line search guards the direction it
-returns; a failed solve reports how many inner solves did not converge.
+field, taken by Parseval).  GMRES runs to the fixed relative tolerance
+``KRYLOV_RTOL``.  An inner solve that stops at its iteration cap does not
+fail the step, since the line search guards the direction it returns; a
+failed solve reports how many inner solves did not converge.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ def _float_view(x: np.ndarray) -> np.ndarray:
 # over to Newton-Krylov, whose convergence is then worth its Jacobian applies.
 FIXED_POINT_CONTRACTION = 10.0
 
+# Relative tolerance of each inner GMRES solve.
+KRYLOV_RTOL = 1e-12
+
 
 def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  jacobian_apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -46,21 +50,19 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  tol: float,
                  max_iter: int,
                  preconditioner: Callable[[np.ndarray], np.ndarray],
-                 krylov_tol: float = 1e-12,
                  norm: Callable[[np.ndarray], float] | None = None) -> tuple[np.ndarray, int, list[float]]:
     """Solve residual_map(u) = 0 by preconditioned fixed-point steps, then Newton-Krylov.
 
     ``u_init`` is a real or complex array; the callables receive and return
-    arrays of its shape and dtype, and ``jacobian_apply`` is always called
-    with the iterate the last ``residual_map`` call was evaluated at.  A
-    fixed-point trial that does not lower the residual is dropped, and
-    Newton-Krylov takes that iteration instead.  Returns (solution,
-    iterations, residual history), the iterations counting fixed-point and
-    Newton steps alike; ``max_iter`` bounds their sum.  The initial guess is
-    returned unchanged with zero iterations when it already satisfies the
-    tolerance.  Raises SolverError (carrying the residual history, its
-    message counting the inner solves that did not converge) when
-    ``max_iter`` iterations do not reach ``tol``.
+    arrays of its shape and dtype, and ``jacobian_apply(u, v)`` applies the
+    Jacobian at ``u`` to ``v``.  A fixed-point trial that does not lower the
+    residual is dropped, and Newton-Krylov takes that iteration instead.
+    Returns (solution, iterations, residual history), the iterations
+    counting fixed-point and Newton steps alike; ``max_iter`` bounds their
+    sum.  The initial guess is returned unchanged with zero iterations when
+    it already satisfies the tolerance.  Raises SolverError (carrying the
+    residual history, its message counting the inner solves that did not
+    converge) when ``max_iter`` iterations do not reach ``tol``.
     """
     if norm is None:
         norm = lambda r: float(np.sqrt(np.sum(_float_view(r)**2, dtype=np.longdouble)))
@@ -90,7 +92,6 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                 u, r, rnorm = trial, r_trial, r_trial_norm
                 history.append(rnorm)
                 continue
-            r = residual_map(u)  # the Jacobian is applied at the last residual's iterate
 
         jac = LinearOperator(
             (size, size),
@@ -102,7 +103,7 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
         )
         # Bounded Krylov work per Newton step (maxiter counts restart cycles);
         # an inexact direction is acceptable, the line search guards it.
-        delta, info = gmres(jac, -_float_view(r), M=precond, rtol=krylov_tol, atol=0.0,
+        delta, info = gmres(jac, -_float_view(r), M=precond, rtol=KRYLOV_RTOL, atol=0.0,
                             restart=min(size, 40), maxiter=4)
         if info < 0:
             raise SolverError(f"inner Krylov solve failed (info={info})", history)

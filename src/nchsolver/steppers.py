@@ -45,11 +45,13 @@ must be nonnegative (c_s = 1 for backward Euler, 2/3 for the two-step
 scheme, matching the coefficient of the negative-norm term in the
 respective convexity computations).  The linear schemes use the closed-form
 inequalities on (S, beta) and (beta, tau, gamma0), with the same per-mode
-surrogate replacing the kernel constant.  The policy field decides whether
-an inadmissible configuration rejects the step, warns, or is ignored.
-``advance`` is the one place that applies it, and so the public way to take
-a step: on every call, or once per configuration of a run.  ``step`` itself
-is an unchecked solve.
+surrogate replacing the kernel constant.  ``check_solvability`` is the one
+place that decides admissibility, ssi1's S >= beta/2 included: a
+``SchemeConfig`` holds any step size and stabilization.  The policy field
+decides whether an inadmissible configuration rejects the step, warns, or
+is ignored.  ``advance`` is the one place that applies it, and so the
+public way to take a step: on every call, or once per configuration of a
+run.  ``step`` itself is an unchecked solve.
 
 Each level is transformed forward at most once: a step reads rfft2(u^n)
 (and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
@@ -113,7 +115,9 @@ STABILITY_POLICIES = ("enforce", "warn", "ignore")
 class SchemeConfig:
     """Scheme selector with step size, model and solver parameters.
 
-    ``stabilization`` is the linear stabilization constant S of the
+    ``newton_tol`` is the Newton residual tolerance; the iteration cap
+    ``NEWTON_MAX_ITER`` and the GMRES tolerance ``solvers.KRYLOV_RTOL`` are
+    fixed.  ``stabilization`` is the linear stabilization constant S of the
     semi-implicit scheme; ``cutoff`` the truncation point K of the modified
     potential (its curvature bound beta = 3K^2 - 1 is derived, never
     user-supplied).  ``potential_variant`` may force the truncated
@@ -128,8 +132,6 @@ class SchemeConfig:
     stabilization: float = 0.0
     cutoff: float = 2.0
     newton_tol: float = 1e-11
-    newton_max_iter: int = 50
-    krylov_tol: float = 1e-12
     stability_policy: str = "enforce"
     potential_variant: str = "auto"
 
@@ -144,10 +146,8 @@ class SchemeConfig:
             raise ConfigError(f"stabilization constant must be >= 0, got {self.stabilization}")
         if not self.cutoff > 1.0:
             raise ConfigError(f"truncation point K must exceed 1, got {self.cutoff}")
-        if self.newton_max_iter < 1:
-            raise ConfigError("newton_max_iter must be at least 1")
-        if not (self.newton_tol > 0.0 and self.krylov_tol > 0.0):
-            raise ConfigError("solver tolerances must be positive")
+        if not self.newton_tol > 0.0:
+            raise ConfigError(f"Newton tolerance must be positive, got {self.newton_tol}")
         if self.stability_policy not in STABILITY_POLICIES:
             raise ConfigError(
                 f"unknown stability policy {self.stability_policy!r}; expected one of {STABILITY_POLICIES}"
@@ -158,12 +158,6 @@ class SchemeConfig:
             raise ConfigError("the convex splitting step is defined for the double-well potential only")
         if self.scheme in ("ssi1", "two_li") and self.potential_variant == "double_well":
             raise ConfigError(f"{self.scheme} requires the truncated potential")
-        if self.scheme == "ssi1" and self.stability_policy == "enforce" \
-                and self.stabilization < 0.5 * self.beta:
-            raise ConfigError(
-                f"ssi1 under the enforce policy needs S >= beta/2 = {0.5 * self.beta}, "
-                f"got S = {self.stabilization}"
-            )
 
     @property
     def beta(self) -> float:
@@ -316,6 +310,9 @@ def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
 # schemes' far lower, so 4 stops clear of the rounding floor.
 NEWTON_FLOOR_ULPS = 4.0
 
+# Cap on a step's fixed-point and Newton iterations together.
+NEWTON_MAX_ITER = 50
+
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a: float,
                  rhs_hat: np.ndarray, local, local_slope, slope, gap: Optional[np.ndarray],
@@ -334,14 +331,18 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
         (a + lambda G) u_hat - rhs_hat + lambda rfft2(local(irfft2(u_hat)))
     projected onto the coefficients of real fields (rounding breaks their
     symmetry, and GMRES then stalls), and its norm the mesh-weighted L2 norm
-    of the field, by Parseval.  The frozen-coefficient preconditioner
-    a + lambda (slope + G) is a division; ``newton_solve`` takes fixed-point
-    steps with it before Newton-Krylov.  Newton stops at
-    max(newton_tol, C eps scale): scale is the norm of rhs_hat, plus that of
-    the preconditioner applied forward to u_hat^n, plus lambda_max times the
-    norm of |u^n|^3 + |slope| |u^n| + |explicit|.  The last term bounds the
-    rounding of local(u), which is white and which lambda amplifies at the
-    high modes where u_hat itself is small.  None of it takes a transform.
+    of the field, by Parseval.  The Jacobian at u_hat is
+        (a + lambda G) v_hat + lambda rfft2(local_slope(u) irfft2(v_hat)),
+    with u and its slope those of the last residual when u_hat is that
+    residual's iterate, and otherwise one irfft2 of u_hat.  The
+    frozen-coefficient preconditioner a + lambda (slope + G) is a division;
+    ``newton_solve`` takes fixed-point steps with it before Newton-Krylov.
+    Newton stops at max(newton_tol, C eps scale): scale is the norm of
+    rhs_hat, plus that of the preconditioner applied forward to u_hat^n,
+    plus lambda_max times the norm of |u^n|^3 + |slope| |u^n| + |explicit|.
+    The last term bounds the rounding of local(u), which is white and which
+    lambda amplifies at the high modes where u_hat itself is small.  None
+    of it takes a transform.
     """
     lam, u_hat = cache.minus_laplacian_eigenvalues, state.u.spectrum
     shape = state.u.values.shape
@@ -360,22 +361,26 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     scale = norm(rhs_hat) + norm(symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
 
-    # newton_solve applies the Jacobian at the iterate of its last residual,
-    # so the field that residual made is kept, and the slope there found once.
-    iterate = {}
+    # The last iterate taken to the grid, with its field and, once asked for, its slope.
+    last = {"modes": None}
+
+    def at(modes):
+        if modes is not last["modes"]:
+            last.update(modes=modes, values=irfft2(modes, s=shape), slope=None)
+        return last
 
     def residual(modes):
-        iterate["values"] = values = irfft2(modes, s=shape)
-        iterate["slope"] = None
+        values = at(modes)["values"]
         return _project_hermitian(linear * modes - rhs_hat + lam * rfft2(local(values)))
 
     def jacobian(modes, v_hat):
-        if iterate["slope"] is None:
-            iterate["slope"] = local_slope(iterate["values"])
-        return linear * v_hat + lam * rfft2(iterate["slope"] * irfft2(v_hat, s=shape))
+        point = at(modes)
+        if point["slope"] is None:
+            point["slope"] = local_slope(point["values"])
+        return linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, s=shape))
 
-    u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, cfg.newton_max_iter,
-                                   lambda r: r / symbol, cfg.krylov_tol, norm)
+    u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
+                                   lambda r: r / symbol, norm)
     u = _step_field(state.u.geometry, _snap_mass(irfft2(u_hat, s=shape), mean(state.u)))
     omega_vals = local(u.values)
     if gap is not None:  # from the spectrum of u itself, as chemical_potential takes it

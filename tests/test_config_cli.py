@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nchsolver import ConfigError, Field, GridGeometry
+from nchsolver import ConfigError, Field, GridGeometry, RunOptions, SchemeConfig
 from nchsolver.cli import main
 from nchsolver.config import (apply_overrides, build_initial_field, build_kernel,
                               build_scheme_config, emit_config, load_config,
@@ -59,6 +59,34 @@ def test_parse_requires_conditional_keys():
     text = BASE.format(out="o").replace("backward_euler", "ssi1")
     with pytest.raises(ConfigError, match="model.potential.K"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("cls, kwargs, match", [
+    pytest.param(SchemeConfig, {"scheme": "crank_nicolson"}, "unknown scheme", id="scheme"),
+    pytest.param(SchemeConfig, {"tau": 0.0}, "time step must be positive", id="tau"),
+    pytest.param(SchemeConfig, {"epsilon": -1.0}, "interface parameter", id="epsilon"),
+    pytest.param(SchemeConfig, {"stabilization": -1.0}, "stabilization constant", id="S"),
+    pytest.param(SchemeConfig, {"cutoff": 1.0}, "truncation point K", id="cutoff"),
+    pytest.param(SchemeConfig, {"newton_tol": 0.0}, "Newton tolerance", id="newton_tol"),
+    pytest.param(SchemeConfig, {"stability_policy": "strict"}, "unknown stability policy",
+                 id="policy"),
+    pytest.param(SchemeConfig, {"potential_variant": "quartic"}, "unknown potential variant",
+                 id="potential"),
+    pytest.param(SchemeConfig, {"scheme": "convex_splitting", "potential_variant": "truncated"},
+                 "double-well potential only", id="convex_splitting_truncated"),
+    pytest.param(SchemeConfig, {"scheme": "two_li", "potential_variant": "double_well"},
+                 "requires the truncated potential", id="two_li_double_well"),
+    pytest.param(RunOptions, {"max_steps": 0}, "max_steps", id="max_steps"),
+    pytest.param(RunOptions, {"record_every": 0}, "record_every", id="record_every"),
+    pytest.param(RunOptions, {"snapshot_every": -1}, "snapshot_every", id="snapshot_every"),
+    pytest.param(RunOptions, {"snapshot_every": 5}, "no snapshot directory", id="snapshot_dir"),
+])
+def test_library_configs_validate_without_the_schema(cls, kwargs, match):
+    # Library callers build these directly, with no config schema in front.
+    base = {SchemeConfig: dict(scheme="backward_euler", tau=0.1, epsilon=1.0),
+            RunOptions: dict(max_steps=10)}[cls]
+    with pytest.raises(ConfigError, match=match):
+        cls(**{**base, **kwargs})
 
 
 def test_round_trip_is_idempotent():
@@ -147,6 +175,16 @@ def test_cli_run_malformed_key_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASE.format(out="o") + "grid.shape = 3\n")
     assert main(["run", str(cfg)]) == 2
     assert "grid.shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["solver.krylov_tol", "solver.newton_max_iter"])
+def test_cli_run_removed_solver_keys_exit_2(tmp_path, capsys, key):
+    # Templates of older versions wrote both keys; they are unknown keys now.
+    text = BASE.format(out="o")
+    cfg = _write_config(tmp_path, text + f"{key} = 1\n")
+    assert main(["run", str(cfg)]) == 2
+    line = len(text.splitlines()) + 1
+    assert f"line {line}: unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
@@ -320,7 +358,7 @@ def test_cli_run_overflowing_scales_exits_2(tmp_path, capsys):
 
 def test_cli_check_reports_inadmissible_ssi1_under_enforce(tmp_path, capsys):
     # S = 1 < beta/2 = 5.5: check prints the margin and the verdict under
-    # every policy, and a run under enforce still refuses the configuration.
+    # every policy, and a run under enforce rejects its first step.
     text = BASE.format(out=tmp_path / "out").replace("backward_euler", "ssi1") \
         + "model.potential.K = 2.0\nscheme.S = 1.0\n"
     outputs = {}
@@ -332,8 +370,8 @@ def test_cli_check_reports_inadmissible_ssi1_under_enforce(tmp_path, capsys):
         assert "margin: -4.5\n" in outputs[policy]
         assert outputs[policy].endswith("verdict: inadmissible\n")
     assert outputs["enforce"] == outputs["warn"]
-    assert main(["run", str(tmp_path / "enforce.cfg")]) == 2
-    assert "ssi1 under the enforce policy needs S >= beta/2" in capsys.readouterr().err
+    assert main(["run", str(tmp_path / "enforce.cfg")]) == 3
+    assert "step 1: ssi1 inadmissible" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_cli_check_ssi1_at_boundary(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec,
+from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, RunOptions,
                        SchemeConfig, SchemeState, SolverError, StabilityError, StateError,
                        advance, chemical_potential, check_solvability, energy,
-                       make_cache, mean, newton_solve, norm2, project_zero_mean, sample_kernel)
-from nchsolver import solvers, steppers
+                       make_cache, mean, newton_solve, norm2, project_zero_mean,
+                       random_initial_field, run, sample_kernel)
+from nchsolver import kernels, solvers, steppers
 from nchsolver.spectral import laplacian, laplacian_apply, norm_neg1
 from nchsolver.steppers import SCHEMES, TWO_STEP_SCHEMES, bootstrap_config, step
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
@@ -352,13 +353,12 @@ def test_state_mass_invariant():
         SchemeState(u=Field.constant(GEO, 0.1), u_prev=Field.constant(GEO, 0.2))
 
 
-def test_ssi1_config_invariant_under_enforce():
-    with pytest.raises(ConfigError):
-        SchemeConfig(scheme="ssi1", tau=0.1, epsilon=1.0, stabilization=1.0, cutoff=2.0,
-                     stability_policy="enforce")
-    # The same constants are constructible under warn/ignore.
-    SchemeConfig(scheme="ssi1", tau=0.1, epsilon=1.0, stabilization=1.0, cutoff=2.0,
-                 stability_policy="warn")
+def test_ssi1_config_invariant_under_enforce(rng):
+    # S = 1 < beta/2 = 5.5 builds under every policy: advance applies the rule.
+    cfg = SchemeConfig(scheme="ssi1", tau=0.1, epsilon=1.0, stabilization=1.0, cutoff=2.0,
+                       stability_policy="enforce")
+    with pytest.raises(StabilityError, match=r"ssi1 inadmissible .*margin = -4\.5"):
+        advance(_perturbed_state(rng), cfg, GAUSS, CACHE)
 
 
 def test_bootstrap_config_selection():
@@ -409,6 +409,29 @@ def test_newton_exact_preconditioner_needs_no_jacobian(rng):
     assert np.abs(u - b / d).max() <= 1e-15
 
 
+def test_newton_rejected_fixed_point_trial_costs_no_second_residual(rng):
+    # A preconditioner pointing uphill makes the fixed-point trial worse, so it
+    # is dropped; Newton then applies the Jacobian at the kept guess without
+    # evaluating the guess's residual again.
+    a = rng.uniform(-1, 1, (4, 4))
+    u0 = np.zeros((4, 4))
+    evaluated_at, applied_at = [], []
+
+    def residual(u):
+        evaluated_at.append(u.copy())
+        return u - a
+
+    def jacobian(u, v):
+        applied_at.append(u.copy())
+        return v
+
+    u, iters, _ = newton_solve(residual, jacobian, u0, 1e-12, 10, lambda r: -r)
+    assert iters == 1 and np.abs(u - a).max() <= 1e-12
+    # The guess, the dropped trial and the Newton step, once each.
+    assert len(evaluated_at) == 3
+    assert applied_at and all(np.array_equal(at, u0) for at in applied_at)
+
+
 def test_newton_nonconvergence_raises_with_history():
     # Residual with no root: r(u) = u^2 + 1 elementwise.
     with pytest.raises(SolverError) as excinfo:
@@ -446,6 +469,26 @@ def test_newton_step_stops_at_the_rounding_floor(rng):
         cfg = _cfg(scheme, tau=1e-4, newton_tol=1e-30)
         result = step(state, cfg, kernel, make_cache(geo))
         assert 1 <= result.newton_iters <= 5
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
+def test_newton_step_with_a_nonpositive_preconditioner_symbol_fails_as_a_solver_error(scheme):
+    # Far outside the admissible step sizes, a + lambda (slope + G) <= 0 at 62
+    # half-spectrum modes; the preconditioner falls back there, and the solve
+    # stagnates into a SolverError (bdf2's fresh state takes backward Euler).
+    geo = GridGeometry(32, 1.0)
+    cache = make_cache(geo)
+    kernel = sample_kernel(KernelSpec.gaussian(76.4, 200.0), geo)
+    cfg = _cfg(scheme, tau=5.0, stability_policy="ignore")
+    symbol = 1.0 / cfg.tau + cache.minus_laplacian_eigenvalues * (
+        kernels.nonlocal_gap(kernel, cfg.epsilon**2) - 1.0)
+    assert np.count_nonzero(symbol <= 0.0) == 62
+    u0 = random_initial_field(geo, 0.0, 0.5, seed=7)
+    with pytest.raises(SolverError, match="Newton stagnated"):
+        advance(SchemeState(u=u0), cfg, kernel, cache)
+    result = run(u0, cfg, kernel, cache, RunOptions(max_steps=5))
+    assert result.termination == "error"
+    assert result.error_detail.startswith("step 1:") and "Newton stagnated" in result.error_detail
 
 
 # --- mass conservation -------------------------------------------------------
