@@ -14,8 +14,8 @@ from .driver import (DecayProbe, DiagnosticsRecord, RunOptions, RunResult,
                      equilibrium_residual, h1h2_probe, random_initial_field, run)
 from .energetics import (PotentialSpec, chemical_potential, energy, potential_d1,
                          potential_d2, potential_value)
-from .errors import (ConfigError, GeometryMismatchError, NonZeroMeanError,
-                     SolverError, StabilityError, StateError)
+from .errors import (ConfigError, GeometryMismatchError, SolverError, StabilityError,
+                     StateError)
 from .grid import Field, GridGeometry, inner_product, mean, norm2, project_zero_mean
 from .kernels import KernelSpec, SampledKernel, gamma0, sample_kernel
 from .solvers import newton_solve

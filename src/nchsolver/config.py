@@ -30,6 +30,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .driver import RunOptions, random_initial_field
+from .energetics import potential_value
 from .errors import ConfigError
 from .fieldio import read_field
 from .grid import Field, GridGeometry
@@ -75,7 +76,7 @@ _SCHEMA: dict[str, _Key] = {k.name: k for k in (
     _Key("run.eq_tol", "float", default=1e-9, check=_positive("run.eq_tol")),
     _Key("run.record_every", "int", default=1, check=_at_least(1, "run.record_every")),
     _Key("run.snapshot_every", "int", default=0, check=_at_least(0, "run.snapshot_every")),
-    _Key("run.seed", "int", default=0),
+    _Key("run.seed", "int", default=0, check=_at_least(0, "run.seed")),
     _Key("run.init.mean", "float", default=0.0),
     _Key("run.init.delta", "float", default=0.05, check=_at_least(0.0, "run.init.delta")),
     _Key("run.init.snapshot_path", "path"),
@@ -237,6 +238,8 @@ def apply_overrides(values: dict[str, Any], output_dir: Optional[str] = None,
     if output_dir is not None:
         out["output.dir"] = output_dir
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("run.seed must be >= 0")
         out["run.seed"] = int(seed)
     if max_steps is not None:
         if max_steps < 1:
@@ -270,7 +273,8 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
 
     The domain sets the kernel's scales (the squared distances to its
     images, h^2 J): at grid.L = 1e154 they leave the float range and the
-    run would go on with a kernel of mass 2e307.
+    run would go on with a kernel of mass 2e307.  The model scales the
+    kernel by eps^2, and eps^2 [J (*) 1] must stay finite too.
     """
     kind = values["model.kernel.type"]
     if kind == "gaussian":
@@ -282,10 +286,14 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
         spec = KernelSpec.tabulated(_read_field_key(values, "model.kernel.path", geometry).values)
     try:
         with np.errstate(over="raise"):
-            return sample_kernel(spec, geometry)
+            kernel = sample_kernel(spec, geometry)
     except FloatingPointError as err:
         raise ConfigError(f"key 'grid.L': the kernel's scales overflow on a domain of edge "
                           f"{geometry.length!r} with this kernel ({err})") from err
+    epsilon = values["model.epsilon"]
+    if not math.isfinite(epsilon * epsilon * kernel.conv_one):
+        raise ConfigError(f"key 'model.epsilon': eps^2 [J (*) 1] overflows at eps = {epsilon!r}")
+    return kernel
 
 
 def build_scheme_config(values: dict[str, Any]) -> SchemeConfig:
@@ -313,7 +321,23 @@ def build_run_options(values: dict[str, Any], snapshot_dir: Optional[Path]) -> R
 
 
 def build_initial_field(values: dict[str, Any], geometry: GridGeometry) -> Field:
+    """The initial field; one outside the float range, or on which F(u) overflows, is a ConfigError.
+
+    The energy and the step-0 chemical potential need F and F' finite on it.
+    """
     if "run.init.snapshot_path" in values:
-        return _read_field_key(values, "run.init.snapshot_path", geometry)
-    return random_initial_field(geometry, values["run.init.mean"],
-                                values["run.init.delta"], values["run.seed"])
+        keys = "key 'run.init.snapshot_path'"
+        field = _read_field_key(values, "run.init.snapshot_path", geometry)
+    else:
+        keys = "keys 'run.init.mean' and 'run.init.delta'"
+        try:
+            field = random_initial_field(geometry, values["run.init.mean"],
+                                         values["run.init.delta"], values["run.seed"])
+        except (OverflowError, ValueError) as err:  # the sample's range or values overflow
+            raise ConfigError(f"{keys}: the initial field leaves the float range ({err})") from err
+    with np.errstate(over="ignore", invalid="ignore"):
+        bulk = potential_value(build_scheme_config(values).potential, field.values)
+    if not np.isfinite(bulk).all():
+        raise ConfigError(f"{keys}: the potential F(u) overflows on the initial field "
+                          f"(max |u| = {float(np.abs(field.values).max()):.3e})")
+    return field

@@ -34,7 +34,7 @@ from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
-from .spectral import SpectralCache, _forward_differences, _norm_neg1_modes
+from .spectral import SpectralCache, _forward_differences, norm_neg1
 from .steppers import SchemeConfig, SchemeState, advance, modified_energy
 
 
@@ -135,7 +135,7 @@ def _record(step_index: int, time: float, state: SchemeState, previous: Optional
     modified = None
     inc_neg = 0.0
     if previous is not None:
-        inc_neg = _norm_neg1_modes(state.u.spectrum - previous.spectrum, cache)
+        inc_neg = norm_neg1(state.u.spectrum - previous.spectrum, cache)
         modified = modified_energy(cfg, e, inc_neg, increment_l2)
     return DiagnosticsRecord(
         step=step_index,

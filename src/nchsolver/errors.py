@@ -5,10 +5,6 @@ class GeometryMismatchError(ValueError):
     """Two grid objects with incompatible geometries were combined."""
 
 
-class NonZeroMeanError(ValueError):
-    """An operation restricted to zero-mean fields received a field with mass."""
-
-
 class ConfigError(ValueError):
     """Invalid configuration value, key, or kernel/scheme parameter."""
 

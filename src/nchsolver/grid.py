@@ -1,16 +1,15 @@
-"""Cell-centered and edge-centered periodic grid functions on a square domain.
+"""Cell-centered periodic grid functions on a square domain.
 
 The domain is the square (0, L) x (0, L) covered by an N x N uniform grid
 with mesh size h = L/N.  Cell centers sit at ((i+1/2)h, (j+1/2)h) for
-0-based indices i, j; edge midpoints sit halfway between neighbouring cell
-centers.  Periodic wrap is realized by modular index arithmetic (no ghost
-layers), so storage index i and i +/- N address the same value.
+0-based indices i, j.  Periodic wrap is realized by modular index
+arithmetic (no ghost layers), so storage index i and i +/- N address the
+same value.  Edge values -- the forward differences of the staggered grid
+-- are plain arrays (``spectral._forward_differences``), not a type here.
 
 Inner products and norms follow the staggered-grid convention: the raw
 pairing (phi||psi) = sum_ij phi_ij psi_ij is unweighted, the L2 pairing is
-h^2 (phi||psi), and
-
-    ||phi||_2 = sqrt(h^2 (phi||phi)),     ||phi||_4 = (h^2 sum phi^4)^(1/4).
+h^2 (phi||psi), and ||phi||_2 = sqrt(h^2 (phi||phi)).
 
 All reductions accumulate pairwise in extended precision (long double) so
 energy-monotonicity checks are not limited by summation error.  A field is
@@ -126,31 +125,6 @@ class Field:
         return _freeze(rfft2(self.values))
 
 
-@dataclass(frozen=True)
-class EdgeField:
-    """Edge-centered periodic vector field.
-
-    ``x[i, j]`` lives on the vertical edge between cells (i, j) and (i+1, j);
-    ``y[i, j]`` on the horizontal edge between cells (i, j) and (i, j+1).
-    """
-
-    geometry: GridGeometry
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.geometry.n
-        for name in ("x", "y"):
-            comp = np.asarray(getattr(self, name), dtype=np.float64)
-            if comp.shape != (n, n):
-                raise ValueError(f"expected {name}-component of shape ({n}, {n}), got {comp.shape}")
-            if not np.isfinite(comp).all():
-                raise ValueError("edge field values must be finite (no NaN/Inf)")
-            if comp.base is not None or comp.flags.writeable:
-                comp = comp.copy()
-            object.__setattr__(self, name, _freeze(comp))
-
-
 def require_same_geometry(a, b) -> GridGeometry:
     if a.geometry != b.geometry:
         raise GeometryMismatchError(f"geometry mismatch: {a.geometry} vs {b.geometry}")
@@ -164,27 +138,6 @@ def inner_product(phi: Field, psi: Field) -> float:
     """
     require_same_geometry(phi, psi)
     return _reduce(phi.values * psi.values)
-
-
-def edge_inner_x(f: np.ndarray, g: np.ndarray) -> float:
-    """Edge pairing [f||g]_x = (1/2) sum_ij (f g at i+1/2 + f g at i-1/2).
-
-    For periodic data both half-sums run over the same edge set, so this
-    equals the plain sum; the averaged form is kept for the operator
-    identity checks.
-    """
-    return 0.5 * (_reduce(f * g) + _reduce(np.roll(f, 1, axis=0) * np.roll(g, 1, axis=0)))
-
-
-def edge_inner_y(f: np.ndarray, g: np.ndarray) -> float:
-    """Edge pairing [f||g]_y, the y-direction analogue of [f||g]_x."""
-    return 0.5 * (_reduce(f * g) + _reduce(np.roll(f, 1, axis=1) * np.roll(g, 1, axis=1)))
-
-
-def edge_inner_product(f: EdgeField, g: EdgeField) -> float:
-    """Vector pairing [f^x||g^x]_x + [f^y||g^y]_y used by summation by parts."""
-    require_same_geometry(f, g)
-    return edge_inner_x(f.x, g.x) + edge_inner_y(f.y, g.y)
 
 
 def mean(phi: Field) -> float:
@@ -206,7 +159,3 @@ def norm2(phi: Field) -> float:
     """Discrete L2 norm ||phi||_2 = sqrt(h^2 (phi||phi))."""
     return _norm2_values(phi.values, phi.geometry.h)
 
-
-def norm4(phi: Field) -> float:
-    """Discrete L4 norm ||phi||_4 = (h^2 sum phi^4)^(1/4)."""
-    return (phi.geometry.h**2 * _reduce(phi.values**4)) ** 0.25

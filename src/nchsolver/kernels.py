@@ -16,9 +16,10 @@ eps^2 ([J(*)1] phi - [J (*) phi]).  The production path (schemes, chemical
 potential, energy, admissibility check) applies it only through its
 half-spectrum symbol ``nonlocal_gap``, the one place that symbol is built;
 the oracle suite compares it mode by mode with the closed-form eigenvalues.
-``convolve`` (a ``Field`` wrapper of ``convolve_values``) is the reference
-for the convolution itself, with no production caller, which the tests and
-the oracle suite import from here.
+``convolve`` (a ``Field`` wrapper of ``convolve_values``, which multiplies
+``rfft2`` of the values by ``symbol``) is the reference for the convolution
+itself, with no production caller, which the tests and the oracle suite
+import from here.
 
 Supported kernels: a periodized Gaussian c * exp(-xi |x|^2) (folded over a
 configurable number of image cells), a constant kernel, and tabulated
@@ -34,11 +35,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import rfft2
+from scipy.fft import irfft2, rfft2
 
 from .errors import ConfigError
 from .grid import Field, GridGeometry, require_same_geometry
-from .spectral import apply_symbol
 
 KERNEL_VARIANTS = ("gaussian", "constant", "tabulated")
 
@@ -167,7 +167,7 @@ def convolve(kernel: SampledKernel, phi: Field) -> Field:
 
 def convolve_values(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolution [J (*) phi] of the values of phi."""
-    return apply_symbol(values, kernel.symbol)
+    return irfft2(rfft2(values) * kernel.symbol, s=values.shape)
 
 
 def gamma0(kernel: SampledKernel, epsilon: float) -> float:

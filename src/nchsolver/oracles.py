@@ -41,10 +41,6 @@ def naive_norm2(a: np.ndarray, h: float) -> float:
     return h * np.sqrt(naive_inner_product(a, a))
 
 
-def naive_norm4(a: np.ndarray, h: float) -> float:
-    return (h**2 * naive_inner_product(a * a, a * a)) ** 0.25
-
-
 def dense_1d_second_difference(n: int, h: float) -> np.ndarray:
     """Dense matrix of minus the periodic 1D second difference."""
     m = np.zeros((n, n))
@@ -72,28 +68,6 @@ def laplacian_eigenvalue_formula(geometry: GridGeometry) -> np.ndarray:
             out[k, l] = (2.0 / h**2) * (2.0 - np.cos(2.0 * np.pi * k / n)
                                         - np.cos(2.0 * np.pi * l / n))
     return out
-
-
-def eigenvalue_table_csv(path, geometry: GridGeometry) -> None:
-    """Write (k, l, lambda_formula, lambda_dense) rows for the Laplacian modes.
-
-    The dense column is matched to the formula by magnitude ranking, which is
-    enough for eyeballing agreement; exact pairing is what the tests assert.
-    """
-    from pathlib import Path
-
-    formula = laplacian_eigenvalue_formula(geometry)
-    dense_sorted = np.linalg.eigvalsh(dense_minus_laplacian(geometry))
-    order = np.argsort(formula.ravel(), kind="stable")
-    dense_by_mode = np.empty(formula.size)
-    dense_by_mode[order] = dense_sorted
-    lines = ["k,l,lambda_formula,lambda_dense"]
-    n = geometry.n
-    for k in range(n):
-        for l in range(n):
-            lines.append(f"{k},{l},{float(formula[k, l])!r},"
-                         f"{float(dense_by_mode[k * n + l])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def dense_minus_laplacian_pinv(geometry: GridGeometry) -> np.ndarray:

@@ -50,13 +50,14 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  tol: float,
                  max_iter: int,
                  preconditioner: Callable[[np.ndarray], np.ndarray],
-                 norm: Callable[[np.ndarray], float] | None = None) -> tuple[np.ndarray, int, list[float]]:
+                 norm: Callable[[np.ndarray], float]) -> tuple[np.ndarray, int, list[float]]:
     """Solve residual_map(u) = 0 by preconditioned fixed-point steps, then Newton-Krylov.
 
     ``u_init`` is a real or complex array; the callables receive and return
-    arrays of its shape and dtype, and ``jacobian_apply(u, v)`` applies the
-    Jacobian at ``u`` to ``v``.  A fixed-point trial that does not lower the
-    residual is dropped, and Newton-Krylov takes that iteration instead.
+    arrays of its shape and dtype, ``jacobian_apply(u, v)`` applies the
+    Jacobian at ``u`` to ``v``, and ``norm`` measures a residual.  A
+    fixed-point trial that does not lower the residual is dropped, and
+    Newton-Krylov takes that iteration instead.
     Returns (solution, iterations, residual history), the iterations
     counting fixed-point and Newton steps alike; ``max_iter`` bounds their
     sum.  The initial guess is returned unchanged with zero iterations when
@@ -64,8 +65,6 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
     residual history, its message counting the inner solves that did not
     converge) when ``max_iter`` iterations do not reach ``tol``.
     """
-    if norm is None:
-        norm = lambda r: float(np.sqrt(np.sum(_float_view(r)**2, dtype=np.longdouble)))
     u = np.array(u_init, dtype=np.result_type(u_init, np.float64))
     shape, dtype = u.shape, u.dtype
     size = _float_view(u).size

@@ -1,42 +1,41 @@
-"""Discrete differential operators on the periodic staggered grid.
+"""The discrete Laplacian of the periodic staggered grid, applied through its DFT symbol.
 
-The gradient maps cell values to edge values by forward differences, the
-divergence maps edge values back by backward differences, and the Laplacian
-is their composition -- the standard 5-point periodic stencil.  The forward
-differences are written once (``_forward_differences``), for ``gradient``,
-the array-level stencil ``laplacian_apply`` and the driver's gradient norm.
-All three operators are circulant, hence diagonal in the discrete Fourier
-basis: the mode (k, l) of minus the Laplacian carries the eigenvalue
+Forward differences map cell values to edge values, backward differences
+map edge values back, and minus their composition is minus the Laplacian --
+the standard 5-point periodic stencil.  The forward differences are written
+once (``_forward_differences``), for the array-level stencil
+``laplacian_apply`` and the driver's gradient norm.  The stencil is
+circulant, hence diagonal in the discrete Fourier basis: the mode (k, l) of
+minus the Laplacian carries the eigenvalue
 
     lambda_{k,l} = (2/h^2) (2 - cos(2 pi k / N) - cos(2 pi l / N)) >= 0,
 
 with a simple zero at the constant mode (k = l = 0).  On zero-mean fields
-minus the Laplacian is invertible; the inverse and the induced negative
-norm ||u||_{-1} = sqrt(h^2 ((-Lap)^{-1} u || u)) are computed by dividing
-DFT coefficients by lambda and zeroing the constant mode.
+minus the Laplacian is invertible; its inverse multiplies DFT coefficients
+by 1/lambda and zeroes the constant mode, and the induced negative norm is
+||u||_{-1} = sqrt(h^2 ((-Lap)^{-1} u || u)).
 
 The production path uses real transforms on the half spectrum of modes
 l = 0..N/2 (N x (N/2+1), all values of a real even symbol).  A ``Field``
 keeps its own half spectrum (``Field.spectrum``), so applying a symbol to a
-field (``_apply_to_field``) takes one ``irfft2``; ``apply_symbol`` is the
-same apply to bare values, with an ``rfft2`` in front.  Quadratic forms
-(v || A v) of such an operator -- the negative norm here, the nonlocal
-energy in :mod:`nchsolver.energetics` -- are one modal sum by Parseval over
-the spectrum of v, taken by the one private helper ``_modal_sum``, which
-holds the rule that interior half-spectrum columns count twice.  The only
-transforms are ``scipy.fft.rfft2`` and ``irfft2(..., s=(N, N))``; the
-oracle suite checks them against a direct DFT sum.
+field (``_apply_to_field``) takes one ``irfft2``.  Quadratic forms
+(v || A v) of such an operator -- the negative norm ``norm_neg1`` here, the
+nonlocal energy in :mod:`nchsolver.energetics` -- are one modal sum by
+Parseval over the spectrum of v, taken by the one private helper
+``_modal_sum``, which holds the rule that interior half-spectrum columns
+count twice.  The only transforms are ``scipy.fft.rfft2`` and
+``irfft2(..., s=(N, N))``; the oracle suite checks them against a direct
+DFT sum.
 
 The symbol lambda is built by one formula, ``laplacian_eigenvalues``: all
 N x N modes for the oracles, which compare them with dense matrices, and
 columns 0..N/2 alone for ``make_cache``, which stores that half spectrum as
 ``SpectralCache.minus_laplacian_eigenvalues``, through which every
 scheme's solve applies the Laplacian, and 1/lambda (0 at the constant mode)
-as ``inverse_eigenvalues``, the weights every ||.||_{-1} of the diagnostics
-reads.  The stencils ``laplacian`` and ``laplacian_apply`` are the
-reference those applies are tested against.  The dense matrix of minus the
-Laplacian is never assembled here; it exists only in the test oracles that
-validate these symbols.
+as ``inverse_eigenvalues``, the weights of ``norm_neg1``.  The stencil
+``laplacian_apply`` is the reference those applies are tested against.
+The dense matrix of minus the Laplacian is never assembled here; it exists
+only in the test oracles that validate these symbols.
 """
 
 from __future__ import annotations
@@ -45,14 +44,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from scipy.fft import irfft2
 
-from .errors import NonZeroMeanError
-from .grid import EdgeField, Field, GridGeometry, _freeze, mean, norm2
-
-# Relative tolerance under which a nominally zero-mean input is accepted
-# and silently projected before inverting the Laplacian.
-ZERO_MEAN_RTOL = 1e-12
+from .grid import Field, GridGeometry, _freeze
 
 
 def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
@@ -65,13 +59,11 @@ def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None)
     return (2.0 / h**2) * (2.0 - np.add.outer(c, c[:columns]))
 
 
-def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Apply the circulant operator with a half-spectrum symbol to real values."""
-    return irfft2(rfft2(values) * symbol, s=values.shape)
-
-
 def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
-    """``apply_symbol`` to the values of phi, from the spectrum the field keeps."""
+    """Values of the circulant operator with a half-spectrum symbol applied to phi.
+
+    Reads the spectrum the field keeps, so it takes one ``irfft2``.
+    """
     return irfft2(phi.spectrum * symbol, s=phi.values.shape)
 
 
@@ -109,50 +101,13 @@ def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.n
     return (np.roll(values, -1, axis=0) - values) / h, (np.roll(values, -1, axis=1) - values) / h
 
 
-def gradient(phi: Field) -> EdgeField:
-    """Center-to-edge forward differences (D_x phi, D_y phi)."""
-    return EdgeField(phi.geometry, *_forward_differences(phi.values, phi.geometry.h))
-
-
-def divergence(f: EdgeField) -> Field:
-    """Edge-to-center backward differences d_x f^x + d_y f^y."""
-    h = f.geometry.h
-    dx = (f.x - np.roll(f.x, 1, axis=0)) / h
-    dy = (f.y - np.roll(f.y, 1, axis=1)) / h
-    return Field(f.geometry, dx + dy)
-
-
-def laplacian(phi: Field) -> Field:
-    """5-point periodic Laplacian, realized exactly as divergence(gradient(phi))."""
-    return divergence(gradient(phi))
-
-
 def laplacian_apply(values: np.ndarray, h: float) -> np.ndarray:
-    """Array-level 5-point stencil, equal to ``laplacian``; the reference for the symbol applies."""
+    """Array-level 5-point stencil, the backward differences of ``_forward_differences``.
+
+    The reference the symbol applies are tested against.
+    """
     gx, gy = _forward_differences(values, h)
     return (gx - np.roll(gx, 1, axis=0)) / h + (gy - np.roll(gy, 1, axis=1)) / h
-
-
-def _zero_mean_values(phi: Field, what: str) -> np.ndarray:
-    """Check the zero-mean precondition and return mean-projected values."""
-    m = mean(phi)
-    bound = ZERO_MEAN_RTOL * norm2(phi) / np.sqrt(phi.geometry.area)
-    if abs(m) > bound:
-        raise NonZeroMeanError(
-            f"{what} is only defined for zero-mean fields: |mean| = {abs(m):.3e} "
-            f"exceeds {bound:.3e}"
-        )
-    return phi.values - m
-
-
-def inverse_laplacian_zero_mean(phi: Field, cache: SpectralCache) -> Field:
-    """Solve -Lap(psi) = phi for the zero-mean psi, via the spectral inverse."""
-    values = _zero_mean_values(phi, "the inverse Laplacian")
-    lam = cache.minus_laplacian_eigenvalues
-    modes = rfft2(values)
-    out = np.zeros_like(modes)
-    np.divide(modes, lam, out=out, where=lam > 0.0)
-    return Field(phi.geometry, irfft2(out, s=values.shape))
 
 
 def _modal_sum(symbol: np.ndarray, modes: np.ndarray) -> float:
@@ -196,18 +151,10 @@ def _project_hermitian(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _norm_neg1_modes(modes: np.ndarray, cache: SpectralCache) -> float:
-    """||.||_{-1} of the zero-mean part of the field with half spectrum ``modes``.
+def norm_neg1(modes: np.ndarray, cache: SpectralCache) -> float:
+    """Negative norm ||v||_{-1} = sqrt(h^2 ((-Lap)^{-1} v || v)) of the field with half spectrum ``modes``.
 
-    The constant mode carries no weight, so the mean never needs removing.
+    It measures the zero-mean part of v: the constant mode carries no
+    weight, so the mean never needs removing.
     """
     return float(np.sqrt(cache.geometry.h**2 * _modal_sum(cache.inverse_eigenvalues, modes)))
-
-
-def norm_neg1(phi: Field, cache: SpectralCache) -> float:
-    """Negative-order norm ||phi||_{-1} = sqrt(h^2 ((-Lap)^{-1} phi || phi)).
-
-    Defined for zero-mean fields only; inputs within the zero-mean tolerance
-    are projected before inversion.
-    """
-    return _norm_neg1_modes(rfft2(_zero_mean_values(phi, "the negative-order norm")), cache)

@@ -29,8 +29,9 @@ Both operators are diagonal in the DFT basis and applied only through their
 half-spectrum symbols: -Lap through lambda =
 ``cache.minus_laplacian_eigenvalues`` and the nonlocal operator
 eps^2 ([J(*)1] u - [J (*) u]) through G = ``kernels.nonlocal_gap``, built
-once per step.  The 5-point stencil ``spectral.laplacian_apply`` is the
-reference the steps are tested against, not a production path.  What the
+once per step.  The 5-point stencil ``spectral.laplacian_apply``, the one
+stencil of the library, is the reference the steps are tested against, not
+a production path.  What the
 convergence proof needs of each scheme is the functional it dissipates:
 the energy E for the one-step schemes, and for the two-step ones the
 modified energy ``modified_energy``, the one place it is written.
@@ -57,7 +58,7 @@ Each level is transformed forward at most once: a step reads rfft2(u^n)
 (and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
 for the right-hand side rfft2(rhs) and the Newton guess, and the spectrum
 of the new level, taken once, serves omega's nonlocal part, the record's
-energy and ||du||_{-1}, and the next step.  All transforms come from
+energy and ||du||_{-1} (``spectral.norm_neg1``), and the next step.  All transforms come from
 ``scipy.fft``.
 
 The fully implicit potential (backward Euler and BDF2, which differ only in

@@ -40,24 +40,30 @@ def _gaussian_kernel(geometry: GridGeometry) -> kernels.SampledKernel:
 
 
 def check_summation_by_parts() -> CheckResult:
-    """Both operator identities tying gradient, divergence and Laplacian."""
+    """Both operator identities tying the forward differences to the stencil and to the symbol."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for n in (4, 8):
         geometry = GridGeometry(n, 1.0)
-        h2 = geometry.h**2
+        h, h2 = geometry.h, geometry.h**2
+        minus_lambda = -spectral.make_cache(geometry).minus_laplacian_eigenvalues
+        laplacians = (lambda f: spectral.laplacian_apply(f.values, h),
+                      lambda f: spectral._apply_to_field(f, minus_lambda))
         for _ in range(40):
             phi, psi = _random_field(geometry, rng), _random_field(geometry, rng)
-            lap_psi = spectral.laplacian(psi)
-            lhs = h2 * grid.edge_inner_product(spectral.gradient(phi), spectral.gradient(psi))
-            rhs = -h2 * grid.inner_product(phi, lap_psi)
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-            adj = h2 * grid.inner_product(spectral.laplacian(phi), psi)
-            sym = h2 * grid.inner_product(phi, lap_psi)
-            scale = max(abs(adj), abs(sym), 1e-30)
-            worst = max(worst, abs(adj - sym) / scale)
-    return _result("summation-by-parts", worst, 1e-12, "gradient/divergence adjointness, N in {4, 8}")
+            # The edge pairing (D phi || D psi), component by component.
+            edges = zip(spectral._forward_differences(phi.values, h),
+                        spectral._forward_differences(psi.values, h))
+            lhs = h2 * sum(grid.inner_product(Field(geometry, a), Field(geometry, b)) for a, b in edges)
+            for laplacian in laplacians:
+                rhs = -h2 * grid.inner_product(phi, Field(geometry, laplacian(psi)))
+                scale = max(abs(lhs), abs(rhs), 1e-30)
+                worst = max(worst, abs(lhs - rhs) / scale)
+                adj = h2 * grid.inner_product(Field(geometry, laplacian(phi)), psi)
+                scale = max(abs(adj), abs(rhs), 1e-30)
+                worst = max(worst, abs(adj + rhs) / scale)
+    return _result("summation-by-parts", worst, 1e-12,
+                   "forward differences vs stencil and symbol, N in {4, 8}")
 
 
 def check_laplacian_eigenvalues() -> CheckResult:
@@ -113,7 +119,7 @@ def check_convolution() -> CheckResult:
 
 
 def check_inverse_laplacian() -> CheckResult:
-    """Spectral inverse vs dense pseudo-inverse plus residual of the solve."""
+    """Inverse symbol 1/lambda vs dense pseudo-inverse plus the stencil residual of the solve."""
     rng = np.random.default_rng(13)
     geometry = GridGeometry(8, 1.0)
     cache = spectral.make_cache(geometry)
@@ -121,11 +127,11 @@ def check_inverse_laplacian() -> CheckResult:
     worst = 0.0
     for _ in range(5):
         phi = grid.project_zero_mean(_random_field(geometry, rng))
-        psi = spectral.inverse_laplacian_zero_mean(phi, cache)
+        psi = spectral._apply_to_field(phi, cache.inverse_eigenvalues)
         reference = pinv @ phi.values.ravel()
         scale = max(float(np.abs(reference).max()), 1e-30)
-        worst = max(worst, float(np.abs(psi.values.ravel() - reference).max()) / scale)
-        residual = spectral.laplacian(psi).values + phi.values
+        worst = max(worst, float(np.abs(psi.ravel() - reference).max()) / scale)
+        residual = spectral.laplacian_apply(psi, geometry.h) + phi.values
         worst = max(worst, geometry.h * float(np.linalg.norm(residual)) / max(grid.norm2(phi), 1e-30))
     return _result("inverse-laplacian", worst, 1e-10, "dense pseudo-inverse and residual at N = 8")
 
@@ -141,7 +147,7 @@ def check_negative_norm() -> CheckResult:
         phi = grid.project_zero_mean(_random_field(geometry, rng))
         vec = phi.values.ravel()
         reference = np.sqrt(geometry.h**2 * float(vec @ (pinv @ vec)))
-        value = spectral.norm_neg1(phi, cache)
+        value = spectral.norm_neg1(phi.spectrum, cache)
         worst = max(worst, abs(value - reference) / max(reference, 1e-30))
     return _result("negative-norm", worst, 1e-10, "dense quadratic form at N = 8")
 

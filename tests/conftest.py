@@ -41,5 +41,5 @@ def recomposed_modified_energy(u, du, tau, kernel, epsilon, cache, spec, beta=0.
     two_li) by a path independent of ``steppers.modified_energy``, which the
     records and that function are checked against.
     """
-    return energy(u, kernel, epsilon, spec) + norm_neg1(du, cache) ** 2 / (4.0 * tau) \
+    return energy(u, kernel, epsilon, spec) + norm_neg1(du.spectrum, cache) ** 2 / (4.0 * tau) \
         + 0.5 * beta * norm2(du) ** 2

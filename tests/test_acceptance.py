@@ -14,12 +14,12 @@ from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig
                        SchemeState, check_solvability, energy, gamma0, inner_product,
                        make_cache, mean, norm2, project_zero_mean, random_initial_field, run,
                        sample_kernel)
-from nchsolver.grid import edge_inner_product
 from nchsolver.kernels import convolve
 from nchsolver.oracles import (dense_linear_step, dense_minus_laplacian,
                                dense_nonlinear_step, dense_nonlocal_matrix,
                                direct_convolution, nonlocal_eigenvalue_formula)
-from nchsolver.spectral import gradient, laplacian, laplacian_eigenvalues
+from nchsolver.spectral import (_apply_to_field, _forward_differences, laplacian_apply,
+                                laplacian_eigenvalues)
 from nchsolver.steppers import TWO_STEP_SCHEMES, advance, step
 
 from conftest import recomposed_modified_energy
@@ -61,21 +61,28 @@ def _report(number, text):
 
 
 def test_c01_summation_by_parts():
+    # The forward differences against both Laplacians: the stencil and the
+    # symbol apply the schemes use.
     rng = np.random.default_rng(101)
     started = time.perf_counter()
     worst = 0.0
     for n in (4, 8, 16):
         geo = GridGeometry(n, 1.0)
-        h2 = geo.h**2
+        h, h2 = geo.h, geo.h**2
+        minus_lambda = -make_cache(geo).minus_laplacian_eigenvalues
+        laplacians = (lambda f: laplacian_apply(f.values, h),
+                      lambda f: _apply_to_field(f, minus_lambda))
         for _ in range(100):
             phi = Field(geo, rng.uniform(-1, 1, (n, n)))
             psi = Field(geo, rng.uniform(-1, 1, (n, n)))
-            lap_psi = laplacian(psi)
-            lhs = h2 * edge_inner_product(gradient(phi), gradient(psi))
-            rhs = -h2 * inner_product(phi, lap_psi)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-            adj = h2 * inner_product(laplacian(phi), psi)
-            worst = max(worst, abs(adj - (-lhs)) / max(abs(adj), abs(lhs), 1e-30))
+            lhs = h2 * sum(inner_product(Field(geo, a), Field(geo, b))
+                           for a, b in zip(_forward_differences(phi.values, h),
+                                           _forward_differences(psi.values, h)))
+            for laplacian in laplacians:
+                rhs = -h2 * inner_product(phi, Field(geo, laplacian(psi)))
+                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+                adj = h2 * inner_product(Field(geo, laplacian(phi)), psi)
+                worst = max(worst, abs(adj - (-lhs)) / max(abs(adj), abs(lhs), 1e-30))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-12
     assert elapsed < 1.0

@@ -320,6 +320,31 @@ def test_cli_non_finite_float_exits_2(tmp_path, capsys, assignment):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, assignment, flags", [
+    pytest.param("run", "run.seed = -1", [], id="run-seed"),
+    pytest.param("check", "run.seed = -1", [], id="check-seed"),
+    pytest.param("run", "", ["--seed", "-5"], id="run-seed-flag"),
+    pytest.param("check", "", ["--seed", "-5"], id="check-seed-flag"),
+    pytest.param("run", "run.init.delta = 1e308", [], id="run-delta"),
+    pytest.param("run", "model.epsilon = 1e200", [], id="run-epsilon"),
+    pytest.param("check", "model.epsilon = 1e200", [], id="check-epsilon"),
+    pytest.param("run", "run.init.mean = 1e200", [], id="run-mean"),
+])
+def test_cli_out_of_range_value_exits_2(tmp_path, capsys, command, assignment, flags):
+    # Finite values that numpy rejected (a negative seed, a sample range that
+    # overflows) or that overflow eps^2 or F(u) ended in a traceback, exit 1.
+    key = assignment.split(" = ")[0] or "run.seed"
+    lines = [l for l in BASE.format(out=tmp_path / "out").splitlines()
+             if not (assignment and l.startswith(key + " "))]
+    cfg = _write_config(tmp_path, "\n".join(lines + [assignment]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and key in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("length", ["1e308", "1e-200"])
 def test_cli_out_of_range_grid_length_exits_2(tmp_path, capsys, length):
     # Finite, but L^2 or 1/h^2 overflows: the kernel's sampling would end in

@@ -12,9 +12,10 @@ from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, 
                        RunOptions, SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
                        h1h2_probe, make_cache, mean, norm2, project_zero_mean,
                        random_initial_field, run, sample_kernel)
-from nchsolver.spectral import gradient, norm_neg1
+from nchsolver.spectral import _forward_differences, norm_neg1
 from nchsolver import kernels, solvers, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
+from nchsolver.oracles import dense_minus_laplacian_pinv
 
 from conftest import recomposed_modified_energy
 
@@ -220,7 +221,27 @@ def test_records_match_public_functionals(scheme):
                                               pot, cfg.beta if scheme == "two_li" else 0.0)
         assert close(record.energy, energy(state.u, kernel, cfg.epsilon, pot))
         assert close(record.modified_energy, modified)
-        assert close(record.increment_hneg1, norm_neg1(du, CACHE))
+        assert close(record.increment_hneg1, norm_neg1(du.spectrum, CACHE))
+
+
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_record_increment_hneg1_matches_dense_quadratic_form(scheme):
+    # The record's ||du||_{-1} against sqrt(h^2 v . pinv v) with the dense
+    # pseudo-inverse of minus the Laplacian, independent of the DFT.
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO)
+    cfg = _cfg(scheme, tau=2e-3)
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=37)
+    result = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=4, eq_tol=1e-14))
+    pinv = dense_minus_laplacian_pinv(GEO)
+    assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
+    state = SchemeState(u=u0)
+    for record in result.records[1:]:
+        previous = state.u
+        state, _ = advance(state, cfg, kernel, CACHE)
+        v = (state.u.values - previous.values).ravel()
+        expected = math.sqrt(GEO.h**2 * float(v @ (pinv @ v)))
+        assert expected > 0.0
+        assert abs(record.increment_hneg1 - expected) <= 1e-10 * expected
 
 
 @pytest.mark.parametrize("scheme", ["bdf2", "two_li"])
@@ -238,8 +259,8 @@ def test_loop_norms_equal_field_definitions(scheme):
     for record in result.records[1:]:
         previous = state.u
         state, step = advance(state, cfg, kernel, cache)
-        g = gradient(step.omega)
-        squares = np.sum(g.x * g.x, dtype=np.longdouble) + np.sum(g.y * g.y, dtype=np.longdouble)
+        gx, gy = _forward_differences(step.omega.values, geo.h)
+        squares = np.sum(gx * gx, dtype=np.longdouble) + np.sum(gy * gy, dtype=np.longdouble)
         assert record.increment_l2 == norm2(Field(geo, state.u.values - previous.values))
         assert record.omega_variance == norm2(project_zero_mean(step.omega))
         assert record.grad_omega_l2 == geo.h * math.sqrt(float(squares))
@@ -248,9 +269,8 @@ def test_loop_norms_equal_field_definitions(scheme):
 @pytest.mark.parametrize("scheme", steppers.SCHEMES)
 def test_production_path_never_calls_reference_code(scheme, monkeypatch):
     # Steps and records apply every operator through its symbol; the direct
-    # convolution, the stencil and the public negative norm are references only.
-    references = (kernels.convolve, kernels.convolve_values, spectral.laplacian_apply,
-                  spectral.norm_neg1)
+    # convolution and the stencil are references only.
+    references = (kernels.convolve, kernels.convolve_values, spectral.laplacian_apply)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("reference code called on the production path")
@@ -264,7 +284,7 @@ def test_production_path_never_calls_reference_code(scheme, monkeypatch):
                 if any(value is ref for ref in references):
                     monkeypatch.setattr(module, attr, forbidden)
                     patched.add(attr)
-    assert patched == {"convolve", "convolve_values", "laplacian_apply", "norm_neg1"}
+    assert patched == {"convolve", "convolve_values", "laplacian_apply"}
     geo = GridGeometry(8, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
     u0 = random_initial_field(geo, 0.0, 0.05, seed=43)

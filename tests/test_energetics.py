@@ -126,7 +126,7 @@ def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kern
     for scheme, cutoff in (("bdf2", 2.0), ("two_li", 2.0)):
         cfg = SchemeConfig(scheme, 0.5, 1.0, cutoff=cutoff, stability_policy="ignore")
         base = energy(u, gaussian_kernel8, 1.0, cfg.potential)
-        assert modified_energy(cfg, base, norm_neg1(du, cache8), norm2(du)) == base
+        assert modified_energy(cfg, base, norm_neg1(du.spectrum, cache8), norm2(du)) == base
         assert recomposed_modified_energy(u, du, 0.5, gaussian_kernel8, 1.0, cache8,
                                           cfg.potential, cfg.beta) == pytest.approx(base)
 
@@ -136,7 +136,7 @@ def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kern
     du = project_zero_mean(random_field(geo8, rng, scale=0.1))
     tau = 0.25
     e = energy(u, gaussian_kernel8, 1.0)
-    norms = (norm_neg1(du, cache8), norm2(du))
+    norms = (norm_neg1(du.spectrum, cache8), norm2(du))
     m1 = modified_energy(SchemeConfig("bdf2", tau, 1.0), e, *norms)
     m2 = modified_energy(SchemeConfig("bdf2", 2 * tau, 1.0), e, *norms)
     assert m2 - e == pytest.approx(0.5 * (m1 - e), rel=1e-12)
@@ -149,10 +149,10 @@ def test_modified_energy_recomposition(rng, geo8, gaussian_kernel8, cache8):
     cfg = SchemeConfig("two_li", tau, 1.0, cutoff=1.5, stability_policy="ignore")
     spec, beta = cfg.potential, 3 * 1.5**2 - 1
     e = energy(u, gaussian_kernel8, 1.0, spec)
-    expected = e + norm_neg1(du, cache8) ** 2 / (4 * tau) + 0.5 * beta * norm2(du) ** 2
-    actual = modified_energy(cfg, e, norm_neg1(du, cache8), norm2(du))
+    expected = e + norm_neg1(du.spectrum, cache8) ** 2 / (4 * tau) + 0.5 * beta * norm2(du) ** 2
+    actual = modified_energy(cfg, e, norm_neg1(du.spectrum, cache8), norm2(du))
     assert actual == pytest.approx(expected, rel=1e-13)
     # bdf2 drops the (beta/2) ||du||^2 term: the plain two-step modified energy.
     assert modified_energy(SchemeConfig("bdf2", tau, 1.0, potential_variant="truncated",
-                                        cutoff=1.5), e, norm_neg1(du, cache8), norm2(du)) \
+                                        cutoff=1.5), e, norm_neg1(du.spectrum, cache8), norm2(du)) \
         == pytest.approx(recomposed_modified_energy(u, du, tau, gaussian_kernel8, 1.0, cache8, spec))

@@ -3,12 +3,11 @@ import pytest
 import scipy.fft
 
 from nchsolver import (Field, GridGeometry, GeometryMismatchError, KernelSpec,
-                       NonZeroMeanError, SchemeConfig, SchemeState, advance, grid,
+                       SchemeConfig, SchemeState, advance, grid,
                        inner_product, make_cache, mean, norm2, project_zero_mean,
                        sample_kernel, steppers)
-from nchsolver.grid import norm4
 from nchsolver.oracles import (dense_minus_laplacian_pinv, naive_inner_product,
-                               naive_mean, naive_norm2, naive_norm4)
+                               naive_mean, naive_norm2)
 from nchsolver.spectral import laplacian_eigenvalues, norm_neg1
 
 from conftest import random_field
@@ -172,13 +171,11 @@ def test_norms_of_ones_are_one():
     for n in (4, 8, 16):
         ones = Field.constant(GridGeometry(n, 1.0), 1.0)
         assert norm2(ones) == pytest.approx(1.0, rel=1e-14)
-        assert norm4(ones) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_norms_match_naive_oracle(rng, geo8):
     phi = random_field(geo8, rng)
     assert norm2(phi) == pytest.approx(naive_norm2(phi.values, geo8.h), rel=1e-13)
-    assert norm4(phi) == pytest.approx(naive_norm4(phi.values, geo8.h), rel=1e-13)
 
 
 def test_norm2_squares_to_weighted_inner_product(rng, geo8):
@@ -187,7 +184,7 @@ def test_norm2_squares_to_weighted_inner_product(rng, geo8):
 
 
 def test_norm_neg1_zero_field(geo8, cache8):
-    assert norm_neg1(Field.zeros(geo8), cache8) == 0.0
+    assert norm_neg1(Field.zeros(geo8).spectrum, cache8) == 0.0
 
 
 def test_norm_neg1_fourier_mode(geo8, cache8):
@@ -195,7 +192,7 @@ def test_norm_neg1_fourier_mode(geo8, cache8):
     i, j = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     phi = Field(geo8, np.cos(2 * np.pi * (k * (i + 0.5) + l * (j + 0.5)) / 8))
     lam = laplacian_eigenvalues(geo8)[k, l]
-    assert norm_neg1(phi, cache8) ** 2 == pytest.approx(norm2(phi) ** 2 / lam, rel=1e-12)
+    assert norm_neg1(phi.spectrum, cache8) ** 2 == pytest.approx(norm2(phi) ** 2 / lam, rel=1e-12)
 
 
 def test_norm_neg1_matches_dense_pinv(rng, geo8, cache8):
@@ -204,12 +201,15 @@ def test_norm_neg1_matches_dense_pinv(rng, geo8, cache8):
         phi = project_zero_mean(random_field(geo8, rng))
         vec = phi.values.ravel()
         expected = np.sqrt(geo8.h**2 * float(vec @ (pinv @ vec)))
-        assert norm_neg1(phi, cache8) == pytest.approx(expected, rel=1e-10)
+        assert norm_neg1(phi.spectrum, cache8) == pytest.approx(expected, rel=1e-10)
 
 
-def test_norm_neg1_rejects_nonzero_mean(geo8, cache8):
-    with pytest.raises(NonZeroMeanError):
-        norm_neg1(Field.constant(geo8, 0.5), cache8)
+def test_norm_neg1_measures_the_zero_mean_part(rng, geo8, cache8):
+    # The constant mode has weight 0: no precondition, the mean is ignored.
+    assert norm_neg1(Field.constant(geo8, 0.5).spectrum, cache8) == 0.0
+    phi = Field(geo8, random_field(geo8, rng).values + 0.3)
+    assert norm_neg1(phi.spectrum, cache8) == pytest.approx(
+        norm_neg1(project_zero_mean(phi).spectrum, cache8), rel=1e-13)
 
 
 def test_norm_neg1_bounded_by_smallest_positive_eigenvalue(rng, geo8, cache8):
@@ -217,4 +217,4 @@ def test_norm_neg1_bounded_by_smallest_positive_eigenvalue(rng, geo8, cache8):
     lam_min = lam[lam > 0].min()
     for _ in range(20):
         phi = project_zero_mean(random_field(geo8, rng))
-        assert norm_neg1(phi, cache8) <= norm2(phi) / np.sqrt(lam_min) * (1 + 1e-12)
+        assert norm_neg1(phi.spectrum, cache8) <= norm2(phi) / np.sqrt(lam_min) * (1 + 1e-12)

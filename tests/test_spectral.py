@@ -2,22 +2,26 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nchsolver import (Field, GridGeometry, NonZeroMeanError, inner_product, make_cache, mean,
-                       norm2, project_zero_mean)
-from nchsolver.grid import EdgeField, edge_inner_product
+from nchsolver import (Field, GridGeometry, inner_product, make_cache, mean, norm2,
+                       project_zero_mean)
 from nchsolver.oracles import (dense_minus_laplacian, dense_minus_laplacian_pinv,
                                direct_dft2, laplacian_eigenvalue_formula)
-from nchsolver.spectral import (apply_symbol, divergence, gradient, inverse_laplacian_zero_mean,
-                                laplacian, laplacian_apply, laplacian_eigenvalues, norm_neg1)
+from nchsolver.spectral import (_apply_to_field, _forward_differences, laplacian_apply,
+                                laplacian_eigenvalues, norm_neg1)
 
 from conftest import random_field
 
 
+def _backward_differences(fx, fy, h):
+    """Edge-to-center divergence of periodic edge arrays, written out for the tests."""
+    return (fx - np.roll(fx, 1, axis=0)) / h + (fy - np.roll(fy, 1, axis=1)) / h
+
+
 def test_gradient_of_constant_vanishes():
     geo = GridGeometry(8, 1.0)
-    g = gradient(Field.constant(geo, 3.2))
-    assert np.abs(g.x).max() == 0.0
-    assert np.abs(g.y).max() == 0.0
+    gx, gy = _forward_differences(Field.constant(geo, 3.2).values, geo.h)
+    assert np.abs(gx).max() == 0.0
+    assert np.abs(gy).max() == 0.0
 
 
 def test_gradient_of_sine_matches_closed_form_and_stencil(geo16):
@@ -26,58 +30,63 @@ def test_gradient_of_sine_matches_closed_form_and_stencil(geo16):
     n, h, length = geo16.n, geo16.h, geo16.length
     x, _ = np.meshgrid(*geo16.cell_coords(), indexing="ij")
     phi = Field(geo16, np.sin(2 * np.pi * x / length))
-    g = gradient(phi)
+    gx, _ = _forward_differences(phi.values, h)
     x_shift = x + 0.5 * h
     expected = (2.0 / h) * np.sin(np.pi * h / length) * np.cos(2 * np.pi * x_shift / length)
-    assert np.abs(g.x - expected).max() <= 1e-13
+    assert np.abs(gx - expected).max() <= 1e-13
     # Independent stencil loop.
     direct = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             direct[i, j] = (phi.values[(i + 1) % n, j] - phi.values[i, j]) / h
-    assert np.abs(g.x - direct).max() == 0.0
+    assert np.abs(gx - direct).max() == 0.0
 
 
 def test_summation_by_parts_edge_pairing(rng, geo8):
     # h^2 (grad phi || f) = -h^2 (phi || div f) for arbitrary periodic edge data.
-    h2 = geo8.h**2
+    h, h2 = geo8.h, geo8.h**2
     for _ in range(20):
         phi = random_field(geo8, rng)
-        f = EdgeField(geo8, rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8)))
-        lhs = h2 * edge_inner_product(gradient(phi), f)
-        rhs = -h2 * inner_product(phi, divergence(f))
+        fx, fy = rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8))
+        gx, gy = _forward_differences(phi.values, h)
+        lhs = h2 * (np.sum(gx * fx) + np.sum(gy * fy))
+        rhs = -h2 * inner_product(phi, Field(geo8, _backward_differences(fx, fy, h)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_summation_by_parts_identities(n, rng):
+    # Both identities for the stencil and for the symbol apply the schemes use.
     geo = GridGeometry(n, 1.0)
-    h2 = geo.h**2
+    h, h2 = geo.h, geo.h**2
+    minus_lambda = -make_cache(geo).minus_laplacian_eigenvalues
     for _ in range(25):
         phi, psi = random_field(geo, rng), random_field(geo, rng)
-        lap_psi = laplacian(psi)
-        grad_pair = h2 * edge_inner_product(gradient(phi), gradient(psi))
-        lap_pair = h2 * inner_product(phi, lap_psi)
-        assert grad_pair == pytest.approx(-lap_pair, rel=1e-12, abs=1e-13)
-        adjoint = h2 * inner_product(laplacian(phi), psi)
-        assert lap_pair == pytest.approx(adjoint, rel=1e-12, abs=1e-13)
+        grad_pair = h2 * sum(np.sum(a * b) for a, b in zip(_forward_differences(phi.values, h),
+                                                            _forward_differences(psi.values, h)))
+        for laplacian in (lambda f: laplacian_apply(f.values, h),
+                          lambda f: _apply_to_field(f, minus_lambda)):
+            lap_pair = h2 * inner_product(phi, Field(geo, laplacian(psi)))
+            assert grad_pair == pytest.approx(-lap_pair, rel=1e-12, abs=1e-13)
+            adjoint = h2 * inner_product(Field(geo, laplacian(phi)), psi)
+            assert lap_pair == pytest.approx(adjoint, rel=1e-12, abs=1e-13)
 
 
 def test_laplacian_is_divergence_of_gradient(rng, geo8):
     phi = random_field(geo8, rng)
-    composed = divergence(gradient(phi))
-    assert np.array_equal(laplacian(phi).values, composed.values)
+    composed = _backward_differences(*_forward_differences(phi.values, geo8.h), geo8.h)
+    assert np.array_equal(laplacian_apply(phi.values, geo8.h), composed)
 
 
 def test_laplacian_of_constant_vanishes():
     geo = GridGeometry(8, 2.0)
-    assert np.abs(laplacian(Field.constant(geo, -1.4)).values).max() == 0.0
+    assert np.abs(laplacian_apply(Field.constant(geo, -1.4).values, geo.h)).max() == 0.0
 
 
 def test_laplacian_output_has_zero_mean(rng, geo16):
     for _ in range(10):
         phi = random_field(geo16, rng)
-        assert abs(mean(laplacian(phi))) <= 1e-13 * norm2(phi)
+        assert abs(mean(Field(geo16, laplacian_apply(phi.values, geo16.h)))) <= 1e-13 * norm2(phi)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -99,19 +108,6 @@ def test_eigenvalue_formula_matches_dense_assembly(n):
     assert np.abs(dense_minus_laplacian(geo) @ ones).max() <= 1e-10
 
 
-def test_eigenvalue_table_csv(tmp_path):
-    from nchsolver.oracles import eigenvalue_table_csv
-
-    path = tmp_path / "eigs.csv"
-    eigenvalue_table_csv(path, GridGeometry(4, 1.0))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,l,lambda_formula,lambda_dense"
-    assert len(lines) == 17
-    for row in lines[1:]:
-        _, _, formula, dense = row.split(",")
-        assert abs(float(formula) - float(dense)) <= 1e-10
-
-
 def test_fourier_mode_eigenvalue_frozen_case():
     # N = 4, L = 1, mode (k, l) = (2, 4): (2/h^2)(2 - cos(pi) - cos(2 pi)) = 64.
     geo = GridGeometry(4, 1.0)
@@ -119,24 +115,24 @@ def test_fourier_mode_eigenvalue_frozen_case():
     assert lam[2, 0] == pytest.approx(64.0, rel=1e-14)
     i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     phi = Field(geo, np.cos(2 * np.pi * (2 * (i + 0.5)) / 4))
-    applied = laplacian(phi)
-    assert np.abs(applied.values + 64.0 * phi.values).max() <= 1e-10
+    applied = laplacian_apply(phi.values, geo.h)
+    assert np.abs(applied + 64.0 * phi.values).max() <= 1e-10
 
 
 def test_spectral_laplacian_matches_stencil(rng, geo16):
     cache = make_cache(geo16)
     for _ in range(10):
         phi = random_field(geo16, rng)
-        stencil = laplacian(phi)
+        stencil = laplacian_apply(phi.values, geo16.h)
         # What the schemes do: apply the stored symbol of -Lap, negated.
-        spectral = apply_symbol(phi.values, -cache.minus_laplacian_eigenvalues)
-        scale = max(np.abs(stencil.values).max(), 1e-30)
-        assert np.abs(stencil.values - spectral).max() / scale <= 1e-12
+        spectral = _apply_to_field(phi, -cache.minus_laplacian_eigenvalues)
+        scale = max(np.abs(stencil).max(), 1e-30)
+        assert np.abs(stencil - spectral).max() / scale <= 1e-12
 
 
 def test_inverse_laplacian_zero_field(geo8, cache8):
-    out = inverse_laplacian_zero_mean(Field.zeros(geo8), cache8)
-    assert np.abs(out.values).max() == 0.0
+    out = _apply_to_field(Field.zeros(geo8), cache8.inverse_eigenvalues)
+    assert np.abs(out).max() == 0.0
 
 
 def test_inverse_laplacian_fourier_mode(geo8, cache8):
@@ -144,17 +140,17 @@ def test_inverse_laplacian_fourier_mode(geo8, cache8):
     lam = laplacian_eigenvalues(geo8)[k, l]
     i, j = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     phi = Field(geo8, np.sin(2 * np.pi * (k * (i + 0.5) + l * (j + 0.5)) / 8))
-    psi = inverse_laplacian_zero_mean(phi, cache8)
-    assert np.abs(psi.values - phi.values / lam).max() <= 1e-13
+    psi = _apply_to_field(phi, cache8.inverse_eigenvalues)
+    assert np.abs(psi - phi.values / lam).max() <= 1e-13
 
 
 def test_inverse_laplacian_random_vs_dense(rng, geo8, cache8):
     pinv = dense_minus_laplacian_pinv(geo8)
     for _ in range(5):
         phi = project_zero_mean(random_field(geo8, rng))
-        psi = inverse_laplacian_zero_mean(phi, cache8)
+        psi = Field(geo8, _apply_to_field(phi, cache8.inverse_eigenvalues))
         assert abs(mean(psi)) <= 1e-13
-        residual = Field(geo8, laplacian(psi).values + phi.values)
+        residual = Field(geo8, laplacian_apply(psi.values, geo8.h) + phi.values)
         assert norm2(residual) <= 1e-12 * norm2(phi)
         expected = pinv @ phi.values.ravel()
         assert np.abs(psi.values.ravel() - expected).max() <= 1e-10 * max(np.abs(expected).max(), 1e-30)
@@ -173,20 +169,27 @@ def test_half_spectrum_operators_match_dense(n, rng):
         phi = project_zero_mean(random_field(geo, rng))
         vec = phi.values.ravel()
         expected = pinv @ vec
-        psi = inverse_laplacian_zero_mean(phi, cache)
-        assert np.abs(psi.values.ravel() - expected).max() <= 1e-10 * np.abs(expected).max()
-        assert norm_neg1(phi, cache) == pytest.approx(np.sqrt(geo.h**2 * (vec @ expected)),
-                                                      rel=1e-10)
-        stencil = laplacian(phi).values
-        # The array-level stencil, the reference for the symbol applies, is the same stencil.
-        assert np.array_equal(laplacian_apply(phi.values, geo.h), stencil)
-        spectral = apply_symbol(phi.values, -cache.minus_laplacian_eigenvalues)
+        psi = _apply_to_field(phi, cache.inverse_eigenvalues)
+        assert np.abs(psi.ravel() - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert norm_neg1(phi.spectrum, cache) == pytest.approx(
+            np.sqrt(geo.h**2 * (vec @ expected)), rel=1e-10)
+        # The stencil, the reference for the symbol applies, against the dense matrix.
+        stencil = laplacian_apply(phi.values, geo.h)
+        assert np.abs(stencil.ravel() + dense_minus_laplacian(geo) @ vec).max() \
+            <= 1e-12 * np.abs(stencil).max()
+        spectral = _apply_to_field(phi, -cache.minus_laplacian_eigenvalues)
         assert np.abs(stencil - spectral).max() <= 1e-12 * np.abs(stencil).max()
 
 
-def test_inverse_laplacian_rejects_nonzero_mean(geo8, cache8):
-    with pytest.raises(NonZeroMeanError):
-        inverse_laplacian_zero_mean(Field.constant(geo8, 1.0), cache8)
+def test_inverse_laplacian_drops_the_constant_mode(rng, geo8, cache8):
+    # No zero-mean precondition: the inverse symbol is 0 at the constant
+    # mode, so a field and its zero-mean part have the same inverse.
+    phi = Field(geo8, random_field(geo8, rng).values + 0.3)
+    psi = _apply_to_field(phi, cache8.inverse_eigenvalues)
+    psi0 = _apply_to_field(project_zero_mean(phi), cache8.inverse_eigenvalues)
+    assert np.abs(psi - psi0).max() <= 1e-13 * np.abs(psi0).max()
+    assert np.abs(_apply_to_field(Field.constant(geo8, 1.0), cache8.inverse_eigenvalues)).max() \
+        <= 1e-15
 
 
 def test_dft_delta_and_constant():
