@@ -3,11 +3,17 @@
     nch run <config>     -- execute a configured simulation
     nch check <config>   -- report the admissibility of the configuration
     nch verify           -- run the built-in oracle suite
-    nch init-config      -- print a configuration template to stdout
+    nch init-config      -- print a template configuration in canonical form
+
+``check`` and ``run`` build a run's objects through the one function
+``_build``, so ``check`` exits 2 on every configuration that ``run``
+rejects with exit 2 before its first step, with two exceptions: an unusable
+``output.dir`` (``check`` creates nothing), and gamma0 <= 0, which the
+report covers and calls inadmissible (exit 1).
 
 Exit codes are part of the stable interface: 0 success (run finished or
 check admissible), 1 check inadmissible / verify failures, 2 configuration
-error, 3 solver error.
+error, 3 solver error (including a run whose diagnostics are not finite).
 """
 
 from __future__ import annotations
@@ -32,7 +38,13 @@ EXIT_SOLVER = 3
 
 
 def _build(args):
-    """Load the configuration, apply the command-line overrides and build the run's parts."""
+    """The one path from a configuration file to a run's objects, for ``check`` and ``run`` alike.
+
+    Loads the file, applies the command-line overrides and builds every part
+    a run needs, so ``check`` meets each configuration error that ``run``
+    meets before its first step; see the module docstring for the two
+    exceptions.
+    """
     values = config_mod.load_config(args.config)
     values = config_mod.apply_overrides(values, output_dir=args.output_dir,
                                         seed=args.seed, max_steps=args.max_steps)
@@ -40,18 +52,18 @@ def _build(args):
     kernel = config_mod.build_kernel(values, geometry)
     cache = make_cache(geometry)
     scheme_cfg = config_mod.build_scheme_config(values)
-    return values, geometry, kernel, cache, scheme_cfg
+    options = config_mod.build_run_options(values, Path(values["output.dir"]))
+    u0 = config_mod.build_initial_field(values, geometry)
+    return values, kernel, cache, scheme_cfg, options, u0
 
 
 def cmd_run(args) -> int:
-    values, geometry, kernel, cache, scheme_cfg = _build(args)
+    values, kernel, cache, scheme_cfg, options, u0 = _build(args)
     out_dir = Path(values["output.dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:  # an existing file, or a path under one
         raise ConfigError(f"output.dir {str(out_dir)!r} is not a usable directory: {err}") from err
-    options = config_mod.build_run_options(values, out_dir)
-    u0 = config_mod.build_initial_field(values, geometry)
 
     started = time.perf_counter()
     result = run_driver(u0, scheme_cfg, kernel, cache, options)
@@ -78,7 +90,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    values, geometry, kernel, cache, scheme_cfg = _build(args)
+    _, kernel, cache, scheme_cfg, _, _ = _build(args)
     report = check_solvability(scheme_cfg, kernel, cache)
     print(f"scheme: {report.scheme}")
     print(f"tau: {report.tau!r}")

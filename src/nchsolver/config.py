@@ -9,11 +9,17 @@ Grammar (one assignment per line):
 Keys are drawn from a fixed schema; unknown or duplicate keys are rejected
 with the offending key and line number.  Values are typed (int, float,
 string, enumeration) and range-checked before any allocation happens;
-floats must be finite.  Re-emitting a parsed configuration produces the
-canonical form: schema order, resolved defaults, one assignment per line;
-parsing that text again is the identity.  The Newton iteration cap and the
-GMRES tolerance are constants of the solver, not keys
-(``steppers.NEWTON_MAX_ITER``, ``solvers.KRYLOV_RTOL``).
+floats must be finite.  The required keys and the cross-key rules are
+checked against the keys the text gives, before any default is filled in.
+Re-emitting a parsed configuration produces the canonical form: schema
+order, resolved defaults, one assignment per line; parsing that text again
+is the identity, and ``nch init-config`` prints it for a template run.  The
+Newton iteration cap and the GMRES tolerance are constants of the solver,
+not keys (``steppers.NEWTON_MAX_ITER``, ``solvers.KRYLOV_RTOL``).
+
+The ``build_*`` functions turn the resolved values into a run's objects;
+``cli._build`` calls every one of them for ``nch check`` and ``nch run``
+alike.
 
 The only environment override honored is ``OUTPUT_DIR`` (for
 ``output.dir``); command-line flags take precedence over both.
@@ -23,18 +29,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .driver import RunOptions, random_initial_field
-from .energetics import potential_value
+from .energetics import POTENTIAL_VARIANTS, potential_value
 from .errors import ConfigError
 from .fieldio import read_field
 from .grid import Field, GridGeometry
-from .kernels import KernelSpec, SampledKernel, sample_kernel
+from .kernels import KERNEL_VARIANTS, KernelSpec, SampledKernel, sample_kernel
 from .steppers import SchemeConfig, SCHEMES, STABILITY_POLICIES
 
 
@@ -60,12 +66,12 @@ _SCHEMA: dict[str, _Key] = {k.name: k for k in (
     _Key("grid.N", "int", required=True, check=_at_least(2, "grid.N")),
     _Key("grid.L", "float", required=True, check=_positive("grid.L")),
     _Key("model.epsilon", "float", required=True, check=_positive("model.epsilon")),
-    _Key("model.kernel.type", "enum", required=True, choices=("gaussian", "constant", "tabulated")),
+    _Key("model.kernel.type", "enum", required=True, choices=KERNEL_VARIANTS),
     _Key("model.kernel.cJ", "float", check=_positive("model.kernel.cJ")),
     _Key("model.kernel.xi", "float", check=_positive("model.kernel.xi")),
     _Key("model.kernel.images", "int", default=3, check=_at_least(0, "model.kernel.images")),
     _Key("model.kernel.path", "path"),
-    _Key("model.potential.type", "enum", choices=("double_well", "truncated")),
+    _Key("model.potential.type", "enum", choices=POTENTIAL_VARIANTS),
     _Key("model.potential.K", "float", check=lambda v: None if v > 1.0 else "model.potential.K must exceed 1"),
     _Key("scheme.name", "enum", required=True, choices=SCHEMES),
     _Key("scheme.tau", "float", required=True, check=_positive("scheme.tau")),
@@ -85,29 +91,34 @@ _SCHEMA: dict[str, _Key] = {k.name: k for k in (
 
 
 def _convert(key: _Key, raw: str, line_no: int):
+    where = f"line {line_no}: key {key.name!r}"
+    if key.kind == "enum" and raw not in key.choices:
+        raise ConfigError(f"{where} must be one of {key.choices}, got {raw!r}")
     try:
-        if key.kind == "int":
-            if not raw.lstrip("+-").isdigit():
-                raise ValueError
-            return int(raw)
-        if key.kind == "float":
-            if not math.isfinite(value := float(raw)):
-                raise ConfigError(f"line {line_no}: key {key.name!r} must be finite, got {raw!r}")
-            return value
-        if key.kind == "enum":
-            if raw not in key.choices:
-                raise ConfigError(
-                    f"line {line_no}: key {key.name!r} must be one of {key.choices}, got {raw!r}")
-            return raw
-        return raw
-    except ConfigError:
-        raise
+        if key.kind == "int" and not raw.lstrip("+-").isdigit():
+            raise ValueError
+        value = {"int": int, "float": float}.get(key.kind, str)(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: key {key.name!r} expects a {key.kind}, got {raw!r}") from None
+        raise ConfigError(f"{where} expects a {key.kind}, got {raw!r}") from None
+    if key.kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return value
+
+
+def _check_range(name: str, value, where: str) -> None:
+    """Apply the schema's range rule of key ``name`` to ``value``; ``where`` says where it came from."""
+    check = _SCHEMA[name].check
+    if check is not None and (problem := check(value)):
+        raise ConfigError(f"{where}{problem} (got {value!r})")
 
 
 def parse_config(text: str) -> dict[str, Any]:
-    """Parse and validate configuration text; returns the resolved mapping."""
+    """Parse and validate configuration text; returns the resolved mapping.
+
+    The required keys and the cross-key rules are checked against the keys
+    the text gives, and only then are the defaults filled in; under
+    ``run.init.snapshot_path`` no ``run.init.*`` default is filled.
+    """
     values: dict[str, Any] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -120,26 +131,22 @@ def parse_config(text: str) -> dict[str, Any]:
             raise ConfigError(f"line {line_no}: unknown key {raw_key!r}")
         if raw_key in values:
             raise ConfigError(f"line {line_no}: duplicate key {raw_key!r}")
-        key = _SCHEMA[raw_key]
-        value = _convert(key, raw_value, line_no)
-        if key.check is not None:
-            problem = key.check(value)
-            if problem:
-                raise ConfigError(f"line {line_no}: {problem} (got {raw_value!r})")
-        values[raw_key] = value
+        values[raw_key] = _convert(_SCHEMA[raw_key], raw_value, line_no)
+        _check_range(raw_key, values[raw_key], f"line {line_no}: ")
 
-    provided = frozenset(values)
     for key in _SCHEMA.values():
         if key.required and key.name not in values:
             raise ConfigError(f"missing required key {key.name!r}")
-        if key.name not in values and key.default is not None:
-            values[key.name] = key.default
-
-    _validate_semantics(values, provided)
+    _validate_semantics(values)
+    from_snapshot = "run.init.snapshot_path" in values
+    for key in _SCHEMA.values():
+        if key.default is not None and not (from_snapshot and key.name.startswith("run.init.")):
+            values.setdefault(key.name, key.default)
     return values
 
 
-def _validate_semantics(values: dict[str, Any], provided: frozenset) -> None:
+def _validate_semantics(values: dict[str, Any]) -> None:
+    """The cross-key rules; the one default they read, the potential's, is resolved here."""
     kind = values["model.kernel.type"]
     if kind in ("gaussian", "constant") and "model.kernel.cJ" not in values:
         raise ConfigError(f"kernel type {kind!r} requires model.kernel.cJ")
@@ -149,16 +156,16 @@ def _validate_semantics(values: dict[str, Any], provided: frozenset) -> None:
         raise ConfigError("tabulated kernel requires model.kernel.path")
 
     scheme = values["scheme.name"]
-    if "model.potential.type" not in values:
-        values["model.potential.type"] = "truncated" if scheme in ("ssi1", "two_li") else "double_well"
-    if scheme in ("ssi1", "two_li") and values["model.potential.type"] != "truncated":
+    linear = scheme in ("ssi1", "two_li")
+    potential = values.setdefault("model.potential.type", "truncated" if linear else "double_well")
+    if linear and potential != "truncated":
         raise ConfigError(f"scheme {scheme!r} requires model.potential.type = truncated")
-    if values["model.potential.type"] == "truncated" and "model.potential.K" not in values:
+    if potential == "truncated" and "model.potential.K" not in values:
         raise ConfigError("truncated potential requires model.potential.K")
     if scheme == "ssi1" and "scheme.S" not in values:
         raise ConfigError("ssi1 requires scheme.S")
 
-    if "run.init.snapshot_path" in provided and not provided.isdisjoint(
+    if "run.init.snapshot_path" in values and not values.keys().isdisjoint(
             {"run.init.mean", "run.init.delta"}):
         raise ConfigError(
             "run.init.snapshot_path excludes run.init.mean / run.init.delta")
@@ -177,8 +184,8 @@ def load_config(path) -> dict[str, Any]:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     values = parse_config(text)
     base = path.resolve().parent
-    for name in ("model.kernel.path", "run.init.snapshot_path"):
-        if name in values:
+    for name, key in _SCHEMA.items():
+        if key.kind == "path" and name in values:
             resolved = (base / values[name]).resolve() if not Path(values[name]).is_absolute() \
                 else Path(values[name])
             if not resolved.is_file():
@@ -190,41 +197,19 @@ def load_config(path) -> dict[str, Any]:
 def emit_config(values: dict[str, Any]) -> str:
     """Render the canonical form: schema order, one assignment per line."""
     lines = []
-    suppressed = {"run.init.mean", "run.init.delta"} if "run.init.snapshot_path" in values else set()
     for name, key in _SCHEMA.items():
-        if name not in values or name in suppressed:
-            continue
-        value = values[name]
-        rendered = repr(float(value)) if key.kind == "float" else str(value)
-        lines.append(f"{name} = {rendered}")
+        if name in values:
+            value = values[name]
+            lines.append(f"{name} = {repr(float(value)) if key.kind == 'float' else value}")
     return "\n".join(lines) + "\n"
 
 
 def template_config() -> str:
-    """A ready-to-edit configuration covering the common keys."""
-    return "\n".join([
-        "# nch run configuration (key = value, '#' starts a comment)",
-        "grid.N = 32",
-        "grid.L = 1.0",
-        "model.epsilon = 1.0",
-        "model.kernel.type = gaussian",
-        "model.kernel.cJ = 12.5",
-        "model.kernel.xi = 10.0",
-        "model.kernel.images = 3",
-        "model.potential.type = double_well",
-        "scheme.name = backward_euler",
-        "scheme.tau = 0.01",
-        "scheme.stability_policy = enforce",
-        "solver.newton_tol = 1e-11",
-        "run.max_steps = 100000",
-        "run.eq_tol = 1e-9",
-        "run.record_every = 1",
-        "run.snapshot_every = 0",
-        "run.seed = 1234",
-        "run.init.mean = 0.0",
-        "run.init.delta = 0.05",
-        "output.dir = out",
-    ]) + "\n"
+    """A ready-to-edit configuration: a comment line, then the canonical form of a run."""
+    return "# nch run configuration (key = value, '#' starts a comment)\n" + emit_config(parse_config(
+        "grid.N = 32\ngrid.L = 1.0\nmodel.epsilon = 1.0\nmodel.kernel.type = gaussian\n"
+        "model.kernel.cJ = 12.5\nmodel.kernel.xi = 10.0\nscheme.name = backward_euler\n"
+        "scheme.tau = 0.01\nrun.max_steps = 100000\nrun.seed = 1234\noutput.dir = out\n"))
 
 
 def apply_overrides(values: dict[str, Any], output_dir: Optional[str] = None,
@@ -237,14 +222,10 @@ def apply_overrides(values: dict[str, Any], output_dir: Optional[str] = None,
         out["output.dir"] = env["OUTPUT_DIR"]
     if output_dir is not None:
         out["output.dir"] = output_dir
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("run.seed must be >= 0")
-        out["run.seed"] = int(seed)
-    if max_steps is not None:
-        if max_steps < 1:
-            raise ConfigError("run.max_steps must be >= 1")
-        out["run.max_steps"] = int(max_steps)
+    for name, flag, value in (("run.seed", "--seed", seed), ("run.max_steps", "--max-steps", max_steps)):
+        if value is not None:
+            _check_range(name, value, f"{flag}: ")
+            out[name] = int(value)
     return out
 
 
@@ -288,12 +269,25 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
         with np.errstate(over="raise"):
             kernel = sample_kernel(spec, geometry)
     except FloatingPointError as err:
-        raise ConfigError(f"key 'grid.L': the kernel's scales overflow on a domain of edge "
-                          f"{geometry.length!r} with this kernel ({err})") from err
+        raise ConfigError(f"key {_overflowing_key(spec, geometry)!r}: the kernel's scales overflow "
+                          f"on a domain of edge {geometry.length!r} with this kernel ({err})") from err
     epsilon = values["model.epsilon"]
     if not math.isfinite(epsilon * epsilon * kernel.conv_one):
         raise ConfigError(f"key 'model.epsilon': eps^2 [J (*) 1] overflows at eps = {epsilon!r}")
     return kernel
+
+
+def _overflowing_key(spec: KernelSpec, geometry: GridGeometry) -> str:
+    """The key that made the kernel's sampling overflow: the table, else the amplitude if
+    the kernel samples at unit amplitude, else the domain."""
+    if spec.variant == "tabulated":
+        return "model.kernel.path"
+    try:
+        with np.errstate(over="raise"):
+            sample_kernel(replace(spec, amplitude=1.0), geometry)
+    except FloatingPointError:
+        return "grid.L"
+    return "model.kernel.cJ"
 
 
 def build_scheme_config(values: dict[str, Any]) -> SchemeConfig:
@@ -302,11 +296,11 @@ def build_scheme_config(values: dict[str, Any]) -> SchemeConfig:
         scheme=values["scheme.name"],
         tau=values["scheme.tau"],
         epsilon=values["model.epsilon"],
-        stabilization=values.get("scheme.S", 0.0),
-        cutoff=values.get("model.potential.K", 2.0),
+        stabilization=values["scheme.S"],
         newton_tol=values["solver.newton_tol"],
         stability_policy=values["scheme.stability_policy"],
         potential_variant=values["model.potential.type"],
+        **({"cutoff": values["model.potential.K"]} if "model.potential.K" in values else {}),
     )
 
 

@@ -121,10 +121,10 @@ def _grad_norm(omega: Field) -> float:
     return omega.geometry.h * math.sqrt(float(squares))
 
 
-def _record(step_index: int, time: float, state: SchemeState, previous: Optional[Field],
-            increment_l2: float, omega: Field, omega_variance: float, newton_iters: int,
-            cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache) -> DiagnosticsRecord:
-    """One diagnostics row; each functional is evaluated once and reused.
+def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
+            omega_variance: float, newton_iters: int, cfg: SchemeConfig, kernel: SampledKernel,
+            cache: SpectralCache) -> DiagnosticsRecord:
+    """The row of ``state``, whose ``omega`` it reads; each functional is evaluated once and reused.
 
     The energy and ``||du||_{-1}`` read the spectra the two levels keep, so a
     row transforms nothing that the steps do not transform anyway.  The
@@ -138,17 +138,25 @@ def _record(step_index: int, time: float, state: SchemeState, previous: Optional
         inc_neg = norm_neg1(state.u.spectrum - previous.spectrum, cache)
         modified = modified_energy(cfg, e, inc_neg, increment_l2)
     return DiagnosticsRecord(
-        step=step_index,
-        time=time,
+        step=state.step_index,
+        time=state.time,
         mass=mean(state.u),
         energy=e,
         modified_energy=modified,
         increment_l2=increment_l2,
         increment_hneg1=inc_neg,
-        grad_omega_l2=_grad_norm(omega),
+        grad_omega_l2=_grad_norm(state.omega),
         omega_variance=omega_variance,
         newton_iters=newton_iters,
     )
+
+
+def _non_finite(record: DiagnosticsRecord) -> str:
+    """``step n: <column> is not finite`` for the row's first such column, else ''."""
+    for name, value in vars(record).items():
+        if value is not None and not math.isfinite(value):
+            return f"step {record.step}: {name} is not finite ({value!r})"
+    return ""
 
 
 def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
@@ -159,7 +167,11 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     from a checkpoint) must be given; it must share the kernel's and the
     cache's geometry (``GeometryMismatchError`` otherwise, before any step).
     Stepper failures terminate the run with ``termination == "error"`` and
-    the failing step in the detail; records collected so far are kept.
+    the failing step in the detail; records collected so far are kept.  A
+    step whose record is not finite fails the same way (the model's scales
+    can overflow the norms while u and omega stay finite), and so does a run
+    whose step-0 record or final equilibrium residual is not finite; the
+    detail names the step and the first non-finite column.
     """
     if (u0 is None) == (initial_state is None):
         raise ConfigError("exactly one of u0 and initial_state must be given")
@@ -174,36 +186,33 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
 
     pot = cfg.potential
     records: list[DiagnosticsRecord] = []
+    termination, detail = "max_steps", ""
     if initial_state is None:
-        state = SchemeState(u=u0, step_index=0, time=0.0)
-        omega0 = chemical_potential(u0, kernel, cfg.epsilon, pot)
-        records.append(_record(0, 0.0, state, None, 0.0, omega0, _variance(omega0), 0,
-                               cfg, kernel, cache))
+        state = SchemeState(u=u0, omega=chemical_potential(u0, kernel, cfg.epsilon, pot))
+        records.append(_record(state, None, 0.0, _variance(state.omega), 0, cfg, kernel, cache))
+        detail = _non_finite(records[-1])
     else:
         state = initial_state
 
-    termination = "max_steps"
-    detail = ""
-    final_omega = state.omega
     admitted: set[SchemeConfig] = set()  # bootstrap and main config, checked once each
-    while state.step_index < options.max_steps:
-        previous = state.u
+    while not detail and state.step_index < options.max_steps:
         try:
-            state, result = advance(state, cfg, kernel, cache, admitted)
+            new, result = advance(state, cfg, kernel, cache, admitted)
         except SolverError as err:  # also a diverged step: non-finite or losing mass
-            termination = "error"
             detail = f"step {state.step_index + 1}: {err}"
             break
-        final_omega = result.omega
 
-        at_cadence = state.step_index % options.record_every == 0
-        inc_l2 = _norm2_values(state.u.values - previous.values, previous.geometry.h)
-        variance = _variance(result.omega)
+        at_cadence = new.step_index % options.record_every == 0
+        inc_l2 = _norm2_values(new.u.values - state.u.values, state.u.geometry.h)
+        variance = _variance(new.omega)
         reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
-        if at_cadence or reached_equilibrium or state.step_index >= options.max_steps:
-            records.append(_record(state.step_index, state.time, state, previous, inc_l2,
-                                   result.omega, variance, result.newton_iters,
-                                   cfg, kernel, cache))
+        if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
+            record = _record(new, state.u, inc_l2, variance, result.newton_iters,
+                             cfg, kernel, cache)
+            if detail := _non_finite(record):  # the step diverged in its diagnostics
+                break
+            records.append(record)
+        state = new
         if options.snapshot_every and state.step_index % options.snapshot_every == 0:
             write_field(Path(options.snapshot_dir) / f"u_{state.step_index:08d}.nchf",
                         state.u, state.time)
@@ -211,10 +220,13 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             termination = "equilibrium"
             break
 
-    if final_omega is None:
-        final_omega = chemical_potential(state.u, kernel, cfg.epsilon, pot)
-    residual = equilibrium_residual(state.u, final_omega, kernel, cfg.epsilon, pot)
-    return RunResult(final_state=state, records=records, termination=termination,
+    omega = state.omega if state.omega is not None else chemical_potential(
+        state.u, kernel, cfg.epsilon, pot)
+    residual = equilibrium_residual(state.u, omega, kernel, cfg.epsilon, pot)
+    if not (detail or math.isfinite(residual)):
+        detail = f"step {state.step_index}: equilibrium_residual is not finite ({residual!r})"
+    return RunResult(final_state=state, records=records,
+                     termination="error" if detail else termination,
                      equilibrium_residual=residual, error_detail=detail)
 
 

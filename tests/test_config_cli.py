@@ -248,9 +248,7 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("key", ["run.init.snapshot_path", "model.kernel.path"])
-@pytest.mark.parametrize("kind", CORRUPTIONS)
-def test_cli_run_corrupt_field_file_exits_2(tmp_path, capsys, kind, key):
+def _corrupt_field_file_exit(tmp_path, capsys, kind, key, command):
     path = tmp_path / "field.nchf"
     write_field(path, Field.constant(GridGeometry(8, 1.0), 0.5))
     path.write_bytes(CORRUPTIONS[kind](path.read_bytes()))
@@ -259,10 +257,23 @@ def test_cli_run_corrupt_field_file_exits_2(tmp_path, capsys, kind, key):
         text = text.replace("model.kernel.type = gaussian", "model.kernel.type = tabulated")
         text = text.replace("model.kernel.cJ = 12.5\n", "").replace("model.kernel.xi = 10.0\n", "")
     cfg = _write_config(tmp_path, text + f"{key} = {path}\n")
-    assert main(["run", str(cfg)]) == 2
+    assert main([command, str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["run.init.snapshot_path", "model.kernel.path"])
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_cli_run_corrupt_field_file_exits_2(tmp_path, capsys, kind, key):
+    _corrupt_field_file_exit(tmp_path, capsys, kind, key, "run")
+
+
+@pytest.mark.parametrize("key", ["run.init.snapshot_path", "model.kernel.path"])
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_cli_check_corrupt_field_file_exits_2(tmp_path, capsys, kind, key):
+    # check builds the initial field and the kernel as run does.
+    _corrupt_field_file_exit(tmp_path, capsys, kind, key, "check")
 
 
 def test_cli_check_admissible_and_not(tmp_path, capsys):
@@ -326,14 +337,18 @@ def test_cli_non_finite_float_exits_2(tmp_path, capsys, assignment):
     pytest.param("run", "", ["--seed", "-5"], id="run-seed-flag"),
     pytest.param("check", "", ["--seed", "-5"], id="check-seed-flag"),
     pytest.param("run", "run.init.delta = 1e308", [], id="run-delta"),
+    pytest.param("check", "run.init.delta = 1e308", [], id="check-delta"),
     pytest.param("run", "model.epsilon = 1e200", [], id="run-epsilon"),
     pytest.param("check", "model.epsilon = 1e200", [], id="check-epsilon"),
     pytest.param("run", "run.init.mean = 1e200", [], id="run-mean"),
+    pytest.param("check", "run.init.mean = 1e200", [], id="check-mean"),
+    pytest.param("run", "", ["--max-steps", "0"], id="run-max-steps-flag"),
+    pytest.param("check", "", ["--max-steps", "0"], id="check-max-steps-flag"),
 ])
 def test_cli_out_of_range_value_exits_2(tmp_path, capsys, command, assignment, flags):
     # Finite values that numpy rejected (a negative seed, a sample range that
     # overflows) or that overflow eps^2 or F(u) ended in a traceback, exit 1.
-    key = assignment.split(" = ")[0] or "run.seed"
+    key = assignment.split(" = ")[0] or {"--seed": "run.seed", "--max-steps": "run.max_steps"}[flags[0]]
     lines = [l for l in BASE.format(out=tmp_path / "out").splitlines()
              if not (assignment and l.startswith(key + " "))]
     cfg = _write_config(tmp_path, "\n".join(lines + [assignment]) + "\n")
@@ -379,6 +394,62 @@ def test_cli_check_overflowing_scales_exits_2(tmp_path, capsys):
 
 def test_cli_run_overflowing_scales_exits_2(tmp_path, capsys):
     assert _overflowing_scales_exit(tmp_path, capsys, "run") == 2
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_kernel_amplitude_overflow_names_cj(tmp_path, capsys, command):
+    # The kernel samples at unit amplitude on this domain: the amplitude
+    # overflows, not the domain's scales.
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        .replace("model.kernel.cJ = 12.5", "model.kernel.cJ = 1e308"))
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: key 'model.kernel.cJ'") and "overflow" in err
+    assert "grid.L" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_tabulated_kernel_overflow_names_path(tmp_path, capsys, command):
+    table = tmp_path / "kernel.nchf"
+    write_field(table, Field.constant(GridGeometry(8, 1.0), 1e308))
+    text = BASE.format(out=tmp_path / "out").replace("model.kernel.type = gaussian",
+                                                     "model.kernel.type = tabulated")
+    text = text.replace("model.kernel.cJ = 12.5\n", "").replace("model.kernel.xi = 10.0\n", "")
+    cfg = _write_config(tmp_path, text + f"model.kernel.path = {table}\n")
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: key 'model.kernel.path'")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_ssi1_without_stabilization_exits_2(tmp_path, capsys, command):
+    # scheme.S is required for ssi1; its default 0.0 must not satisfy the rule.
+    text = BASE.format(out=tmp_path / "out").replace("backward_euler", "ssi1") \
+        + "model.potential.K = 2.0\n"
+    cfg = _write_config(tmp_path, text)
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "scheme.S" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_fills_no_random_init_default_under_a_snapshot(tmp_path):
+    values = parse_config(BASE.format(out="o") + f"run.init.snapshot_path = {tmp_path}\n")
+    assert not any(name in values for name in ("run.init.mean", "run.init.delta"))
+    assert values["run.seed"] == 3 and values["scheme.S"] == 0.0
+
+
+def test_cli_run_non_finite_diagnostics_exits_3(tmp_path, capsys):
+    # eps^2 [J (*) 1] is finite, but the norms of omega overflow from step 0.
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, BASE.format(out=out)
+                        .replace("model.epsilon = 1.0", "model.epsilon = 1e120"))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(cfg), "--max-steps", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("termination: error\nsteps: 0\n")
+    assert "detail: step 0: grad_omega_l2 is not finite (inf)" in summary
 
 
 def test_cli_check_reports_inadmissible_ssi1_under_enforce(tmp_path, capsys):
@@ -439,6 +510,9 @@ def test_cli_init_config_template(capsys):
     assert main(["init-config"]) == 0
     text = capsys.readouterr().out
     parse_config(text)
+    comment, canonical = text.split("\n", 1)
+    assert comment.startswith("#")
+    assert canonical == emit_config(parse_config(text))
 
 
 def test_cli_verify_passes(capsys):
