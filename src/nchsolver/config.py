@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .driver import RunOptions, random_initial_field
-from .energetics import POTENTIAL_VARIANTS, potential_value
+from .energetics import POTENTIAL_VARIANTS, PotentialSpec, potential_value
 from .errors import ConfigError
 from .fieldio import read_field
 from .grid import Field, GridGeometry
@@ -329,8 +329,9 @@ def build_initial_field(values: dict[str, Any], geometry: GridGeometry) -> Field
                                          values["run.init.delta"], values["run.seed"])
         except (OverflowError, ValueError) as err:  # the sample's range or values overflow
             raise ConfigError(f"{keys}: the initial field leaves the float range ({err})") from err
+    potential = PotentialSpec(values["model.potential.type"], values.get("model.potential.K"))
     with np.errstate(over="ignore", invalid="ignore"):
-        bulk = potential_value(build_scheme_config(values).potential, field.values)
+        bulk = potential_value(potential, field.values)
     if not np.isfinite(bulk).all():
         raise ConfigError(f"{keys}: the potential F(u) overflows on the initial field "
                           f"(max |u| = {float(np.abs(field.values).max()):.3e})")

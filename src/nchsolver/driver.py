@@ -32,7 +32,7 @@ import numpy as np
 from .energetics import PotentialSpec, chemical_potential, energy
 from .errors import ConfigError, SolverError
 from .fieldio import write_field
-from .grid import Field, GridGeometry, _norm2_values, mean, require_same_geometry
+from .grid import Field, GridGeometry, _norm2_values, _reduce, mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
 from .spectral import SpectralCache, _forward_differences, norm_neg1
 from .steppers import SchemeConfig, SchemeState, advance, modified_energy
@@ -117,8 +117,7 @@ def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon:
 def _grad_norm(omega: Field) -> float:
     # Periodic data: both half-sums of the edge pairing equal the plain sum.
     gx, gy = _forward_differences(omega.values, omega.geometry.h)
-    squares = np.sum(gx * gx, dtype=np.longdouble) + np.sum(gy * gy, dtype=np.longdouble)
-    return omega.geometry.h * math.sqrt(float(squares))
+    return omega.geometry.h * math.sqrt(_reduce(gx * gx, gy * gy))
 
 
 def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
@@ -151,6 +150,11 @@ def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
     )
 
 
+def _quiet():
+    """Silence numpy's overflow and invalid-value warnings: ``_non_finite`` names the column."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _non_finite(record: DiagnosticsRecord) -> str:
     """``step n: <column> is not finite`` for the row's first such column, else ''."""
     for name, value in vars(record).items():
@@ -171,7 +175,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     step whose record is not finite fails the same way (the model's scales
     can overflow the norms while u and omega stay finite), and so does a run
     whose step-0 record or final equilibrium residual is not finite; the
-    detail names the step and the first non-finite column.
+    detail names the step and the first non-finite column, and numpy's
+    overflow warnings from these diagnostics are silenced.
     """
     if (u0 is None) == (initial_state is None):
         raise ConfigError("exactly one of u0 and initial_state must be given")
@@ -189,7 +194,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     termination, detail = "max_steps", ""
     if initial_state is None:
         state = SchemeState(u=u0, omega=chemical_potential(u0, kernel, cfg.epsilon, pot))
-        records.append(_record(state, None, 0.0, _variance(state.omega), 0, cfg, kernel, cache))
+        with _quiet():
+            records.append(_record(state, None, 0.0, _variance(state.omega), 0, cfg, kernel, cache))
         detail = _non_finite(records[-1])
     else:
         state = initial_state
@@ -203,15 +209,16 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             break
 
         at_cadence = new.step_index % options.record_every == 0
-        inc_l2 = _norm2_values(new.u.values - state.u.values, state.u.geometry.h)
-        variance = _variance(new.omega)
-        reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
-        if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
-            record = _record(new, state.u, inc_l2, variance, result.newton_iters,
-                             cfg, kernel, cache)
-            if detail := _non_finite(record):  # the step diverged in its diagnostics
-                break
-            records.append(record)
+        with _quiet():
+            inc_l2 = _norm2_values(new.u.values - state.u.values, state.u.geometry.h)
+            variance = _variance(new.omega)
+            reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
+            if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
+                record = _record(new, state.u, inc_l2, variance, result.newton_iters,
+                                 cfg, kernel, cache)
+                if detail := _non_finite(record):  # the step diverged in its diagnostics
+                    break
+                records.append(record)
         state = new
         if options.snapshot_every and state.step_index % options.snapshot_every == 0:
             write_field(Path(options.snapshot_dir) / f"u_{state.step_index:08d}.nchf",
@@ -222,7 +229,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
 
     omega = state.omega if state.omega is not None else chemical_potential(
         state.u, kernel, cfg.epsilon, pot)
-    residual = equilibrium_residual(state.u, omega, kernel, cfg.epsilon, pot)
+    with _quiet():
+        residual = equilibrium_residual(state.u, omega, kernel, cfg.epsilon, pot)
     if not (detail or math.isfinite(residual)):
         detail = f"step {state.step_index}: equilibrium_residual is not finite ({residual!r})"
     return RunResult(final_state=state, records=records,

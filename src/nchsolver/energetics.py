@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, _freeze, require_same_geometry
+from .grid import Field, _freeze, _reduce, require_same_geometry
 from .kernels import SampledKernel, nonlocal_gap
 from .spectral import _apply_to_field, _modal_sum
 
@@ -107,7 +107,7 @@ def energy(u: Field, kernel: SampledKernel, epsilon: float, spec: PotentialSpec 
     """Discrete free energy of u (with F replaced by F_K for a truncated spec)."""
     require_same_geometry(kernel, u)
     h2 = u.geometry.h**2
-    bulk = h2 * float(np.sum(potential_value(spec, u.values), dtype=np.longdouble))
+    bulk = h2 * _reduce(potential_value(spec, u.values))
     return bulk + 0.5 * h2 * _modal_sum(nonlocal_gap(kernel, epsilon**2), u.spectrum)
 
 

@@ -128,12 +128,8 @@ def _cell(value) -> str:
 
 
 def format_record(record) -> str:
-    return ",".join([
-        str(record.step), _cell(record.time), _cell(record.mass), _cell(record.energy),
-        _cell(record.modified_energy), _cell(record.increment_l2),
-        _cell(record.increment_hneg1), _cell(record.grad_omega_l2),
-        _cell(record.omega_variance), str(record.newton_iters),
-    ])
+    """The CSV row of a ``DiagnosticsRecord``, its fields in ``DIAGNOSTICS_HEADER`` order."""
+    return ",".join(_cell(v) for v in vars(record).values())
 
 
 def write_diagnostics(path, records: Iterable) -> None:

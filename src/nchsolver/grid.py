@@ -11,8 +11,15 @@ Inner products and norms follow the staggered-grid convention: the raw
 pairing (phi||psi) = sum_ij phi_ij psi_ij is unweighted, the L2 pairing is
 h^2 (phi||psi), and ||phi||_2 = sqrt(h^2 (phi||phi)).
 
-All reductions accumulate pairwise in extended precision (long double) so
-energy-monotonicity checks are not limited by summation error.  A field is
+Every sum the production modules take over the grid or its half spectrum
+-- means, pairings and norms here, the energy's bulk term, the Parseval
+sums, the mass snap of a step, the kernel mass [J (*) 1] and the record's
+gradient norm -- goes through the one summation rule ``_reduce``: pairwise
+in extended precision (long double), rounded to float64 once, so the
+mass and energy-monotonicity checks are not limited by summation error.
+The one exception is ``driver.random_initial_field``, which re-centers its
+sample with numpy's float64 ``mean``; routing it through ``_reduce`` would
+change every seeded initial field.  A field is
 immutable, so its mean is reduced at most once, on the first ``mean`` call,
 and its half spectrum ``rfft2(values)`` (``Field.spectrum``) is transformed
 at most once, on first use, however many steps, state checks and
@@ -34,9 +41,14 @@ from scipy.fft import rfft2
 from .errors import GeometryMismatchError
 
 
-def _reduce(values: np.ndarray) -> float:
-    # Pairwise summation in the widest native float type.
-    return float(np.sum(values, dtype=np.longdouble))
+def _reduce(*arrays: np.ndarray) -> float:
+    """Sum of all entries of the arrays: the one summation rule of the program.
+
+    Each array is summed pairwise in the widest native float type (long
+    double), the partial sums are added in it, and the total is rounded to
+    float64 once.
+    """
+    return float(sum(np.sum(a, dtype=np.longdouble) for a in arrays))
 
 
 @dataclass(frozen=True)

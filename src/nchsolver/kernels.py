@@ -38,7 +38,7 @@ import numpy as np
 from scipy.fft import irfft2, rfft2
 
 from .errors import ConfigError
-from .grid import Field, GridGeometry, require_same_geometry
+from .grid import Field, GridGeometry, _reduce, require_same_geometry
 
 KERNEL_VARIANTS = ("gaussian", "constant", "tabulated")
 
@@ -148,7 +148,7 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
         values = np.array(spec.table)
 
     values = 0.5 * (values + _reflect(values))
-    conv_one = float(geometry.h**2 * np.sum(values, dtype=np.longdouble))
+    conv_one = geometry.h**2 * _reduce(values)
     # Even and real: the half spectrum from rfft2 holds every value of the symbol.
     symbol = geometry.h**2 * rfft2(values)
     scale = np.abs(symbol.real).max()

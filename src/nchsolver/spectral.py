@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import irfft2
 
-from .grid import Field, GridGeometry, _freeze
+from .grid import Field, GridGeometry, _freeze, _reduce
 
 
 def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
@@ -123,11 +123,11 @@ def _parseval(weighted: np.ndarray) -> float:
 
     Interior columns 1..(N-1)//2 also stand for their mirrored modes; column
     0 and, for even N, the Nyquist column N/2 already hold theirs.  Scales
-    ``weighted`` in place; sums in long double.
+    ``weighted`` in place; sums with ``grid._reduce``.
     """
     n = weighted.shape[0]
     weighted[:, 1:(n + 1) // 2] *= 2.0
-    return float(np.sum(weighted, dtype=np.longdouble)) / n**2
+    return _reduce(weighted) / n**2
 
 
 def _modes_norm(modes: np.ndarray) -> float:

@@ -85,7 +85,8 @@ Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
 trajectories.  A step that diverges -- a non-finite new level, or a
 two-step pair whose masses no longer agree -- raises ``SolverError`` like
-a failed solve.
+a failed solve, and so does a linear step whose modal denominator
+a + lambda (S + G) is not positive somewhere.
 
 Steps are sequential by nature (level n+1 needs level n); independent
 simulations may run concurrently on shared immutable kernels and caches.
@@ -102,7 +103,7 @@ from scipy.fft import irfft2, rfft2
 
 from .energetics import PotentialSpec, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
-from .grid import Field, GridGeometry, _freeze, _norm2_values, mean
+from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean
 from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve
 from .spectral import SpectralCache, _apply_to_field, _modes_norm, _project_hermitian
@@ -302,7 +303,7 @@ def _apply_policy(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache
 
 
 def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
-    return values + (target - float(np.sum(values, dtype=np.longdouble)) / values.size)
+    return values + (target - _reduce(values) / values.size)
 
 
 # C of the Newton stop max(newton_tol, C eps scale).  Convex splitting's
@@ -404,7 +405,7 @@ def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np
     lam = cache.minus_laplacian_eigenvalues
     denominator = a + lam * shift
     if denominator.min() <= 0.0:
-        raise ConfigError(
+        raise SolverError(
             "non-positive modal denominator in the linear solve; "
             "the kernel/stabilization configuration is outside the solvable regime"
         )

@@ -30,6 +30,13 @@ def gaussian_kernel8(geo8):
     return sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo8)
 
 
+def negative_gap_table():
+    """8 x 8 kernel values with [J (*) 1] = 2 on the unit square, whose gap [J(*)1] - j_hat is -4 where k + l is odd."""
+    table = np.zeros((8, 8))
+    table[0, 0], table[4, 4] = 256.0, -128.0
+    return table
+
+
 def random_field(geometry, rng, scale=1.0):
     return Field(geometry, scale * rng.uniform(-1.0, 1.0, size=(geometry.n, geometry.n)))
 

@@ -11,6 +11,8 @@ from nchsolver.config import (apply_overrides, build_initial_field, build_kernel
                               parse_config, template_config)
 from nchsolver.fieldio import write_field
 
+from conftest import negative_gap_table
+
 BASE = """
 grid.N = 8
 grid.L = 1.0
@@ -450,6 +452,38 @@ def test_cli_run_non_finite_diagnostics_exits_3(tmp_path, capsys):
     summary = (out / "summary.txt").read_text()
     assert summary.startswith("termination: error\nsteps: 0\n")
     assert "detail: step 0: grad_omega_l2 is not finite (inf)" in summary
+
+
+def test_cli_run_overflowing_diagnostics_print_no_numpy_warning(tmp_path, capsys):
+    # The run silences the overflow it reports itself; no np.errstate here.
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        .replace("model.epsilon = 1.0", "model.epsilon = 1e120"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--max-steps", "3"]) == 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scheme, failed_step", [("ssi1", 1), ("two_li", 2)])
+def test_cli_run_unsolvable_linear_step_exits_3(tmp_path, capsys, scheme, failed_step):
+    # The modal denominator a + lambda (S + G) turns negative at the high
+    # modes: a solver error at the step, with every output written.
+    write_field(tmp_path / "kernel.nchf", Field(GridGeometry(8, 1.0), negative_gap_table()))
+    out = tmp_path / "out"
+    text = (BASE.format(out=out).replace("backward_euler", scheme)
+            .replace("scheme.tau = 0.05", "scheme.tau = 1.0")
+            .replace("model.kernel.type = gaussian", "model.kernel.type = tabulated")
+            .replace("model.kernel.cJ = 12.5\n", "").replace("model.kernel.xi = 10.0\n", ""))
+    cfg = _write_config(tmp_path, text + f"model.kernel.path = {tmp_path / 'kernel.nchf'}\n"
+                        "model.potential.K = 2.0\nscheme.S = 0.0\n"
+                        "scheme.stability_policy = ignore\n")
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint.nchk", "config.resolved", "diagnostics.csv", "summary.txt", "u_final.nchf"]
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith(f"termination: error\nsteps: {failed_step - 1}\n")
+    assert f"detail: step {failed_step}: non-positive modal denominator" in summary
 
 
 def test_cli_check_reports_inadmissible_ssi1_under_enforce(tmp_path, capsys):

@@ -17,7 +17,7 @@ from nchsolver import kernels, solvers, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 from nchsolver.oracles import dense_minus_laplacian_pinv
 
-from conftest import recomposed_modified_energy
+from conftest import negative_gap_table, recomposed_modified_energy
 
 GEO = GridGeometry(16, 1.0)
 CACHE = make_cache(GEO)
@@ -123,6 +123,21 @@ def test_error_termination_names_first_step_of_two_step_config():
     assert result.termination == "error"
     assert result.error_detail.startswith("step 2:")
     assert [r.step for r in result.records] == [0, 1]
+
+
+@pytest.mark.parametrize("scheme, failed_step", [("ssi1", 1), ("two_li", 2)])
+def test_unsolvable_linear_step_ends_run_with_error(scheme, failed_step):
+    # gamma0 = 1 > 0, but a + lambda (S + G) < 0 at the high modes; two_li's
+    # bootstrap ssi1 step raises S to beta/2 and still solves.
+    geo = GridGeometry(8, 1.0)
+    cfg = SchemeConfig(scheme, tau=1.0, epsilon=1.0, stabilization=0.0, cutoff=2.0,
+                       stability_policy="ignore")
+    kernel = sample_kernel(KernelSpec.tabulated(negative_gap_table()), geo)
+    result = run(random_initial_field(geo, seed=3), cfg, kernel, make_cache(geo),
+                 RunOptions(max_steps=10))
+    assert result.termination == "error"
+    assert result.error_detail.startswith(f"step {failed_step}: non-positive modal denominator")
+    assert result.final_state.step_index == failed_step - 1
 
 
 @pytest.mark.parametrize("scheme", ["ssi1", "two_li"])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -93,6 +94,10 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, rng, monkey
         write_checkpoint(path, SchemeState(u=random_field(geo, rng), step_index=4, time=0.4))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["state.nchk"]
+
+
+def test_diagnostics_header_names_the_record_fields():
+    assert DIAGNOSTICS_HEADER.split(",") == [f.name for f in dataclasses.fields(DiagnosticsRecord)]
 
 
 def test_diagnostics_csv_full_precision_roundtrip(tmp_path):

@@ -1,3 +1,6 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -158,6 +161,23 @@ def test_mean_reduces_each_field_once(monkeypatch, rng, geo8):
     assert len(calls) == 1
     mean(random_field(geo8, rng))
     assert len(calls) == 2
+
+
+def test_reduce_is_the_one_summation_rule():
+    # Outside the independent references, only grid._reduce names long double.
+    package = Path(grid.__file__).parent
+    sites = {path.name: path.read_text().count("np.longdouble")
+             for path in package.glob("*.py") if path.name not in ("oracles.py", "verify.py")}
+    assert {name: count for name, count in sites.items() if count} == {"grid.py": 1}
+    assert "np.longdouble" in inspect.getsource(grid._reduce)
+
+
+def test_reduce_adds_the_arrays_partial_sums_before_rounding():
+    # sum(a) = 1 + 2^-53 is exact in x87 long double but rounds to 1 in float64,
+    # so rounding each partial sum first would lose b.
+    a, b = np.array([1.0, 2.0**-53]), np.array([2.0**-53])
+    assert grid._reduce(a, b) == float(np.sum(a, dtype=np.longdouble) + np.sum(b, dtype=np.longdouble))
+    assert grid._reduce(a) == float(np.sum(a, dtype=np.longdouble))
 
 
 def test_projection_idempotent(rng, geo8):
