@@ -93,7 +93,7 @@ def random_initial_field(geometry: GridGeometry, mean_value: float = 0.0,
     """
     rng = np.random.default_rng(seed)
     values = mean_value + rng.uniform(-delta, delta, size=(geometry.n, geometry.n))
-    values += mean_value - values.mean()
+    values += mean_value - _reduce(values) / values.size
     return Field(geometry, values)
 
 
@@ -117,7 +117,7 @@ def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon:
 def _grad_norm(omega: Field) -> float:
     # Periodic data: both half-sums of the edge pairing equal the plain sum.
     gx, gy = _forward_differences(omega.values, omega.geometry.h)
-    return omega.geometry.h * math.sqrt(_reduce(gx * gx, gy * gy))
+    return omega.geometry.h * math.sqrt(_reduce(gx * gx) + _reduce(gy * gy))
 
 
 def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,

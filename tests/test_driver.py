@@ -38,6 +38,17 @@ def test_random_initial_field_hits_target_mass_and_range():
     assert np.array_equal(u.values, again.values)
 
 
+@pytest.mark.parametrize("n, mean_value, seed", [(8, 0.1, 42), (24, 0.0, 7), (64, -0.3, 3),
+                                                  (512, 0.0, 7)])
+def test_random_initial_field_is_recentred_as_by_numpy_mean(n, mean_value, seed):
+    # Re-centring through grid._reduce keeps every seeded field byte for byte.
+    rng = np.random.default_rng(seed)
+    values = mean_value + rng.uniform(-0.05, 0.05, size=(n, n))
+    values += mean_value - values.mean()
+    u = random_initial_field(GridGeometry(n, 1.0), mean_value, 0.05, seed=seed)
+    assert u.values.tobytes() == values.tobytes()
+
+
 def test_constant_init_terminates_first_step():
     u0 = Field.constant(GEO, 0.2)
     result = run(u0, _cfg(), GAUSS, CACHE, RunOptions(max_steps=100))
@@ -275,10 +286,10 @@ def test_loop_norms_equal_field_definitions(scheme):
         previous = state.u
         state, step = advance(state, cfg, kernel, cache)
         gx, gy = _forward_differences(step.omega.values, geo.h)
-        squares = np.sum(gx * gx, dtype=np.longdouble) + np.sum(gy * gy, dtype=np.longdouble)
+        squares = float(np.sum(gx * gx)) + float(np.sum(gy * gy))
         assert record.increment_l2 == norm2(Field(geo, state.u.values - previous.values))
         assert record.omega_variance == norm2(project_zero_mean(step.omega))
-        assert record.grad_omega_l2 == geo.h * math.sqrt(float(squares))
+        assert record.grad_omega_l2 == geo.h * math.sqrt(squares)
 
 
 @pytest.mark.parametrize("scheme", steppers.SCHEMES)
@@ -488,6 +499,27 @@ def test_convex_splitting_completes_a_phase_separating_run(tau, steps):
     assert result.termination == "max_steps", result.error_detail
     energies = [r.energy for r in result.records]
     assert all(after <= before for before, after in zip(energies, energies[1:]))
+
+
+def test_ssi1_conserves_mass_on_a_phase_separated_state():
+    # Float64 sums on the phase-separating problem: 2,000 ssi1 steps take the
+    # mean-zero field into both wells with the mass within 64 ulp of its start
+    # and no energy rise beyond rounding.
+    geo = GridGeometry(64, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(3000.0, 1000.0), geo)
+    beta = 3 * 1.05**2 - 1
+    cfg = SchemeConfig("ssi1", 1e-3, 1.0, stabilization=beta / 2, cutoff=1.05)
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=7)
+    result = run(u0, cfg, kernel, make_cache(geo), RunOptions(max_steps=2000))
+    assert result.termination == "max_steps", result.error_detail
+    ulp = np.finfo(np.float64).eps
+    masses = [r.mass for r in result.records]
+    assert max(abs(m - masses[0]) for m in masses) <= 64 * ulp * max(1.0, abs(masses[0]))
+    energies = [r.energy for r in result.records]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 64 * ulp * abs(before)
+    u = result.final_state.u.values
+    assert u.min() < -0.9 and u.max() > 0.9
 
 
 def test_package_exports_no_modules():
