@@ -9,7 +9,10 @@
 ``_build``, so ``check`` exits 2 on every configuration that ``run``
 rejects with exit 2 before its first step, with two exceptions: an unusable
 ``output.dir`` (``check`` creates nothing), and gamma0 <= 0, which the
-report covers and calls inadmissible (exit 1).
+report covers and calls inadmissible (exit 1).  ``check`` also evaluates
+the step-0 diagnostics row as ``run`` records it (``driver._start``) and
+calls a configuration inadmissible whose row is not finite, on which
+``run`` would end at step 0 with exit 3.
 
 Exit codes are part of the stable interface: 0 success (run finished or
 check admissible), 1 check inadmissible / verify failures, 2 configuration
@@ -25,6 +28,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import verify as verify_mod
+from .driver import _non_finite, _start
 from .driver import run as run_driver
 from .errors import ConfigError, SolverError
 from .fieldio import write_checkpoint, write_diagnostics, write_field
@@ -90,7 +94,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _, kernel, cache, scheme_cfg, _, _ = _build(args)
+    _, kernel, cache, scheme_cfg, _, u0 = _build(args)
+    _, row = _start(u0, scheme_cfg, kernel, cache)  # the step-0 row a run records first
     report = check_solvability(scheme_cfg, kernel, cache)
     print(f"scheme: {report.scheme}")
     print(f"tau: {report.tau!r}")
@@ -108,6 +113,9 @@ def cmd_check(args) -> int:
         print(f"bootstrap: {boot.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
               f"margin {boot.margin!r}")
         admissible = admissible and boot.admissible
+    if row_detail := _non_finite(row):  # a run would end at step 0
+        print(f"note: {row_detail}")
+        admissible = False
     print(f"verdict: {'admissible' if admissible else 'inadmissible'}")
     return EXIT_OK if admissible else EXIT_INADMISSIBLE
 

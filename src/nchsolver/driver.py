@@ -17,7 +17,14 @@ Per-step diagnostics (mass, the energy and the functional the scheme
 dissipates, increment norms, stationarity residuals, Newton iteration
 counts) are collected at a configurable cadence
 plus always at the terminating step; field snapshots and checkpoints use
-the binary formats from :mod:`nchsolver.fieldio`.
+the binary formats from :mod:`nchsolver.fieldio`.  Each step returns omega
+as its half spectrum, and the stationarity measures ||omega - mean||_2 and
+||grad omega||_2 are Parseval sums over it (``spectral.norm2_mean_free``,
+``spectral.norm_grad``), as is the defect of the potential equation in
+the equilibrium residual: no row takes omega back to the grid.  The
+step-0 row is built by ``_start``, which ``nch check`` also evaluates, so a
+configuration whose run would end at step 0 on a non-finite row is
+reported inadmissible before it runs.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, _reduce, mean, require_same_geometry
 from .kernels import SampledKernel, gamma0
-from .spectral import SpectralCache, _forward_differences, norm_neg1
+from .spectral import SpectralCache, norm2_mean_free, norm2_modes, norm_grad, norm_neg1
 from .steppers import SchemeConfig, SchemeState, advance, modified_energy
 
 
@@ -97,11 +104,6 @@ def random_initial_field(geometry: GridGeometry, mean_value: float = 0.0,
     return Field(geometry, values)
 
 
-def _variance(omega: Field) -> float:
-    """``norm2(project_zero_mean(omega))`` with no Field built."""
-    return _norm2_values(omega.values - mean(omega), omega.geometry.h)
-
-
 def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon: float,
                          potential: PotentialSpec) -> float:
     """Distance from the discrete stationary system.
@@ -110,14 +112,9 @@ def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon:
     constant) with the defect of the potential equation; both vanish
     exactly at a discrete equilibrium.
     """
-    defect = omega.values - chemical_potential(u, kernel, epsilon, potential).values
-    return max(_variance(omega), _norm2_values(defect, u.geometry.h))
-
-
-def _grad_norm(omega: Field) -> float:
-    # Periodic data: both half-sums of the edge pairing equal the plain sum.
-    gx, gy = _forward_differences(omega.values, omega.geometry.h)
-    return omega.geometry.h * math.sqrt(_reduce(gx * gx) + _reduce(gy * gy))
+    h = u.geometry.h
+    defect = omega.spectrum - chemical_potential(u, kernel, epsilon, potential).spectrum
+    return max(norm2_mean_free(omega.spectrum, h), norm2_modes(defect, h))
 
 
 def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
@@ -144,7 +141,7 @@ def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
         modified_energy=modified,
         increment_l2=increment_l2,
         increment_hneg1=inc_neg,
-        grad_omega_l2=_grad_norm(state.omega),
+        grad_omega_l2=norm_grad(state.omega.spectrum, cache),
         omega_variance=omega_variance,
         newton_iters=newton_iters,
     )
@@ -163,15 +160,35 @@ def _non_finite(record: DiagnosticsRecord) -> str:
     return ""
 
 
+def _start(u0: Field, cfg: SchemeConfig, kernel: SampledKernel,
+           cache: SpectralCache) -> tuple[SchemeState, DiagnosticsRecord]:
+    """The state a fresh run starts from, and its step-0 row; ``nch check`` evaluates it too.
+
+    A chemical potential of u0 that is not finite is a ``ConfigError``: the
+    model's scales overflow it before any step.
+    """
+    with _quiet():
+        try:
+            omega = chemical_potential(u0, kernel, cfg.epsilon, cfg.potential)
+        except ValueError as err:  # the geometries were checked: only finiteness can fail
+            raise ConfigError(f"the chemical potential of the initial field is not finite "
+                              f"({err}): the model's scales overflow it") from err
+        state = SchemeState(u=u0, omega=omega)
+        variance = norm2_mean_free(state.omega.spectrum, cache.geometry.h)
+        return state, _record(state, None, 0.0, variance, 0, cfg, kernel, cache)
+
+
 def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
         options: RunOptions, initial_state: Optional[SchemeState] = None) -> RunResult:
     """Advance the scheme until equilibrium or the step budget runs out.
 
     Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
     from a checkpoint) must be given; it must share the kernel's and the
-    cache's geometry (``GeometryMismatchError`` otherwise, before any step).
-    Stepper failures terminate the run with ``termination == "error"`` and
-    the failing step in the detail; records collected so far are kept.  A
+    cache's geometry (``GeometryMismatchError`` otherwise, before any step),
+    and a fresh start whose chemical potential is not finite raises
+    ``ConfigError``.  Stepper failures terminate the run with
+    ``termination == "error"`` and the failing step in the detail; records
+    collected so far are kept.  A
     step whose record is not finite fails the same way (the model's scales
     can overflow the norms while u and omega stay finite), and so does a run
     whose step-0 record or final equilibrium residual is not finite; the
@@ -189,14 +206,13 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             "positive-diffusivity assumption"
         )
 
-    pot = cfg.potential
+    h = cache.geometry.h
     records: list[DiagnosticsRecord] = []
     termination, detail = "max_steps", ""
     if initial_state is None:
-        state = SchemeState(u=u0, omega=chemical_potential(u0, kernel, cfg.epsilon, pot))
-        with _quiet():
-            records.append(_record(state, None, 0.0, _variance(state.omega), 0, cfg, kernel, cache))
-        detail = _non_finite(records[-1])
+        state, first = _start(u0, cfg, kernel, cache)
+        records.append(first)
+        detail = _non_finite(first)
     else:
         state = initial_state
 
@@ -210,8 +226,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
 
         at_cadence = new.step_index % options.record_every == 0
         with _quiet():
-            inc_l2 = _norm2_values(new.u.values - state.u.values, state.u.geometry.h)
-            variance = _variance(new.omega)
+            inc_l2 = _norm2_values(new.u.values - state.u.values, h)
+            variance = norm2_mean_free(new.omega.spectrum, h)
             reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
             if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
                 record = _record(new, state.u, inc_l2, variance, result.newton_iters,
@@ -227,6 +243,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             termination = "equilibrium"
             break
 
+    pot = cfg.potential
     omega = state.omega if state.omega is not None else chemical_potential(
         state.u, kernel, cfg.epsilon, pot)
     with _quiet():

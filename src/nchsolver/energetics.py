@@ -37,11 +37,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.fft import rfft2
 
 from .errors import ConfigError
 from .grid import Field, _freeze, _reduce, require_same_geometry
 from .kernels import SampledKernel, nonlocal_gap
-from .spectral import _apply_to_field, _modal_sum
+from .spectral import _modal_sum
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -113,8 +114,12 @@ def energy(u: Field, kernel: SampledKernel, epsilon: float, spec: PotentialSpec 
 
 def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,
                        spec: PotentialSpec = DOUBLE_WELL) -> Field:
-    """Variational derivative F'(u) + eps^2 [J(*)1] u - eps^2 [J (*) u]."""
+    """Variational derivative F'(u) + eps^2 [J(*)1] u - eps^2 [J (*) u], built as its half spectrum.
+
+    rfft2(F'(u)) + G u_hat, with G the symbol ``nonlocal_gap`` and u_hat the
+    spectrum u keeps: one transform.
+    """
     require_same_geometry(kernel, u)
-    omega = potential_d1(spec, u.values)
-    omega += _apply_to_field(u, nonlocal_gap(kernel, epsilon**2))
-    return Field(u.geometry, _freeze(omega))
+    omega = rfft2(potential_d1(spec, u.values))
+    omega += nonlocal_gap(kernel, epsilon**2) * u.spectrum
+    return Field.from_spectrum(u.geometry, _freeze(omega))

@@ -13,29 +13,34 @@ h^2 (phi||psi), and ||phi||_2 = sqrt(h^2 (phi||phi)).
 
 Every sum the production modules take over the grid or its half spectrum
 -- means, pairings and norms here, the energy's bulk term, the Parseval
-sums, the mass snap of a step, the kernel mass [J (*) 1] and the record's
-gradient norm, and the re-centring of a seeded initial field -- goes
-through the one summation rule ``_reduce``: numpy's pairwise sum in
-float64.  Its rounding stays far below the 64-ulp mass check: over 2,000
-``ssi1`` steps of a phase-separating run at N = 512 the mass drifted by
-0.25 ulp.  A field is
-immutable, so its mean is reduced at most once, on the first ``mean`` call,
-and its half spectrum ``rfft2(values)`` (``Field.spectrum``) is transformed
-at most once, on first use, however many steps, state checks and
-diagnostics ask for them: a level's spectrum serves the step that solves
-from it, the next step, the energy and the increment norm of the record.
-A field keeps a copy of a caller's writeable array; the schemes instead
-freeze each new level they compute (``_freeze``), which the field adopts
+sums, the mass snap of a step and the kernel mass [J (*) 1], and the
+re-centring of a seeded initial field -- goes through the one summation
+rule ``_reduce``: numpy's pairwise sum in float64.  Its rounding stays far
+below the 64-ulp mass check: over 2,000 ``ssi1`` steps of a
+phase-separating run at N = 512 the mass drifted by 0.25 ulp.
+
+A field holds its values, its half spectrum ``rfft2(values)``
+(``Field.spectrum``), or both.  It is built from one of them --
+``Field(geometry, values)`` or ``Field.from_spectrum(geometry, modes)`` --
+and the other is transformed at most once, on first use.  A field is
+immutable, so its mean is reduced at most once too, on the first ``mean``
+call, however many steps, state checks and diagnostics ask for them.  A
+level is built from its values, and its spectrum serves the step that
+solves from it, the next step, the energy and the increment norm of the
+record.  The chemical potential omega is built from its spectrum, which
+the record's norms read, so a run never takes omega back to the grid.  A
+field keeps a copy of a caller's writeable array; the schemes instead
+freeze each array they compute (``_freeze``), which the field adopts
 without copying.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import rfft2
+from scipy.fft import irfft2, rfft2
 
 from .errors import GeometryMismatchError
 
@@ -93,28 +98,49 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+def _adopt(array, dtype, shape: tuple, form: str) -> np.ndarray:
+    """A read-only ``dtype`` array of ``shape`` holding ``array``, which must be finite.
+
+    A writeable or borrowed array is copied; a read-only array that owns its
+    data is adopted as it is.
+    """
+    array = np.asarray(array, dtype=dtype)
+    if array.shape != shape:
+        raise ValueError(f"expected {form} of shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"field {form} must be finite (no NaN/Inf)")
+    if array.base is not None or array.flags.writeable:
+        array = array.copy()
+    return _freeze(array)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Field:
     """Cell-centered periodic grid function; immutable after construction.
 
+    Built from its values, ``Field(geometry, values)``, or from its half
+    spectrum, ``Field.from_spectrum(geometry, modes)``; the other form is
+    computed on first use, once.  Finiteness is checked on the form given.
     A writeable or borrowed array is copied, so later changes to the
     caller's array do not reach the field; a read-only array that owns its
     data is adopted as it is.
     """
 
     geometry: GridGeometry
-    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        n = self.geometry.n
-        if values.shape != (n, n):
-            raise ValueError(f"expected values of shape ({n}, {n}), got {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("field values must be finite (no NaN/Inf)")
-        if values.base is not None or values.flags.writeable:
-            values = values.copy()
-        object.__setattr__(self, "values", _freeze(values))
+    def __init__(self, geometry: GridGeometry, values: np.ndarray):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "values",
+                           _adopt(values, np.float64, (geometry.n, geometry.n), "values"))
+
+    @classmethod
+    def from_spectrum(cls, geometry: GridGeometry, modes: np.ndarray) -> "Field":
+        """The field whose half spectrum ``rfft2(values)`` is ``modes``, N x (N/2+1)."""
+        phi = cls.__new__(cls)
+        object.__setattr__(phi, "geometry", geometry)
+        object.__setattr__(phi, "spectrum", _adopt(modes, np.complex128,
+                                                   (geometry.n, geometry.n // 2 + 1), "spectrum"))
+        return phi
 
     @classmethod
     def constant(cls, geometry: GridGeometry, value: float) -> "Field":
@@ -132,6 +158,12 @@ class Field:
     def spectrum(self) -> np.ndarray:
         """Half spectrum ``rfft2(values)``, the N x (N/2+1) modes l = 0..N/2; read-only."""
         return _freeze(rfft2(self.values))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Cell values ``irfft2(spectrum)``, N x N; read-only."""
+        n = self.geometry.n
+        return _freeze(irfft2(self.spectrum, s=(n, n)))
 
 
 def require_same_geometry(a, b) -> GridGeometry:

@@ -4,7 +4,7 @@ Forward differences map cell values to edge values, backward differences
 map edge values back, and minus their composition is minus the Laplacian --
 the standard 5-point periodic stencil.  The forward differences are written
 once (``_forward_differences``), for the array-level stencil
-``laplacian_apply`` and the driver's gradient norm.  The stencil is
+``laplacian_apply``.  The stencil is
 circulant, hence diagonal in the discrete Fourier basis: the mode (k, l) of
 minus the Laplacian carries the eigenvalue
 
@@ -19,11 +19,17 @@ The production path uses real transforms on the half spectrum of modes
 l = 0..N/2 (N x (N/2+1), all values of a real even symbol).  A ``Field``
 keeps its own half spectrum (``Field.spectrum``), so applying a symbol to a
 field (``_apply_to_field``) takes one ``irfft2``.  Quadratic forms
-(v || A v) of such an operator -- the negative norm ``norm_neg1`` here, the
-nonlocal energy in :mod:`nchsolver.energetics` -- are one modal sum by
-Parseval over the spectrum of v, taken by the one private helper
-``_modal_sum``, which holds the rule that interior half-spectrum columns
-count twice.  The only transforms are ``scipy.fft.rfft2`` and
+(v || A v) of such an operator -- the nonlocal energy in
+:mod:`nchsolver.energetics` and the norms here -- are one modal sum by
+Parseval over the spectrum of v, which ``_parseval`` takes by the rule
+that interior half-spectrum columns count twice.  Each norm of a spectrum
+is written once: the L2 norm ``norm2_modes`` (the Newton norm and the
+equilibrium defect), ``norm2_mean_free``, which drops the constant mode
+(the variance of omega), ``norm_grad``, weighted by lambda (the gradient
+norm of omega, equal to the forward-difference norm by summation by
+parts), and ``norm_neg1``, weighted by 1/lambda (the increment's
+||du||_{-1}).  The record takes every norm of omega from the spectrum a
+step keeps, with no transform.  The only transforms are ``scipy.fft.rfft2`` and
 ``irfft2(..., s=(N, N))``; the oracle suite checks them against a direct
 DFT sum.
 
@@ -40,6 +46,7 @@ only in the test oracles that validate these symbols.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,12 +117,17 @@ def laplacian_apply(values: np.ndarray, h: float) -> np.ndarray:
     return (gx - np.roll(gx, 1, axis=0)) / h + (gy - np.roll(gy, 1, axis=1)) / h
 
 
+def _power(modes: np.ndarray) -> np.ndarray:
+    """|v_hat|^2 per half-spectrum mode, a fresh array."""
+    return modes.real**2 + modes.imag**2
+
+
 def _modal_sum(symbol: np.ndarray, modes: np.ndarray) -> float:
     """Pairing (v || A v) of the real v with half spectrum ``modes`` and the circulant A of a symbol.
 
     Parseval: (v || A v) = (1/N^2) sum_kl a_kl |v_hat_kl|^2 over all N^2 modes.
     """
-    return _parseval(symbol * (modes.real**2 + modes.imag**2))
+    return _parseval(symbol * _power(modes))
 
 
 def _parseval(weighted: np.ndarray) -> float:
@@ -128,11 +140,6 @@ def _parseval(weighted: np.ndarray) -> float:
     n = weighted.shape[0]
     weighted[:, 1:(n + 1) // 2] *= 2.0
     return _reduce(weighted) / n**2
-
-
-def _modes_norm(modes: np.ndarray) -> float:
-    """Plain L2 norm sqrt(sum v^2) of the real field whose rfft2 coefficients are ``modes``."""
-    return float(np.sqrt(_parseval(modes.real**2 + modes.imag**2)))
 
 
 def _project_hermitian(modes: np.ndarray) -> np.ndarray:
@@ -149,6 +156,27 @@ def _project_hermitian(modes: np.ndarray) -> np.ndarray:
         column = modes[:, col]
         modes[:, col] = 0.5 * (column + np.conj(column[mirror]))
     return modes
+
+
+def norm2_modes(modes: np.ndarray, h: float) -> float:
+    """Discrete L2 norm ||v||_2 = sqrt(h^2 (v||v)) of the field with half spectrum ``modes``."""
+    return h * math.sqrt(_parseval(_power(modes)))
+
+
+def norm2_mean_free(modes: np.ndarray, h: float) -> float:
+    """||v - mean(v)||_2 of the field with half spectrum ``modes``: the constant mode dropped."""
+    power = _power(modes)
+    power[0, 0] = 0.0
+    return h * math.sqrt(_parseval(power))
+
+
+def norm_grad(modes: np.ndarray, cache: SpectralCache) -> float:
+    """||grad v||_2 = sqrt(h^2 (v || (-Lap) v)) of the field with half spectrum ``modes``.
+
+    Summation by parts makes it the edge norm h sqrt(sum (D_x v)^2 + (D_y v)^2)
+    of the forward differences.
+    """
+    return cache.geometry.h * math.sqrt(_modal_sum(cache.minus_laplacian_eigenvalues, modes))
 
 
 def norm_neg1(modes: np.ndarray, cache: SpectralCache) -> float:

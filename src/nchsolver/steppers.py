@@ -57,18 +57,23 @@ run.  ``step`` itself is an unchecked solve.
 Each level is transformed forward at most once: a step reads rfft2(u^n)
 (and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
 for the right-hand side rfft2(rhs) and the Newton guess, and the spectrum
-of the new level, taken once, serves omega's nonlocal part, the record's
-energy and ||du||_{-1} (``spectral.norm_neg1``), and the next step.  All transforms come from
+of the new level, rfft2 of its values taken once, serves omega's nonlocal
+part, the record's energy and ||du||_{-1} (``spectral.norm_neg1``), and the
+next step.  A step returns omega as its half spectrum
+(``Field.from_spectrum``), which the record's norms read by Parseval, so
+no step transforms omega back to the grid.  All transforms come from
 ``scipy.fft``.
 
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
 with omega = local(u) + G u eliminated, it solves for the half-spectrum
-coefficients rfft2(u) alone, matrix-free, and reconstructs omega from the
-new level.  The linear part a + lambda G is then a product, a residual or
-Jacobian apply takes one inverse and one forward transform around the
-pointwise part of omega, and the frozen-coefficient preconditioner
-a + lambda (slope + G) is a division.  It is close enough to the
+coefficients rfft2(u) alone, matrix-free, and takes u and omega from its
+last residual, which is evaluated at the returned iterate: u is the mass
+snap of that residual's grid values and omega's spectrum its
+rfft2(local(u)) plus G rfft2(u).  The linear part a + lambda G is then a
+product, a residual or Jacobian apply takes one inverse and one forward
+transform around the pointwise part of omega, and the frozen-coefficient
+preconditioner a + lambda (slope + G) is a division.  It is close enough to the
 Jacobian that ``newton_solve`` first takes fixed-point steps with it, one
 residual each, and hands over to Newton-Krylov once they stop contracting.
 Convex splitting's nonlocal term is explicit and part of local(u), built
@@ -79,7 +84,7 @@ grows like 1/h^2.
 The two linear schemes share one DFT-diagonal solve (``_linear_step``) of
 a u + (-Lap)(explicit + shift u) = rhs: ssi1 with explicit
 F_K'(u^n) - S u^n and shift S + G, two_li with 2 F_K'(u^n) - F_K'(u^{n-1})
-and shift G.
+and shift G; omega's spectrum is rfft2(explicit) + shift u_hat.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -106,7 +111,7 @@ from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean
 from .kernels import SampledKernel, gamma0, nonlocal_gap
 from .solvers import newton_solve
-from .spectral import SpectralCache, _apply_to_field, _modes_norm, _project_hermitian
+from .spectral import SpectralCache, _apply_to_field, _project_hermitian, norm2_modes
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -198,14 +203,15 @@ class StepResult(NamedTuple):
     newton_iters: int
 
 
-def _step_field(geometry: GridGeometry, values: np.ndarray) -> Field:
-    """Wrap a fresh array of a step (its u or omega); a non-finite one (a diverged step) is a solver failure.
+def _step_field(build, geometry: GridGeometry, array: np.ndarray) -> Field:
+    """Wrap a fresh array of a step; a non-finite one (a diverged step) is a solver failure.
 
-    The array is owned by the step, so it is frozen and the ``Field`` adopts
-    it without a copy.
+    ``build`` is ``Field`` for u's values or ``Field.from_spectrum`` for
+    omega's spectrum.  The array is owned by
+    the step, so it is frozen and the field adopts it without a copy.
     """
     try:
-        return Field(geometry, _freeze(values))
+        return build(geometry, _freeze(array))
     except ValueError as err:  # the shapes come from the state: only finiteness can fail
         raise SolverError(f"diverged: {err}") from err
 
@@ -322,10 +328,14 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
     ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep
-    (``Field.spectrum``); the guess is the spectrum of u^n.
-    omega's nonlocal part is irfft2(G rfft2(u)) from the spectrum of the new
-    level, as ``chemical_potential`` computes it, so the two agree bit for
-    bit and that spectrum is the one the record and the next step read.  omega(u) = local(u) +
+    (``Field.spectrum``); the guess is the spectrum of u^n.  The returned
+    iterate is the last residual's, whose grid values and rfft2(local(u))
+    are kept: u is those values, mass-snapped, with no transform, and
+    omega's spectrum is rfft2(local(u)) plus G times the spectrum of the new
+    level, as ``chemical_potential`` computes it but with local evaluated
+    before the snap, so the two agree to rounding.  An iterate that is not
+    the last residual's (an identity check on the modes) is evaluated
+    afresh, one transform each way.  omega(u) = local(u) +
     G u with G the half-spectrum symbol ``gap`` (None when the nonlocal term
     is explicit, folded into ``local`` as its part ``explicit``), and
     ``local_slope(u)`` the pointwise derivative of ``local``.  The unknown
@@ -356,24 +366,30 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
         symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
 
     h = cache.geometry.h
-    norm = lambda modes: h * _modes_norm(modes)
+    norm = lambda modes: norm2_modes(modes, h)
     terms = np.abs(state.u.values)
     terms *= terms * terms + abs(slope)
     terms += np.abs(explicit)
     scale = norm(rhs_hat) + norm(symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
 
-    # The last iterate taken to the grid, with its field and, once asked for, its slope.
+    # The last iterate taken to the grid, with its values and, once asked
+    # for, rfft2(local(values)) and the slope.
     last = {"modes": None}
 
     def at(modes):
         if modes is not last["modes"]:
-            last.update(modes=modes, values=irfft2(modes, s=shape), slope=None)
+            last.update(modes=modes, values=irfft2(modes, s=shape), local_hat=None, slope=None)
         return last
 
+    def evaluated(modes):
+        point = at(modes)
+        if point["local_hat"] is None:
+            point["local_hat"] = rfft2(local(point["values"]))
+        return point
+
     def residual(modes):
-        values = at(modes)["values"]
-        return _project_hermitian(linear * modes - rhs_hat + lam * rfft2(local(values)))
+        return _project_hermitian(linear * modes - rhs_hat + lam * evaluated(modes)["local_hat"])
 
     def jacobian(modes, v_hat):
         point = at(modes)
@@ -383,11 +399,12 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
 
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
                                    lambda r: r / symbol, norm)
-    u = _step_field(state.u.geometry, _snap_mass(irfft2(u_hat, s=shape), mean(state.u)))
-    omega_vals = local(u.values)
+    point = evaluated(u_hat)  # the last residual's own point: no transform
+    u = _step_field(Field, state.u.geometry, _snap_mass(point["values"], mean(state.u)))
+    omega_hat = point["local_hat"]  # no residual reads it again
     if gap is not None:  # from the spectrum of u itself, as chemical_potential takes it
-        omega_vals += _apply_to_field(u, gap)
-    return StepResult(u, _step_field(u.geometry, omega_vals), iters)
+        omega_hat += gap * u.spectrum
+    return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters)
 
 
 def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np.ndarray,
@@ -395,12 +412,10 @@ def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np
     """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
     ``shift`` is the half-spectrum symbol S + G of ssi1 or G of two_li.  A
-    step transforms only ``explicit`` forward.  lambda vanishes at the
-    constant mode, so it needs no special case; the mass snap shifts only
-    that mode, and omega takes its implicit part from the solved spectrum.
-    The solve updates the spectrum of ``explicit`` in place, and omega is
-    ``explicit`` plus its implicit part, so the step holds no more arrays
-    than it needs.
+    step transforms only ``explicit`` forward and the solved spectrum back.
+    lambda vanishes at the constant mode, so it needs no special case; the
+    mass snap shifts only that mode.  omega is returned as its spectrum,
+    rfft2(explicit) plus the implicit part shift u_hat, added in place.
     """
     lam = cache.minus_laplacian_eigenvalues
     denominator = a + lam * shift
@@ -409,14 +424,15 @@ def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np
             "non-positive modal denominator in the linear solve; "
             "the kernel/stabilization configuration is outside the solvable regime"
         )
-    u_hat = rfft2(explicit)
-    u_hat *= lam
+    omega_hat = rfft2(explicit)
+    u_hat = lam * omega_hat
     np.subtract(rhs_hat, u_hat, out=u_hat)
     u_hat /= denominator
-    u = _step_field(state.u.geometry, _snap_mass(irfft2(u_hat, s=explicit.shape), mean(state.u)))
+    u = _step_field(Field, state.u.geometry,
+                    _snap_mass(irfft2(u_hat, s=explicit.shape), mean(state.u)))
     u_hat *= shift
-    explicit += irfft2(u_hat, s=explicit.shape)
-    return StepResult(u, _step_field(u.geometry, explicit), 0)
+    omega_hat += u_hat
+    return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
 
 
 def step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,

@@ -454,6 +454,39 @@ def test_cli_run_non_finite_diagnostics_exits_3(tmp_path, capsys):
     assert "detail: step 0: grad_omega_l2 is not finite (inf)" in summary
 
 
+def test_cli_check_calls_a_non_finite_step_zero_row_inadmissible(tmp_path, capsys):
+    # The admissibility margin is finite, but the run would end at step 0:
+    # check evaluates the same row and names its first non-finite column.
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        .replace("model.epsilon = 1.0", "model.epsilon = 1e120"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert float(next(l.split(": ")[1] for l in lines if l.startswith("margin:"))) > 0.0
+    assert "note: step 0: grad_omega_l2 is not finite (inf)" in lines
+    assert lines[-1] == "verdict: inadmissible"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_overflowing_step_zero_chemical_potential_exits_2(tmp_path, capsys):
+    # eps^2 [J (*) 1] is finite, but G rfft2(u0) overflows at N = 32: both
+    # commands stop before any step with a configuration error, no traceback.
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        .replace("grid.N = 8", "grid.N = 32")
+                        .replace("model.epsilon = 1.0", "model.epsilon = 5e153"))
+    for command in ("check", "run"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "configuration error: the chemical potential of the initial field is not finite")
+
+
 def test_cli_run_overflowing_diagnostics_print_no_numpy_warning(tmp_path, capsys):
     # The run silences the overflow it reports itself; no np.errstate here.
     cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")

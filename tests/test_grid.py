@@ -46,6 +46,31 @@ def test_field_spectrum_is_the_read_only_rfft2_of_its_values(rng, geo8):
             spectrum[0, 0] = 0.0
 
 
+def test_field_from_spectrum_computes_its_values_once(rng, geo8):
+    for geometry in (geo8, GridGeometry(7, 1.0)):
+        values = random_field(geometry, rng).values
+        modes = scipy.fft.rfft2(values)
+        phi = Field.from_spectrum(geometry, modes)
+        assert phi.spectrum is not modes  # a writeable caller array is copied
+        assert np.array_equal(phi.spectrum, modes)
+        first = phi.values
+        assert np.array_equal(first, scipy.fft.irfft2(modes, s=values.shape))  # bit for bit
+        assert phi.values is first  # transformed once
+        assert not first.flags.writeable and not phi.spectrum.flags.writeable
+        assert mean(phi) == pytest.approx(mean(Field(geometry, values)), abs=1e-15)
+        frozen = grid._freeze(modes.copy())
+        assert Field.from_spectrum(geometry, frozen).spectrum is frozen  # adopted, no copy
+
+
+def test_field_from_spectrum_checks_the_spectrum(geo8):
+    with pytest.raises(ValueError, match="shape"):
+        Field.from_spectrum(geo8, np.zeros((8, 8), dtype=complex))
+    modes = np.zeros((8, 5), dtype=complex)
+    modes[1, 1] = complex(np.inf, 0.0)
+    with pytest.raises(ValueError, match="spectrum must be finite"):
+        Field.from_spectrum(geo8, modes)
+
+
 def test_field_rejects_nonfinite():
     geo = GridGeometry(4, 1.0)
     values = np.zeros((4, 4))
@@ -87,10 +112,12 @@ def test_step_levels_are_read_only_and_adopted_without_copy(scheme, rng, monkeyp
     state = SchemeState(u=u, u_prev=u if scheme in steppers.TWO_STEP_SCHEMES else None)
     _, result = advance(state, cfg, kernel, make_cache(geo))
     assert not result.u.values.flags.writeable
+    assert not result.omega.spectrum.flags.writeable
     assert not result.omega.values.flags.writeable
-    # The fields hold the very arrays the step froze: no copy was made.
+    # The fields hold the very arrays the step froze, u its values and omega
+    # its spectrum: no copy was made.
     assert result.u.values is frozen[0]
-    assert result.omega.values is frozen[1]
+    assert result.omega.spectrum is frozen[1]
 
 
 def test_inner_product_ones_counts_cells():

@@ -63,8 +63,11 @@ def test_backward_euler_residual_and_mass(rng):
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
+    # omega is rfft2(F'(.)) at the solve's values, before the mass snap, plus
+    # G rfft2(u): chemical_potential(u) up to rounding.
     omega_expected = chemical_potential(result.u, GAUSS, cfg.epsilon, cfg.potential)
-    assert np.abs(result.omega.values - omega_expected.values).max() == 0.0
+    ulps = 64 * np.finfo(np.float64).eps * np.abs(result.omega.values).max()
+    assert np.abs(result.omega.values - omega_expected.values).max() <= ulps
     assert abs(mean(result.u) - mean(state.u)) <= 1e-15
 
 
