@@ -12,12 +12,12 @@ from types import ModuleType as _ModuleType
 
 from .driver import (DecayProbe, DiagnosticsRecord, RunOptions, RunResult,
                      equilibrium_residual, h1h2_probe, random_initial_field, run)
-from .energetics import (PotentialSpec, chemical_potential, energy, potential_d1,
+from .energetics import (Model, PotentialSpec, chemical_potential, energy, potential_d1,
                          potential_d2, potential_value)
 from .errors import (ConfigError, GeometryMismatchError, SolverError, StabilityError,
                      StateError)
-from .grid import Field, GridGeometry, inner_product, mean, norm2, project_zero_mean
-from .kernels import KernelSpec, SampledKernel, gamma0, sample_kernel
+from .grid import Field, GridGeometry, mean, norm2
+from .kernels import KernelSpec, SampledKernel, sample_kernel
 from .solvers import newton_solve
 from .spectral import SpectralCache, laplacian_eigenvalues, make_cache
 from .steppers import (SchemeConfig, SchemeState, SolvabilityReport, StepResult, advance,

@@ -95,22 +95,24 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     _, kernel, cache, scheme_cfg, _, u0 = _build(args)
-    _, row = _start(u0, scheme_cfg, kernel, cache)  # the step-0 row a run records first
-    report = check_solvability(scheme_cfg, kernel, cache)
-    print(f"scheme: {report.scheme}")
-    print(f"tau: {report.tau!r}")
-    print(f"gamma0: {report.gamma0!r}")
-    print(f"conv_one: {report.conv_one!r}")
-    print(f"beta: {report.beta!r}")
-    print(f"S: {report.stabilization!r}")
+    model = scheme_cfg.model(kernel, cache)  # as driver.run builds it
+    _, row = _start(u0, scheme_cfg, model)  # the step-0 row a run records first
+    report = check_solvability(scheme_cfg, model)
+    print(f"scheme: {scheme_cfg.scheme}")
+    print(f"tau: {scheme_cfg.tau!r}")
+    print(f"gamma0: {model.gamma0!r}")
+    print(f"conv_one: {kernel.conv_one!r}")
+    print(f"beta: {scheme_cfg.beta!r}")
+    print(f"S: {scheme_cfg.stabilization!r}")
     print(f"per_mode_min: {report.per_mode_min!r}")
     print(f"margin: {report.margin!r}")
     if report.note:
         print(f"note: {report.note}")
     admissible = report.admissible
     if scheme_cfg.scheme in TWO_STEP_SCHEMES:  # a run's first step takes the bootstrap scheme
-        boot = check_solvability(bootstrap_config(scheme_cfg), kernel, cache)
-        print(f"bootstrap: {boot.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
+        boot_cfg = bootstrap_config(scheme_cfg)
+        boot = check_solvability(boot_cfg, model)
+        print(f"bootstrap: {boot_cfg.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
               f"margin {boot.margin!r}")
         admissible = admissible and boot.admissible
     if row_detail := _non_finite(row):  # a run would end at step 0

@@ -36,11 +36,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energetics import PotentialSpec, chemical_potential, energy
+from .energetics import Model, chemical_potential, energy
 from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, _reduce, mean, require_same_geometry
-from .kernels import SampledKernel, gamma0
+from .kernels import SampledKernel
 from .spectral import SpectralCache, norm2_mean_free, norm2_modes, norm_grad, norm_neg1
 from .steppers import SchemeConfig, SchemeState, advance, modified_energy
 
@@ -104,8 +104,7 @@ def random_initial_field(geometry: GridGeometry, mean_value: float = 0.0,
     return Field(geometry, values)
 
 
-def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon: float,
-                         potential: PotentialSpec) -> float:
+def equilibrium_residual(u: Field, omega: Field, model: Model) -> float:
     """Distance from the discrete stationary system.
 
     Combines the variance of the chemical potential (zero iff omega is
@@ -113,13 +112,13 @@ def equilibrium_residual(u: Field, omega: Field, kernel: SampledKernel, epsilon:
     exactly at a discrete equilibrium.
     """
     h = u.geometry.h
-    defect = omega.spectrum - chemical_potential(u, kernel, epsilon, potential).spectrum
+    defect = omega.spectrum - chemical_potential(u, model).spectrum
     return max(norm2_mean_free(omega.spectrum, h), norm2_modes(defect, h))
 
 
 def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
-            omega_variance: float, newton_iters: int, cfg: SchemeConfig, kernel: SampledKernel,
-            cache: SpectralCache) -> DiagnosticsRecord:
+            omega_variance: float, newton_iters: int, cfg: SchemeConfig,
+            model: Model) -> DiagnosticsRecord:
     """The row of ``state``, whose ``omega`` it reads; each functional is evaluated once and reused.
 
     The energy and ``||du||_{-1}`` read the spectra the two levels keep, so a
@@ -127,11 +126,11 @@ def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
     modified energy column is ``steppers.modified_energy`` of them, empty for
     a one-step scheme, whose dissipated functional is the energy column.
     """
-    e = energy(state.u, kernel, cfg.epsilon, cfg.potential)
+    e = energy(state.u, model)
     modified = None
     inc_neg = 0.0
     if previous is not None:
-        inc_neg = norm_neg1(state.u.spectrum - previous.spectrum, cache)
+        inc_neg = norm_neg1(state.u.spectrum - previous.spectrum, model.cache)
         modified = modified_energy(cfg, e, inc_neg, increment_l2)
     return DiagnosticsRecord(
         step=state.step_index,
@@ -141,7 +140,7 @@ def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
         modified_energy=modified,
         increment_l2=increment_l2,
         increment_hneg1=inc_neg,
-        grad_omega_l2=norm_grad(state.omega.spectrum, cache),
+        grad_omega_l2=norm_grad(state.omega.spectrum, model.cache),
         omega_variance=omega_variance,
         newton_iters=newton_iters,
     )
@@ -160,8 +159,7 @@ def _non_finite(record: DiagnosticsRecord) -> str:
     return ""
 
 
-def _start(u0: Field, cfg: SchemeConfig, kernel: SampledKernel,
-           cache: SpectralCache) -> tuple[SchemeState, DiagnosticsRecord]:
+def _start(u0: Field, cfg: SchemeConfig, model: Model) -> tuple[SchemeState, DiagnosticsRecord]:
     """The state a fresh run starts from, and its step-0 row; ``nch check`` evaluates it too.
 
     A chemical potential of u0 that is not finite is a ``ConfigError``: the
@@ -169,19 +167,21 @@ def _start(u0: Field, cfg: SchemeConfig, kernel: SampledKernel,
     """
     with _quiet():
         try:
-            omega = chemical_potential(u0, kernel, cfg.epsilon, cfg.potential)
+            omega = chemical_potential(u0, model)
         except ValueError as err:  # the geometries were checked: only finiteness can fail
             raise ConfigError(f"the chemical potential of the initial field is not finite "
                               f"({err}): the model's scales overflow it") from err
         state = SchemeState(u=u0, omega=omega)
-        variance = norm2_mean_free(state.omega.spectrum, cache.geometry.h)
-        return state, _record(state, None, 0.0, variance, 0, cfg, kernel, cache)
+        variance = norm2_mean_free(state.omega.spectrum, model.cache.geometry.h)
+        return state, _record(state, None, 0.0, variance, 0, cfg, model)
 
 
 def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
         options: RunOptions, initial_state: Optional[SchemeState] = None) -> RunResult:
     """Advance the scheme until equilibrium or the step budget runs out.
 
+    The run's ``Model`` is built once, from ``cfg.epsilon``,
+    ``cfg.potential``, the kernel and the cache, and serves every step.
     Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
     from a checkpoint) must be given; it must share the kernel's and the
     cache's geometry (``GeometryMismatchError`` otherwise, before any step),
@@ -197,20 +197,17 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     """
     if (u0 is None) == (initial_state is None):
         raise ConfigError("exactly one of u0 and initial_state must be given")
-    require_same_geometry(kernel, cache)
-    require_same_geometry(kernel, u0 if initial_state is None else initial_state.u)
-    g0 = gamma0(kernel, cfg.epsilon)
-    if not g0 > 0.0:
-        raise ConfigError(
-            f"gamma0 = {g0!r} <= 0: the kernel/epsilon pair violates the "
-            "positive-diffusivity assumption"
-        )
+    model = cfg.model(kernel, cache)
+    require_same_geometry(model.cache, u0 if initial_state is None else initial_state.u)
+    if not model.gamma0 > 0.0:
+        raise ConfigError(f"gamma0 = {model.gamma0!r} <= 0: the kernel/epsilon pair violates "
+                          "the positive-diffusivity assumption")
 
-    h = cache.geometry.h
+    h = model.cache.geometry.h
     records: list[DiagnosticsRecord] = []
     termination, detail = "max_steps", ""
     if initial_state is None:
-        state, first = _start(u0, cfg, kernel, cache)
+        state, first = _start(u0, cfg, model)
         records.append(first)
         detail = _non_finite(first)
     else:
@@ -219,7 +216,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     admitted: set[SchemeConfig] = set()  # bootstrap and main config, checked once each
     while not detail and state.step_index < options.max_steps:
         try:
-            new, result = advance(state, cfg, kernel, cache, admitted)
+            new, result = advance(state, cfg, model, admitted)
         except SolverError as err:  # also a diverged step: non-finite or losing mass
             detail = f"step {state.step_index + 1}: {err}"
             break
@@ -231,7 +228,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
             if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
                 record = _record(new, state.u, inc_l2, variance, result.newton_iters,
-                                 cfg, kernel, cache)
+                                 cfg, model)
                 if detail := _non_finite(record):  # the step diverged in its diagnostics
                     break
                 records.append(record)
@@ -243,11 +240,9 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             termination = "equilibrium"
             break
 
-    pot = cfg.potential
-    omega = state.omega if state.omega is not None else chemical_potential(
-        state.u, kernel, cfg.epsilon, pot)
+    omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
     with _quiet():
-        residual = equilibrium_residual(state.u, omega, kernel, cfg.epsilon, pot)
+        residual = equilibrium_residual(state.u, omega, model)
     if not (detail or math.isfinite(residual)):
         detail = f"step {state.step_index}: equilibrium_residual is not finite ({residual!r})"
     return RunResult(final_state=state, records=records,

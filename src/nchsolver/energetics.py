@@ -17,8 +17,8 @@ the chemical potential
     omega(u) = F'(u) + eps^2 ([J(*)1] u - [J (*) u]),
 
 whose nonlocal operator is applied, here and in every scheme, only through
-its half-spectrum symbol eps^2 ([J(*)1] - j_hat) (``kernels.nonlocal_gap``)
-and the spectrum the field keeps (``Field.spectrum``), one ``irfft2``.  The
+its half-spectrum symbol G = eps^2 ([J(*)1] - j_hat) and the spectrum the
+field keeps (``Field.spectrum``), one ``irfft2``.  The
 quadratic nonlocal part of E is evaluated from that spectrum by Parseval,
 
     (h^2 / (2 N^2)) sum_k eps^2 ([J(*)1] - j_hat_k) |u_hat_k|^2,
@@ -29,11 +29,17 @@ and the constant mode has weight exactly 0.  E is the functional the
 one-step schemes dissipate; the two-step schemes dissipate modified
 energies that add increment terms to it, written once, in
 ``steppers.modified_energy``.
+
+The model (kernel, eps, F) is fixed for a run and travels as one immutable
+``Model``: the sampled kernel, the grid's ``SpectralCache``, eps and the
+resolved potential, with G and gamma0 = eps^2 [J(*)1] - 1 each computed
+once, when it is built.  Every function here and in the schemes, the
+admissibility check and the record takes it whole; none rebuilds G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,8 +47,8 @@ from scipy.fft import rfft2
 
 from .errors import ConfigError
 from .grid import Field, _freeze, _reduce, require_same_geometry
-from .kernels import SampledKernel, nonlocal_gap
-from .spectral import _modal_sum
+from .kernels import SampledKernel
+from .spectral import SpectralCache, _modal_sum
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -67,9 +73,6 @@ class PotentialSpec:
         if self.variant == "truncated":
             return 3.0 * self.cutoff**2 - 1.0
         return None
-
-
-DOUBLE_WELL = PotentialSpec("double_well")
 
 
 def _truncate(spec: PotentialSpec, r: np.ndarray, inner, outer):
@@ -104,22 +107,49 @@ def potential_d2(spec: PotentialSpec, r):
     return _truncate(spec, r, 3.0 * (r * r) - 1.0, lambda ro: spec.curvature_bound)
 
 
-def energy(u: Field, kernel: SampledKernel, epsilon: float, spec: PotentialSpec = DOUBLE_WELL) -> float:
-    """Discrete free energy of u (with F replaced by F_K for a truncated spec)."""
-    require_same_geometry(kernel, u)
+@dataclass(frozen=True, eq=False)
+class Model:
+    """The model of a run: kernel, grid symbols, eps and the potential F, built once.
+
+    ``gap`` is the half-spectrum symbol G = eps^2 ([J(*)1] - j_hat) of the
+    nonlocal operator (zero at the constant mode) and ``gamma0`` the
+    positive-diffusivity constant eps^2 [J(*)1] - 1; each is formed here
+    and nowhere else.  A non-positive gamma0 violates the model assumption;
+    callers decide the policy (``driver.run`` rejects it, the admissibility
+    report calls it inadmissible).  The kernel and the cache must share one
+    grid (``GeometryMismatchError`` otherwise).  Immutable and shareable
+    across threads.
+    """
+
+    kernel: SampledKernel
+    cache: SpectralCache
+    epsilon: float
+    potential: PotentialSpec
+    gap: np.ndarray = field(init=False, repr=False)
+    gamma0: float = field(init=False)
+
+    def __post_init__(self):
+        require_same_geometry(self.kernel, self.cache)
+        eps2 = self.epsilon**2
+        object.__setattr__(self, "gap", _freeze(eps2 * (self.kernel.conv_one - self.kernel.symbol)))
+        object.__setattr__(self, "gamma0", eps2 * self.kernel.conv_one - 1.0)
+
+
+def energy(u: Field, model: Model) -> float:
+    """Discrete free energy of u under the model's potential (E_K for a truncated one)."""
+    require_same_geometry(model.cache, u)
     h2 = u.geometry.h**2
-    bulk = h2 * _reduce(potential_value(spec, u.values))
-    return bulk + 0.5 * h2 * _modal_sum(nonlocal_gap(kernel, epsilon**2), u.spectrum)
+    bulk = h2 * _reduce(potential_value(model.potential, u.values))
+    return bulk + 0.5 * h2 * _modal_sum(model.gap, u.spectrum)
 
 
-def chemical_potential(u: Field, kernel: SampledKernel, epsilon: float,
-                       spec: PotentialSpec = DOUBLE_WELL) -> Field:
+def chemical_potential(u: Field, model: Model) -> Field:
     """Variational derivative F'(u) + eps^2 [J(*)1] u - eps^2 [J (*) u], built as its half spectrum.
 
-    rfft2(F'(u)) + G u_hat, with G the symbol ``nonlocal_gap`` and u_hat the
-    spectrum u keeps: one transform.
+    rfft2(F'(u)) + G u_hat, with G the model's symbol and u_hat the spectrum
+    u keeps: one transform.
     """
-    require_same_geometry(kernel, u)
-    omega = rfft2(potential_d1(spec, u.values))
-    omega += nonlocal_gap(kernel, epsilon**2) * u.spectrum
+    require_same_geometry(model.cache, u)
+    omega = rfft2(potential_d1(model.potential, u.values))
+    omega += model.gap * u.spectrum
     return Field.from_spectrum(u.geometry, _freeze(omega))

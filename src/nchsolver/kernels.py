@@ -14,8 +14,9 @@ positive diffusive when gamma0 = eps^2 [J (*) 1] - 1 > 0.
 The model uses the kernel only through the nonnegative nonlocal operator
 eps^2 ([J(*)1] phi - [J (*) phi]).  The production path (schemes, chemical
 potential, energy, admissibility check) applies it only through its
-half-spectrum symbol ``nonlocal_gap``, the one place that symbol is built;
-the oracle suite compares it mode by mode with the closed-form eigenvalues.
+half-spectrum symbol G = eps^2 ([J(*)1] - j_hat), which ``energetics.Model``
+forms once per run from ``conv_one`` and ``symbol``, together with gamma0;
+the oracle suite compares G mode by mode with the closed-form eigenvalues.
 ``convolve`` (a ``Field`` wrapper of ``convolve_values``, which multiplies
 ``rfft2`` of the values by ``symbol``) is the reference for the convolution
 itself, with no production caller, which the tests and the oracle suite
@@ -168,18 +169,3 @@ def convolve(kernel: SampledKernel, phi: Field) -> Field:
 def convolve_values(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolution [J (*) phi] of the values of phi."""
     return irfft2(rfft2(values) * kernel.symbol, s=values.shape)
-
-
-def gamma0(kernel: SampledKernel, epsilon: float) -> float:
-    """Positive-diffusivity constant eps^2 [J (*) 1] - 1.
-
-    A non-positive value violates the model assumption; callers decide the
-    policy (scheme setup rejects it, reporting merely prints it).
-    """
-    return epsilon**2 * kernel.conv_one - 1.0
-
-
-def nonlocal_gap(kernel: SampledKernel, eps2: float) -> np.ndarray:
-    """Half-spectrum symbol eps^2 ([J(*)1] - j_hat) of the nonlocal operator; zero at mode 0."""
-    return eps2 * (kernel.conv_one - kernel.symbol)
-

@@ -28,10 +28,10 @@ two-step ones, and the schemes differ only in how omega treats its terms.
 Both operators are diagonal in the DFT basis and applied only through their
 half-spectrum symbols: -Lap through lambda =
 ``cache.minus_laplacian_eigenvalues`` and the nonlocal operator
-eps^2 ([J(*)1] u - [J (*) u]) through G = ``kernels.nonlocal_gap``, built
-once per step.  The 5-point stencil ``spectral.laplacian_apply``, the one
-stencil of the library, is the reference the steps are tested against, not
-a production path.  What the
+eps^2 ([J(*)1] u - [J (*) u]) through G, both read from the run's
+``energetics.Model``, which builds G once per run.  The 5-point stencil
+``spectral.laplacian_apply``, the one stencil of the library, is the
+reference the steps are tested against, not a production path.  What the
 convergence proof needs of each scheme is the functional it dissipates:
 the energy E for the one-step schemes, and for the two-step ones the
 modified energy ``modified_energy``, the one place it is written.
@@ -94,7 +94,7 @@ a failed solve, and so does a linear step whose modal denominator
 a + lambda (S + G) is not positive somewhere.
 
 Steps are sequential by nature (level n+1 needs level n); independent
-simulations may run concurrently on shared immutable kernels and caches.
+simulations may run concurrently on shared immutable models.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .energetics import PotentialSpec, potential_d1, potential_d2
+from .energetics import Model, PotentialSpec, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
-from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean
-from .kernels import SampledKernel, gamma0, nonlocal_gap
+from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean, require_same_geometry
+from .kernels import SampledKernel
 from .solvers import newton_solve
 from .spectral import SpectralCache, _apply_to_field, _project_hermitian, norm2_modes
 
@@ -130,7 +130,9 @@ class SchemeConfig:
     user-supplied).  ``potential_variant`` may force the truncated
     potential for the implicit schemes; "auto" resolves to the double well
     for backward Euler / convex splitting / BDF2 and to the truncation for
-    the linear schemes, which are defined through F_K.
+    the linear schemes, which are defined through F_K.  ``epsilon`` and
+    ``potential`` are read once, when a run builds its ``Model``
+    (``model``); the steps read them from that model.
     """
 
     scheme: str
@@ -177,10 +179,18 @@ class SchemeConfig:
             return PotentialSpec("truncated", self.cutoff)
         return PotentialSpec("double_well")
 
+    def model(self, kernel: SampledKernel, cache: SpectralCache) -> Model:
+        """The run's ``Model``: this epsilon and potential on the kernel and cache."""
+        return Model(kernel, cache, self.epsilon, self.potential)
+
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Trajectory state: current field, optional previous level, bookkeeping."""
+    """Trajectory state: current field, optional previous level, bookkeeping.
+
+    ``u_prev`` and ``omega`` must be on u's grid (``GeometryMismatchError``),
+    and a two-step pair must hold one mass (``StateError``).
+    """
 
     u: Field
     u_prev: Optional[Field] = None
@@ -189,6 +199,9 @@ class SchemeState:
     time: float = 0.0
 
     def __post_init__(self):
+        for level in (self.u_prev, self.omega):
+            if level is not None:
+                require_same_geometry(self.u, level)
         if self.u_prev is not None:
             m, mp = mean(self.u), mean(self.u_prev)
             if abs(m - mp) > 1e-12 * (1.0 + max(abs(m), abs(mp))):
@@ -223,33 +236,28 @@ class SolvabilityReport:
     ``per_mode_min`` is the minimum over nonzero DFT modes of the scheme's
     convexity/stability quantity; ``margin`` the binding margin whose
     nonnegativity decides admissibility (infinite for the unconditional
-    scheme).  ``gamma0 > 0`` is required for every scheme.
+    scheme).  ``gamma0 > 0`` (``Model.gamma0``) is required for every
+    scheme.  The inputs it was checked for, the ``SchemeConfig`` and the
+    ``Model``, are not repeated here.
     """
 
-    scheme: str
-    tau: float
-    gamma0: float
-    conv_one: float
-    beta: float
-    stabilization: float
     admissible: bool
     margin: float
     per_mode_min: float
     note: str = ""
 
 
-def check_solvability(cfg: SchemeConfig, kernel: SampledKernel,
-                      cache: SpectralCache) -> SolvabilityReport:
+def check_solvability(cfg: SchemeConfig, model: Model) -> SolvabilityReport:
     """Evaluate the scheme's admissibility condition mode by mode.
 
     Boundary cases with margin exactly 0 are admissible; the note records
     that the underlying sufficient conditions are sharp there.
     """
-    lam = cache.minus_laplacian_eigenvalues
+    lam = model.cache.minus_laplacian_eigenvalues
     mask = lam > 0.0
     lam_nz = lam[mask]
-    gap = nonlocal_gap(kernel, cfg.epsilon**2)[mask]
-    g0 = gamma0(kernel, cfg.epsilon)
+    gap = model.gap[mask]
+    g0 = model.gamma0
     beta = cfg.beta
     note = ""
 
@@ -279,29 +287,19 @@ def check_solvability(cfg: SchemeConfig, kernel: SampledKernel,
     elif margin == 0.0:
         note = "margin is exactly 0: admissibility is decided at the sharp boundary"
 
-    return SolvabilityReport(
-        scheme=cfg.scheme,
-        tau=cfg.tau,
-        gamma0=g0,
-        conv_one=kernel.conv_one,
-        beta=beta,
-        stabilization=cfg.stabilization,
-        admissible=admissible,
-        margin=float(margin),
-        per_mode_min=float(per_mode_min),
-        note=note,
-    )
+    return SolvabilityReport(admissible=admissible, margin=float(margin),
+                             per_mode_min=float(per_mode_min), note=note)
 
 
-def _apply_policy(cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache):
+def _apply_policy(cfg: SchemeConfig, model: Model):
     if cfg.stability_policy == "ignore":
         return
-    report = check_solvability(cfg, kernel, cache)
+    report = check_solvability(cfg, model)
     if report.admissible:
         return
     message = (
         f"{cfg.scheme} inadmissible at tau = {cfg.tau}: margin = {report.margin:.6e}, "
-        f"gamma0 = {report.gamma0:.6e}. {report.note}".rstrip()
+        f"gamma0 = {model.gamma0:.6e}. {report.note}".rstrip()
     )
     if cfg.stability_policy == "enforce":
         raise StabilityError(message)
@@ -322,9 +320,9 @@ NEWTON_FLOOR_ULPS = 4.0
 NEWTON_MAX_ITER = 50
 
 
-def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a: float,
-                 rhs_hat: np.ndarray, local, local_slope, slope, gap: Optional[np.ndarray],
-                 explicit=0.0) -> StepResult:
+def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, a: float,
+                 rhs_hat: np.ndarray, local, local_slope, slope,
+                 explicit: Optional[np.ndarray] = None) -> StepResult:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
     ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep
@@ -336,9 +334,10 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     before the snap, so the two agree to rounding.  An iterate that is not
     the last residual's (an identity check on the modes) is evaluated
     afresh, one transform each way.  omega(u) = local(u) +
-    G u with G the half-spectrum symbol ``gap`` (None when the nonlocal term
-    is explicit, folded into ``local`` as its part ``explicit``), and
-    ``local_slope(u)`` the pointwise derivative of ``local``.  The unknown
+    G u with G the model's half-spectrum symbol, or omega(u) = local(u)
+    alone when the nonlocal term is explicit and folded into ``local`` as
+    its part ``explicit`` (convex splitting); ``local_slope(u)`` is the
+    pointwise derivative of ``local``.  The unknown
     is u_hat = rfft2(u), with residual
         (a + lambda G) u_hat - rhs_hat + lambda rfft2(local(irfft2(u_hat)))
     projected onto the coefficients of real fields (rounding breaks their
@@ -351,13 +350,14 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     ``newton_solve`` takes fixed-point steps with it before Newton-Krylov.
     Newton stops at max(newton_tol, C eps scale): scale is the norm of
     rhs_hat, plus that of the preconditioner applied forward to u_hat^n,
-    plus lambda_max times the norm of |u^n|^3 + |slope| |u^n| + |explicit|.
+    plus lambda_max times the norm of |u^n|^3 + |slope| |u^n| (+ |explicit|).
     The last term bounds the rounding of local(u), which is white and which
     lambda amplifies at the high modes where u_hat itself is small.  None
     of it takes a transform.
     """
-    lam, u_hat = cache.minus_laplacian_eigenvalues, state.u.spectrum
+    lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
     shape = state.u.values.shape
+    gap = model.gap if explicit is None else None
     linear = a if gap is None else a + lam * gap
     shift = slope if gap is None else slope + gap
     symbol = a + lam * shift
@@ -365,11 +365,12 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     if bad.any():
         symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
 
-    h = cache.geometry.h
+    h = model.cache.geometry.h
     norm = lambda modes: norm2_modes(modes, h)
     terms = np.abs(state.u.values)
     terms *= terms * terms + abs(slope)
-    terms += np.abs(explicit)
+    if explicit is not None:
+        terms += np.abs(explicit)
     scale = norm(rhs_hat) + norm(symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
 
@@ -407,7 +408,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, cache: SpectralCache, a:
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters)
 
 
-def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np.ndarray,
+def _linear_step(state: SchemeState, model: Model, a: float, rhs_hat: np.ndarray,
                  explicit: np.ndarray, shift: np.ndarray) -> StepResult:
     """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
@@ -417,7 +418,7 @@ def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np
     mass snap shifts only that mode.  omega is returned as its spectrum,
     rfft2(explicit) plus the implicit part shift u_hat, added in place.
     """
-    lam = cache.minus_laplacian_eigenvalues
+    lam = model.cache.minus_laplacian_eigenvalues
     denominator = a + lam * shift
     if denominator.min() <= 0.0:
         raise SolverError(
@@ -435,9 +436,8 @@ def _linear_step(state: SchemeState, cache: SpectralCache, a: float, rhs_hat: np
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
 
 
-def step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-         cache: SpectralCache) -> StepResult:
-    """One unchecked step of ``cfg.scheme``: the solve of a u + (-Lap)(omega(u)) = rhs.
+def step(state: SchemeState, cfg: SchemeConfig, model: Model) -> StepResult:
+    """One unchecked step of ``cfg.scheme`` under ``model``: the solve of a u + (-Lap)(omega(u)) = rhs.
 
     (a, rhs) is (1/tau, u^n/tau), or (3/(2 tau), (4 u^n - u^{n-1})/(2 tau))
     for a two-step scheme, which raises ``StateError`` without ``u_prev``.
@@ -445,29 +445,28 @@ def step(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
     Newton solves; ssi1 and two_li one DFT-diagonal solve each.  No policy
     is applied: ``advance`` is the checked way to take a step.
     """
-    u_n, u_hat, tau, pot = state.u.values, state.u.spectrum, cfg.tau, cfg.potential
+    u_n, u_hat, tau, pot, gap = state.u.values, state.u.spectrum, cfg.tau, model.potential, model.gap
     if cfg.scheme in TWO_STEP_SCHEMES:
         if state.u_prev is None:
             raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
         a, rhs_hat = 3.0 / (2.0 * tau), (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * tau)
     else:
         a, rhs_hat = 1.0 / tau, u_hat / tau
-    gap = nonlocal_gap(kernel, cfg.epsilon**2)
     if cfg.scheme in ("backward_euler", "bdf2"):
         # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-        return _newton_step(state, cfg, cache, a, rhs_hat, lambda u: potential_d1(pot, u),
-                            lambda u: potential_d2(pot, u), -1.0, gap)
+        return _newton_step(state, cfg, model, a, rhs_hat, lambda u: potential_d1(pot, u),
+                            lambda u: potential_d2(pot, u), -1.0)
     if cfg.scheme == "convex_splitting":
         # Cubic and strong quadratic implicit; the rest is explicit, fixed during the solve.
-        strong = 2.0 * cfg.epsilon**2 * kernel.conv_one
+        strong = 2.0 * model.epsilon**2 * model.kernel.conv_one
         explicit = u_n + strong * u_n - _apply_to_field(state.u, gap)
-        return _newton_step(state, cfg, cache, a, rhs_hat,
+        return _newton_step(state, cfg, model, a, rhs_hat,
                             lambda u: u * u * u + strong * u - explicit,
-                            lambda u: 3.0 * (u * u) + strong, strong, None, explicit)
+                            lambda u: 3.0 * (u * u) + strong, strong, explicit)
     if cfg.scheme == "ssi1":
         s = cfg.stabilization
-        return _linear_step(state, cache, a, rhs_hat, potential_d1(pot, u_n) - s * u_n, s + gap)
-    return _linear_step(state, cache, a, rhs_hat,
+        return _linear_step(state, model, a, rhs_hat, potential_d1(pot, u_n) - s * u_n, s + gap)
+    return _linear_step(state, model, a, rhs_hat,
                         2.0 * potential_d1(pot, u_n) - potential_d1(pot, state.u_prev.values), gap)
 
 
@@ -493,7 +492,8 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
     BDF2 starts with one backward-Euler step, the linearly implicit scheme
     with one stabilized semi-implicit step (stabilization raised to beta/2
     if needed); either preserves mass, which is all the two-step stability
-    results require of the starting pair.
+    results require of the starting pair.  The startup keeps eps and the
+    potential, so one ``Model`` serves it and the steps after it.
     """
     if cfg.scheme == "bdf2":
         return replace(cfg, scheme="backward_euler")
@@ -503,24 +503,24 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
     raise ConfigError(f"{cfg.scheme} is a one-step scheme and needs no bootstrap")
 
 
-def advance(state: SchemeState, cfg: SchemeConfig, kernel: SampledKernel,
-            cache: SpectralCache, admitted: Optional[set] = None) -> tuple[SchemeState, StepResult]:
+def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
+            admitted: Optional[set] = None) -> tuple[SchemeState, StepResult]:
     """Advance one step, bootstrapping a fresh two-step state transparently.
 
     The one place the stability policy is applied, to the configuration the
     step runs (the bootstrap's for a fresh two-step state).  Without
     ``admitted`` every call checks it; with it, only a configuration not yet
     in that set is checked, and it is added once it passes.  The set belongs
-    to one kernel and cache.
+    to one model.
     """
     step_cfg = cfg
     if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
         step_cfg = bootstrap_config(cfg)
     if admitted is None or step_cfg not in admitted:
-        _apply_policy(step_cfg, kernel, cache)
+        _apply_policy(step_cfg, model)
         if admitted is not None:
             admitted.add(step_cfg)
-    result = step(state, step_cfg, kernel, cache)
+    result = step(state, step_cfg, model)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
     try:
         next_state = SchemeState(

@@ -96,10 +96,11 @@ def check_nonlocal_matrix() -> CheckResult:
         worst = max(worst, max(0.0, -float(eigvals[0])))
         formula = oracles.nonlocal_eigenvalue_formula(kernel)
         worst = max(worst, float(np.abs(eigvals - np.sort(formula.ravel())).max()))
-        production = kernels.nonlocal_gap(kernel, 1.0)
-        worst = max(worst, float(np.abs(production - formula[:, : n // 2 + 1]).max()))
+        model = energetics.Model(kernel, spectral.make_cache(geometry), 1.0,
+                                 energetics.PotentialSpec("double_well"))
+        worst = max(worst, float(np.abs(model.gap - formula[:, : n // 2 + 1]).max()))
     return _result("nonlocal-matrix", worst, 1e-10,
-                   "row sums, PSD, eigenvalue formula and nonlocal_gap per mode, N in {7, 8}")
+                   "row sums, PSD, eigenvalue formula and the model's G per mode, N in {7, 8}")
 
 
 def check_convolution() -> CheckResult:
@@ -185,9 +186,10 @@ def check_energy() -> CheckResult:
     kernel = _gaussian_kernel(geometry)
     worst = 0.0
     for spec in (energetics.PotentialSpec("double_well"), energetics.PotentialSpec("truncated", 2.0)):
+        model = energetics.Model(kernel, spectral.make_cache(geometry), 1.0, spec)
         for _ in range(3):
             u = _random_field(geometry, rng)
-            fast = energetics.energy(u, kernel, 1.0, spec)
+            fast = energetics.energy(u, model)
             slow = oracles.naive_energy(u.values, kernel, 1.0, spec)
             worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-30))
     return _result("energy-naive", worst, 1e-12, "loops plus direct convolution at N = 8")
@@ -208,7 +210,7 @@ def check_dense_scheme_steps() -> CheckResult:
         cfg = SchemeConfig(scheme=scheme, tau=1e-3, epsilon=1.0, stabilization=5.5,
                            cutoff=2.0, stability_policy="enforce")
         state = SchemeState(u=u1, u_prev=u0 if scheme in steppers.TWO_STEP_SCHEMES else None)
-        result = steppers.step(state, cfg, kernel, cache)
+        result = steppers.step(state, cfg, cfg.model(kernel, cache))
         if scheme in ("ssi1", "two_li"):
             ref_u, _ = oracles.dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
                                                  cfg.stabilization, kernel, cfg.potential)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from nchsolver import Field, GridGeometry, KernelSpec, energy, make_cache, norm2, sample_kernel
+from nchsolver import (Field, GridGeometry, KernelSpec, Model, PotentialSpec, energy, make_cache,
+                       norm2, sample_kernel)
 from nchsolver.spectral import norm_neg1
+
+DW = PotentialSpec("double_well")
 
 
 @pytest.fixture
@@ -41,12 +44,17 @@ def random_field(geometry, rng, scale=1.0):
     return Field(geometry, scale * rng.uniform(-1.0, 1.0, size=(geometry.n, geometry.n)))
 
 
-def recomposed_modified_energy(u, du, tau, kernel, epsilon, cache, spec, beta=0.0):
+def model_of(kernel, epsilon, spec, cache=None):
+    """The ``Model`` of a kernel, eps and potential, on ``cache`` or a fresh one of the kernel's grid."""
+    return Model(kernel, make_cache(kernel.geometry) if cache is None else cache, epsilon, spec)
+
+
+def recomposed_modified_energy(u, du, tau, model, beta=0.0):
     """E(u) + ||du||_{-1}^2 / (4 tau) + (beta/2) ||du||_2^2 from the Field-level functionals.
 
     The two-step modified energy (beta = 0 for bdf2, the curvature bound for
     two_li) by a path independent of ``steppers.modified_energy``, which the
     records and that function are checked against.
     """
-    return energy(u, kernel, epsilon, spec) + norm_neg1(du.spectrum, cache) ** 2 / (4.0 * tau) \
+    return energy(u, model) + norm_neg1(du.spectrum, model.cache) ** 2 / (4.0 * tau) \
         + 0.5 * beta * norm2(du) ** 2

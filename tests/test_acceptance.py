@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig,
-                       SchemeState, check_solvability, energy, gamma0, inner_product,
-                       make_cache, mean, norm2, project_zero_mean, random_initial_field, run,
-                       sample_kernel)
+                       SchemeState, check_solvability, energy, make_cache, mean, norm2,
+                       random_initial_field, run, sample_kernel)
+from nchsolver.grid import inner_product, project_zero_mean
 from nchsolver.kernels import convolve
 from nchsolver.oracles import (dense_linear_step, dense_minus_laplacian,
                                dense_nonlinear_step, dense_nonlocal_matrix,
@@ -22,7 +22,7 @@ from nchsolver.spectral import (_apply_to_field, _forward_differences, laplacian
                                 laplacian_eigenvalues)
 from nchsolver.steppers import TWO_STEP_SCHEMES, advance, step
 
-from conftest import recomposed_modified_energy
+from conftest import DW, model_of, recomposed_modified_energy
 
 GEO32 = GridGeometry(32, 1.0)
 CACHE32 = make_cache(GEO32)
@@ -44,15 +44,17 @@ def _cfg(scheme, tau, **kw):
 def _admissible_tau(scheme, kernel, cache, start, **kw):
     tau = start
     for _ in range(20):
-        if check_solvability(_cfg(scheme, tau, **kw), kernel, cache).admissible:
+        cfg = _cfg(scheme, tau, **kw)
+        if check_solvability(cfg, cfg.model(kernel, cache)).admissible:
             return tau
         tau /= 2.0
     raise AssertionError(f"no admissible step size found for {scheme}")
 
 
 def _march(state, cfg, kernel, cache, n_steps):
+    model = cfg.model(kernel, cache)
     for _ in range(n_steps):
-        state, result = advance(state, cfg, kernel, cache)
+        state, result = advance(state, cfg, model)
     return state, result
 
 
@@ -167,10 +169,11 @@ def test_c05_mass_conservation():
     drifts = {}
     for scheme in ALL_SCHEMES:
         cfg = _cfg(scheme, tau=2e-3)
+        model = cfg.model(STRONG32, CACHE32)
         state = SchemeState(u=u0)
         worst = 0.0
         for _ in range(200):
-            state, _ = advance(state, cfg, STRONG32, CACHE32)
+            state, _ = advance(state, cfg, model)
             worst = max(worst, abs(mean(state.u) - m0))
         drifts[scheme] = worst / abs(m0)
         assert drifts[scheme] <= 1e-11, scheme
@@ -192,63 +195,62 @@ def test_c06_energy_dissipation():
     # (a) convex splitting at every step size.
     for tau in (0.01, 0.1, 1.0, 10.0):
         cfg = _cfg("convex_splitting", tau)
+        model = cfg.model(GAUSS32, CACHE32)
         state = SchemeState(u=u0)
-        energies = [energy(state.u, GAUSS32, cfg.epsilon)]
+        energies = [energy(state.u, model)]
         for _ in range(steps):
-            state, _ = advance(state, cfg, GAUSS32, CACHE32)
-            energies.append(energy(state.u, GAUSS32, cfg.epsilon))
+            state, _ = advance(state, cfg, model)
+            energies.append(energy(state.u, model))
         _assert_non_increasing(energies, f"convex_splitting tau={tau}")
 
     # (b) stabilized linear scheme at S = beta/2, K = 2.
     for tau in (0.01, 0.1, 1.0, 10.0):
         cfg = _cfg("ssi1", tau)  # stabilization 5.5 = beta/2
-        pot = cfg.potential
+        model = cfg.model(GAUSS32, CACHE32)
         state = SchemeState(u=u0)
-        energies = [energy(state.u, GAUSS32, cfg.epsilon, pot)]
+        energies = [energy(state.u, model)]
         for _ in range(steps):
-            state, _ = advance(state, cfg, GAUSS32, CACHE32)
-            energies.append(energy(state.u, GAUSS32, cfg.epsilon, pot))
+            state, _ = advance(state, cfg, model)
+            energies.append(energy(state.u, model))
         _assert_non_increasing(energies, f"ssi1 tau={tau}")
 
     # (c) backward Euler and BDF2 at an admissible step size.
     tau = _admissible_tau("backward_euler", GAUSS32, CACHE32, 0.1)
     cfg = _cfg("backward_euler", tau)
+    model = cfg.model(GAUSS32, CACHE32)
     state = SchemeState(u=u0)
-    energies = [energy(state.u, GAUSS32, cfg.epsilon)]
+    energies = [energy(state.u, model)]
     for _ in range(steps):
-        state, _ = advance(state, cfg, GAUSS32, CACHE32)
-        energies.append(energy(state.u, GAUSS32, cfg.epsilon))
+        state, _ = advance(state, cfg, model)
+        energies.append(energy(state.u, model))
     _assert_non_increasing(energies, "backward_euler")
 
     tau = _admissible_tau("bdf2", GAUSS32, CACHE32, 0.1)
     cfg = _cfg("bdf2", tau)
-    state, _ = advance(SchemeState(u=u0), cfg, GAUSS32, CACHE32)  # bootstrap
+    model = cfg.model(GAUSS32, CACHE32)
+    state, _ = advance(SchemeState(u=u0), cfg, model)  # bootstrap
     du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
-    modified = [recomposed_modified_energy(state.u, du, tau, GAUSS32, cfg.epsilon, CACHE32,
-                                           cfg.potential)]
+    modified = [recomposed_modified_energy(state.u, du, tau, model)]
     for _ in range(steps):
         prev = state.u
-        state, _ = advance(state, cfg, GAUSS32, CACHE32)
+        state, _ = advance(state, cfg, model)
         du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
-        modified.append(recomposed_modified_energy(state.u, du, tau, GAUSS32, cfg.epsilon,
-                                                   CACHE32, cfg.potential))
+        modified.append(recomposed_modified_energy(state.u, du, tau, model))
     _assert_non_increasing(modified, "bdf2 modified energy")
 
     # (d) linearly implicit two-step scheme under the curvature bound.
-    assert cfg.beta <= (gamma0(STRONG32, 1.0) + 1.0) / 3.0
+    assert cfg.beta <= (model_of(STRONG32, 1.0, DW, CACHE32).gamma0 + 1.0) / 3.0
     tau = _admissible_tau("two_li", STRONG32, CACHE32, 0.01)
     cfg = _cfg("two_li", tau)
-    pot = cfg.potential
-    state, _ = advance(SchemeState(u=u0), cfg, STRONG32, CACHE32)
+    model = cfg.model(STRONG32, CACHE32)
+    state, _ = advance(SchemeState(u=u0), cfg, model)
     du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
-    modified = [recomposed_modified_energy(state.u, du, tau, STRONG32, cfg.epsilon, CACHE32,
-                                           pot, cfg.beta)]
+    modified = [recomposed_modified_energy(state.u, du, tau, model, cfg.beta)]
     for _ in range(steps):
         prev = state.u
-        state, _ = advance(state, cfg, STRONG32, CACHE32)
+        state, _ = advance(state, cfg, model)
         du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
-        modified.append(recomposed_modified_energy(state.u, du, tau, STRONG32, cfg.epsilon,
-                                                   CACHE32, pot, cfg.beta))
+        modified.append(recomposed_modified_energy(state.u, du, tau, model, cfg.beta))
     _assert_non_increasing(modified, "two_li modified energy")
 
     elapsed = time.perf_counter() - started
@@ -270,7 +272,7 @@ def test_c07_dense_oracle_equivalence():
     for scheme in ALL_SCHEMES:
         cfg = _cfg(scheme, tau=1e-3)
         state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
-        result = step(state, cfg, kernel, cache)
+        result = step(state, cfg, cfg.model(kernel, cache))
         if scheme in ("ssi1", "two_li"):
             ref_u, _ = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
                                          cfg.stabilization, kernel, cfg.potential)
@@ -293,7 +295,7 @@ def _self_convergence_rate(scheme, kernel, u0, tau0, horizon, **kw):
     for level in range(4):
         tau = tau0 / 2**level
         cfg = _cfg(scheme, tau, **kw)
-        assert check_solvability(cfg, kernel, CACHE32).admissible, (scheme, tau)
+        assert check_solvability(cfg, cfg.model(kernel, CACHE32)).admissible, (scheme, tau)
         state = SchemeState(u=u0)
         state, _ = _march(state, cfg, kernel, CACHE32, round(horizon / tau))
         solutions.append(state.u)

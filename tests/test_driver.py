@@ -10,8 +10,9 @@ import scipy.fft
 import nchsolver
 from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec,
                        RunOptions, SchemeConfig, SchemeState, advance, energy, equilibrium_residual,
-                       h1h2_probe, make_cache, mean, norm2, project_zero_mean,
+                       h1h2_probe, make_cache, mean, norm2,
                        random_initial_field, run, sample_kernel)
+from nchsolver.grid import project_zero_mean
 from nchsolver.spectral import _forward_differences, norm_neg1
 from nchsolver import kernels, solvers, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
@@ -89,12 +90,12 @@ def test_equilibrium_residual_examples():
     c = 0.3
     u = Field.constant(GEO, c)
     omega = Field.constant(GEO, c**3 - c)
-    pot = _cfg().potential
-    assert equilibrium_residual(u, omega, GAUSS, 1.0, pot) == pytest.approx(0.0, abs=1e-13)
+    model = _cfg().model(GAUSS, CACHE)
+    assert equilibrium_residual(u, omega, model) == pytest.approx(0.0, abs=1e-13)
     rng = np.random.default_rng(3)
     bump = project_zero_mean(Field(GEO, rng.uniform(-1, 1, (16, 16))))
     noisy = Field(GEO, omega.values + bump.values)
-    assert equilibrium_residual(u, noisy, GAUSS, 1.0, pot) >= norm2(bump) * (1 - 1e-12)
+    assert equilibrium_residual(u, noisy, model) >= norm2(bump) * (1 - 1e-12)
 
 
 def test_run_rejects_invalid_gamma0():
@@ -118,7 +119,7 @@ def test_error_termination_carries_step_index():
     from nchsolver import check_solvability
     narrow = sample_kernel(KernelSpec.gaussian(76.4, 200.0), GEO)
     cfg = _cfg(tau=5.0, stability_policy="enforce")
-    assert not check_solvability(cfg, narrow, CACHE).admissible
+    assert not check_solvability(cfg, cfg.model(narrow, CACHE)).admissible
     u0 = random_initial_field(GEO, 0.0, 0.05, seed=5)
     result = run(u0, cfg, narrow, CACHE, RunOptions(max_steps=10))
     assert result.termination == "error"
@@ -180,9 +181,9 @@ def test_admissibility_checked_once_per_config(monkeypatch):
     calls = []
     original = steppers.check_solvability
 
-    def counting(cfg, kernel, cache):
+    def counting(cfg, model):
         calls.append(cfg.scheme)
-        return original(cfg, kernel, cache)
+        return original(cfg, model)
 
     validations = []
     validate = SchemeConfig.__post_init__
@@ -229,7 +230,7 @@ def test_records_match_public_functionals(scheme):
     # 64-ulp rounding bound the benchmark applies to energies.
     kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO)
     cfg = _cfg(scheme, tau=2e-3)
-    pot = cfg.potential
+    model = cfg.model(kernel, CACHE)
     u0 = random_initial_field(GEO, 0.0, 0.05, seed=37)
     result = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=6, eq_tol=1e-14))
     ulps = 64 * np.finfo(np.float64).eps
@@ -238,14 +239,14 @@ def test_records_match_public_functionals(scheme):
         return abs(actual - expected) <= ulps * max(1.0, abs(expected))
 
     state = SchemeState(u=u0)
-    assert close(result.records[0].energy, energy(u0, kernel, cfg.epsilon, pot))
+    assert close(result.records[0].energy, energy(u0, model))
     for record in result.records[1:]:
-        state, _ = advance(state, cfg, kernel, CACHE)
+        state, _ = advance(state, cfg, model)
         assert record.step == state.step_index
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        modified = recomposed_modified_energy(state.u, du, cfg.tau, kernel, cfg.epsilon, CACHE,
-                                              pot, cfg.beta if scheme == "two_li" else 0.0)
-        assert close(record.energy, energy(state.u, kernel, cfg.epsilon, pot))
+        modified = recomposed_modified_energy(state.u, du, cfg.tau, model,
+                                              cfg.beta if scheme == "two_li" else 0.0)
+        assert close(record.energy, energy(state.u, model))
         assert close(record.modified_energy, modified)
         assert close(record.increment_hneg1, norm_neg1(du.spectrum, CACHE))
 
@@ -260,10 +261,11 @@ def test_record_increment_hneg1_matches_dense_quadratic_form(scheme):
     result = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=4, eq_tol=1e-14))
     pinv = dense_minus_laplacian_pinv(GEO)
     assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
+    model = cfg.model(kernel, CACHE)
     state = SchemeState(u=u0)
     for record in result.records[1:]:
         previous = state.u
-        state, _ = advance(state, cfg, kernel, CACHE)
+        state, _ = advance(state, cfg, model)
         v = (state.u.values - previous.values).ravel()
         expected = math.sqrt(GEO.h**2 * float(v @ (pinv @ v)))
         assert expected > 0.0
@@ -282,10 +284,11 @@ def test_loop_norms_equal_field_definitions(scheme):
     u0 = random_initial_field(geo, 0.0, 0.05, seed=41)
     result = run(u0, cfg, kernel, cache, RunOptions(max_steps=5, eq_tol=1e-14))
     assert len(result.records) == 6
+    model = cfg.model(kernel, cache)
     state = SchemeState(u=u0)
     for record in result.records[1:]:
         previous = state.u
-        state, step = advance(state, cfg, kernel, cache)
+        state, step = advance(state, cfg, model)
         gx, gy = _forward_differences(step.omega.values, geo.h)
         squares = float(np.sum(gx * gx)) + float(np.sum(gy * gy))
         assert record.increment_l2 == norm2(Field(geo, state.u.values - previous.values))
@@ -321,6 +324,31 @@ def test_production_path_never_calls_reference_code(scheme, monkeypatch):
                  RunOptions(max_steps=4, eq_tol=1e-14))
     assert result.termination == "max_steps"
     assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
+
+
+class _SymbolReads:
+    """A sampled kernel that counts the reads of its symbol j_hat, from which G is built."""
+
+    def __init__(self, kernel):
+        self._kernel, self.reads = kernel, 0
+
+    def __getattr__(self, name):
+        if name == "symbol":
+            self.reads += 1
+        return getattr(self._kernel, name)
+
+
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_nonlocal_symbol_is_built_once_per_run(scheme):
+    # G = eps^2 ([J(*)1] - j_hat) is formed once, when the run builds its
+    # Model; no step, check or record of four recorded steps forms it again.
+    geo = GridGeometry(8, 1.0)
+    kernel = _SymbolReads(sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo))
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=43)
+    result = run(u0, _cfg(scheme, tau=2e-3), kernel, make_cache(geo),
+                 RunOptions(max_steps=4, eq_tol=1e-14))
+    assert [r.step for r in result.records] == [0, 1, 2, 3, 4]
+    assert kernel.reads == 1
 
 
 def _import_package():
@@ -482,10 +510,10 @@ def test_newton_krylov_takes_over_on_a_phase_separating_step(monkeypatch):
     kernel = sample_kernel(KernelSpec.gaussian(3000.0, 1000.0), geo)
     cache = make_cache(geo)
     cfg = SchemeConfig("backward_euler", 7.9e-3, 1.0)
-    state, _ = advance(SchemeState(u=random_initial_field(geo, 0.0, 0.05, seed=7)),
-                       cfg, kernel, cache)
+    model = cfg.model(kernel, cache)
+    state, _ = advance(SchemeState(u=random_initial_field(geo, 0.0, 0.05, seed=7)), cfg, model)
     assert infos == []
-    state, result = advance(state, cfg, kernel, cache)
+    state, result = advance(state, cfg, model)
     assert infos and all(info == 0 for info in infos)
     assert result.newton_iters > len(infos)  # a fixed-point step came first
 

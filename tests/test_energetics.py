@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, PotentialSpec,
-                       SchemeConfig, chemical_potential, energy, norm2, potential_d1,
-                       potential_d2, potential_value, project_zero_mean, sample_kernel)
+from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec, Model,
+                       PotentialSpec, SchemeConfig, chemical_potential, energy, make_cache, norm2,
+                       potential_d1, potential_d2, potential_value, sample_kernel)
+from nchsolver.grid import project_zero_mean
 from nchsolver.oracles import dense_nonlocal_matrix, naive_energy
 from nchsolver.spectral import norm_neg1
 from nchsolver.steppers import modified_energy
 
-from conftest import random_field, recomposed_modified_energy
-
-DW = PotentialSpec("double_well")
+from conftest import DW, model_of, random_field, recomposed_modified_energy
 
 
 def test_double_well_values():
@@ -55,17 +54,39 @@ def test_truncated_curvature_bound_attained():
     assert spec.curvature_bound == pytest.approx(11.0)
 
 
-def test_energy_of_constant_is_area_times_potential(geo8, gaussian_kernel8):
+def test_energy_of_constant_is_area_times_potential(geo8, gaussian_kernel8, cache8):
+    model = Model(gaussian_kernel8, cache8, 1.0, DW)
     for c in (0.0, 0.4, -1.0):
         u = Field.constant(geo8, c)
         expected = geo8.area * float(potential_value(DW, c))
-        assert energy(u, gaussian_kernel8, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert energy(u, model) == pytest.approx(expected, abs=1e-12)
+
+
+def test_model_builds_the_nonlocal_symbol_and_gamma0_once(geo8, gaussian_kernel8, cache8):
+    eps2 = 0.8**2
+    model = Model(gaussian_kernel8, cache8, 0.8, DW)
+    assert np.array_equal(model.gap, eps2 * (gaussian_kernel8.conv_one - gaussian_kernel8.symbol))
+    assert model.gap[0, 0] == 0.0
+    assert not model.gap.flags.writeable
+    assert model.gamma0 == eps2 * gaussian_kernel8.conv_one - 1.0
+    assert model.cache.geometry == geo8
+
+
+def test_model_rejects_kernel_and_cache_on_different_grids(gaussian_kernel8):
+    with pytest.raises(GeometryMismatchError):
+        Model(gaussian_kernel8, make_cache(GridGeometry(16, 1.0)), 1.0, DW)
+
+
+def test_energy_rejects_a_field_on_another_grid(gaussian_kernel8, cache8):
+    model = Model(gaussian_kernel8, cache8, 1.0, DW)
+    with pytest.raises(GeometryMismatchError):
+        energy(Field.zeros(GridGeometry(16, 1.0)), model)
 
 
 def test_energy_of_zero_field_is_quarter_area():
     geo = GridGeometry(8, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo)
-    assert energy(Field.zeros(geo), kernel, 1.0) == pytest.approx(0.25, rel=1e-14)
+    assert energy(Field.zeros(geo), model_of(kernel, 1.0, DW)) == pytest.approx(0.25, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -74,34 +95,37 @@ def test_energy_matches_naive_oracle(n, rng):
     geo = GridGeometry(n, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo)
     for spec in (DW, PotentialSpec("truncated", 2.0)):
+        model = model_of(kernel, 0.8, spec)
         for _ in range(5):
             u = random_field(geo, rng)
-            fast = energy(u, kernel, 0.8, spec)
+            fast = energy(u, model)
             slow = naive_energy(u.values, kernel, 0.8, spec)
             assert fast == pytest.approx(slow, rel=1e-12)
 
 
-def test_energy_lower_bound(rng, geo8, gaussian_kernel8):
+def test_energy_lower_bound(rng, geo8, gaussian_kernel8, cache8):
     # E(u) >= ||u||_2^2 / 2 - 3 |Omega| / 4 for nonnegative kernels.
+    model = Model(gaussian_kernel8, cache8, 1.0, DW)
     for _ in range(1000):
         u = random_field(geo8, rng, scale=2.0)
-        e = energy(u, gaussian_kernel8, 1.0)
+        e = energy(u, model)
         assert e >= 0.5 * norm2(u) ** 2 - 0.75 * geo8.area - 1e-10
 
 
-def test_chemical_potential_is_energy_gradient(rng, gaussian_kernel8, geo8):
+def test_chemical_potential_is_energy_gradient(rng, gaussian_kernel8, geo8, cache8):
     # Central finite differences of the energy match the potential field.
+    model = Model(gaussian_kernel8, cache8, 1.0, DW)
     u = random_field(geo8, rng)
-    omega = chemical_potential(u, gaussian_kernel8, 1.0, DW)
+    omega = chemical_potential(u, model)
     step = 1e-5
     rng_idx = np.random.default_rng(5)
     for _ in range(12):
         i, j = rng_idx.integers(0, geo8.n, size=2)
         bumped = u.values.copy()
         bumped[i, j] += step
-        plus = energy(Field(geo8, bumped), gaussian_kernel8, 1.0, DW)
+        plus = energy(Field(geo8, bumped), model)
         bumped[i, j] -= 2 * step
-        minus = energy(Field(geo8, bumped), gaussian_kernel8, 1.0, DW)
+        minus = energy(Field(geo8, bumped), model)
         fd = (plus - minus) / (2 * step) / geo8.h**2
         assert fd == pytest.approx(omega.values[i, j], abs=1e-6)
 
@@ -115,7 +139,7 @@ def test_chemical_potential_matches_dense_operator(n, rng):
     dense = dense_nonlocal_matrix(kernel)
     u = random_field(geo, rng, scale=2.0)
     for spec in (DW, PotentialSpec("truncated", 1.5)):
-        omega = chemical_potential(u, kernel, 0.8, spec)
+        omega = chemical_potential(u, model_of(kernel, 0.8, spec))
         expected = potential_d1(spec, u.values).ravel() + 0.64 * (dense @ u.values.ravel())
         assert np.abs(omega.values.ravel() - expected).max() <= 1e-12
 
@@ -125,17 +149,17 @@ def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kern
     du = Field.zeros(geo8)
     for scheme, cutoff in (("bdf2", 2.0), ("two_li", 2.0)):
         cfg = SchemeConfig(scheme, 0.5, 1.0, cutoff=cutoff, stability_policy="ignore")
-        base = energy(u, gaussian_kernel8, 1.0, cfg.potential)
+        model = cfg.model(gaussian_kernel8, cache8)
+        base = energy(u, model)
         assert modified_energy(cfg, base, norm_neg1(du.spectrum, cache8), norm2(du)) == base
-        assert recomposed_modified_energy(u, du, 0.5, gaussian_kernel8, 1.0, cache8,
-                                          cfg.potential, cfg.beta) == pytest.approx(base)
+        assert recomposed_modified_energy(u, du, 0.5, model, cfg.beta) == pytest.approx(base)
 
 
 def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kernel8, cache8):
     u = random_field(geo8, rng)
     du = project_zero_mean(random_field(geo8, rng, scale=0.1))
     tau = 0.25
-    e = energy(u, gaussian_kernel8, 1.0)
+    e = energy(u, Model(gaussian_kernel8, cache8, 1.0, DW))
     norms = (norm_neg1(du.spectrum, cache8), norm2(du))
     m1 = modified_energy(SchemeConfig("bdf2", tau, 1.0), e, *norms)
     m2 = modified_energy(SchemeConfig("bdf2", 2 * tau, 1.0), e, *norms)
@@ -147,12 +171,13 @@ def test_modified_energy_recomposition(rng, geo8, gaussian_kernel8, cache8):
     du = project_zero_mean(random_field(geo8, rng, scale=0.3))
     tau = 0.1
     cfg = SchemeConfig("two_li", tau, 1.0, cutoff=1.5, stability_policy="ignore")
-    spec, beta = cfg.potential, 3 * 1.5**2 - 1
-    e = energy(u, gaussian_kernel8, 1.0, spec)
+    beta = 3 * 1.5**2 - 1
+    model = cfg.model(gaussian_kernel8, cache8)
+    e = energy(u, model)
     expected = e + norm_neg1(du.spectrum, cache8) ** 2 / (4 * tau) + 0.5 * beta * norm2(du) ** 2
     actual = modified_energy(cfg, e, norm_neg1(du.spectrum, cache8), norm2(du))
     assert actual == pytest.approx(expected, rel=1e-13)
     # bdf2 drops the (beta/2) ||du||^2 term: the plain two-step modified energy.
     assert modified_energy(SchemeConfig("bdf2", tau, 1.0, potential_variant="truncated",
                                         cutoff=1.5), e, norm_neg1(du.spectrum, cache8), norm2(du)) \
-        == pytest.approx(recomposed_modified_energy(u, du, tau, gaussian_kernel8, 1.0, cache8, spec))
+        == pytest.approx(recomposed_modified_energy(u, du, tau, model))

@@ -5,9 +5,9 @@ import pytest
 import scipy.fft
 
 from nchsolver import (Field, GridGeometry, GeometryMismatchError, KernelSpec,
-                       SchemeConfig, SchemeState, advance, grid,
-                       inner_product, make_cache, mean, norm2, project_zero_mean,
+                       SchemeConfig, SchemeState, advance, grid, make_cache, mean, norm2,
                        sample_kernel, steppers)
+from nchsolver.grid import inner_product, project_zero_mean
 from nchsolver.oracles import (dense_minus_laplacian_pinv, naive_inner_product,
                                naive_mean, naive_norm2)
 from nchsolver.spectral import laplacian_eigenvalues, norm_neg1
@@ -110,7 +110,7 @@ def test_step_levels_are_read_only_and_adopted_without_copy(scheme, rng, monkeyp
     monkeypatch.setattr(steppers, "_freeze", recording_freeze)
     u = project_zero_mean(random_field(geo, rng, 0.05))
     state = SchemeState(u=u, u_prev=u if scheme in steppers.TWO_STEP_SCHEMES else None)
-    _, result = advance(state, cfg, kernel, make_cache(geo))
+    _, result = advance(state, cfg, cfg.model(kernel, make_cache(geo)))
     assert not result.u.values.flags.writeable
     assert not result.omega.spectrum.flags.writeable
     assert not result.omega.values.flags.writeable

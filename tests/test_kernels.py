@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, gamma0, inner_product,
-                       mean, sample_kernel)
-from nchsolver.kernels import convolve, nonlocal_gap
+from nchsolver import ConfigError, Field, GridGeometry, KernelSpec, mean, sample_kernel
+from nchsolver.grid import inner_product
+from nchsolver.kernels import convolve
 from nchsolver.oracles import (dense_nonlocal_matrix, direct_convolution,
                                nonlocal_eigenvalue_formula, periodized_gaussian_mass)
 
-from conftest import random_field
+from conftest import DW, model_of, random_field
 
 
 def _reflected(values):
@@ -84,17 +84,17 @@ def test_convolution_matches_direct_loop(n, rng):
 
 def test_gamma0_frozen_cases(geo8):
     constant = sample_kernel(KernelSpec.constant(2.0), GridGeometry(8, 1.0))
-    assert gamma0(constant, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert model_of(constant, 1.0, DW).gamma0 == pytest.approx(1.0, rel=1e-14)
     # Boundary: eps^2 conv_one = 1 exactly.
     boundary = sample_kernel(KernelSpec.constant(1.0), GridGeometry(8, 1.0))
-    assert gamma0(boundary, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert model_of(boundary, 1.0, DW).gamma0 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gamma0_consistent_with_quadrature():
     geo = GridGeometry(32, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(4.0, 10.0, images=3), geo)
     reference = 0.25 * periodized_gaussian_mass(4.0, 10.0, 1.0, 3) - 1.0
-    assert gamma0(kernel, 0.5) == pytest.approx(reference, rel=1e-6)
+    assert model_of(kernel, 0.5, DW).gamma0 == pytest.approx(reference, rel=1e-6)
 
 
 def test_nonlocal_matrix_row_sums_and_psd(gaussian_kernel8):
@@ -116,7 +116,7 @@ def test_nonlocal_eigenvalue_formula_matches_dense(gaussian_kernel8):
     assert np.abs(dense - formula).max() <= 1e-10
     # The production symbol, mode by mode on the half spectrum.
     half = nonlocal_eigenvalue_formula(gaussian_kernel8)[:, : 8 // 2 + 1]
-    assert np.abs(nonlocal_gap(gaussian_kernel8, 1.0) - half).max() <= 1e-10
+    assert np.abs(model_of(gaussian_kernel8, 1.0, DW).gap - half).max() <= 1e-10
 
 
 def test_convolution_self_adjointness(rng, geo8, gaussian_kernel8):

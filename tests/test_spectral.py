@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from nchsolver import (Field, GridGeometry, KernelSpec, chemical_potential,
-                       equilibrium_residual, inner_product, make_cache, mean, norm2,
-                       project_zero_mean, sample_kernel)
-from nchsolver.energetics import DOUBLE_WELL
+from nchsolver import (Field, GridGeometry, KernelSpec, Model, chemical_potential,
+                       equilibrium_residual, make_cache, mean, norm2, sample_kernel)
+from nchsolver.grid import inner_product, project_zero_mean
 from nchsolver.oracles import (dense_minus_laplacian, dense_minus_laplacian_pinv,
                                direct_dft2, laplacian_eigenvalue_formula)
 from nchsolver.spectral import (_apply_to_field, _forward_differences, laplacian_apply,
                                 laplacian_eigenvalues, norm2_mean_free, norm2_modes, norm_grad,
                                 norm_neg1)
 
-from conftest import random_field
+from conftest import DW, random_field
 
 
 def _backward_differences(fx, fy, h):
@@ -191,7 +190,7 @@ def test_parseval_norms_equal_their_grid_definitions(n, rng):
     # column, so every column but 0 counts twice.
     geo = GridGeometry(n, 1.0)
     cache = make_cache(geo)
-    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    model = Model(sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo), cache, 1.0, DW)
     close = lambda actual, expected: actual == pytest.approx(
         expected, rel=64 * np.finfo(np.float64).eps, abs=0.0)
     for _ in range(5):
@@ -199,13 +198,12 @@ def test_parseval_norms_equal_their_grid_definitions(n, rng):
         u = random_field(geo, rng, 0.05)
         gx, gy = _forward_differences(omega.values, geo.h)
         variance = norm2(project_zero_mean(omega))
-        defect = norm2(Field(geo, omega.values - chemical_potential(u, kernel, 1.0).values))
+        defect = norm2(Field(geo, omega.values - chemical_potential(u, model).values))
         assert close(norm2_mean_free(omega.spectrum, geo.h), variance)
         grad = geo.h * np.sqrt(np.sum(gx * gx) + np.sum(gy * gy))
         assert close(norm_grad(omega.spectrum, cache), grad)
         assert close(norm2_modes(omega.spectrum, geo.h), norm2(omega))
-        assert close(equilibrium_residual(u, omega, kernel, 1.0, DOUBLE_WELL),
-                     max(variance, defect))
+        assert close(equilibrium_residual(u, omega, model), max(variance, defect))
 
 
 def test_inverse_laplacian_drops_the_constant_mode(rng, geo8, cache8):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, RunOptions,
+from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec, RunOptions,
                        SchemeConfig, SchemeState, SolverError, StabilityError, StateError,
                        advance, chemical_potential, check_solvability, energy,
-                       make_cache, mean, newton_solve, norm2, project_zero_mean,
+                       make_cache, mean, newton_solve, norm2,
                        random_initial_field, run, sample_kernel)
-from nchsolver import kernels, solvers, steppers
+from nchsolver import solvers, steppers
+from nchsolver.grid import project_zero_mean
 from nchsolver.spectral import laplacian_apply, norm_neg1
 from nchsolver.steppers import SCHEMES, TWO_STEP_SCHEMES, bootstrap_config, step
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
@@ -26,6 +27,10 @@ def _cfg(scheme, tau, **kw):
     return SchemeConfig(scheme=scheme, tau=tau, **defaults)
 
 
+def _check(cfg, kernel):
+    return check_solvability(cfg, cfg.model(kernel, CACHE))
+
+
 def _perturbed_state(rng, scale=0.05, geometry=GEO):
     u = Field(geometry, scale * rng.uniform(-1.0, 1.0, (geometry.n, geometry.n)))
     return SchemeState(u=project_zero_mean(u))
@@ -33,7 +38,7 @@ def _perturbed_state(rng, scale=0.05, geometry=GEO):
 
 def _two_step_state(rng, cfg, kernel, cache):
     state = _perturbed_state(rng)
-    next_state, _ = advance(state, cfg, kernel, cache)  # bootstrap
+    next_state, _ = advance(state, cfg, cfg.model(kernel, cache))  # bootstrap
     return next_state
 
 
@@ -45,8 +50,9 @@ def test_constant_field_is_fixed_point(scheme):
     c = 0.35
     state = SchemeState(u=Field.constant(GEO, c),
                         u_prev=Field.constant(GEO, c) if scheme in TWO_STEP_SCHEMES else None)
+    model = cfg.model(GAUSS, CACHE)
     for _ in range(10):
-        result = step(state, cfg, GAUSS, CACHE)
+        result = step(state, cfg, model)
         state = SchemeState(u=result.u,
                             u_prev=state.u if scheme in TWO_STEP_SCHEMES else None)
     assert np.abs(state.u.values - c).max() <= 1e-13
@@ -59,13 +65,13 @@ def test_constant_field_is_fixed_point(scheme):
 def test_backward_euler_residual_and_mass(rng):
     cfg = _cfg("backward_euler", tau=0.01)
     state = _perturbed_state(rng)
-    result = step(state, cfg, GAUSS, CACHE)
+    result = step(state, cfg, cfg.model(GAUSS, CACHE))
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
     # omega is rfft2(F'(.)) at the solve's values, before the mass snap, plus
     # G rfft2(u): chemical_potential(u) up to rounding.
-    omega_expected = chemical_potential(result.u, GAUSS, cfg.epsilon, cfg.potential)
+    omega_expected = chemical_potential(result.u, cfg.model(GAUSS, CACHE))
     ulps = 64 * np.finfo(np.float64).eps * np.abs(result.omega.values).max()
     assert np.abs(result.omega.values - omega_expected.values).max() <= ulps
     assert abs(mean(result.u) - mean(state.u)) <= 1e-15
@@ -74,7 +80,7 @@ def test_backward_euler_residual_and_mass(rng):
 def test_ssi1_residual_small(rng):
     cfg = _cfg("ssi1", tau=0.1)
     state = _perturbed_state(rng)
-    result = step(state, cfg, GAUSS, CACHE)
+    result = step(state, cfg, cfg.model(GAUSS, CACHE))
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     scale = max(np.abs(lhs).max(), 1.0)
@@ -84,7 +90,7 @@ def test_ssi1_residual_small(rng):
 def test_two_li_residual_small(rng):
     cfg = _cfg("two_li", tau=0.005)
     state = _two_step_state(rng, cfg, STRONG, CACHE)
-    result = step(state, cfg, STRONG, CACHE)
+    result = step(state, cfg, cfg.model(STRONG, CACHE))
     lhs = (3.0 * result.u.values - 4.0 * state.u.values + state.u_prev.values) / (2.0 * cfg.tau)
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     scale = max(np.abs(lhs).max(), 1.0)
@@ -100,9 +106,10 @@ def test_newton_steps_satisfy_stencil_equation(scheme, rng):
     kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
     cfg = _cfg(scheme, tau=1e-4)
     state = _perturbed_state(rng, geometry=geo)
+    model = cfg.model(kernel, cache)
     if scheme in TWO_STEP_SCHEMES:
-        state, _ = advance(state, cfg, kernel, cache)  # bootstrap
-    result = step(state, cfg, kernel, cache)
+        state, _ = advance(state, cfg, model)  # bootstrap
+    result = step(state, cfg, model)
     u_n = state.u.values
     if scheme == "bdf2":
         a, rhs = 3.0 / (2.0 * cfg.tau), (4.0 * u_n - state.u_prev.values) / (2.0 * cfg.tau)
@@ -118,11 +125,12 @@ def test_newton_steps_satisfy_stencil_equation(scheme, rng):
 def test_convex_splitting_dissipates_any_tau(tau, rng):
     cfg = _cfg("convex_splitting", tau=tau)
     state = _perturbed_state(rng)
-    e_prev = energy(state.u, GAUSS, cfg.epsilon)
+    model = cfg.model(GAUSS, CACHE)
+    e_prev = energy(state.u, model)
     for _ in range(15):
         u_prev = state.u
-        state, result = advance(state, cfg, GAUSS, CACHE)
-        e = energy(state.u, GAUSS, cfg.epsilon)
+        state, result = advance(state, cfg, model)
+        e = energy(state.u, model)
         assert e <= e_prev + 1e-10 * (1.0 + abs(e_prev))
         # Strong convexity of the implicit part gives an explicit decay rate.
         du = Field(GEO, state.u.values - u_prev.values)
@@ -135,38 +143,39 @@ def test_convex_splitting_dissipates_any_tau(tau, rng):
 def test_ssi1_dissipates_truncated_energy(tau, rng):
     cfg = _cfg("ssi1", tau=tau)  # S = 5.5 = beta/2 for K = 2
     state = _perturbed_state(rng)
-    pot = cfg.potential
-    e_prev = energy(state.u, GAUSS, cfg.epsilon, pot)
+    model = cfg.model(GAUSS, CACHE)
+    e_prev = energy(state.u, model)
     for _ in range(15):
-        state, _ = advance(state, cfg, GAUSS, CACHE)
-        e = energy(state.u, GAUSS, cfg.epsilon, pot)
+        state, _ = advance(state, cfg, model)
+        e = energy(state.u, model)
         assert e <= e_prev + 1e-10 * (1.0 + abs(e_prev))
         e_prev = e
 
 
 def test_backward_euler_dissipates_at_admissible_tau(rng):
     cfg = _cfg("backward_euler", tau=0.2)
-    assert check_solvability(cfg, GAUSS, CACHE).admissible
+    model = cfg.model(GAUSS, CACHE)
+    assert check_solvability(cfg, model).admissible
     state = _perturbed_state(rng)
-    e_prev = energy(state.u, GAUSS, cfg.epsilon)
+    e_prev = energy(state.u, model)
     for _ in range(15):
-        state, _ = advance(state, cfg, GAUSS, CACHE)
-        e = energy(state.u, GAUSS, cfg.epsilon)
+        state, _ = advance(state, cfg, model)
+        e = energy(state.u, model)
         assert e <= e_prev + 1e-10 * (1.0 + abs(e_prev))
         e_prev = e
 
 
 def test_bdf2_dissipates_modified_energy(rng):
     cfg = _cfg("bdf2", tau=0.05)
-    assert check_solvability(cfg, GAUSS, CACHE).admissible
+    model = cfg.model(GAUSS, CACHE)
+    assert check_solvability(cfg, model).admissible
     state = _two_step_state(rng, cfg, GAUSS, CACHE)
     du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-    pot = cfg.potential
-    m_prev = recomposed_modified_energy(state.u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE, pot)
+    m_prev = recomposed_modified_energy(state.u, du, cfg.tau, model)
     for _ in range(15):
-        state, _ = advance(state, cfg, GAUSS, CACHE)
+        state, _ = advance(state, cfg, model)
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        m = recomposed_modified_energy(state.u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE, pot)
+        m = recomposed_modified_energy(state.u, du, cfg.tau, model)
         assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
         m_prev = m
 
@@ -176,18 +185,16 @@ def test_two_li_dissipates_modified_energy_any_tau_with_constant_kernel(rng):
     # so beta <= (gamma0 + 1)/3 makes every step size admissible.
     for tau in (0.05, 1.0):
         cfg = _cfg("two_li", tau=tau)
-        report = check_solvability(cfg, CONST40, CACHE)
+        model = cfg.model(CONST40, CACHE)
+        report = check_solvability(cfg, model)
         assert report.admissible
         state = _two_step_state(rng, cfg, CONST40, CACHE)
-        pot = cfg.potential
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        m_prev = recomposed_modified_energy(state.u, du, cfg.tau, CONST40, cfg.epsilon,
-                                            CACHE, pot, cfg.beta)
+        m_prev = recomposed_modified_energy(state.u, du, cfg.tau, model, cfg.beta)
         for _ in range(15):
-            state, _ = advance(state, cfg, CONST40, CACHE)
+            state, _ = advance(state, cfg, model)
             du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-            m = recomposed_modified_energy(state.u, du, cfg.tau, CONST40, cfg.epsilon,
-                                           CACHE, pot, cfg.beta)
+            m = recomposed_modified_energy(state.u, du, cfg.tau, model, cfg.beta)
             assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
             m_prev = m
 
@@ -199,14 +206,14 @@ def test_modified_energy_is_the_two_step_functional(scheme, rng):
     cfg = _cfg(scheme, tau=0.05)
     u = random_field(GEO, rng)
     du = project_zero_mean(random_field(GEO, rng, scale=0.1))
-    e = energy(u, GAUSS, cfg.epsilon, cfg.potential)
+    model = cfg.model(GAUSS, CACHE)
+    e = energy(u, model)
     actual = steppers.modified_energy(cfg, e, norm_neg1(du.spectrum, CACHE), norm2(du))
     if scheme not in TWO_STEP_SCHEMES:
         assert actual is None
         return
     beta = cfg.beta if scheme == "two_li" else 0.0
-    expected = recomposed_modified_energy(u, du, cfg.tau, GAUSS, cfg.epsilon, CACHE,
-                                          cfg.potential, beta)
+    expected = recomposed_modified_energy(u, du, cfg.tau, model, beta)
     assert actual == pytest.approx(expected, rel=1e-14)
     assert actual > e
 
@@ -230,7 +237,7 @@ def _check_step_against_dense_oracle(scheme, tol, kernel, cache, rng):
     u0 = project_zero_mean(random_field(geometry, rng, scale=0.5))
     u1 = Field(geometry, u0.values + 0.01 * project_zero_mean(random_field(geometry, rng)).values)
     state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
-    result = step(state, cfg, kernel, cache)
+    result = step(state, cfg, cfg.model(kernel, cache))
     if scheme in ("ssi1", "two_li"):
         ref_u, ref_w = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
                                          cfg.stabilization, kernel, cfg.potential)
@@ -261,52 +268,52 @@ def test_steps_match_dense_oracles_at_odd_n(scheme, tol, rng):
 
 def test_margin_monotone_in_tau():
     taus = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
-    margins = [check_solvability(_cfg("backward_euler", tau=t), GAUSS, CACHE).margin
-               for t in taus]
+    margins = [_check(_cfg("backward_euler", tau=t), GAUSS).margin for t in taus]
     assert all(a >= b for a, b in zip(margins, margins[1:]))
     assert margins[0] > 10.0 * margins[-1]  # tau -> 0 grows the margin without bound
 
 
 def test_constant_kernel_admissible_for_every_tau():
     for tau in (1e-6, 1.0, 1e12):
-        report = check_solvability(_cfg("backward_euler", tau=tau), CONST40, CACHE)
+        cfg = _cfg("backward_euler", tau=tau)
+        model = cfg.model(CONST40, CACHE)
+        report = check_solvability(cfg, model)
         assert report.admissible
-        assert report.margin >= report.gamma0 - 1e-12
+        assert report.margin >= model.gamma0 - 1e-12
 
 
 def test_gamma0_boundary_inadmissible_for_all_tau():
     boundary = sample_kernel(KernelSpec.constant(1.0), GEO)
     for tau in (1e-9, 1e-3, 1.0):
-        report = check_solvability(
-            _cfg("backward_euler", tau=tau, stability_policy="warn"), boundary, CACHE)
-        assert not report.admissible
-        assert report.gamma0 == pytest.approx(0.0, abs=1e-14)
+        cfg = _cfg("backward_euler", tau=tau, stability_policy="warn")
+        model = cfg.model(boundary, CACHE)
+        assert not check_solvability(cfg, model).admissible
+        assert model.gamma0 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bdf2_check_is_stricter_than_backward_euler():
     # Same per-mode quantity with coefficient 3/(2 tau) instead of 1/tau.
     tau = 0.3
-    be = check_solvability(_cfg("backward_euler", tau=tau), GAUSS, CACHE)
-    bdf2 = check_solvability(_cfg("bdf2", tau=tau), GAUSS, CACHE)
+    be = _check(_cfg("backward_euler", tau=tau), GAUSS)
+    bdf2 = _check(_cfg("bdf2", tau=tau), GAUSS)
     assert bdf2.per_mode_min >= be.per_mode_min
 
 
 def test_ssi1_margin_is_stabilization_slack():
-    report = check_solvability(_cfg("ssi1", tau=0.5), GAUSS, CACHE)
+    cfg = _cfg("ssi1", tau=0.5)
+    report = _check(cfg, GAUSS)
     assert report.admissible
-    assert report.margin == pytest.approx(5.5 - 0.5 * report.beta)
-    weak = check_solvability(
-        _cfg("ssi1", tau=0.5, stabilization=2.0, stability_policy="warn"), GAUSS, CACHE)
+    assert report.margin == pytest.approx(5.5 - 0.5 * cfg.beta)
+    weak = _check(_cfg("ssi1", tau=0.5, stabilization=2.0, stability_policy="warn"), GAUSS)
     assert not weak.admissible
 
 
 def test_two_li_beta_bound_is_binding():
     # gamma0 of the weak kernel is far below 3 beta - 1, so no tau is admissible.
     for tau in (1e-8, 1e-2):
-        report = check_solvability(_cfg("two_li", tau=tau, stability_policy="warn"),
-                                   GAUSS, CACHE)
+        report = _check(_cfg("two_li", tau=tau, stability_policy="warn"), GAUSS)
         assert not report.admissible
-    ok = check_solvability(_cfg("two_li", tau=1e-3), STRONG, CACHE)
+    ok = _check(_cfg("two_li", tau=1e-3), STRONG)
     assert ok.admissible
 
 
@@ -317,7 +324,7 @@ def test_enforce_policy_rejects_step(rng):
     cfg = _cfg("backward_euler", tau=0.1, stability_policy="enforce")
     state = _perturbed_state(rng)
     with pytest.raises(StabilityError):
-        advance(state, cfg, boundary, CACHE)
+        advance(state, cfg, cfg.model(boundary, CACHE))
 
 
 def test_warn_policy_warns_and_steps(rng):
@@ -325,7 +332,7 @@ def test_warn_policy_warns_and_steps(rng):
     cfg = _cfg("backward_euler", tau=1e-3, stability_policy="warn")
     state = _perturbed_state(rng)
     with pytest.warns(RuntimeWarning):
-        _, result = advance(state, cfg, boundary, CACHE)
+        _, result = advance(state, cfg, cfg.model(boundary, CACHE))
     assert np.isfinite(result.u.values).all()
 
 
@@ -340,7 +347,7 @@ def test_step_functions_never_check_admissibility(scheme, rng, monkeypatch):
     state = _perturbed_state(rng)
     if scheme in TWO_STEP_SCHEMES:
         state = SchemeState(u=state.u, u_prev=state.u)
-    result = step(state, cfg, GAUSS, CACHE)
+    result = step(state, cfg, cfg.model(GAUSS, CACHE))
     assert np.isfinite(result.u.values).all()
 
 
@@ -348,7 +355,8 @@ def test_missing_history_raises_state_error(rng):
     state = _perturbed_state(rng)
     for scheme in TWO_STEP_SCHEMES:
         with pytest.raises(StateError):
-            step(state, _cfg(scheme, tau=0.01, stability_policy="ignore"), GAUSS, CACHE)
+            cfg = _cfg(scheme, tau=0.01, stability_policy="ignore")
+            step(state, cfg, cfg.model(GAUSS, CACHE))
 
 
 def test_state_mass_invariant():
@@ -356,12 +364,25 @@ def test_state_mass_invariant():
         SchemeState(u=Field.constant(GEO, 0.1), u_prev=Field.constant(GEO, 0.2))
 
 
+def test_state_previous_level_on_another_grid_is_a_geometry_mismatch():
+    # Equal masses, so only the grids differ; a bdf2 resume from this state
+    # must fail before its first step, not inside numpy's broadcasting.
+    with pytest.raises(GeometryMismatchError):
+        SchemeState(u=Field.constant(GridGeometry(32, 1.0), 0.1),
+                    u_prev=Field.constant(GridGeometry(16, 1.0), 0.1))
+
+
+def test_state_omega_on_another_grid_is_a_geometry_mismatch():
+    with pytest.raises(GeometryMismatchError):
+        SchemeState(u=Field.constant(GEO, 0.1), omega=Field.zeros(GridGeometry(16, 1.0)))
+
+
 def test_ssi1_config_invariant_under_enforce(rng):
     # S = 1 < beta/2 = 5.5 builds under every policy: advance applies the rule.
     cfg = SchemeConfig(scheme="ssi1", tau=0.1, epsilon=1.0, stabilization=1.0, cutoff=2.0,
                        stability_policy="enforce")
     with pytest.raises(StabilityError, match=r"ssi1 inadmissible .*margin = -4\.5"):
-        advance(_perturbed_state(rng), cfg, GAUSS, CACHE)
+        advance(_perturbed_state(rng), cfg, cfg.model(GAUSS, CACHE))
 
 
 def test_bootstrap_config_selection():
@@ -372,6 +393,18 @@ def test_bootstrap_config_selection():
     assert boot.stabilization == pytest.approx(5.5)  # raised to beta/2
     with pytest.raises(ConfigError):
         bootstrap_config(_cfg("backward_euler", tau=0.1))
+
+
+@pytest.mark.parametrize("scheme, variant", [
+    ("bdf2", "auto"), ("bdf2", "double_well"), ("bdf2", "truncated"),
+    ("two_li", "auto"), ("two_li", "truncated"),  # two_li is defined through F_K only
+])
+def test_bootstrap_keeps_the_model(scheme, variant):
+    # One Model serves a run's startup step and the steps after it.
+    cfg = _cfg(scheme, tau=0.1, potential_variant=variant, cutoff=1.5)
+    boot = bootstrap_config(cfg)
+    assert boot.potential == cfg.potential
+    assert boot.epsilon == cfg.epsilon
 
 
 # --- newton_solve ------------------------------------------------------------
@@ -473,7 +506,7 @@ def test_newton_step_stops_at_the_rounding_floor(rng):
     state = _perturbed_state(rng, geometry=geo)
     for scheme in ("backward_euler", "convex_splitting"):
         cfg = _cfg(scheme, tau=1e-4, newton_tol=1e-30)
-        result = step(state, cfg, kernel, make_cache(geo))
+        result = step(state, cfg, cfg.model(kernel, make_cache(geo)))
         assert 1 <= result.newton_iters <= 5
 
 
@@ -486,12 +519,12 @@ def test_newton_step_with_a_nonpositive_preconditioner_symbol_fails_as_a_solver_
     cache = make_cache(geo)
     kernel = sample_kernel(KernelSpec.gaussian(76.4, 200.0), geo)
     cfg = _cfg(scheme, tau=5.0, stability_policy="ignore")
-    symbol = 1.0 / cfg.tau + cache.minus_laplacian_eigenvalues * (
-        kernels.nonlocal_gap(kernel, cfg.epsilon**2) - 1.0)
+    model = cfg.model(kernel, cache)
+    symbol = 1.0 / cfg.tau + cache.minus_laplacian_eigenvalues * (model.gap - 1.0)
     assert np.count_nonzero(symbol <= 0.0) == 62
     u0 = random_initial_field(geo, 0.0, 0.5, seed=7)
     with pytest.raises(SolverError, match="Newton stagnated"):
-        advance(SchemeState(u=u0), cfg, kernel, cache)
+        advance(SchemeState(u=u0), cfg, model)
     result = run(u0, cfg, kernel, cache, RunOptions(max_steps=5))
     assert result.termination == "error"
     assert result.error_detail.startswith("step 1:") and "Newton stagnated" in result.error_detail
@@ -505,6 +538,7 @@ def test_mass_conserved_over_fifty_steps(scheme, rng):
     cfg = _cfg(scheme, tau=2e-3)
     state = SchemeState(u=Field(GEO, 0.1 + 0.05 * rng.uniform(-1, 1, (8, 8))))
     m0 = mean(state.u)
+    model = cfg.model(kernel, CACHE)
     for _ in range(50):
-        state, _ = advance(state, cfg, kernel, CACHE)
+        state, _ = advance(state, cfg, model)
     assert abs(mean(state.u) - m0) <= 1e-12 * max(1.0, abs(m0))
