@@ -181,7 +181,9 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     """Advance the scheme until equilibrium or the step budget runs out.
 
     The run's ``Model`` is built once, from ``cfg.epsilon``,
-    ``cfg.potential``, the kernel and the cache, and serves every step.
+    ``cfg.potential``, the kernel and the cache, and serves every step;
+    each step configuration (a two-step scheme's bootstrap, and ``cfg``) is
+    vetted and its operator built once, by ``advance``, into one map per run.
     Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
     from a checkpoint) must be given; it must share the kernel's and the
     cache's geometry (``GeometryMismatchError`` otherwise, before any step),
@@ -213,10 +215,10 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     else:
         state = initial_state
 
-    admitted: set[SchemeConfig] = set()  # bootstrap and main config, checked once each
+    operators: dict = {}  # bootstrap and main config: each vetted and built once
     while not detail and state.step_index < options.max_steps:
         try:
-            new, result = advance(state, cfg, model, admitted)
+            new, result = advance(state, cfg, model, operators)
         except SolverError as err:  # also a diverged step: non-finite or losing mass
             detail = f"step {state.step_index + 1}: {err}"
             break

@@ -13,9 +13,11 @@ residual at least ``FIXED_POINT_CONTRACTION``-fold, which holds when P is
 close to the Jacobian, as the frozen-coefficient preconditioner of the
 schemes is for moderate step sizes.  Once a step contracts less, plain
 Newton with a backtracking line search on the residual norm continues from
-the best iterate.  Convergence is declared on the true residual in the norm
-the caller passes (the steppers pass the mesh-weighted L2 norm of the
-field, taken by Parseval).  GMRES runs to the fixed relative tolerance
+the best iterate.  A caller that already holds the guess's residual may
+pass it, and the first fixed-point trial reads it in place of an
+evaluation.  Convergence is declared on the true residual, evaluated at
+its iterate, in the norm the caller passes (the steppers pass the
+mesh-weighted L2 norm of the field, taken by Parseval).  GMRES runs to the fixed relative tolerance
 ``KRYLOV_RTOL``.  An inner solve that stops at its iteration cap does not
 fail the step, since the line search guards the direction it returns; a
 failed solve reports how many inner solves did not converge.
@@ -23,7 +25,7 @@ failed solve reports how many inner solves did not converge.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -50,14 +52,23 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                  tol: float,
                  max_iter: int,
                  preconditioner: Callable[[np.ndarray], np.ndarray],
-                 norm: Callable[[np.ndarray], float]) -> tuple[np.ndarray, int, list[float]]:
+                 norm: Callable[[np.ndarray], float],
+                 r_init: Optional[np.ndarray] = None) -> tuple[np.ndarray, int, list[float]]:
     """Solve residual_map(u) = 0 by preconditioned fixed-point steps, then Newton-Krylov.
 
     ``u_init`` is a real or complex array; the callables receive and return
     arrays of its shape and dtype, ``jacobian_apply(u, v)`` applies the
-    Jacobian at ``u`` to ``v``, and ``norm`` measures a residual.  A
-    fixed-point trial that does not lower the residual is dropped, and
-    Newton-Krylov takes that iteration instead.
+    Jacobian at ``u`` to ``v``, and ``norm`` measures a residual.
+    ``u_init`` is never written, and it is itself the first iterate (no
+    copy) when it has the unknown's dtype, so the callables can recognise
+    it.  A fixed-point trial that does not lower the residual is dropped,
+    and Newton-Krylov takes that iteration instead.
+    ``r_init``, when given, stands for residual_map(u_init), which a caller
+    may already hold: the first fixed-point trial reads it, but convergence
+    is declared, and a Newton-Krylov step taken, only on a residual
+    evaluated at its iterate, so ``u_init`` is evaluated after all when
+    ``r_init`` meets the tolerance or the first trial is dropped.  A wrong
+    ``r_init`` can cost iterations, never pass as converged.
     Returns (solution, iterations, residual history), the iterations
     counting fixed-point and Newton steps alike; ``max_iter`` bounds their
     sum.  The initial guess is returned unchanged with zero iterations when
@@ -65,7 +76,7 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
     residual history, its message counting the inner solves that did not
     converge) when ``max_iter`` iterations do not reach ``tol``.
     """
-    u = np.array(u_init, dtype=np.result_type(u_init, np.float64))
+    u = np.asarray(u_init, dtype=np.result_type(u_init, np.float64))
     shape, dtype = u.shape, u.dtype
     size = _float_view(u).size
 
@@ -73,8 +84,12 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
         # A copy: GMRES works on the arrays the callables return, which may be their input.
         return np.array(v, dtype=np.float64).reshape(-1).view(dtype).reshape(shape)
 
-    r = residual_map(u)
+    supplied = r_init is not None  # r is the caller's, not yet evaluated at u
+    r = r_init if supplied else residual_map(u)
     rnorm = norm(r)
+    if supplied and rnorm <= tol:
+        r = residual_map(u)
+        rnorm, supplied = norm(r), False
     history = [rnorm]
     solves = unconverged = 0
     fixed_point = True
@@ -88,9 +103,15 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
             r_trial_norm = norm(r_trial)
             fixed_point = r_trial_norm * FIXED_POINT_CONTRACTION <= rnorm
             if r_trial_norm < rnorm:
-                u, r, rnorm = trial, r_trial, r_trial_norm
+                u, r, rnorm, supplied = trial, r_trial, r_trial_norm, False
                 history.append(rnorm)
                 continue
+            if supplied:  # the first trial was dropped: Newton-Krylov reads u's own residual
+                r = residual_map(u)
+                rnorm, supplied = norm(r), False
+                history[-1] = rnorm
+                if rnorm <= tol:
+                    return u, iteration, history
 
         jac = LinearOperator(
             (size, size),

@@ -52,7 +52,16 @@ place that decides admissibility, ssi1's S >= beta/2 included: a
 decides whether an inadmissible configuration rejects the step, warns, or
 is ignored.  ``advance`` is the one place that applies it, and so the
 public way to take a step: on every call, or once per configuration of a
-run.  ``step`` itself is an unchecked solve.
+run.  It first refuses a model that is not the configuration's (another
+eps or potential), since the check reads beta from the configuration and
+the step reads F from the model.  ``step`` itself is an unchecked solve.
+
+The symbols a step configuration solves with -- a, the linear part
+a + lambda G (or a + lambda (S + G)), and a Newton step's preconditioner
+symbol and its reciprocal -- do not change from step to step.  They are
+built once per configuration (``_Operator``): ``advance`` builds them
+where it vets the configuration, and keeps them in the caller's map, one
+per run in ``driver.run``.
 
 Each level is transformed forward at most once: a step reads rfft2(u^n)
 (and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
@@ -67,20 +76,27 @@ no step transforms omega back to the grid.  All transforms come from
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
 with omega = local(u) + G u eliminated, it solves for the half-spectrum
-coefficients rfft2(u) alone, matrix-free, and takes u and omega from its
-last residual, which is evaluated at the returned iterate: u is the mass
-snap of that residual's grid values and omega's spectrum its
-rfft2(local(u)) plus G rfft2(u).  The linear part a + lambda G is then a
-product, a residual or Jacobian apply takes one inverse and one forward
-transform around the pointwise part of omega, and the frozen-coefficient
-preconditioner a + lambda (slope + G) is a division.  It is close enough to the
-Jacobian that ``newton_solve`` first takes fixed-point steps with it, one
-residual each, and hands over to Newton-Krylov once they stop contracting.
-Convex splitting's nonlocal term is explicit and part of local(u), built
-from the spectrum of u^n, which is also the guess.  Newton stops at max(newton_tol,
-C eps scale), where scale measures the step's equation terms and the
-rounding of local(u), so the stop holds at every N although that rounding
-grows like 1/h^2.
+coefficients rfft2(u) alone, matrix-free.  An iterate's grid point is
+irfft2 of it with the mass snapped, and the guess, the spectrum of u^n,
+has u^n's own values as its point.  The step takes u and omega from its
+last residual, which is evaluated at the returned iterate: u adopts that
+residual's point and omega's spectrum is its rfft2(local(u)) plus
+G rfft2(u), so a backward Euler or BDF2 level's omega is
+``chemical_potential(u)`` bit for bit.  That step's first residual is
+therefore built from the omega of the state it leaves, with no transform
+(``chemical_potential(u^n)`` when the state has none, as on resuming from a
+checkpoint).  The linear part a + lambda G is a product, a residual or
+Jacobian apply takes one inverse and one forward transform around the
+pointwise part of omega, and the frozen-coefficient preconditioner
+a + lambda (slope + G) is a product with its reciprocal.  It is close
+enough to the Jacobian that ``newton_solve`` first takes fixed-point steps
+with it, one residual each, and hands over to Newton-Krylov once they stop
+contracting.  Convex splitting's nonlocal term is explicit and part of
+local(u), built from the spectrum of u^n, which is also the guess; its
+omega is not the chemical potential, so its first residual is evaluated.
+Newton stops at max(newton_tol, C eps scale), where scale measures the
+step's equation terms and the rounding of local(u), so the stop holds at
+every N although that rounding grows like 1/h^2.
 The two linear schemes share one DFT-diagonal solve (``_linear_step``) of
 a u + (-Lap)(explicit + shift u) = rhs: ssi1 with explicit
 F_K'(u^n) - S u^n and shift S + G, two_li with 2 F_K'(u^n) - F_K'(u^{n-1})
@@ -106,7 +122,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .energetics import Model, PotentialSpec, potential_d1, potential_d2
+from .energetics import Model, PotentialSpec, chemical_potential, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean, require_same_geometry
 from .kernels import SampledKernel
@@ -188,6 +204,10 @@ class SchemeConfig:
 class SchemeState:
     """Trajectory state: current field, optional previous level, bookkeeping.
 
+    ``omega`` is the chemical potential the step to u returned; after a
+    backward Euler or BDF2 step it is ``chemical_potential(u)`` bit for bit,
+    and the next such step builds its first residual from it.  A state
+    without one (a checkpoint holds none) has it evaluated there.
     ``u_prev`` and ``omega`` must be on u's grid (``GeometryMismatchError``),
     and a two-step pair must hold one mass (``StateError``).
     """
@@ -292,6 +312,16 @@ def check_solvability(cfg: SchemeConfig, model: Model) -> SolvabilityReport:
 
 
 def _apply_policy(cfg: SchemeConfig, model: Model):
+    """Vet ``cfg`` for ``model``: a ``ConfigError`` unless the model is the configuration's, then the policy.
+
+    The steps read eps and the potential from the model, the check reads
+    beta from the configuration, so the two must agree.
+    """
+    if (model.epsilon, model.potential) != (cfg.epsilon, cfg.potential):
+        raise ConfigError(
+            f"{cfg.scheme} configuration (epsilon = {cfg.epsilon!r}, {cfg.potential}) does not "
+            f"match the model (epsilon = {model.epsilon!r}, {model.potential})"
+        )
     if cfg.stability_policy == "ignore":
         return
     report = check_solvability(cfg, model)
@@ -307,7 +337,9 @@ def _apply_policy(cfg: SchemeConfig, model: Model):
 
 
 def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
-    return values + (target - _reduce(values) / values.size)
+    """Shift ``values`` in place onto the mean ``target``, and return them."""
+    values += target - _reduce(values) / values.size
+    return values
 
 
 # C of the Newton stop max(newton_tol, C eps scale).  Convex splitting's
@@ -320,34 +352,97 @@ NEWTON_FLOOR_ULPS = 4.0
 NEWTON_MAX_ITER = 50
 
 
-def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, a: float,
-                 rhs_hat: np.ndarray, local, local_slope, slope,
+class _Operator(NamedTuple):
+    """The symbols of one step configuration under one model, which no step changes.
+
+    ``_operator`` builds them: ``advance`` once per configuration of a run
+    (``driver.run`` keeps them for the run), ``step`` called alone once per
+    call.  ``implicit`` is the symbol of omega's implicit linear part: G for
+    backward Euler, BDF2 and two_li, S + G for ssi1, and None for convex
+    splitting, whose nonlocal term is explicit.  ``linear`` is
+    a + lambda implicit (a alone without one): the linear part of a Newton
+    residual and the modal denominator of a linear step.  A Newton step also
+    reads its preconditioner: the pointwise ``slope`` it freezes, the symbol
+    a + lambda (slope + implicit) and its reciprocal ``inverse``.
+    """
+
+    a: float
+    implicit: Optional[np.ndarray]
+    linear: np.ndarray
+    slope: float = 0.0
+    symbol: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = None
+
+
+def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
+    """The ``_Operator`` of ``cfg`` under ``model``; a is 1/tau, or 3/(2 tau) for a two-step scheme.
+
+    A linear scheme whose denominator is not positive somewhere raises
+    ``SolverError``.  A Newton scheme's preconditioner freezes the cubic
+    term out: it keeps the local slope -1 of the implicit potential, or
+    convex splitting's implicit 2 eps^2 [J(*)1], and where its symbol is
+    not positive it cuts slope + implicit at 0.
+    """
+    lam = model.cache.minus_laplacian_eigenvalues
+    a = 3.0 / (2.0 * cfg.tau) if cfg.scheme in TWO_STEP_SCHEMES else 1.0 / cfg.tau
+    if cfg.scheme == "convex_splitting":
+        implicit = None
+    elif cfg.scheme == "ssi1":
+        implicit = _freeze(cfg.stabilization + model.gap)
+    else:
+        implicit = model.gap
+    linear = a if implicit is None else _freeze(a + lam * implicit)
+    if cfg.scheme in ("ssi1", "two_li"):
+        if linear.min() <= 0.0:
+            raise SolverError(
+                "non-positive modal denominator in the linear solve; "
+                "the kernel/stabilization configuration is outside the solvable regime"
+            )
+        return _Operator(a, implicit, linear)
+    slope = 2.0 * model.epsilon**2 * model.kernel.conv_one if implicit is None else -1.0
+    shift = slope if implicit is None else slope + implicit
+    symbol = a + lam * shift
+    bad = symbol <= 0.0
+    if bad.any():
+        symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
+    return _Operator(a, implicit, linear, slope, _freeze(symbol), _freeze(1.0 / symbol))
+
+
+def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
+                 rhs_hat: np.ndarray, local, local_slope,
                  explicit: Optional[np.ndarray] = None) -> StepResult:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
     ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep
-    (``Field.spectrum``); the guess is the spectrum of u^n.  The returned
-    iterate is the last residual's, whose grid values and rfft2(local(u))
-    are kept: u is those values, mass-snapped, with no transform, and
-    omega's spectrum is rfft2(local(u)) plus G times the spectrum of the new
-    level, as ``chemical_potential`` computes it but with local evaluated
-    before the snap, so the two agree to rounding.  An iterate that is not
-    the last residual's (an identity check on the modes) is evaluated
-    afresh, one transform each way.  omega(u) = local(u) +
-    G u with G the model's half-spectrum symbol, or omega(u) = local(u)
-    alone when the nonlocal term is explicit and folded into ``local`` as
-    its part ``explicit`` (convex splitting); ``local_slope(u)`` is the
-    pointwise derivative of ``local``.  The unknown
-    is u_hat = rfft2(u), with residual
-        (a + lambda G) u_hat - rhs_hat + lambda rfft2(local(irfft2(u_hat)))
+    (``Field.spectrum``), and ``op`` the configuration's ``_Operator``.
+    omega(u) = local(u) + G u with G = ``op.implicit``, or omega(u) =
+    local(u) alone when the nonlocal term is explicit and folded into
+    ``local`` as its part ``explicit`` (convex splitting);
+    ``local_slope(u)`` is the pointwise derivative of ``local``.  The
+    unknown is u_hat = rfft2(u), with residual
+        (a + lambda G) u_hat - rhs_hat + lambda rfft2(local(u))
     projected onto the coefficients of real fields (rounding breaks their
     symmetry, and GMRES then stalls), and its norm the mesh-weighted L2 norm
-    of the field, by Parseval.  The Jacobian at u_hat is
+    of the field, by Parseval.  The point u of an iterate is irfft2(u_hat)
+    with its mass snapped, taken once; the guess is the spectrum of u^n,
+    whose point is u^n's own values.  The Jacobian at u_hat is
         (a + lambda G) v_hat + lambda rfft2(local_slope(u) irfft2(v_hat)),
     with u and its slope those of the last residual when u_hat is that
     residual's iterate, and otherwise one irfft2 of u_hat.  The
-    frozen-coefficient preconditioner a + lambda (slope + G) is a division;
-    ``newton_solve`` takes fixed-point steps with it before Newton-Krylov.
+    preconditioner is the product with ``op.inverse``; ``newton_solve``
+    takes fixed-point steps with it before Newton-Krylov.
+
+    With G implicit (backward Euler, BDF2) omega is the chemical potential,
+    and a level's omega is ``chemical_potential`` of it bit for bit, so the
+    guess's residual is a u_hat^n - rhs_hat + lambda omega_hat^n from the
+    state's omega (``chemical_potential(u^n)`` for a state without one, a
+    resumed run), with no transform; ``newton_solve`` still evaluates the
+    residual at u^n before it declares u^n converged.  Convex splitting's
+    omega holds an explicit part of u^{n-1}, so its first residual is
+    evaluated.  The returned iterate is the last residual's: u adopts its
+    point's values, and omega's spectrum is its rfft2(local(u)) plus G
+    times the spectrum of the new level, as ``chemical_potential`` takes
+    it.
     Newton stops at max(newton_tol, C eps scale): scale is the norm of
     rhs_hat, plus that of the preconditioner applied forward to u_hat^n,
     plus lambda_max times the norm of |u^n|^3 + |slope| |u^n| (+ |explicit|).
@@ -356,31 +451,25 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, a: float,
     of it takes a transform.
     """
     lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
-    shape = state.u.values.shape
-    gap = model.gap if explicit is None else None
-    linear = a if gap is None else a + lam * gap
-    shift = slope if gap is None else slope + gap
-    symbol = a + lam * shift
-    bad = symbol <= 0.0
-    if bad.any():
-        symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
+    shape, target = state.u.values.shape, mean(state.u)
 
     h = model.cache.geometry.h
     norm = lambda modes: norm2_modes(modes, h)
     terms = np.abs(state.u.values)
-    terms *= terms * terms + abs(slope)
+    terms *= terms * terms + abs(op.slope)
     if explicit is not None:
         terms += np.abs(explicit)
-    scale = norm(rhs_hat) + norm(symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
+    scale = norm(rhs_hat) + norm(op.symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
 
-    # The last iterate taken to the grid, with its values and, once asked
-    # for, rfft2(local(values)) and the slope.
-    last = {"modes": None}
+    # The last iterate taken to the grid, the guess first: its point and,
+    # once asked for, rfft2(local(point)) and the slope there.
+    last = {"modes": u_hat, "values": state.u.values, "local_hat": None, "slope": None}
 
     def at(modes):
         if modes is not last["modes"]:
-            last.update(modes=modes, values=irfft2(modes, s=shape), local_hat=None, slope=None)
+            last.update(modes=modes, values=_snap_mass(irfft2(modes, s=shape), target),
+                        local_hat=None, slope=None)
         return last
 
     def evaluated(modes):
@@ -390,84 +479,86 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, a: float,
         return point
 
     def residual(modes):
-        return _project_hermitian(linear * modes - rhs_hat + lam * evaluated(modes)["local_hat"])
+        return _project_hermitian(op.linear * modes - rhs_hat + lam * evaluated(modes)["local_hat"])
 
     def jacobian(modes, v_hat):
         point = at(modes)
         if point["slope"] is None:
             point["slope"] = local_slope(point["values"])
-        return linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, s=shape))
+        return op.linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, s=shape))
 
+    first = None
+    if op.implicit is not None:
+        omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
+        first = _project_hermitian(op.a * u_hat - rhs_hat + lam * omega.spectrum)
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
-                                   lambda r: r / symbol, norm)
+                                   lambda r: r * op.inverse, norm, first)
     point = evaluated(u_hat)  # the last residual's own point: no transform
-    u = _step_field(Field, state.u.geometry, _snap_mass(point["values"], mean(state.u)))
+    u = _step_field(Field, state.u.geometry, point["values"])
     omega_hat = point["local_hat"]  # no residual reads it again
-    if gap is not None:  # from the spectrum of u itself, as chemical_potential takes it
-        omega_hat += gap * u.spectrum
+    if op.implicit is not None:  # from the spectrum of u itself, as chemical_potential takes it
+        omega_hat += op.implicit * u.spectrum
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters)
 
 
-def _linear_step(state: SchemeState, model: Model, a: float, rhs_hat: np.ndarray,
-                 explicit: np.ndarray, shift: np.ndarray) -> StepResult:
+def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.ndarray,
+                 explicit: np.ndarray) -> StepResult:
     """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
-    ``shift`` is the half-spectrum symbol S + G of ssi1 or G of two_li.  A
+    ``shift`` is ``op.implicit``, the half-spectrum symbol S + G of ssi1 or
+    G of two_li, and the denominator a + lambda shift is ``op.linear``.  A
     step transforms only ``explicit`` forward and the solved spectrum back.
     lambda vanishes at the constant mode, so it needs no special case; the
     mass snap shifts only that mode.  omega is returned as its spectrum,
     rfft2(explicit) plus the implicit part shift u_hat, added in place.
     """
     lam = model.cache.minus_laplacian_eigenvalues
-    denominator = a + lam * shift
-    if denominator.min() <= 0.0:
-        raise SolverError(
-            "non-positive modal denominator in the linear solve; "
-            "the kernel/stabilization configuration is outside the solvable regime"
-        )
     omega_hat = rfft2(explicit)
     u_hat = lam * omega_hat
     np.subtract(rhs_hat, u_hat, out=u_hat)
-    u_hat /= denominator
+    u_hat /= op.linear
     u = _step_field(Field, state.u.geometry,
                     _snap_mass(irfft2(u_hat, s=explicit.shape), mean(state.u)))
-    u_hat *= shift
+    u_hat *= op.implicit
     omega_hat += u_hat
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
 
 
-def step(state: SchemeState, cfg: SchemeConfig, model: Model) -> StepResult:
+def step(state: SchemeState, cfg: SchemeConfig, model: Model,
+         operator: Optional[_Operator] = None) -> StepResult:
     """One unchecked step of ``cfg.scheme`` under ``model``: the solve of a u + (-Lap)(omega(u)) = rhs.
 
     (a, rhs) is (1/tau, u^n/tau), or (3/(2 tau), (4 u^n - u^{n-1})/(2 tau))
     for a two-step scheme, which raises ``StateError`` without ``u_prev``.
     The implicit potential (backward Euler, BDF2) and convex splitting are
     Newton solves; ssi1 and two_li one DFT-diagonal solve each.  No policy
-    is applied: ``advance`` is the checked way to take a step.
+    is applied: ``advance`` is the checked way to take a step.  ``operator``
+    is the configuration's ``_Operator``, which ``advance`` keeps per run;
+    without it the step builds its own.
     """
-    u_n, u_hat, tau, pot, gap = state.u.values, state.u.spectrum, cfg.tau, model.potential, model.gap
+    u_n, u_hat, pot = state.u.values, state.u.spectrum, model.potential
+    if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
+        raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
+    op = _operator(cfg, model) if operator is None else operator
     if cfg.scheme in TWO_STEP_SCHEMES:
-        if state.u_prev is None:
-            raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
-        a, rhs_hat = 3.0 / (2.0 * tau), (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * tau)
+        rhs_hat = (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * cfg.tau)
     else:
-        a, rhs_hat = 1.0 / tau, u_hat / tau
+        rhs_hat = u_hat / cfg.tau
     if cfg.scheme in ("backward_euler", "bdf2"):
-        # Frozen-coefficient symbol: cubic term dropped, local slope -1 kept.
-        return _newton_step(state, cfg, model, a, rhs_hat, lambda u: potential_d1(pot, u),
-                            lambda u: potential_d2(pot, u), -1.0)
+        return _newton_step(state, cfg, model, op, rhs_hat, lambda u: potential_d1(pot, u),
+                            lambda u: potential_d2(pot, u))
     if cfg.scheme == "convex_splitting":
         # Cubic and strong quadratic implicit; the rest is explicit, fixed during the solve.
-        strong = 2.0 * model.epsilon**2 * model.kernel.conv_one
-        explicit = u_n + strong * u_n - _apply_to_field(state.u, gap)
-        return _newton_step(state, cfg, model, a, rhs_hat,
+        strong = op.slope
+        explicit = u_n + strong * u_n - _apply_to_field(state.u, model.gap)
+        return _newton_step(state, cfg, model, op, rhs_hat,
                             lambda u: u * u * u + strong * u - explicit,
-                            lambda u: 3.0 * (u * u) + strong, strong, explicit)
+                            lambda u: 3.0 * (u * u) + strong, explicit)
     if cfg.scheme == "ssi1":
         s = cfg.stabilization
-        return _linear_step(state, model, a, rhs_hat, potential_d1(pot, u_n) - s * u_n, s + gap)
-    return _linear_step(state, model, a, rhs_hat,
-                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, state.u_prev.values), gap)
+        return _linear_step(state, model, op, rhs_hat, potential_d1(pot, u_n) - s * u_n)
+    return _linear_step(state, model, op, rhs_hat,
+                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, state.u_prev.values))
 
 
 def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
@@ -504,23 +595,27 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
-            admitted: Optional[set] = None) -> tuple[SchemeState, StepResult]:
+            operators: Optional[dict] = None) -> tuple[SchemeState, StepResult]:
     """Advance one step, bootstrapping a fresh two-step state transparently.
 
-    The one place the stability policy is applied, to the configuration the
-    step runs (the bootstrap's for a fresh two-step state).  Without
-    ``admitted`` every call checks it; with it, only a configuration not yet
-    in that set is checked, and it is added once it passes.  The set belongs
-    to one model.
+    The one place a configuration is vetted, the one the step runs (the
+    bootstrap's for a fresh two-step state): a model that is not the
+    configuration's (other eps or potential) raises ``ConfigError``, then
+    the stability policy is applied.  Without ``operators`` every call vets
+    the configuration and builds its ``_Operator``; with it, only a
+    configuration not yet in that map is, and its operator is kept there.
+    The map belongs to one model: ``driver.run`` keeps one per run.
     """
     step_cfg = cfg
     if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
         step_cfg = bootstrap_config(cfg)
-    if admitted is None or step_cfg not in admitted:
+    op = None if operators is None else operators.get(step_cfg)
+    if op is None:
         _apply_policy(step_cfg, model)
-        if admitted is not None:
-            admitted.add(step_cfg)
-    result = step(state, step_cfg, model)
+        op = _operator(step_cfg, model)
+        if operators is not None:
+            operators[step_cfg] = op
+    result = step(state, step_cfg, model, op)
     keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
     try:
         next_state = SchemeState(

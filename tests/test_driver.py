@@ -438,24 +438,30 @@ def test_newton_step_transforms_only_its_applies_and_the_new_level(scheme, monke
     # Residuals and Jacobian applies take one transform each way.  Beyond
     # them a recorded step transforms its new level forward once: u is the
     # last residual's values and omega's spectrum its rfft2(local(u)) plus
-    # G rfft2(u), so neither takes an irfft2.
+    # G rfft2(u), so neither takes an irfft2.  The guess's residual is built
+    # from the state's omega, so no residual is evaluated at the level the
+    # step leaves: this step takes 2 residuals, where evaluating the guess's
+    # took 3.
     counts = _count_transforms(monkeypatch)
-    counts["applies"] = 0
+    counts["applies"] = counts["residuals"] = 0
     real_newton = steppers.newton_solve
 
-    def counting_newton(residual, jacobian, *args, **kwargs):
+    def counting_newton(residual, jacobian, u_init, *args, **kwargs):
         def counted_residual(modes):
+            assert not np.array_equal(modes, u_init), "residual evaluated at the level's spectrum"
             counts["applies"] += 1
+            counts["residuals"] += 1
             return residual(modes)
 
         def counted_jacobian(modes, v_hat):
             counts["applies"] += 1
             return jacobian(modes, v_hat)
 
-        return real_newton(counted_residual, counted_jacobian, *args, **kwargs)
+        return real_newton(counted_residual, counted_jacobian, u_init, *args, **kwargs)
 
     monkeypatch.setattr(steppers, "newton_solve", counting_newton)
     step = _fourth_step_transforms(scheme, counts)
+    assert step["residuals"] == 2
     assert step["applies"] >= 2
     assert step["rfft2"] == step["applies"] + 1
     assert step["irfft2"] == step["applies"]

@@ -114,10 +114,11 @@ def test_step_levels_are_read_only_and_adopted_without_copy(scheme, rng, monkeyp
     assert not result.u.values.flags.writeable
     assert not result.omega.spectrum.flags.writeable
     assert not result.omega.values.flags.writeable
-    # The fields hold the very arrays the step froze, u its values and omega
-    # its spectrum: no copy was made.
-    assert result.u.values is frozen[0]
-    assert result.omega.spectrum is frozen[1]
+    # The fields hold the very arrays the step froze last, u its values and
+    # omega its spectrum (the operator's symbols are frozen before them): no
+    # copy was made.
+    assert result.u.values is frozen[-2]
+    assert result.omega.spectrum is frozen[-1]
 
 
 def test_inner_product_ones_counts_cells():

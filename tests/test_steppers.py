@@ -69,12 +69,42 @@ def test_backward_euler_residual_and_mass(rng):
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
-    # omega is rfft2(F'(.)) at the solve's values, before the mass snap, plus
-    # G rfft2(u): chemical_potential(u) up to rounding.
+    # omega is rfft2(F'(u)) at the solve's mass-snapped values, which u
+    # adopts, plus G rfft2(u): chemical_potential(u) bit for bit.
     omega_expected = chemical_potential(result.u, cfg.model(GAUSS, CACHE))
-    ulps = 64 * np.finfo(np.float64).eps * np.abs(result.omega.values).max()
-    assert np.abs(result.omega.values - omega_expected.values).max() <= ulps
+    assert np.array_equal(result.omega.spectrum, omega_expected.spectrum)
     assert abs(mean(result.u) - mean(state.u)) <= 1e-15
+
+
+def test_bdf2_residual_and_mass(rng):
+    cfg = _cfg("bdf2", tau=0.01)
+    model = cfg.model(GAUSS, CACHE)
+    state = _two_step_state(rng, cfg, GAUSS, CACHE)
+    result = step(state, cfg, model)
+    lhs = (3.0 * result.u.values - 4.0 * state.u.values + state.u_prev.values) / (2.0 * cfg.tau)
+    residual = lhs - laplacian_apply(result.omega.values, GEO.h)
+    assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
+    assert np.array_equal(result.omega.spectrum, chemical_potential(result.u, model).spectrum)
+    assert abs(mean(result.u) - mean(state.u)) <= 1e-15
+
+
+@pytest.mark.parametrize("wrong", ["ssi1", "zero"])
+def test_backward_euler_step_from_a_wrong_omega_reaches_the_same_level(wrong, rng):
+    # The guess's residual is built from the state's omega.  A wrong one (an
+    # ssi1 step's, or 0, which makes that residual vanish at a state far
+    # from the solution) may cost iterations, but the step still converges
+    # on evaluated residuals to the level the true omega leads to.
+    cfg = _cfg("backward_euler", tau=0.01)
+    model = cfg.model(GAUSS, CACHE)
+    ssi1 = _cfg("ssi1", tau=0.01)
+    start, _ = advance(_perturbed_state(rng), ssi1, ssi1.model(GAUSS, CACHE))
+    omega = start.omega if wrong == "ssi1" else Field.constant(GEO, 0.0)
+    assert not np.array_equal(omega.spectrum, chemical_potential(start.u, model).spectrum)
+    true = step(SchemeState(u=start.u, omega=chemical_potential(start.u, model)), cfg, model)
+    _, result = advance(SchemeState(u=start.u, omega=omega), cfg, model)
+    assert result.newton_iters >= 1
+    assert norm2(Field(GEO, result.u.values - true.u.values)) <= cfg.newton_tol
+    assert np.array_equal(result.omega.spectrum, chemical_potential(result.u, model).spectrum)
 
 
 def test_ssi1_residual_small(rng):
@@ -385,6 +415,21 @@ def test_ssi1_config_invariant_under_enforce(rng):
         advance(_perturbed_state(rng), cfg, cfg.model(GAUSS, CACHE))
 
 
+def test_advance_rejects_a_model_of_another_configuration():
+    # The check reads beta from the configuration (K = 1.05, so S = 1.2 >=
+    # beta/2 passes), the step eps and the potential from the model (K = 1.5,
+    # where S < beta/2 = 2.875): such a pair is refused before any step.
+    geo = GridGeometry(16, 1.0)
+    kernel = sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo)
+    cfg = SchemeConfig("ssi1", 0.1, 1.0, stabilization=1.2, cutoff=1.05)
+    model = SchemeConfig("ssi1", 0.1, 2.0, stabilization=1.2, cutoff=1.5).model(kernel, make_cache(geo))
+    state = SchemeState(u=random_initial_field(geo, 0.0, 0.05, seed=7))
+    for operators in (None, {}):
+        with pytest.raises(ConfigError, match="does not match the model"):
+            advance(state, cfg, model, operators)
+        assert not operators
+
+
 def test_bootstrap_config_selection():
     assert bootstrap_config(_cfg("bdf2", tau=0.1)).scheme == "backward_euler"
     boot = bootstrap_config(_cfg("two_li", tau=0.1, stabilization=0.0,
@@ -469,6 +514,43 @@ def test_newton_rejected_fixed_point_trial_costs_no_second_residual(rng):
     # The guess, the dropped trial and the Newton step, once each.
     assert len(evaluated_at) == 3
     assert applied_at and all(np.array_equal(at, u0) for at in applied_at)
+
+
+def test_newton_never_takes_a_supplied_residual_as_converged(rng):
+    # A supplied residual of 0 at a guess that is not a solution: the guess is
+    # evaluated before it could pass, and the solve goes on from there.
+    a = rng.uniform(-1, 1, (4, 4))
+    evaluated_at = []
+
+    def residual(u):
+        evaluated_at.append(u.copy())
+        return u - a
+
+    u0 = np.zeros((4, 4))
+    u, iters, history = newton_solve(residual, lambda u, v: v, u0, 1e-12, 10, lambda r: r,
+                                     np.linalg.norm, np.zeros((4, 4)))
+    assert iters == 1 and np.abs(u - a).max() <= 1e-12
+    assert np.array_equal(evaluated_at[0], u0) and history[0] == np.linalg.norm(a)
+
+
+def test_newton_supplied_residual_is_evaluated_once_its_first_trial_is_dropped(rng):
+    # A small wrong residual makes the first fixed-point trial worse than it
+    # claims, so the trial is dropped; Newton-Krylov then solves against the
+    # guess's evaluated residual, not against the supplied one (whose
+    # direction no line search could accept).
+    a = rng.uniform(-1, 1, (4, 4))
+    evaluated_at = []
+
+    def residual(u):
+        evaluated_at.append(u.copy())
+        return u - a
+
+    u0 = np.zeros((4, 4))
+    u, iters, _ = newton_solve(residual, lambda u, v: v, u0, 1e-12, 10, lambda r: r,
+                               np.linalg.norm, 1e-3 * a)
+    assert iters == 1 and np.abs(u - a).max() <= 1e-12
+    # The dropped trial, the guess and the Newton step, once each.
+    assert len(evaluated_at) == 3 and np.array_equal(evaluated_at[1], u0)
 
 
 def test_newton_nonconvergence_raises_with_history():
