@@ -7,7 +7,8 @@
 
 ``check`` and ``run`` build a run's objects through the one function
 ``_build``, so ``check`` exits 2 on every configuration that ``run``
-rejects with exit 2 before its first step, with two exceptions: an unusable
+rejects with exit 2 before its first step, one too large to allocate
+included, with two exceptions: an unusable
 ``output.dir`` (``check`` creates nothing), and gamma0 <= 0, which the
 report covers and calls inadmissible (exit 1).  ``check`` also evaluates
 the step-0 diagnostics row as ``run`` records it (``driver._start``) and
@@ -47,17 +48,24 @@ def _build(args):
     Loads the file, applies the command-line overrides and builds every part
     a run needs, so ``check`` meets each configuration error that ``run``
     meets before its first step; see the module docstring for the two
-    exceptions.
+    exceptions.  Arrays that cannot be allocated are a ``ConfigError``
+    naming the key that sized them: every array is N x N or smaller, except
+    a Gaussian kernel's N x (2 images + 1) distances to its images.
     """
     values = config_mod.load_config(args.config)
     values = config_mod.apply_overrides(values, output_dir=args.output_dir,
                                         seed=args.seed, max_steps=args.max_steps)
-    geometry = config_mod.build_geometry(values)
-    kernel = config_mod.build_kernel(values, geometry)
-    cache = make_cache(geometry)
-    scheme_cfg = config_mod.build_scheme_config(values)
-    options = config_mod.build_run_options(values, Path(values["output.dir"]))
-    u0 = config_mod.build_initial_field(values, geometry)
+    try:
+        geometry = config_mod.build_geometry(values)
+        kernel = config_mod.build_kernel(values, geometry)
+        cache = make_cache(geometry)
+        scheme_cfg = config_mod.build_scheme_config(values)
+        options = config_mod.build_run_options(values, Path(values["output.dir"]))
+        u0 = config_mod.build_initial_field(values, geometry)
+    except MemoryError as err:
+        images = values["model.kernel.images"] if values["model.kernel.type"] == "gaussian" else 0
+        key = "model.kernel.images" if 2 * images + 1 > values["grid.N"] else "grid.N"
+        raise ConfigError(f"key {key!r}: the run's arrays cannot be allocated ({err})") from err
     return values, kernel, cache, scheme_cfg, options, u0
 
 

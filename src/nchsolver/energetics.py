@@ -16,9 +16,9 @@ the chemical potential
 
     omega(u) = F'(u) + eps^2 ([J(*)1] u - [J (*) u]),
 
-whose nonlocal operator is applied, here and in every scheme, only through
-its half-spectrum symbol G = eps^2 ([J(*)1] - j_hat) and the spectrum the
-field keeps (``Field.spectrum``), one ``irfft2``.  The
+whose nonlocal operator is applied, here and in every scheme, only as the
+product of its half-spectrum symbol G = eps^2 ([J(*)1] - j_hat) with the
+spectrum the field keeps (``Field.spectrum``), never on the grid.  The
 quadratic nonlocal part of E is evaluated from that spectrum by Parseval,
 
     (h^2 / (2 N^2)) sum_k eps^2 ([J(*)1] - j_hat_k) |u_hat_k|^2,

@@ -17,8 +17,10 @@ by 1/lambda and zeroes the constant mode, and the induced negative norm is
 
 The production path uses real transforms on the half spectrum of modes
 l = 0..N/2 (N x (N/2+1), all values of a real even symbol).  A ``Field``
-keeps its own half spectrum (``Field.spectrum``), so applying a symbol to a
-field (``_apply_to_field``) takes one ``irfft2``.  Quadratic forms
+keeps its own half spectrum (``Field.spectrum``), and the steps apply every
+symbol as a product with a spectrum, never on the grid.  The apply on the
+grid, ``_apply_to_field``, one ``irfft2`` of the product, is a reference
+for the oracle suite and the tests, like the stencil.  Quadratic forms
 (v || A v) of such an operator -- the nonlocal energy in
 :mod:`nchsolver.energetics` and the norms here -- are one modal sum by
 Parseval over the spectrum of v, which ``_parseval`` takes by the rule
@@ -69,7 +71,8 @@ def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None)
 def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
     """Values of the circulant operator with a half-spectrum symbol applied to phi.
 
-    Reads the spectrum the field keeps, so it takes one ``irfft2``.
+    Reads the spectrum the field keeps, so it takes one ``irfft2``.  A
+    reference for ``verify`` and the tests: no step calls it.
     """
     return irfft2(phi.spectrum * symbol, s=phi.values.shape)
 

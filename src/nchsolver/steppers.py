@@ -25,10 +25,10 @@ Every scheme is one equation per step,
 and ``step`` takes it: it builds (a, rhs) once, (1/tau, u^n/tau) for the
 one-step schemes and (3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for the
 two-step ones, and the schemes differ only in how omega treats its terms.
-Both operators are diagonal in the DFT basis and applied only through their
-half-spectrum symbols: -Lap through lambda =
-``cache.minus_laplacian_eigenvalues`` and the nonlocal operator
-eps^2 ([J(*)1] u - [J (*) u]) through G, both read from the run's
+Both operators are diagonal in the DFT basis and applied only as products
+of their half-spectrum symbols with spectra, never on the grid: -Lap
+through lambda = ``cache.minus_laplacian_eigenvalues`` and the nonlocal
+operator eps^2 ([J(*)1] u - [J (*) u]) through G, both read from the run's
 ``energetics.Model``, which builds G once per run.  The 5-point stencil
 ``spectral.laplacian_apply``, the one stencil of the library, is the
 reference the steps are tested against, not a production path.  What the
@@ -56,12 +56,12 @@ run.  It first refuses a model that is not the configuration's (another
 eps or potential), since the check reads beta from the configuration and
 the step reads F from the model.  ``step`` itself is an unchecked solve.
 
-The symbols a step configuration solves with -- a, the linear part
-a + lambda G (or a + lambda (S + G)), and a Newton step's preconditioner
-symbol and its reciprocal -- do not change from step to step.  They are
-built once per configuration (``_Operator``): ``advance`` builds them
-where it vets the configuration, and keeps them in the caller's map, one
-per run in ``driver.run``.
+The symbols a step configuration solves with -- a, the symbol I of
+omega's implicit linear part, the linear part a + lambda I, and a Newton
+step's preconditioner symbol and its reciprocal -- do not change from step
+to step.  They are built once per configuration (``_Operator``):
+``advance`` builds them where it vets the configuration, and keeps them in
+the caller's map, one per run in ``driver.run``.
 
 Each level is transformed forward at most once: a step reads rfft2(u^n)
 (and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
@@ -75,25 +75,31 @@ no step transforms omega back to the grid.  All transforms come from
 
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
-with omega = local(u) + G u eliminated, it solves for the half-spectrum
-coefficients rfft2(u) alone, matrix-free.  An iterate's grid point is
-irfft2 of it with the mass snapped, and the guess, the spectrum of u^n,
-has u^n's own values as its point.  The step takes u and omega from its
+with omega = local(u) + I u + e eliminated, it solves
+
+    a u_hat + lambda (I u_hat + e_hat + rfft2(local(u))) = rhs_hat
+
+for the half-spectrum coefficients u_hat = rfft2(u) alone, matrix-free.
+Backward Euler and BDF2 take local = F', the implicit symbol I = G and no
+explicit part e; convex splitting takes the cubic local(u) = u^3,
+I = sigma = 2 eps^2 [J(*)1] and e_hat = (G - 1 - sigma) u_hat^n, a product
+with the spectrum of u^n.  An iterate's grid point is irfft2 of it with
+the mass snapped, and the guess, the spectrum of u^n, has u^n's own values
+as its point.  The step takes u and omega from its
 last residual, which is evaluated at the returned iterate: u adopts that
 residual's point and omega's spectrum is its rfft2(local(u)) plus
-G rfft2(u), so a backward Euler or BDF2 level's omega is
+I rfft2(u) (plus e_hat), so a backward Euler or BDF2 level's omega is
 ``chemical_potential(u)`` bit for bit.  That step's first residual is
 therefore built from the omega of the state it leaves, with no transform
 (``chemical_potential(u^n)`` when the state has none, as on resuming from a
-checkpoint).  The linear part a + lambda G is a product, a residual or
+checkpoint).  The linear part a + lambda I is a product, a residual or
 Jacobian apply takes one inverse and one forward transform around the
 pointwise part of omega, and the frozen-coefficient preconditioner
-a + lambda (slope + G) is a product with its reciprocal.  It is close
+a + lambda (slope + I) is a product with its reciprocal.  It is close
 enough to the Jacobian that ``newton_solve`` first takes fixed-point steps
 with it, one residual each, and hands over to Newton-Krylov once they stop
-contracting.  Convex splitting's nonlocal term is explicit and part of
-local(u), built from the spectrum of u^n, which is also the guess; its
-omega is not the chemical potential, so its first residual is evaluated.
+contracting.  Convex splitting's omega holds an explicit part of u^{n-1},
+so it is not the chemical potential and the first residual is evaluated.
 Newton stops at max(newton_tol, C eps scale), where scale measures the
 step's equation terms and the rounding of local(u), so the stop holds at
 every N although that rounding grows like 1/h^2.
@@ -127,7 +133,7 @@ from .errors import ConfigError, SolverError, StabilityError, StateError
 from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean, require_same_geometry
 from .kernels import SampledKernel
 from .solvers import newton_solve
-from .spectral import SpectralCache, _apply_to_field, _project_hermitian, norm2_modes
+from .spectral import SpectralCache, _project_hermitian, norm2_modes
 
 SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
 TWO_STEP_SCHEMES = ("bdf2", "two_li")
@@ -343,9 +349,10 @@ def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
 
 
 # C of the Newton stop max(newton_tol, C eps scale).  Convex splitting's
-# residual stagnates at 0.15-0.25 eps scale (the benchmark problem at N in
-# 128..512, the phase-separating one at N = 64 and 128), the fully implicit
-# schemes' far lower, so 4 stops clear of the rounding floor.
+# residual stagnates at 0.09-0.22 eps scale (the least residual of iterating
+# on past the stop: the benchmark problem at N in 128..512, the
+# phase-separating one at N = 64 and 128), the fully implicit schemes' far
+# lower, so 4 stops clear of the rounding floor.
 NEWTON_FLOOR_ULPS = 4.0
 
 # Cap on a step's fixed-point and Newton iterations together.
@@ -358,16 +365,16 @@ class _Operator(NamedTuple):
     ``_operator`` builds them: ``advance`` once per configuration of a run
     (``driver.run`` keeps them for the run), ``step`` called alone once per
     call.  ``implicit`` is the symbol of omega's implicit linear part: G for
-    backward Euler, BDF2 and two_li, S + G for ssi1, and None for convex
-    splitting, whose nonlocal term is explicit.  ``linear`` is
-    a + lambda implicit (a alone without one): the linear part of a Newton
-    residual and the modal denominator of a linear step.  A Newton step also
-    reads its preconditioner: the pointwise ``slope`` it freezes, the symbol
+    backward Euler, BDF2 and two_li, S + G for ssi1, and the constant
+    sigma = 2 eps^2 [J(*)1] for convex splitting.  ``linear`` is
+    a + lambda implicit: the linear part of a Newton residual and the modal
+    denominator of a linear step.  A Newton step also reads its
+    preconditioner: the pointwise ``slope`` it freezes, the symbol
     a + lambda (slope + implicit) and its reciprocal ``inverse``.
     """
 
     a: float
-    implicit: Optional[np.ndarray]
+    implicit: np.ndarray | float
     linear: np.ndarray
     slope: float = 0.0
     symbol: Optional[np.ndarray] = None
@@ -379,19 +386,19 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
 
     A linear scheme whose denominator is not positive somewhere raises
     ``SolverError``.  A Newton scheme's preconditioner freezes the cubic
-    term out: it keeps the local slope -1 of the implicit potential, or
-    convex splitting's implicit 2 eps^2 [J(*)1], and where its symbol is
-    not positive it cuts slope + implicit at 0.
+    term out: it keeps the local slope -1 of the implicit potential, or the
+    slope 0 of convex splitting's cubic at 0, and where its symbol is not
+    positive it cuts slope + implicit at 0.
     """
     lam = model.cache.minus_laplacian_eigenvalues
     a = 3.0 / (2.0 * cfg.tau) if cfg.scheme in TWO_STEP_SCHEMES else 1.0 / cfg.tau
     if cfg.scheme == "convex_splitting":
-        implicit = None
+        implicit = 2.0 * model.epsilon**2 * model.kernel.conv_one
     elif cfg.scheme == "ssi1":
         implicit = _freeze(cfg.stabilization + model.gap)
     else:
         implicit = model.gap
-    linear = a if implicit is None else _freeze(a + lam * implicit)
+    linear = _freeze(a + lam * implicit)
     if cfg.scheme in ("ssi1", "two_li"):
         if linear.min() <= 0.0:
             raise SolverError(
@@ -399,66 +406,68 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
                 "the kernel/stabilization configuration is outside the solvable regime"
             )
         return _Operator(a, implicit, linear)
-    slope = 2.0 * model.epsilon**2 * model.kernel.conv_one if implicit is None else -1.0
-    shift = slope if implicit is None else slope + implicit
+    slope = 0.0 if cfg.scheme == "convex_splitting" else -1.0
+    shift = slope + implicit
     symbol = a + lam * shift
-    bad = symbol <= 0.0
-    if bad.any():
-        symbol = np.where(bad, a + lam * np.maximum(shift, 0.0), symbol)
+    symbol = np.where(symbol <= 0.0, a + lam * np.maximum(shift, 0.0), symbol)
     return _Operator(a, implicit, linear, slope, _freeze(symbol), _freeze(1.0 / symbol))
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
                  rhs_hat: np.ndarray, local, local_slope,
-                 explicit: Optional[np.ndarray] = None) -> StepResult:
+                 explicit_hat: Optional[np.ndarray] = None) -> StepResult:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
     ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep
     (``Field.spectrum``), and ``op`` the configuration's ``_Operator``.
-    omega(u) = local(u) + G u with G = ``op.implicit``, or omega(u) =
-    local(u) alone when the nonlocal term is explicit and folded into
-    ``local`` as its part ``explicit`` (convex splitting);
-    ``local_slope(u)`` is the pointwise derivative of ``local``.  The
-    unknown is u_hat = rfft2(u), with residual
-        (a + lambda G) u_hat - rhs_hat + lambda rfft2(local(u))
+    omega(u) = local(u) + I u + e, with I = ``op.implicit`` and e the
+    explicit part, given by its spectrum ``explicit_hat`` (convex
+    splitting's, fixed during the solve) or 0; ``local_slope(u)`` is the
+    pointwise derivative of ``local``.  The step solves against
+    rhs_hat - lambda e_hat.  The unknown is u_hat = rfft2(u), with residual
+        (a + lambda I) u_hat - rhs_hat + lambda (rfft2(local(u)) + e_hat)
     projected onto the coefficients of real fields (rounding breaks their
     symmetry, and GMRES then stalls), and its norm the mesh-weighted L2 norm
     of the field, by Parseval.  The point u of an iterate is irfft2(u_hat)
     with its mass snapped, taken once; the guess is the spectrum of u^n,
     whose point is u^n's own values.  The Jacobian at u_hat is
-        (a + lambda G) v_hat + lambda rfft2(local_slope(u) irfft2(v_hat)),
+        (a + lambda I) v_hat + lambda rfft2(local_slope(u) irfft2(v_hat)),
     with u and its slope those of the last residual when u_hat is that
     residual's iterate, and otherwise one irfft2 of u_hat.  The
     preconditioner is the product with ``op.inverse``; ``newton_solve``
     takes fixed-point steps with it before Newton-Krylov.
 
-    With G implicit (backward Euler, BDF2) omega is the chemical potential,
-    and a level's omega is ``chemical_potential`` of it bit for bit, so the
-    guess's residual is a u_hat^n - rhs_hat + lambda omega_hat^n from the
-    state's omega (``chemical_potential(u^n)`` for a state without one, a
-    resumed run), with no transform; ``newton_solve`` still evaluates the
-    residual at u^n before it declares u^n converged.  Convex splitting's
-    omega holds an explicit part of u^{n-1}, so its first residual is
-    evaluated.  The returned iterate is the last residual's: u adopts its
-    point's values, and omega's spectrum is its rfft2(local(u)) plus G
-    times the spectrum of the new level, as ``chemical_potential`` takes
-    it.
-    Newton stops at max(newton_tol, C eps scale): scale is the norm of
-    rhs_hat, plus that of the preconditioner applied forward to u_hat^n,
-    plus lambda_max times the norm of |u^n|^3 + |slope| |u^n| (+ |explicit|).
-    The last term bounds the rounding of local(u), which is white and which
-    lambda amplifies at the high modes where u_hat itself is small.  None
-    of it takes a transform.
+    Without an explicit part (backward Euler, BDF2) omega is the chemical
+    potential, and a level's omega is ``chemical_potential`` of it bit for
+    bit, so the guess's residual is a u_hat^n - rhs_hat + lambda omega_hat^n
+    from the state's omega (``chemical_potential(u^n)`` for a state without
+    one, a resumed run), with no transform; ``newton_solve`` still
+    evaluates the residual at u^n before it declares u^n converged.  Convex
+    splitting's omega holds an explicit part of u^{n-1}, so its first
+    residual is evaluated.  The returned iterate is the last residual's: u
+    adopts its point's values, and omega's spectrum is its rfft2(local(u))
+    plus I times the spectrum of the new level (as ``chemical_potential``
+    takes it) plus e_hat.  No operator is applied on the grid.
+    Newton stops at max(newton_tol, C eps scale): scale is the norm of the
+    right-hand side solved against, plus that of the preconditioner applied
+    forward to u_hat^n, plus lambda_max times the norm of
+    |u^n|^3 + |slope| |u^n|.  The last term bounds the rounding of
+    local(u), which is white and which lambda amplifies at the high modes
+    where u_hat itself is small.  None of it takes a transform.
     """
     lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
     shape, target = state.u.values.shape, mean(state.u)
+    first = None
+    if explicit_hat is None:
+        omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
+        first = _project_hermitian(op.a * u_hat - rhs_hat + lam * omega.spectrum)
+    else:
+        rhs_hat = rhs_hat - lam * explicit_hat
 
     h = model.cache.geometry.h
     norm = lambda modes: norm2_modes(modes, h)
     terms = np.abs(state.u.values)
     terms *= terms * terms + abs(op.slope)
-    if explicit is not None:
-        terms += np.abs(explicit)
     scale = norm(rhs_hat) + norm(op.symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
 
@@ -487,17 +496,14 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
             point["slope"] = local_slope(point["values"])
         return op.linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, s=shape))
 
-    first = None
-    if op.implicit is not None:
-        omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
-        first = _project_hermitian(op.a * u_hat - rhs_hat + lam * omega.spectrum)
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
                                    lambda r: r * op.inverse, norm, first)
     point = evaluated(u_hat)  # the last residual's own point: no transform
     u = _step_field(Field, state.u.geometry, point["values"])
     omega_hat = point["local_hat"]  # no residual reads it again
-    if op.implicit is not None:  # from the spectrum of u itself, as chemical_potential takes it
-        omega_hat += op.implicit * u.spectrum
+    omega_hat += op.implicit * u.spectrum  # from the spectrum of u itself, as chemical_potential takes it
+    if explicit_hat is not None:
+        omega_hat += explicit_hat
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters)
 
 
@@ -548,15 +554,12 @@ def step(state: SchemeState, cfg: SchemeConfig, model: Model,
         return _newton_step(state, cfg, model, op, rhs_hat, lambda u: potential_d1(pot, u),
                             lambda u: potential_d2(pot, u))
     if cfg.scheme == "convex_splitting":
-        # Cubic and strong quadratic implicit; the rest is explicit, fixed during the solve.
-        strong = op.slope
-        explicit = u_n + strong * u_n - _apply_to_field(state.u, model.gap)
-        return _newton_step(state, cfg, model, op, rhs_hat,
-                            lambda u: u * u * u + strong * u - explicit,
-                            lambda u: 3.0 * (u * u) + strong, explicit)
+        # u^3 and sigma u implicit; the explicit part (G - 1 - sigma) u_hat^n is a product.
+        e_hat = (model.gap - (1.0 + op.implicit)) * u_hat
+        return _newton_step(state, cfg, model, op, rhs_hat, lambda u: u * u * u,
+                            lambda u: 3.0 * (u * u), e_hat)
     if cfg.scheme == "ssi1":
-        s = cfg.stabilization
-        return _linear_step(state, model, op, rhs_hat, potential_d1(pot, u_n) - s * u_n)
+        return _linear_step(state, model, op, rhs_hat, potential_d1(pot, u_n) - cfg.stabilization * u_n)
     return _linear_step(state, model, op, rhs_hat,
                         2.0 * potential_d1(pot, u_n) - potential_d1(pot, state.u_prev.values))
 

@@ -390,6 +390,30 @@ def _overflowing_scales_exit(tmp_path, capsys, command):
     return code
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("builder, images, key", [
+    ("config.build_kernel", 3, "grid.N"),
+    ("config.build_kernel", 1000000000, "model.kernel.images"),
+    ("cli.make_cache", 3, "grid.N"),
+    ("config.build_initial_field", 3, "grid.N"),
+], ids=["kernel", "kernel_images", "cache", "initial_field"])
+def test_cli_unallocatable_build_exits_2(tmp_path, capsys, monkeypatch, command, builder, images, key):
+    # A grid or an image count too large to allocate is a configuration error
+    # naming the key that sized the arrays, with no traceback.  The builder is
+    # patched to fail, so nothing large is allocated.
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(f"nchsolver.{builder}", unallocatable)
+    cfg = _write_config(tmp_path, BASE.format(out=tmp_path / "out")
+                        + f"model.kernel.images = {images}\n")
+    assert main([command, str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: key {key!r}" in captured.err and "7.28 TiB" in captured.err
+    assert "Traceback" not in captured.err
+    assert "verdict" not in captured.out and not (tmp_path / "out").exists()
+
+
 def test_cli_check_overflowing_scales_exits_2(tmp_path, capsys):
     assert _overflowing_scales_exit(tmp_path, capsys, "check") == 2
 

@@ -300,9 +300,11 @@ def test_loop_norms_equal_field_definitions(scheme):
 
 @pytest.mark.parametrize("scheme", steppers.SCHEMES)
 def test_production_path_never_calls_reference_code(scheme, monkeypatch):
-    # Steps and records apply every operator through its symbol; the direct
-    # convolution and the stencil are references only.
-    references = (kernels.convolve, kernels.convolve_values, spectral.laplacian_apply)
+    # Steps and records apply every operator through its symbol, as a product
+    # with a spectrum; the direct convolution, the stencil and the apply of a
+    # symbol on the grid are references only.
+    references = (kernels.convolve, kernels.convolve_values, spectral.laplacian_apply,
+                  spectral._apply_to_field)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("reference code called on the production path")
@@ -316,7 +318,7 @@ def test_production_path_never_calls_reference_code(scheme, monkeypatch):
                 if any(value is ref for ref in references):
                     monkeypatch.setattr(module, attr, forbidden)
                     patched.add(attr)
-    assert patched == {"convolve", "convolve_values", "laplacian_apply"}
+    assert patched == {"convolve", "convolve_values", "laplacian_apply", "_apply_to_field"}
     geo = GridGeometry(8, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
     u0 = random_initial_field(geo, 0.0, 0.05, seed=43)
@@ -433,22 +435,18 @@ def test_recorded_linear_step_takes_two_rfft2_and_one_irfft2(scheme, monkeypatch
     assert _fourth_step_transforms(scheme, counts) == {"rfft2": 2, "irfft2": 1}
 
 
-@pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
-def test_newton_step_transforms_only_its_applies_and_the_new_level(scheme, monkeypatch):
-    # Residuals and Jacobian applies take one transform each way.  Beyond
-    # them a recorded step transforms its new level forward once: u is the
-    # last residual's values and omega's spectrum its rfft2(local(u)) plus
-    # G rfft2(u), so neither takes an irfft2.  The guess's residual is built
-    # from the state's omega, so no residual is evaluated at the level the
-    # step leaves: this step takes 2 residuals, where evaluating the guess's
-    # took 3.
-    counts = _count_transforms(monkeypatch)
+def _count_newton_applies(counts: dict, monkeypatch, guess_evaluated: bool) -> None:
+    """Count a Newton step's residuals and applies (residuals and Jacobian applies) in ``counts``.
+
+    Unless ``guess_evaluated``, a residual at the level the step leaves fails.
+    """
     counts["applies"] = counts["residuals"] = 0
     real_newton = steppers.newton_solve
 
     def counting_newton(residual, jacobian, u_init, *args, **kwargs):
         def counted_residual(modes):
-            assert not np.array_equal(modes, u_init), "residual evaluated at the level's spectrum"
+            assert guess_evaluated or not np.array_equal(modes, u_init), \
+                "residual evaluated at the level's spectrum"
             counts["applies"] += 1
             counts["residuals"] += 1
             return residual(modes)
@@ -460,11 +458,38 @@ def test_newton_step_transforms_only_its_applies_and_the_new_level(scheme, monke
         return real_newton(counted_residual, counted_jacobian, u_init, *args, **kwargs)
 
     monkeypatch.setattr(steppers, "newton_solve", counting_newton)
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
+def test_newton_step_transforms_only_its_applies_and_the_new_level(scheme, monkeypatch):
+    # Residuals and Jacobian applies take one transform each way.  Beyond
+    # them a recorded step transforms its new level forward once: u is the
+    # last residual's values and omega's spectrum its rfft2(local(u)) plus
+    # G rfft2(u), so neither takes an irfft2.  The guess's residual is built
+    # from the state's omega, so no residual is evaluated at the level the
+    # step leaves: this step takes 2 residuals, where evaluating the guess's
+    # took 3.
+    counts = _count_transforms(monkeypatch)
+    _count_newton_applies(counts, monkeypatch, guess_evaluated=False)
     step = _fourth_step_transforms(scheme, counts)
     assert step["residuals"] == 2
     assert step["applies"] >= 2
     assert step["rfft2"] == step["applies"] + 1
     assert step["irfft2"] == step["applies"]
+
+
+def test_convex_splitting_step_transforms_only_its_applies_and_the_new_level(monkeypatch):
+    # Convex splitting's explicit part (G - 1 - sigma) u_hat^n is a product
+    # with the spectrum of u^n, so G is never applied on the grid.  Its first
+    # residual is evaluated at u^n, whose grid values the level holds: one
+    # rfft2 and no irfft2.  Every other apply takes one transform each way,
+    # and the new level is transformed forward once.
+    counts = _count_transforms(monkeypatch)
+    _count_newton_applies(counts, monkeypatch, guess_evaluated=True)
+    step = _fourth_step_transforms("convex_splitting", counts)
+    assert step["applies"] >= 2
+    assert step["rfft2"] == step["applies"] + 1
+    assert step["irfft2"] == step["applies"] - 1
 
 
 @pytest.mark.parametrize("n, scheme, steps", [(256, "backward_euler", 4),
