@@ -10,8 +10,8 @@ spatial discretization and are cross-validated against dense oracles.
 
 from types import ModuleType as _ModuleType
 
-from .driver import (DecayProbe, DiagnosticsRecord, RunOptions, RunResult,
-                     equilibrium_residual, h1h2_probe, random_initial_field, run)
+from .driver import (DiagnosticsRecord, RunOptions, RunResult, equilibrium_residual,
+                     random_initial_field, run)
 from .energetics import (Model, PotentialSpec, chemical_potential, energy, potential_d1,
                          potential_d2, potential_value)
 from .errors import (ConfigError, GeometryMismatchError, SolverError, StabilityError,

@@ -36,12 +36,12 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .driver import RunOptions, random_initial_field
-from .energetics import POTENTIAL_VARIANTS, PotentialSpec, potential_value
+from .energetics import _CUTOFF_MAX, POTENTIAL_VARIANTS, PotentialSpec, potential_value
 from .errors import ConfigError
 from .fieldio import read_field
 from .grid import Field, GridGeometry
 from .kernels import KERNEL_VARIANTS, KernelSpec, SampledKernel, sample_kernel
-from .steppers import SchemeConfig, SCHEMES, STABILITY_POLICIES
+from .steppers import _SCHEMES, SchemeConfig, SCHEMES, STABILITY_POLICIES
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ _SCHEMA: dict[str, _Key] = {k.name: k for k in (
     _Key("model.kernel.images", "int", default=3, check=_at_least(0, "model.kernel.images")),
     _Key("model.kernel.path", "path"),
     _Key("model.potential.type", "enum", choices=POTENTIAL_VARIANTS),
-    _Key("model.potential.K", "float", check=lambda v: None if v > 1.0 else "model.potential.K must exceed 1"),
+    _Key("model.potential.K", "float", check=lambda v: None if 1.0 < v <= _CUTOFF_MAX
+         else f"model.potential.K must lie in (1, {_CUTOFF_MAX!r}]"),
     _Key("scheme.name", "enum", required=True, choices=SCHEMES),
     _Key("scheme.tau", "float", required=True, check=_positive("scheme.tau")),
     _Key("scheme.S", "float", default=0.0, check=_at_least(0.0, "scheme.S")),
@@ -146,7 +147,13 @@ def parse_config(text: str) -> dict[str, Any]:
 
 
 def _validate_semantics(values: dict[str, Any]) -> None:
-    """The cross-key rules; the one default they read, the potential's, is resolved here."""
+    """The cross-key rules; the one default they read, the potential's, is resolved here.
+
+    That default is the potential the scheme requires, from its row in
+    ``steppers``; a potential type the scheme does not take is rejected by
+    ``SchemeConfig``, which owns that rule, when ``build_scheme_config``
+    builds it.
+    """
     kind = values["model.kernel.type"]
     if kind in ("gaussian", "constant") and "model.kernel.cJ" not in values:
         raise ConfigError(f"kernel type {kind!r} requires model.kernel.cJ")
@@ -156,10 +163,7 @@ def _validate_semantics(values: dict[str, Any]) -> None:
         raise ConfigError("tabulated kernel requires model.kernel.path")
 
     scheme = values["scheme.name"]
-    linear = scheme in ("ssi1", "two_li")
-    potential = values.setdefault("model.potential.type", "truncated" if linear else "double_well")
-    if linear and potential != "truncated":
-        raise ConfigError(f"scheme {scheme!r} requires model.potential.type = truncated")
+    potential = values.setdefault("model.potential.type", _SCHEMES[scheme].potential or "double_well")
     if potential == "truncated" and "model.potential.K" not in values:
         raise ConfigError("truncated potential requires model.potential.K")
     if scheme == "ssi1" and "scheme.S" not in values:

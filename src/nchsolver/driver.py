@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -251,38 +251,3 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
                      termination="error" if detail else termination,
                      equilibrium_residual=residual, error_detail=detail)
 
-
-@dataclass(frozen=True)
-class DecayProbe:
-    """Empirical decay constants scanned from a trailing window of records.
-
-    ``c2_hat`` is the smallest observed energy-drop ratio
-    (E_n - E_{n+1}) / ||du||_2^2 and ``c3_hat`` the largest observed
-    gradient-to-increment ratio ||grad omega||_2 / ||du||_2; purely
-    observational, steps with negligible increments are excluded.
-    """
-
-    c2_hat: Optional[float]
-    c3_hat: Optional[float]
-    window: int
-    steps_used: int
-
-
-def h1h2_probe(records: Sequence[DiagnosticsRecord], window: int) -> DecayProbe:
-    """Estimate the decay constants over the trailing ``window`` records."""
-    if len(records) < window:
-        raise ValueError(f"need at least {window} records, got {len(records)}")
-    tail = records[-window:]
-    c2 = None
-    c3 = None
-    used = 0
-    for before, after in zip(tail[:-1], tail[1:]):
-        du = after.increment_l2
-        if du < 1e-14:
-            continue
-        used += 1
-        drop = (before.energy - after.energy) / du**2
-        ratio = after.grad_omega_l2 / du
-        c2 = drop if c2 is None else min(c2, drop)
-        c3 = ratio if c3 is None else max(c3, ratio)
-    return DecayProbe(c2_hat=c2, c3_hat=c3, window=window, steps_used=used)

@@ -52,6 +52,11 @@ from .spectral import SpectralCache, _modal_sum
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
+# The largest truncation point K: up to it the constant (3 K^4 + 1) / 4 of
+# F_K stays finite (3 K^4 overflows from K = 8.798e76 on), and so do 2 K^3
+# and beta = 3 K^2 - 1.
+_CUTOFF_MAX = 8.7e76
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -64,8 +69,8 @@ class PotentialSpec:
         if self.variant not in POTENTIAL_VARIANTS:
             raise ConfigError(f"unknown potential {self.variant!r}; expected one of {POTENTIAL_VARIANTS}")
         if self.variant == "truncated":
-            if self.cutoff is None or not self.cutoff > 1.0:
-                raise ConfigError(f"truncation point K must exceed 1, got {self.cutoff}")
+            if self.cutoff is None or not 1.0 < self.cutoff <= _CUTOFF_MAX:
+                raise ConfigError(f"truncation point K must lie in (1, {_CUTOFF_MAX!r}], got {self.cutoff}")
 
     @property
     def curvature_bound(self) -> Optional[float]:

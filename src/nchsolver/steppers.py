@@ -24,7 +24,30 @@ Every scheme is one equation per step,
 
 and ``step`` takes it: it builds (a, rhs) once, (1/tau, u^n/tau) for the
 one-step schemes and (3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for the
-two-step ones, and the schemes differ only in how omega treats its terms.
+two-step ones.  The schemes differ only in how omega treats its terms and
+in the functional they dissipate, so each scheme is one row (``_Scheme``)
+of one private table, ``_SCHEMES``, and no function tests a scheme's name:
+
+    scheme            steps  potential    bootstrap        I      slope  omega's other parts
+    backward_euler    1      either       --               G      -1     local F'
+    convex_splitting  1      double well  --               sigma  0      local u^3; explicit
+                                                                         (G - 1 - sigma) u_hat^n
+    ssi1              1      truncated    --               S + G  --     explicit F_K'(u^n) - S u^n
+    bdf2              2      either       backward_euler   G      -1     local F'
+    two_li            2      truncated    ssi1, S raised   G      --     explicit
+                                          to beta/2                      2 F_K'(u^n) - F_K'(u^{n-1})
+
+I is the symbol of omega's implicit linear part (sigma = 2 eps^2 [J(*)1]),
+and slope the pointwise slope a Newton step's preconditioner freezes; a
+row with no slope is a linear scheme, one DFT-diagonal solve.  A row also
+holds its admissibility rule and, for two_li, the weight beta/2 of
+||du||_2^2 in the modified energy.  ``step`` reads the row's step count,
+parts and slope, ``_operator`` its I and slope, ``check_solvability`` its
+rule, ``modified_energy`` its weight, ``bootstrap_config`` its bootstrap,
+``advance`` its step count, and ``SchemeConfig`` its potential, which
+``config`` also takes as the default of ``model.potential.type``.
+``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read off the table.
+
 Both operators are diagonal in the DFT basis and applied only as products
 of their half-spectrum symbols with spectra, never on the grid: -Lap
 through lambda = ``cache.minus_laplacian_eigenvalues`` and the nonlocal
@@ -104,16 +127,19 @@ Newton stops at max(newton_tol, C eps scale), where scale measures the
 step's equation terms and the rounding of local(u), so the stop holds at
 every N although that rounding grows like 1/h^2.
 The two linear schemes share one DFT-diagonal solve (``_linear_step``) of
-a u + (-Lap)(explicit + shift u) = rhs: ssi1 with explicit
-F_K'(u^n) - S u^n and shift S + G, two_li with 2 F_K'(u^n) - F_K'(u^{n-1})
-and shift G; omega's spectrum is rfft2(explicit) + shift u_hat.
+a u + (-Lap)(explicit + shift u) = rhs, with the spectrum of the explicit
+part, rfft2(explicit), from the row and shift = I; omega's spectrum is
+rfft2(explicit) + shift u_hat.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
 trajectories.  A step that diverges -- a non-finite new level, or a
 two-step pair whose masses no longer agree -- raises ``SolverError`` like
 a failed solve, and so does a linear step whose modal denominator
-a + lambda (S + G) is not positive somewhere.
+a + lambda (S + G) is not positive somewhere.  Neither a step nor the
+admissibility check issues numpy's floating-point warnings: a tau so small
+that 1 / (tau lambda) overflows leaves that mode admissible, and a step
+that overflows to a non-finite level raises ``SolverError``.
 
 Steps are sequential by nature (level n+1 needs level n); independent
 simulations may run concurrently on shared immutable models.
@@ -123,7 +149,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.fft import irfft2, rfft2
@@ -135,9 +162,96 @@ from .kernels import SampledKernel
 from .solvers import newton_solve
 from .spectral import SpectralCache, _project_hermitian, norm2_modes
 
-SCHEMES = ("backward_euler", "convex_splitting", "ssi1", "bdf2", "two_li")
-TWO_STEP_SCHEMES = ("bdf2", "two_li")
 STABILITY_POLICIES = ("enforce", "warn", "ignore")
+
+
+class _Scheme(NamedTuple):
+    """One scheme's row of ``_SCHEMES``: all that the steps, the check and the records vary by.
+
+    ``potential`` is the potential variant the scheme requires (None for
+    either) and ``bootstrap`` maps a two-step configuration to its
+    first-order startup one.  ``implicit(cfg, model)`` builds the symbol I of
+    omega's implicit linear part, and ``slope`` is the pointwise slope a
+    Newton step's preconditioner freezes, None for one DFT-diagonal solve.
+    ``omega(state, cfg, model, op)`` gives omega's other parts: the
+    pointwise ``local`` and its derivative (None for a linear scheme) and
+    the spectrum of the explicit part (None if there is none).
+    ``admissibility(cfg, lam, gap, gamma0)``, on the nonzero modes, gives
+    (per_mode_min, margin, admissible) before gamma0 > 0 is required, and
+    ``increment_weight(cfg)`` weighs ||du||_2^2 in the modified energy (None
+    for no such term).  A row calls ``potential_d1``, ``potential_d2`` and
+    ``rfft2`` through this module's names, looked up at each call.
+    """
+
+    two_step: bool
+    potential: Optional[str]
+    bootstrap: Optional[Callable]
+    implicit: Callable
+    slope: Optional[float]
+    omega: Callable
+    admissibility: Callable
+    increment_weight: Optional[Callable] = None
+
+
+def _gap(cfg, model):
+    return model.gap
+
+
+def _implicit_potential(state, cfg, model, op):
+    """Backward Euler and BDF2: omega = F'(u) + G u, all of it implicit."""
+    pot = model.potential
+    return (lambda u: potential_d1(pot, u)), (lambda u: potential_d2(pot, u)), None
+
+
+def _convex_split(state, cfg, model, op):
+    """u^3 and sigma u implicit; the explicit part (G - 1 - sigma) u_hat^n is a product."""
+    explicit_hat = (model.gap - (1.0 + op.implicit)) * state.u.spectrum
+    return (lambda u: u * u * u), (lambda u: 3.0 * (u * u)), explicit_hat
+
+
+def _convexity(c_s, cfg, lam, gap, g0):
+    """q(m) = 1 / (c_s tau lambda_m) + G_m - 1 >= 0: backward Euler with c_s = 1, BDF2 with 2/3."""
+    per_mode_min = float((1.0 / (c_s * cfg.tau * lam) + gap - 1.0).min())
+    return per_mode_min, per_mode_min, per_mode_min >= 0.0
+
+
+def _ssi1_rule(cfg, lam, gap, g0):
+    """S >= beta/2, with 1 / (tau lambda_m) + S + G_m positive at every mode."""
+    per_mode_min = float((1.0 / (cfg.tau * lam) + cfg.stabilization + gap).min())
+    margin = cfg.stabilization - 0.5 * cfg.beta
+    return per_mode_min, margin, margin >= 0.0 and per_mode_min > 0.0
+
+
+def _two_li_rule(cfg, lam, gap, g0):
+    """(gamma0 + 1) / 3 >= beta and 2 / (tau lambda_m) + G_m - 3 beta >= 0; the margin is the lesser."""
+    per_mode_min = float((2.0 / (cfg.tau * lam) + gap - 3.0 * cfg.beta).min())
+    closed_form = (g0 + 1.0) / 3.0 - cfg.beta
+    return per_mode_min, min(closed_form, per_mode_min), closed_form >= 0.0 and per_mode_min >= 0.0
+
+
+# Columns: two_step, potential, bootstrap, implicit, slope, omega, admissibility, increment_weight.
+_SCHEMES: dict[str, _Scheme] = {
+    "backward_euler": _Scheme(False, None, None, _gap, -1.0, _implicit_potential, partial(_convexity, 1.0)),
+    "convex_splitting": _Scheme(
+        False, "double_well", None, lambda cfg, model: 2.0 * model.epsilon**2 * model.kernel.conv_one,
+        0.0, _convex_split, lambda cfg, lam, gap, g0: (np.inf, np.inf, True)),
+    "ssi1": _Scheme(
+        False, "truncated", None, lambda cfg, model: _freeze(cfg.stabilization + model.gap), None,
+        lambda state, cfg, model, op: (None, None, rfft2(
+            potential_d1(model.potential, state.u.values) - cfg.stabilization * state.u.values)),
+        _ssi1_rule),
+    "bdf2": _Scheme(True, None, lambda cfg: replace(cfg, scheme="backward_euler"), _gap, -1.0,
+                    _implicit_potential, partial(_convexity, 2.0 / 3.0)),
+    "two_li": _Scheme(
+        True, "truncated",
+        lambda cfg: replace(cfg, scheme="ssi1", stabilization=max(cfg.stabilization, 0.5 * cfg.beta)),
+        _gap, None, lambda state, cfg, model, op: (None, None, rfft2(
+            2.0 * potential_d1(model.potential, state.u.values)
+            - potential_d1(model.potential, state.u_prev.values))),
+        _two_li_rule, lambda cfg: 0.5 * cfg.beta),
+}
+SCHEMES = tuple(_SCHEMES)
+TWO_STEP_SCHEMES = tuple(name for name, row in _SCHEMES.items() if row.two_step)
 
 
 @dataclass(frozen=True)
@@ -167,16 +281,15 @@ class SchemeConfig:
     potential_variant: str = "auto"
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if not self.tau > 0.0:
-            raise ConfigError(f"time step must be positive, got {self.tau}")
+        if not self.tau >= np.finfo(np.float64).tiny:  # so 1/tau is finite
+            raise ConfigError(f"time step must be positive and a normal float, got {self.tau}")
         if not self.epsilon > 0.0:
             raise ConfigError(f"interface parameter must be positive, got {self.epsilon}")
         if self.stabilization < 0.0:
             raise ConfigError(f"stabilization constant must be >= 0, got {self.stabilization}")
-        if not self.cutoff > 1.0:
-            raise ConfigError(f"truncation point K must exceed 1, got {self.cutoff}")
+        PotentialSpec("truncated", self.cutoff)  # K in range, so beta and F_K are finite
         if not self.newton_tol > 0.0:
             raise ConfigError(f"Newton tolerance must be positive, got {self.newton_tol}")
         if self.stability_policy not in STABILITY_POLICIES:
@@ -185,10 +298,9 @@ class SchemeConfig:
             )
         if self.potential_variant not in ("auto", "double_well", "truncated"):
             raise ConfigError(f"unknown potential variant {self.potential_variant!r}")
-        if self.scheme == "convex_splitting" and self.potential_variant == "truncated":
-            raise ConfigError("the convex splitting step is defined for the double-well potential only")
-        if self.scheme in ("ssi1", "two_li") and self.potential_variant == "double_well":
-            raise ConfigError(f"{self.scheme} requires the truncated potential")
+        required = _SCHEMES[self.scheme].potential
+        if required and self.potential_variant not in ("auto", required):
+            raise ConfigError(f"{self.scheme} requires the {required} potential")
 
     @property
     def beta(self) -> float:
@@ -197,7 +309,7 @@ class SchemeConfig:
 
     @property
     def potential(self) -> PotentialSpec:
-        if self.potential_variant == "truncated" or self.scheme in ("ssi1", "two_li"):
+        if (_SCHEMES[self.scheme].potential or self.potential_variant) == "truncated":
             return PotentialSpec("truncated", self.cutoff)
         return PotentialSpec("double_well")
 
@@ -273,47 +385,26 @@ class SolvabilityReport:
     note: str = ""
 
 
+@np.errstate(over="ignore", divide="ignore")
 def check_solvability(cfg: SchemeConfig, model: Model) -> SolvabilityReport:
     """Evaluate the scheme's admissibility condition mode by mode.
 
     Boundary cases with margin exactly 0 are admissible; the note records
-    that the underlying sufficient conditions are sharp there.
+    that the underlying sufficient conditions are sharp there.  A tau so
+    small that 1 / (tau lambda) overflows makes that mode's quantity
+    infinite, and admissible, without a numpy warning.
     """
     lam = model.cache.minus_laplacian_eigenvalues
     mask = lam > 0.0
-    lam_nz = lam[mask]
-    gap = model.gap[mask]
     g0 = model.gamma0
-    beta = cfg.beta
+    per_mode_min, margin, admissible = _SCHEMES[cfg.scheme].admissibility(cfg, lam[mask], model.gap[mask], g0)
     note = ""
-
-    if cfg.scheme == "convex_splitting":
-        per_mode_min = margin = np.inf
-        admissible = g0 > 0.0
-    elif cfg.scheme in ("backward_euler", "bdf2"):
-        c_s = 1.0 if cfg.scheme == "backward_euler" else 2.0 / 3.0
-        q = 1.0 / (c_s * cfg.tau * lam_nz) + gap - 1.0
-        per_mode_min = float(q.min())
-        margin = per_mode_min
-        admissible = g0 > 0.0 and margin >= 0.0
-    elif cfg.scheme == "ssi1":
-        q = 1.0 / (cfg.tau * lam_nz) + cfg.stabilization + gap
-        per_mode_min = float(q.min())
-        margin = cfg.stabilization - 0.5 * beta
-        admissible = g0 > 0.0 and margin >= 0.0 and per_mode_min > 0.0
-    else:  # two_li
-        q = 2.0 / (cfg.tau * lam_nz) + gap - 3.0 * beta
-        per_mode_min = float(q.min())
-        closed_form = (g0 + 1.0) / 3.0 - beta
-        margin = min(closed_form, per_mode_min)
-        admissible = g0 > 0.0 and closed_form >= 0.0 and per_mode_min >= 0.0
-
     if g0 <= 0.0:
         note = f"gamma0 = {g0!r} <= 0 violates the positive-diffusivity assumption"
     elif margin == 0.0:
         note = "margin is exactly 0: admissibility is decided at the sharp boundary"
 
-    return SolvabilityReport(admissible=admissible, margin=float(margin),
+    return SolvabilityReport(admissible=g0 > 0.0 and admissible, margin=float(margin),
                              per_mode_min=float(per_mode_min), note=note)
 
 
@@ -390,27 +481,21 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
     slope 0 of convex splitting's cubic at 0, and where its symbol is not
     positive it cuts slope + implicit at 0.
     """
-    lam = model.cache.minus_laplacian_eigenvalues
-    a = 3.0 / (2.0 * cfg.tau) if cfg.scheme in TWO_STEP_SCHEMES else 1.0 / cfg.tau
-    if cfg.scheme == "convex_splitting":
-        implicit = 2.0 * model.epsilon**2 * model.kernel.conv_one
-    elif cfg.scheme == "ssi1":
-        implicit = _freeze(cfg.stabilization + model.gap)
-    else:
-        implicit = model.gap
+    lam, row = model.cache.minus_laplacian_eigenvalues, _SCHEMES[cfg.scheme]
+    a = 3.0 / (2.0 * cfg.tau) if row.two_step else 1.0 / cfg.tau
+    implicit = row.implicit(cfg, model)
     linear = _freeze(a + lam * implicit)
-    if cfg.scheme in ("ssi1", "two_li"):
+    if row.slope is None:
         if linear.min() <= 0.0:
             raise SolverError(
                 "non-positive modal denominator in the linear solve; "
                 "the kernel/stabilization configuration is outside the solvable regime"
             )
         return _Operator(a, implicit, linear)
-    slope = 0.0 if cfg.scheme == "convex_splitting" else -1.0
-    shift = slope + implicit
+    shift = row.slope + implicit
     symbol = a + lam * shift
     symbol = np.where(symbol <= 0.0, a + lam * np.maximum(shift, 0.0), symbol)
-    return _Operator(a, implicit, linear, slope, _freeze(symbol), _freeze(1.0 / symbol))
+    return _Operator(a, implicit, linear, row.slope, _freeze(symbol), _freeze(1.0 / symbol))
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
@@ -508,28 +593,30 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
 
 
 def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.ndarray,
-                 explicit: np.ndarray) -> StepResult:
+                 explicit_hat: np.ndarray) -> StepResult:
     """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
-    ``shift`` is ``op.implicit``, the half-spectrum symbol S + G of ssi1 or
-    G of two_li, and the denominator a + lambda shift is ``op.linear``.  A
-    step transforms only ``explicit`` forward and the solved spectrum back.
+    ``explicit_hat`` is the spectrum of the explicit part, which the step
+    owns, ``shift`` is ``op.implicit``, the half-spectrum symbol S + G of
+    ssi1 or G of two_li, and the denominator a + lambda shift is
+    ``op.linear``.  The step transforms only the solved spectrum back.
     lambda vanishes at the constant mode, so it needs no special case; the
     mass snap shifts only that mode.  omega is returned as its spectrum,
-    rfft2(explicit) plus the implicit part shift u_hat, added in place.
+    explicit_hat plus the implicit part shift u_hat, added in place.
     """
     lam = model.cache.minus_laplacian_eigenvalues
-    omega_hat = rfft2(explicit)
+    omega_hat = explicit_hat
     u_hat = lam * omega_hat
     np.subtract(rhs_hat, u_hat, out=u_hat)
     u_hat /= op.linear
     u = _step_field(Field, state.u.geometry,
-                    _snap_mass(irfft2(u_hat, s=explicit.shape), mean(state.u)))
+                    _snap_mass(irfft2(u_hat, s=state.u.values.shape), mean(state.u)))
     u_hat *= op.implicit
     omega_hat += u_hat
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def step(state: SchemeState, cfg: SchemeConfig, model: Model,
          operator: Optional[_Operator] = None) -> StepResult:
     """One unchecked step of ``cfg.scheme`` under ``model``: the solve of a u + (-Lap)(omega(u)) = rhs.
@@ -540,28 +627,21 @@ def step(state: SchemeState, cfg: SchemeConfig, model: Model,
     Newton solves; ssi1 and two_li one DFT-diagonal solve each.  No policy
     is applied: ``advance`` is the checked way to take a step.  ``operator``
     is the configuration's ``_Operator``, which ``advance`` keeps per run;
-    without it the step builds its own.
+    without it the step builds its own.  A step issues no numpy warning: a
+    non-finite level it overflows to raises ``SolverError``.
     """
-    u_n, u_hat, pot = state.u.values, state.u.spectrum, model.potential
-    if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
+    row, u_hat = _SCHEMES[cfg.scheme], state.u.spectrum
+    if row.two_step and state.u_prev is None:
         raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
     op = _operator(cfg, model) if operator is None else operator
-    if cfg.scheme in TWO_STEP_SCHEMES:
+    if row.two_step:
         rhs_hat = (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * cfg.tau)
     else:
         rhs_hat = u_hat / cfg.tau
-    if cfg.scheme in ("backward_euler", "bdf2"):
-        return _newton_step(state, cfg, model, op, rhs_hat, lambda u: potential_d1(pot, u),
-                            lambda u: potential_d2(pot, u))
-    if cfg.scheme == "convex_splitting":
-        # u^3 and sigma u implicit; the explicit part (G - 1 - sigma) u_hat^n is a product.
-        e_hat = (model.gap - (1.0 + op.implicit)) * u_hat
-        return _newton_step(state, cfg, model, op, rhs_hat, lambda u: u * u * u,
-                            lambda u: 3.0 * (u * u), e_hat)
-    if cfg.scheme == "ssi1":
-        return _linear_step(state, model, op, rhs_hat, potential_d1(pot, u_n) - cfg.stabilization * u_n)
-    return _linear_step(state, model, op, rhs_hat,
-                        2.0 * potential_d1(pot, u_n) - potential_d1(pot, state.u_prev.values))
+    local, local_slope, explicit_hat = row.omega(state, cfg, model, op)
+    if row.slope is None:
+        return _linear_step(state, model, op, rhs_hat, explicit_hat)
+    return _newton_step(state, cfg, model, op, rhs_hat, local, local_slope, explicit_hat)
 
 
 def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
@@ -572,11 +652,12 @@ def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
     of the last increment (a zero-mean difference of equal-mass levels):
     E + ||du||_{-1}^2 / (4 tau), plus (beta/2) ||du||_2^2 for two_li.
     """
-    if cfg.scheme not in TWO_STEP_SCHEMES:
+    row = _SCHEMES[cfg.scheme]
+    if not row.two_step:
         return None
     modified = energy + du_neg1**2 / (4.0 * cfg.tau)
-    if cfg.scheme == "two_li":
-        modified += 0.5 * cfg.beta * du_l2**2
+    if row.increment_weight is not None:
+        modified += row.increment_weight(cfg) * du_l2**2
     return modified
 
 
@@ -589,12 +670,10 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
     results require of the starting pair.  The startup keeps eps and the
     potential, so one ``Model`` serves it and the steps after it.
     """
-    if cfg.scheme == "bdf2":
-        return replace(cfg, scheme="backward_euler")
-    if cfg.scheme == "two_li":
-        return replace(cfg, scheme="ssi1",
-                       stabilization=max(cfg.stabilization, 0.5 * cfg.beta))
-    raise ConfigError(f"{cfg.scheme} is a one-step scheme and needs no bootstrap")
+    bootstrap = _SCHEMES[cfg.scheme].bootstrap
+    if bootstrap is None:
+        raise ConfigError(f"{cfg.scheme} is a one-step scheme and needs no bootstrap")
+    return bootstrap(cfg)
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
@@ -609,9 +688,8 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
     configuration not yet in that map is, and its operator is kept there.
     The map belongs to one model: ``driver.run`` keeps one per run.
     """
-    step_cfg = cfg
-    if cfg.scheme in TWO_STEP_SCHEMES and state.u_prev is None:
-        step_cfg = bootstrap_config(cfg)
+    two_step = _SCHEMES[cfg.scheme].two_step
+    step_cfg = bootstrap_config(cfg) if two_step and state.u_prev is None else cfg
     op = None if operators is None else operators.get(step_cfg)
     if op is None:
         _apply_policy(step_cfg, model)
@@ -619,7 +697,7 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
         if operators is not None:
             operators[step_cfg] = op
     result = step(state, step_cfg, model, op)
-    keep_prev = state.u if cfg.scheme in TWO_STEP_SCHEMES else None
+    keep_prev = state.u if two_step else None
     try:
         next_state = SchemeState(
             u=result.u,

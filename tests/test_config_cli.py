@@ -66,16 +66,18 @@ def test_parse_requires_conditional_keys():
 @pytest.mark.parametrize("cls, kwargs, match", [
     pytest.param(SchemeConfig, {"scheme": "crank_nicolson"}, "unknown scheme", id="scheme"),
     pytest.param(SchemeConfig, {"tau": 0.0}, "time step must be positive", id="tau"),
+    pytest.param(SchemeConfig, {"tau": 5e-324}, "time step must be positive", id="tau_subnormal"),
     pytest.param(SchemeConfig, {"epsilon": -1.0}, "interface parameter", id="epsilon"),
     pytest.param(SchemeConfig, {"stabilization": -1.0}, "stabilization constant", id="S"),
     pytest.param(SchemeConfig, {"cutoff": 1.0}, "truncation point K", id="cutoff"),
+    pytest.param(SchemeConfig, {"cutoff": 1e300}, "truncation point K", id="cutoff_overflow"),
     pytest.param(SchemeConfig, {"newton_tol": 0.0}, "Newton tolerance", id="newton_tol"),
     pytest.param(SchemeConfig, {"stability_policy": "strict"}, "unknown stability policy",
                  id="policy"),
     pytest.param(SchemeConfig, {"potential_variant": "quartic"}, "unknown potential variant",
                  id="potential"),
     pytest.param(SchemeConfig, {"scheme": "convex_splitting", "potential_variant": "truncated"},
-                 "double-well potential only", id="convex_splitting_truncated"),
+                 "requires the double_well potential", id="convex_splitting_truncated"),
     pytest.param(SchemeConfig, {"scheme": "two_li", "potential_variant": "double_well"},
                  "requires the truncated potential", id="two_li_double_well"),
     pytest.param(RunOptions, {"max_steps": 0}, "max_steps", id="max_steps"),
@@ -346,10 +348,14 @@ def test_cli_non_finite_float_exits_2(tmp_path, capsys, assignment):
     pytest.param("check", "run.init.mean = 1e200", [], id="check-mean"),
     pytest.param("run", "", ["--max-steps", "0"], id="run-max-steps-flag"),
     pytest.param("check", "", ["--max-steps", "0"], id="check-max-steps-flag"),
+    pytest.param("run", "model.potential.K = 1e300", [], id="run-cutoff"),
+    pytest.param("check", "model.potential.K = 1e300", [], id="check-cutoff"),
+    pytest.param("run", "model.potential.K = 8.8e76", [], id="run-cutoff-edge"),
+    pytest.param("check", "model.potential.K = 8.8e76", [], id="check-cutoff-edge"),
 ])
 def test_cli_out_of_range_value_exits_2(tmp_path, capsys, command, assignment, flags):
     # Finite values that numpy rejected (a negative seed, a sample range that
-    # overflows) or that overflow eps^2 or F(u) ended in a traceback, exit 1.
+    # overflows) or that overflow eps^2, F(u) or 3 K^4 ended in a traceback, exit 1.
     key = assignment.split(" = ")[0] or {"--seed": "run.seed", "--max-steps": "run.max_steps"}[flags[0]]
     lines = [l for l in BASE.format(out=tmp_path / "out").splitlines()
              if not (assignment and l.startswith(key + " "))]

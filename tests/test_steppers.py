@@ -624,3 +624,57 @@ def test_mass_conserved_over_fifty_steps(scheme, rng):
     for _ in range(50):
         state, _ = advance(state, cfg, model)
     assert abs(mean(state.u) - m0) <= 1e-12 * max(1.0, abs(m0))
+
+
+# --- dispersion oracle at production N ---------------------------------------
+
+def _dispersion_errors(delta):
+    """Per scheme: max over modes of |u_hat_step - prediction| / max |prediction|.
+
+    The phase-separating problem at N = 512 (Gaussian cJ 3000, xi 1000,
+    eps 1, K 1.05, S = beta/2), from u^0 = delta v with v uniform in
+    [-1, 1] and mean 0; one step, or for a two-step scheme the step after
+    its bootstrap.  Near u = 0 each scheme is diagonal in the DFT basis, so
+    a step multiplies each mode by a closed-form factor, up to an O(delta^2)
+    relative error from the cubic.  The factors are written here from
+    lambda, G = eps^2 ([J(*)1] - j_hat), sigma = 2 eps^2 [J(*)1] and
+    c = F''(0) = -1, with lambda taken from the stencil, not read from the
+    library's operators.
+    """
+    geo = GridGeometry(512, 1.0)
+    kernel, cache = sample_kernel(KernelSpec.gaussian(3000.0, 1000.0), geo), make_cache(geo)
+    n = geo.n
+    k, l = np.arange(n)[:, None], np.arange(n // 2 + 1)[None, :]
+    lam = 4.0 / geo.h**2 * (np.sin(np.pi * k / n) ** 2 + np.sin(np.pi * l / n) ** 2)
+    gap, sigma, c = kernel.conv_one - kernel.symbol, 2.0 * kernel.conv_one, -1.0
+    stabilization = (3.0 * 1.05**2 - 1.0) / 2.0
+    u0 = Field(geo, delta * random_initial_field(geo, 0.0, 1.0, seed=7).values)
+    errors = {}
+    for scheme, tau in (("backward_euler", 1e-3), ("convex_splitting", 1e-3), ("ssi1", 1e-3),
+                        ("bdf2", 1e-3), ("two_li", 1e-4)):
+        cfg = SchemeConfig(scheme, tau, 1.0, stabilization=stabilization, cutoff=1.05)
+        model = cfg.model(kernel, cache)
+        state, _ = advance(SchemeState(u=u0), cfg, model)
+        w0, w1, tl = u0.spectrum, state.u.spectrum, tau * lam
+        if scheme == "backward_euler":
+            predicted = w0 / (1.0 + tl * (c + gap))
+        elif scheme == "convex_splitting":
+            predicted = (1.0 - tl * (gap - 1.0 - sigma)) / (1.0 + tl * sigma) * w0
+        elif scheme == "ssi1":
+            predicted = (1.0 + tl * (stabilization - c)) / (1.0 + tl * (stabilization + gap)) * w0
+        else:
+            state, _ = advance(state, cfg, model)
+            if scheme == "bdf2":
+                predicted = (2.0 * w1 - 0.5 * w0) / (1.5 + tl * (c + gap))
+            else:
+                predicted = ((2.0 - 2.0 * tl * c) * w1 - (0.5 - tl * c) * w0) / (1.5 + tl * gap)
+        errors[scheme] = np.abs(state.u.spectrum - predicted).max() / np.abs(predicted).max()
+    return errors
+
+
+def test_each_scheme_follows_its_linear_multipliers_at_n512():
+    # A wrong linear part fails at O(1); a wrong nonlinear part fails the delta^2 scaling.
+    coarse, fine = _dispersion_errors(1e-3), _dispersion_errors(1e-5)
+    for scheme in SCHEMES:
+        assert fine[scheme] < 1e-10, (scheme, fine[scheme])
+        assert coarse[scheme] >= 1e3 * fine[scheme], (scheme, coarse[scheme], fine[scheme])
