@@ -19,9 +19,10 @@ counts) are collected at a configurable cadence
 plus always at the terminating step; field snapshots and checkpoints use
 the binary formats from :mod:`nchsolver.fieldio`.  Each step returns omega
 as its half spectrum, and the stationarity measures ||omega - mean||_2 and
-||grad omega||_2 are Parseval sums over it (``spectral.norm2_mean_free``,
-``spectral.norm_grad``), as is the defect of the potential equation in
-the equilibrium residual: no row takes omega back to the grid.  The
+||grad omega||_2 are Parseval sums over one power array of it, built once
+per step (``spectral._norm2_mean_free``, ``spectral._norm_grad``), as is
+the defect of the potential equation in the equilibrium residual: no row
+takes omega back to the grid.  The
 step-0 row is built by ``_start``, which ``nch check`` also evaluates, so a
 configuration whose run would end at step 0 on a non-finite row is
 reported inadmissible before it runs.
@@ -41,7 +42,8 @@ from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, _reduce, mean, require_same_geometry
 from .kernels import SampledKernel
-from .spectral import SpectralCache, norm2_mean_free, norm2_modes, norm_grad, norm_neg1
+from .spectral import (SpectralCache, _norm2_mean_free, _norm_grad, _power, norm2_mean_free,
+                       norm2_modes, norm_neg1)
 from .steppers import SchemeConfig, SchemeState, advance, modified_energy
 
 
@@ -117,14 +119,16 @@ def equilibrium_residual(u: Field, omega: Field, model: Model) -> float:
 
 
 def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
-            omega_variance: float, newton_iters: int, cfg: SchemeConfig,
-            model: Model) -> DiagnosticsRecord:
-    """The row of ``state``, whose ``omega`` it reads; each functional is evaluated once and reused.
+            omega_power: np.ndarray, omega_variance: float, newton_iters: int,
+            cfg: SchemeConfig, model: Model) -> DiagnosticsRecord:
+    """The row of ``state``; each functional is evaluated once and reused.
 
-    The energy and ``||du||_{-1}`` read the spectra the two levels keep, so a
-    row transforms nothing that the steps do not transform anyway.  The
-    modified energy column is ``steppers.modified_energy`` of them, empty for
-    a one-step scheme, whose dissipated functional is the energy column.
+    ``omega_power`` is ``spectral._power`` of the state's omega, from which
+    the loop took ``omega_variance``; the row takes the gradient norm from
+    it too, scaling it in place.  The energy and ``||du||_{-1}`` read the
+    spectra the two levels keep, so a row transforms nothing.  The modified
+    energy column is ``steppers.modified_energy`` of them, empty for a
+    one-step scheme, whose dissipated functional is the energy column.
     """
     e = energy(state.u, model)
     modified = None
@@ -140,7 +144,7 @@ def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
         modified_energy=modified,
         increment_l2=increment_l2,
         increment_hneg1=inc_neg,
-        grad_omega_l2=norm_grad(state.omega.spectrum, model.cache),
+        grad_omega_l2=_norm_grad(omega_power, model.cache),
         omega_variance=omega_variance,
         newton_iters=newton_iters,
     )
@@ -172,8 +176,9 @@ def _start(u0: Field, cfg: SchemeConfig, model: Model) -> tuple[SchemeState, Dia
             raise ConfigError(f"the chemical potential of the initial field is not finite "
                               f"({err}): the model's scales overflow it") from err
         state = SchemeState(u=u0, omega=omega)
-        variance = norm2_mean_free(state.omega.spectrum, model.cache.geometry.h)
-        return state, _record(state, None, 0.0, variance, 0, cfg, model)
+        power = _power(omega.spectrum)
+        variance = _norm2_mean_free(power, model.cache.geometry.h)
+        return state, _record(state, None, 0.0, power, variance, 0, cfg, model)
 
 
 def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: SpectralCache,
@@ -226,10 +231,11 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
         at_cadence = new.step_index % options.record_every == 0
         with _quiet():
             inc_l2 = _norm2_values(new.u.values - state.u.values, h)
-            variance = norm2_mean_free(new.omega.spectrum, h)
+            power = _power(new.omega.spectrum)
+            variance = _norm2_mean_free(power, h)
             reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
             if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
-                record = _record(new, state.u, inc_l2, variance, result.newton_iters,
+                record = _record(new, state.u, inc_l2, power, variance, result.newton_iters,
                                  cfg, model)
                 if detail := _non_finite(record):  # the step diverged in its diagnostics
                     break

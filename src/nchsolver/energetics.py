@@ -81,11 +81,17 @@ class PotentialSpec:
 
 
 def _truncate(spec: PotentialSpec, r: np.ndarray, inner, outer):
-    """``inner``, with ``outer`` of r where |r| > K under the truncated potential."""
-    if spec.variant == "double_well":
+    """``inner``, with ``outer`` of r where |r| > K under the truncated potential.
+
+    One range check passes ``inner`` through when no entry lies beyond K
+    (a NaN entry fails the check and takes the masked path, where it keeps
+    ``inner``).
+    """
+    k = spec.cutoff
+    if spec.variant == "double_well" or (r.size and -k <= r.min() and r.max() <= k):
         return inner
     inner = np.asarray(inner)
-    outside = np.abs(r) > spec.cutoff
+    outside = np.abs(r) > k
     inner[outside] = outer(r[outside])
     return inner
 
@@ -94,7 +100,11 @@ def potential_value(spec: PotentialSpec, r):
     """F(r), elementwise."""
     r = np.asarray(r, dtype=np.float64)
     k, beta = spec.cutoff, spec.curvature_bound
-    return _truncate(spec, r, 0.25 * (r * r - 1.0) ** 2,
+    value = r * r
+    value -= 1.0
+    value *= value
+    value *= 0.25
+    return _truncate(spec, r, value,
                      lambda ro: 0.5 * beta * (ro * ro) - np.sign(ro) * 2.0 * k**3 * ro
                      + 0.25 * (3.0 * k**4 + 1.0))
 
@@ -102,14 +112,20 @@ def potential_value(spec: PotentialSpec, r):
 def potential_d1(spec: PotentialSpec, r):
     """F'(r), elementwise."""
     r = np.asarray(r, dtype=np.float64)
-    return _truncate(spec, r, r * r * r - r,
+    d1 = r * r
+    d1 *= r
+    d1 -= r
+    return _truncate(spec, r, d1,
                      lambda ro: spec.curvature_bound * ro - np.sign(ro) * 2.0 * spec.cutoff**3)
 
 
 def potential_d2(spec: PotentialSpec, r):
     """F''(r), elementwise; bounded by 3K^2 - 1 for the truncated variant."""
     r = np.asarray(r, dtype=np.float64)
-    return _truncate(spec, r, 3.0 * (r * r) - 1.0, lambda ro: spec.curvature_bound)
+    d2 = r * r
+    d2 *= 3.0
+    d2 -= 1.0
+    return _truncate(spec, r, d2, lambda ro: spec.curvature_bound)
 
 
 @dataclass(frozen=True, eq=False)

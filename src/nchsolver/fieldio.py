@@ -4,9 +4,16 @@ Snapshot layout (little endian): magic bytes ``NCHF``, u32 cell count N,
 f64 domain edge length L, f64 simulation time t, then N*N f64 values in
 row-major order.  A checkpoint wraps the trajectory state: magic ``NCHK``,
 u32 format version, u64 step index, f64 time, u8 flag for the presence of
-the previous level, then one or two embedded snapshots.  A checkpoint is
-written to ``<path>.partial`` and renamed over ``<path>``, so the file at
-``<path>`` is always a whole checkpoint.
+the previous level, then one or two levels, u and then u_prev.  Format 2,
+the one written, stores each level as an embedded snapshot followed by
+its half spectrum, N*(N/2+1) complex128 values (real and imaginary part
+f64 each) in row-major order, and ends with the u32 CRC-32 of every byte
+before it.  A resumed run then reads the very spectra the uninterrupted
+run's solves produced, and resumes bit for bit.  Format 1, still read,
+stores each level as a snapshot alone and has no checksum; its levels take
+their spectra as ``rfft2(values)``.  A checkpoint is written to
+``<path>.partial`` and renamed over ``<path>``, so the file at ``<path>``
+is always a whole checkpoint.
 
 Diagnostics are written as CSV with full float64 round-trip precision
 (shortest repr); optional values are left empty.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import Iterable
 
@@ -25,7 +33,7 @@ from .grid import Field, GridGeometry
 
 SNAPSHOT_MAGIC = b"NCHF"
 CHECKPOINT_MAGIC = b"NCHK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 DIAGNOSTICS_HEADER = ("step,time,mass,energy,modified_energy,increment_l2,"
                       "increment_hneg1,grad_omega_l2,omega_variance,newton_iters")
@@ -52,7 +60,13 @@ def _reject_trailing(blob: bytes, end: int, what: str) -> None:
         raise ValueError(f"{what} has {len(blob) - end} trailing bytes after byte {end}")
 
 
-def _parse_snapshot(blob: bytes, offset: int = 0) -> tuple[Field, float, int]:
+def _parse_snapshot(blob: bytes, offset: int = 0,
+                    with_spectrum: bool = False) -> tuple[Field, float, int]:
+    """The field of the snapshot at ``offset``, its time and its end offset.
+
+    With ``with_spectrum`` the level's half spectrum follows the snapshot
+    (checkpoint format 2) and the field keeps it.
+    """
     if blob[offset:offset + 4] != SNAPSHOT_MAGIC:
         raise ValueError("not a field snapshot (bad magic bytes)")
     start = offset + 24
@@ -61,8 +75,14 @@ def _parse_snapshot(blob: bytes, offset: int = 0) -> tuple[Field, float, int]:
     length, t = struct.unpack_from("<dd", blob, offset + 8)
     end = start + 8 * n * n
     _require_length(blob, end, "field snapshot")
-    values = np.frombuffer(blob[start:end], dtype="<f8").reshape(n, n)
-    return Field(GridGeometry(n, length), values.astype(np.float64)), t, end
+    geometry = GridGeometry(n, length)
+    values = np.frombuffer(blob[start:end], dtype="<f8").reshape(n, n).astype(np.float64)
+    if not with_spectrum:
+        return Field(geometry, values), t, end
+    start, end = end, end + 16 * n * (n // 2 + 1)
+    _require_length(blob, end, "level spectrum")
+    modes = np.frombuffer(blob[start:end], dtype="<c16").reshape(n, n // 2 + 1)
+    return Field._from_spectrum_and_values(geometry, modes.astype(np.complex128), values), t, end
 
 
 def read_field(path) -> tuple[Field, float]:
@@ -78,19 +98,23 @@ def read_field(path) -> tuple[Field, float]:
 
 
 def write_checkpoint(path, state) -> None:
-    """Serialize a scheme state as step/time metadata plus embedded snapshots, atomically."""
-    has_prev = state.u_prev is not None
-    head = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) \
-        + struct.pack("<Q", state.step_index) + struct.pack("<d", state.time) \
-        + struct.pack("<B", 1 if has_prev else 0)
-    blob = head + _snapshot_bytes(state.u, state.time)
-    if has_prev:
-        blob += _snapshot_bytes(state.u_prev, state.time)
+    """Serialize a scheme state in format 2, its levels' values and spectra, atomically."""
+    levels = [state.u] if state.u_prev is None else [state.u, state.u_prev]
+    parts = [CHECKPOINT_MAGIC + struct.pack("<IQdB", CHECKPOINT_VERSION, state.step_index,
+                                            state.time, len(levels) - 1)]
+    for level in levels:
+        parts += [_snapshot_bytes(level, state.time),
+                  np.ascontiguousarray(level.spectrum, dtype="<c16").tobytes(order="C")]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
     # Write beside the target and rename over it, so a reader never sees a
     # partial checkpoint and a failed write leaves the previous one intact.
     partial = Path(f"{path}.partial")
     try:
-        partial.write_bytes(blob)
+        with partial.open("wb") as out:
+            out.writelines(parts)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -98,7 +122,12 @@ def write_checkpoint(path, state) -> None:
 
 
 def read_checkpoint(path):
-    """Deserialize a scheme state written by :func:`write_checkpoint`."""
+    """Deserialize a scheme state written by :func:`write_checkpoint`, in format 2 or 1.
+
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for bad
+    magic bytes, an unknown version, a checksum that does not match, a
+    truncated file, trailing bytes or non-finite values.
+    """
     from .steppers import SchemeState
 
     blob = Path(path).read_bytes()
@@ -106,15 +135,21 @@ def read_checkpoint(path):
         raise ValueError("not a checkpoint file (bad magic bytes)")
     _require_length(blob, 25, "checkpoint header")
     version, = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, 2):
         raise ValueError(f"unsupported checkpoint version {version}")
+    if version == 2:
+        _require_length(blob, 29, "checkpoint")
+        blob, crc = blob[:-4], struct.unpack_from("<I", blob, len(blob) - 4)[0]
+        if zlib.crc32(blob) != crc:
+            raise ValueError("checkpoint checksum does not match: the file is corrupt, "
+                             "truncated or extended")
     step_index, = struct.unpack_from("<Q", blob, 8)
     time, = struct.unpack_from("<d", blob, 16)
     has_prev, = struct.unpack_from("<B", blob, 24)
-    u, _, end = _parse_snapshot(blob, 25)
+    u, _, end = _parse_snapshot(blob, 25, version == 2)
     u_prev = None
     if has_prev:
-        u_prev, _, end = _parse_snapshot(blob, end)
+        u_prev, _, end = _parse_snapshot(blob, end, version == 2)
     _reject_trailing(blob, end, "checkpoint")
     return SchemeState(u=u, u_prev=u_prev, omega=None, step_index=step_index, time=time)
 

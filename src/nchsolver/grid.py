@@ -17,7 +17,7 @@ sums, the mass snap of a step and the kernel mass [J (*) 1], and the
 re-centring of a seeded initial field -- goes through the one summation
 rule ``_reduce``: numpy's pairwise sum in float64.  Its rounding stays far
 below the 64-ulp mass check: over 2,000 ``ssi1`` steps of a
-phase-separating run at N = 512 the mass drifted by 0.25 ulp.
+phase-separating run at N = 512 the mass drifted by 0.63 ulp.
 
 A field holds its values, its half spectrum ``rfft2(values)``
 (``Field.spectrum``), or both.  It is built from one of them --
@@ -25,13 +25,15 @@ A field holds its values, its half spectrum ``rfft2(values)``
 and the other is transformed at most once, on first use.  A field is
 immutable, so its mean is reduced at most once too, on the first ``mean``
 call, however many steps, state checks and diagnostics ask for them.  A
-level is built from its values, and its spectrum serves the step that
-solves from it, the next step, the energy and the increment norm of the
-record.  The chemical potential omega is built from its spectrum, which
-the record's norms read, so a run never takes omega back to the grid.  A
-field keeps a copy of a caller's writeable array; the schemes instead
-freeze each array they compute (``_freeze``), which the field adopts
-without copying.
+level a step solves for holds both forms from the start
+(``Field._from_spectrum_and_values``): the spectrum it solved for and the
+values it took that spectrum to the grid as, so no step, record or next
+step transforms a level forward; only the initial field and a level read
+from a format-1 checkpoint take their spectrum as ``rfft2(values)``.  The
+chemical potential omega is built from its spectrum, which the record's
+norms read, so a run never takes omega back to the grid.  A field keeps a
+copy of a caller's writeable array; the schemes instead freeze each array
+they compute (``_freeze``), which the field adopts without copying.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ class Field:
 
     Built from its values, ``Field(geometry, values)``, or from its half
     spectrum, ``Field.from_spectrum(geometry, modes)``; the other form is
-    computed on first use, once.  Finiteness is checked on the form given.
+    computed on first use, once.  A level a step solves for, or a
+    checkpoint stores, is built from both
+    (``_from_spectrum_and_values``).  Finiteness is checked on the forms
+    given.
     A writeable or borrowed array is copied, so later changes to the
     caller's array do not reach the field; a read-only array that owns its
     data is adopted as it is.
@@ -140,6 +145,20 @@ class Field:
         object.__setattr__(phi, "geometry", geometry)
         object.__setattr__(phi, "spectrum", _adopt(modes, np.complex128,
                                                    (geometry.n, geometry.n // 2 + 1), "spectrum"))
+        return phi
+
+    @classmethod
+    def _from_spectrum_and_values(cls, geometry: GridGeometry, modes: np.ndarray,
+                                  values: np.ndarray) -> "Field":
+        """The field whose half spectrum is ``modes`` and whose values are ``values``.
+
+        The caller vouches that ``modes`` is ``rfft2(values)`` up to
+        rounding: a step's solved spectrum, or a checkpoint's stored one.
+        Both forms are checked for finiteness.
+        """
+        phi = cls.from_spectrum(geometry, modes)
+        object.__setattr__(phi, "values",
+                           _adopt(values, np.float64, (geometry.n, geometry.n), "values"))
         return phi
 
     @classmethod

@@ -23,17 +23,22 @@ grid, ``_apply_to_field``, one ``irfft2`` of the product, is a reference
 for the oracle suite and the tests, like the stencil.  Quadratic forms
 (v || A v) of such an operator -- the nonlocal energy in
 :mod:`nchsolver.energetics` and the norms here -- are one modal sum by
-Parseval over the spectrum of v, which ``_parseval`` takes by the rule
-that interior half-spectrum columns count twice.  Each norm of a spectrum
+Parseval over the spectrum of v.  Interior half-spectrum columns count
+twice, for their mirrored modes; ``_power`` instead halves the two edge
+columns of |v_hat|^2, an O(N) change, and ``_parseval`` doubles the sum,
+which gives the same bits.  A sum is then one power array, built in one
+buffer, multiplied in place by the operator's own symbol, with no weight
+array beyond the symbols.  Each norm of a spectrum
 is written once: the L2 norm ``norm2_modes`` (the Newton norm and the
 equilibrium defect), ``norm2_mean_free``, which drops the constant mode
 (the variance of omega), ``norm_grad``, weighted by lambda (the gradient
 norm of omega, equal to the forward-difference norm by summation by
 parts), and ``norm_neg1``, weighted by 1/lambda (the increment's
 ||du||_{-1}).  The record takes every norm of omega from the spectrum a
-step keeps, with no transform.  The only transforms are ``scipy.fft.rfft2`` and
-``irfft2(..., s=(N, N))``; the oracle suite checks them against a direct
-DFT sum.
+step keeps, with no transform, and the variance and the gradient norm
+from one power array (``_norm2_mean_free``, ``_norm_grad``).  The only
+transforms are ``scipy.fft.rfft2`` and ``irfft2(..., s=(N, N))``; the
+oracle suite checks them against a direct DFT sum.
 
 The symbol lambda is built by one formula, ``laplacian_eigenvalues``: all
 N x N modes for the oracles, which compare them with dense matrices, and
@@ -120,9 +125,23 @@ def laplacian_apply(values: np.ndarray, h: float) -> np.ndarray:
     return (gx - np.roll(gx, 1, axis=0)) / h + (gy - np.roll(gy, 1, axis=1)) / h
 
 
+def _edge_columns(n: int) -> tuple:
+    """The half-spectrum columns that hold their own mirrored modes: 0, and N/2 for even N."""
+    return (0, n // 2) if n % 2 == 0 else (0,)
+
+
 def _power(modes: np.ndarray) -> np.ndarray:
-    """|v_hat|^2 per half-spectrum mode, a fresh array."""
-    return modes.real**2 + modes.imag**2
+    """|v_hat|^2 per half-spectrum mode, the edge columns halved for ``_parseval``; a fresh array.
+
+    Parseval counts each interior column twice, for its mirrored modes, and
+    each edge column (``_edge_columns``) once.  Halving the edge columns
+    and doubling the sum gives the same bits as doubling the interior: each
+    term, and so each partial sum, is exactly half (barring subnormals).
+    """
+    power = np.square(modes.real)
+    power += np.square(modes.imag)
+    power[:, _edge_columns(modes.shape[0])] *= 0.5
+    return power
 
 
 def _modal_sum(symbol: np.ndarray, modes: np.ndarray) -> float:
@@ -130,19 +149,19 @@ def _modal_sum(symbol: np.ndarray, modes: np.ndarray) -> float:
 
     Parseval: (v || A v) = (1/N^2) sum_kl a_kl |v_hat_kl|^2 over all N^2 modes.
     """
-    return _parseval(symbol * _power(modes))
+    return _parseval(_power(modes), symbol)
 
 
-def _parseval(weighted: np.ndarray) -> float:
-    """(1/N^2) times the sum over all N^2 modes of an even per-mode quantity on the half spectrum.
+def _parseval(power: np.ndarray, symbol=None) -> float:
+    """(1/N^2) times the sum over all N^2 modes of symbol |v_hat|^2, from the ``_power`` of v.
 
-    Interior columns 1..(N-1)//2 also stand for their mirrored modes; column
-    0 and, for even N, the Nyquist column N/2 already hold theirs.  Scales
-    ``weighted`` in place; sums with ``grid._reduce``.
+    ``symbol`` is an even per-mode weight on the half spectrum, or None for
+    the plain sum; ``power`` is scaled by it in place.  Sums with
+    ``grid._reduce``.
     """
-    n = weighted.shape[0]
-    weighted[:, 1:(n + 1) // 2] *= 2.0
-    return _reduce(weighted) / n**2
+    if symbol is not None:
+        power *= symbol
+    return 2.0 * _reduce(power) / power.shape[0]**2
 
 
 def _project_hermitian(modes: np.ndarray) -> np.ndarray:
@@ -155,7 +174,7 @@ def _project_hermitian(modes: np.ndarray) -> np.ndarray:
     """
     n = modes.shape[0]
     mirror = -np.arange(n) % n
-    for col in ((0, n // 2) if n % 2 == 0 else (0,)):
+    for col in _edge_columns(n):
         column = modes[:, col]
         modes[:, col] = 0.5 * (column + np.conj(column[mirror]))
     return modes
@@ -168,9 +187,15 @@ def norm2_modes(modes: np.ndarray, h: float) -> float:
 
 def norm2_mean_free(modes: np.ndarray, h: float) -> float:
     """||v - mean(v)||_2 of the field with half spectrum ``modes``: the constant mode dropped."""
-    power = _power(modes)
-    power[0, 0] = 0.0
-    return h * math.sqrt(_parseval(power))
+    return _norm2_mean_free(_power(modes), h)
+
+
+def _norm2_mean_free(power: np.ndarray, h: float) -> float:
+    """``norm2_mean_free`` from the ``_power`` of v, which it leaves as it found it."""
+    constant, power[0, 0] = power[0, 0], 0.0
+    total = _parseval(power)
+    power[0, 0] = constant
+    return h * math.sqrt(total)
 
 
 def norm_grad(modes: np.ndarray, cache: SpectralCache) -> float:
@@ -179,7 +204,12 @@ def norm_grad(modes: np.ndarray, cache: SpectralCache) -> float:
     Summation by parts makes it the edge norm h sqrt(sum (D_x v)^2 + (D_y v)^2)
     of the forward differences.
     """
-    return cache.geometry.h * math.sqrt(_modal_sum(cache.minus_laplacian_eigenvalues, modes))
+    return _norm_grad(_power(modes), cache)
+
+
+def _norm_grad(power: np.ndarray, cache: SpectralCache) -> float:
+    """``norm_grad`` from the ``_power`` of v, which it scales in place."""
+    return cache.geometry.h * math.sqrt(_parseval(power, cache.minus_laplacian_eigenvalues))
 
 
 def norm_neg1(modes: np.ndarray, cache: SpectralCache) -> float:

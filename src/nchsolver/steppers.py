@@ -86,15 +86,18 @@ to step.  They are built once per configuration (``_Operator``):
 ``advance`` builds them where it vets the configuration, and keeps them in
 the caller's map, one per run in ``driver.run``.
 
-Each level is transformed forward at most once: a step reads rfft2(u^n)
-(and rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``),
-for the right-hand side rfft2(rhs) and the Newton guess, and the spectrum
-of the new level, rfft2 of its values taken once, serves omega's nonlocal
-part, the record's energy and ||du||_{-1} (``spectral.norm_neg1``), and the
-next step.  A step returns omega as its half spectrum
-(``Field.from_spectrum``), which the record's norms read by Parseval, so
-no step transforms omega back to the grid.  All transforms come from
-``scipy.fft``.
+No level is transformed forward by a step: a step reads rfft2(u^n) (and
+rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``), for
+the right-hand side rfft2(rhs) and the Newton guess, and builds the new
+level from both forms its solve produced (``_level``): the values, the
+mass-snapped irfft2 of the solved spectrum, and that spectrum, projected
+onto the coefficients of a real field with its constant mode N^2 times the
+conserved mean.  That spectrum serves omega's implicit part, the record's
+energy and ||du||_{-1} (``spectral.norm_neg1``), and the next step.  A
+Newton step that returns its guess returns u^n's own level.  A step
+returns omega as its half spectrum (``Field.from_spectrum``), which the
+record's norms read by Parseval, so no step transforms omega back to the
+grid.  All transforms come from ``scipy.fft``.
 
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
@@ -110,10 +113,11 @@ with the spectrum of u^n.  An iterate's grid point is irfft2 of it with
 the mass snapped, and the guess, the spectrum of u^n, has u^n's own values
 as its point.  The step takes u and omega from its
 last residual, which is evaluated at the returned iterate: u adopts that
-residual's point and omega's spectrum is its rfft2(local(u)) plus
-I rfft2(u) (plus e_hat), so a backward Euler or BDF2 level's omega is
-``chemical_potential(u)`` bit for bit.  That step's first residual is
-therefore built from the omega of the state it leaves, with no transform
+residual's point and the iterate as its spectrum, and omega's spectrum is
+its rfft2(local(u)) plus I times u's spectrum (plus e_hat), so a backward
+Euler or BDF2 level's omega is ``chemical_potential(u)`` bit for bit.
+That step's first residual is therefore built from the omega of the state
+it leaves, with no transform
 (``chemical_potential(u^n)`` when the state has none, as on resuming from a
 checkpoint).  The linear part a + lambda I is a product, a residual or
 Jacobian apply takes one inverse and one forward transform around the
@@ -125,11 +129,15 @@ contracting.  Convex splitting's omega holds an explicit part of u^{n-1},
 so it is not the chemical potential and the first residual is evaluated.
 Newton stops at max(newton_tol, C eps scale), where scale measures the
 step's equation terms and the rounding of local(u), so the stop holds at
-every N although that rounding grows like 1/h^2.
+every N although that rounding grows like 1/h^2.  Its norms are rescaled
+where squaring overflows (``_norm``), so a tiny tau, whose rhs = u^n/tau
+is huge, still gives a finite stop; a stop that is not finite even so
+raises ``SolverError``.
 The two linear schemes share one DFT-diagonal solve (``_linear_step``) of
 a u + (-Lap)(explicit + shift u) = rhs, with the spectrum of the explicit
-part, rfft2(explicit), from the row and shift = I; omega's spectrum is
-rfft2(explicit) + shift u_hat.
+part, rfft2(explicit), from the row and shift = I, a product with the
+reciprocal of the denominator; omega's spectrum is rfft2(explicit) plus
+shift times the new level's spectrum.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -147,6 +155,7 @@ simulations may run concurrently on shared immutable models.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -354,17 +363,31 @@ class StepResult(NamedTuple):
     newton_iters: int
 
 
-def _step_field(build, geometry: GridGeometry, array: np.ndarray) -> Field:
-    """Wrap a fresh array of a step; a non-finite one (a diverged step) is a solver failure.
+def _step_field(build, geometry: GridGeometry, *arrays: np.ndarray) -> Field:
+    """Wrap fresh arrays of a step; a non-finite one (a diverged step) is a solver failure.
 
-    ``build`` is ``Field`` for u's values or ``Field.from_spectrum`` for
-    omega's spectrum.  The array is owned by
-    the step, so it is frozen and the field adopts it without a copy.
+    ``build`` is ``Field._from_spectrum_and_values`` for a new level's
+    spectrum and values or ``Field.from_spectrum`` for omega's spectrum.
+    The arrays are owned by the step, so they are frozen and the field
+    adopts them without a copy.
     """
     try:
-        return build(geometry, _freeze(array))
+        return build(geometry, *map(_freeze, arrays))
     except ValueError as err:  # the shapes come from the state: only finiteness can fail
         raise SolverError(f"diverged: {err}") from err
+
+
+def _level(geometry: GridGeometry, modes: np.ndarray, values: np.ndarray, mass: float) -> Field:
+    """The level a step solved for, from both forms: its solved spectrum ``modes`` and its values.
+
+    ``values`` are the mass-snapped irfft2 of ``modes``.  ``modes`` is
+    projected onto the coefficients of a real field (irfft2 reads only
+    that projection) and its constant mode set to N^2 ``mass``, the
+    conserved mean the snap shifted the values onto, both in place.
+    """
+    modes = _project_hermitian(modes)
+    modes[0, 0] = geometry.n**2 * mass
+    return _step_field(Field._from_spectrum_and_values, geometry, modes, values)
 
 
 @dataclass(frozen=True)
@@ -439,6 +462,21 @@ def _snap_mass(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
+def _norm(modes: np.ndarray, h: float) -> float:
+    """``norm2_modes``, rescaled by the largest component where squaring overflows.
+
+    Finite modes then have a finite norm wherever it is representable; a
+    non-finite one keeps its value.
+    """
+    value = norm2_modes(modes, h)
+    if math.isfinite(value):
+        return value
+    peak = float(max(np.abs(modes.real).max(), np.abs(modes.imag).max()))
+    if not 0.0 < peak < np.inf:
+        return value
+    return peak * norm2_modes(modes / peak, h)
+
+
 # C of the Newton stop max(newton_tol, C eps scale).  Convex splitting's
 # residual stagnates at 0.09-0.22 eps scale (the least residual of iterating
 # on past the stop: the benchmark problem at N in 128..512, the
@@ -457,16 +495,18 @@ class _Operator(NamedTuple):
     (``driver.run`` keeps them for the run), ``step`` called alone once per
     call.  ``implicit`` is the symbol of omega's implicit linear part: G for
     backward Euler, BDF2 and two_li, S + G for ssi1, and the constant
-    sigma = 2 eps^2 [J(*)1] for convex splitting.  ``linear`` is
-    a + lambda implicit: the linear part of a Newton residual and the modal
-    denominator of a linear step.  A Newton step also reads its
-    preconditioner: the pointwise ``slope`` it freezes, the symbol
-    a + lambda (slope + implicit) and its reciprocal ``inverse``.
+    sigma = 2 eps^2 [J(*)1] for convex splitting.  ``inverse`` is the
+    reciprocal a step multiplies by.  A linear step keeps only the
+    reciprocal of its modal denominator a + lambda implicit.  A Newton step
+    keeps that denominator as ``linear``, the linear part of its residual,
+    and its preconditioner: the pointwise ``slope`` it freezes, the
+    ``symbol`` a + lambda (slope + implicit) and, as ``inverse``, its
+    reciprocal.
     """
 
     a: float
     implicit: np.ndarray | float
-    linear: np.ndarray
+    linear: Optional[np.ndarray] = None
     slope: float = 0.0
     symbol: Optional[np.ndarray] = None
     inverse: Optional[np.ndarray] = None
@@ -484,18 +524,18 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
     lam, row = model.cache.minus_laplacian_eigenvalues, _SCHEMES[cfg.scheme]
     a = 3.0 / (2.0 * cfg.tau) if row.two_step else 1.0 / cfg.tau
     implicit = row.implicit(cfg, model)
-    linear = _freeze(a + lam * implicit)
+    linear = a + lam * implicit
     if row.slope is None:
         if linear.min() <= 0.0:
             raise SolverError(
                 "non-positive modal denominator in the linear solve; "
                 "the kernel/stabilization configuration is outside the solvable regime"
             )
-        return _Operator(a, implicit, linear)
+        return _Operator(a, implicit, inverse=_freeze(np.reciprocal(linear, out=linear)))
     shift = row.slope + implicit
     symbol = a + lam * shift
     symbol = np.where(symbol <= 0.0, a + lam * np.maximum(shift, 0.0), symbol)
-    return _Operator(a, implicit, linear, row.slope, _freeze(symbol), _freeze(1.0 / symbol))
+    return _Operator(a, implicit, _freeze(linear), row.slope, _freeze(symbol), _freeze(1.0 / symbol))
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
@@ -520,7 +560,8 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     with u and its slope those of the last residual when u_hat is that
     residual's iterate, and otherwise one irfft2 of u_hat.  The
     preconditioner is the product with ``op.inverse``; ``newton_solve``
-    takes fixed-point steps with it before Newton-Krylov.
+    takes fixed-point steps with it before Newton-Krylov.  Every norm is
+    ``_norm``, which stays finite where squaring overflows.
 
     Without an explicit part (backward Euler, BDF2) omega is the chemical
     potential, and a level's omega is ``chemical_potential`` of it bit for
@@ -530,15 +571,18 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     evaluates the residual at u^n before it declares u^n converged.  Convex
     splitting's omega holds an explicit part of u^{n-1}, so its first
     residual is evaluated.  The returned iterate is the last residual's: u
-    adopts its point's values, and omega's spectrum is its rfft2(local(u))
-    plus I times the spectrum of the new level (as ``chemical_potential``
-    takes it) plus e_hat.  No operator is applied on the grid.
+    is the level of its point's values and of the iterate (``_level``), or
+    u^n itself when the guess is returned, and omega's spectrum is its
+    rfft2(local(u)) plus I times the spectrum of the new level (as
+    ``chemical_potential`` takes it) plus e_hat.  No operator is applied on
+    the grid.
     Newton stops at max(newton_tol, C eps scale): scale is the norm of the
     right-hand side solved against, plus that of the preconditioner applied
     forward to u_hat^n, plus lambda_max times the norm of
     |u^n|^3 + |slope| |u^n|.  The last term bounds the rounding of
     local(u), which is white and which lambda amplifies at the high modes
-    where u_hat itself is small.  None of it takes a transform.
+    where u_hat itself is small.  None of it takes a transform.  A stop
+    that is not finite raises ``SolverError``.
     """
     lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
     shape, target = state.u.values.shape, mean(state.u)
@@ -550,11 +594,14 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
         rhs_hat = rhs_hat - lam * explicit_hat
 
     h = model.cache.geometry.h
-    norm = lambda modes: norm2_modes(modes, h)
+    norm = lambda modes: _norm(modes, h)
     terms = np.abs(state.u.values)
     terms *= terms * terms + abs(op.slope)
     scale = norm(rhs_hat) + norm(op.symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
+    if not math.isfinite(tol):
+        raise SolverError(f"the Newton stop overflows (scale {scale!r}): the step's terms "
+                          f"exceed the float range at tau = {cfg.tau!r}")
 
     # The last iterate taken to the grid, the guess first: its point and,
     # once asked for, rfft2(local(point)) and the slope there.
@@ -584,7 +631,10 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
                                    lambda r: r * op.inverse, norm, first)
     point = evaluated(u_hat)  # the last residual's own point: no transform
-    u = _step_field(Field, state.u.geometry, point["values"])
+    if u_hat is state.u.spectrum:  # the guess
+        u = state.u
+    else:
+        u = _level(state.u.geometry, u_hat, point["values"], target)
     omega_hat = point["local_hat"]  # no residual reads it again
     omega_hat += op.implicit * u.spectrum  # from the spectrum of u itself, as chemical_potential takes it
     if explicit_hat is not None:
@@ -596,23 +646,25 @@ def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.nd
                  explicit_hat: np.ndarray) -> StepResult:
     """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
-    ``explicit_hat`` is the spectrum of the explicit part, which the step
-    owns, ``shift`` is ``op.implicit``, the half-spectrum symbol S + G of
-    ssi1 or G of two_li, and the denominator a + lambda shift is
-    ``op.linear``.  The step transforms only the solved spectrum back.
+    ``explicit_hat`` is the spectrum of the explicit part and ``rhs_hat``
+    rfft2(rhs), both the step's own arrays, which it reuses.  ``shift`` is
+    ``op.implicit``, the half-spectrum symbol S + G of ssi1 or G of two_li,
+    and the step multiplies by ``op.inverse``, the reciprocal of the
+    denominator a + lambda shift.  The step transforms only the solved
+    spectrum back, and the new level keeps that spectrum (``_level``).
     lambda vanishes at the constant mode, so it needs no special case; the
     mass snap shifts only that mode.  omega is returned as its spectrum,
-    explicit_hat plus the implicit part shift u_hat, added in place.
+    explicit_hat plus the implicit part shift times the level's spectrum,
+    added in place.
     """
-    lam = model.cache.minus_laplacian_eigenvalues
+    lam, mass = model.cache.minus_laplacian_eigenvalues, mean(state.u)
     omega_hat = explicit_hat
     u_hat = lam * omega_hat
     np.subtract(rhs_hat, u_hat, out=u_hat)
-    u_hat /= op.linear
-    u = _step_field(Field, state.u.geometry,
-                    _snap_mass(irfft2(u_hat, s=state.u.values.shape), mean(state.u)))
-    u_hat *= op.implicit
-    omega_hat += u_hat
+    u_hat *= op.inverse
+    values = _snap_mass(irfft2(u_hat, s=state.u.values.shape), mass)
+    u = _level(state.u.geometry, u_hat, values, mass)
+    omega_hat += np.multiply(op.implicit, u.spectrum, out=rhs_hat)
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
 
 

@@ -426,13 +426,13 @@ def _fourth_step_transforms(scheme: str, counts: dict) -> dict:
 
 
 @pytest.mark.parametrize("scheme", ["ssi1", "two_li"])
-def test_recorded_linear_step_takes_two_rfft2_and_one_irfft2(scheme, monkeypatch):
-    # rfft2 of the explicit term and of the new level (which the energy, the
-    # increment's ||.||_{-1} and the next step all read); irfft2 of the solved
-    # spectrum alone.  omega stays a spectrum, whose norms the record takes by
-    # Parseval, and u^n and u^{n-1} are not transformed again.
+def test_recorded_linear_step_takes_one_rfft2_and_one_irfft2(scheme, monkeypatch):
+    # rfft2 of the explicit term and irfft2 of the solved spectrum alone.  The
+    # new level keeps that spectrum, which the energy, the increment's
+    # ||.||_{-1} and the next step all read; omega stays a spectrum, whose
+    # norms the record takes by Parseval, and no level is transformed forward.
     counts = _count_transforms(monkeypatch)
-    assert _fourth_step_transforms(scheme, counts) == {"rfft2": 2, "irfft2": 1}
+    assert _fourth_step_transforms(scheme, counts) == {"rfft2": 1, "irfft2": 1}
 
 
 def _count_newton_applies(counts: dict, monkeypatch, guess_evaluated: bool) -> None:
@@ -462,10 +462,10 @@ def _count_newton_applies(counts: dict, monkeypatch, guess_evaluated: bool) -> N
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
 def test_newton_step_transforms_only_its_applies_and_the_new_level(scheme, monkeypatch):
-    # Residuals and Jacobian applies take one transform each way.  Beyond
-    # them a recorded step transforms its new level forward once: u is the
-    # last residual's values and omega's spectrum its rfft2(local(u)) plus
-    # G rfft2(u), so neither takes an irfft2.  The guess's residual is built
+    # Residuals and Jacobian applies take one transform each way, and a
+    # recorded step takes no other: u is the last residual's values and
+    # iterate, and omega's spectrum its rfft2(local(u)) plus G times that
+    # iterate, so neither takes a transform.  The guess's residual is built
     # from the state's omega, so no residual is evaluated at the level the
     # step leaves: this step takes 2 residuals, where evaluating the guess's
     # took 3.
@@ -474,7 +474,7 @@ def test_newton_step_transforms_only_its_applies_and_the_new_level(scheme, monke
     step = _fourth_step_transforms(scheme, counts)
     assert step["residuals"] == 2
     assert step["applies"] >= 2
-    assert step["rfft2"] == step["applies"] + 1
+    assert step["rfft2"] == step["applies"]
     assert step["irfft2"] == step["applies"]
 
 
@@ -483,12 +483,12 @@ def test_convex_splitting_step_transforms_only_its_applies_and_the_new_level(mon
     # with the spectrum of u^n, so G is never applied on the grid.  Its first
     # residual is evaluated at u^n, whose grid values the level holds: one
     # rfft2 and no irfft2.  Every other apply takes one transform each way,
-    # and the new level is transformed forward once.
+    # and the new level keeps its iterate as its spectrum.
     counts = _count_transforms(monkeypatch)
     _count_newton_applies(counts, monkeypatch, guess_evaluated=True)
     step = _fourth_step_transforms("convex_splitting", counts)
     assert step["applies"] >= 2
-    assert step["rfft2"] == step["applies"] + 1
+    assert step["rfft2"] == step["applies"]
     assert step["irfft2"] == step["applies"] - 1
 
 
@@ -602,8 +602,8 @@ def test_max_steps_termination():
 
 @pytest.mark.parametrize("scheme", steppers.SCHEMES)
 def test_restart_reproduces_records_bit_identically(scheme, tmp_path):
-    # A checkpoint holds the levels' values only, so a resumed run must take
-    # each level's spectrum as rfft2(values), as the uninterrupted run does.
+    # A checkpoint holds each level's values and spectrum, so a resumed run
+    # reads the spectrum the uninterrupted run's solve produced.
     u0 = random_initial_field(GEO, 0.0, 0.05, seed=31)
     cfg = _cfg(scheme, tau=1e-4 if scheme == "two_li" else 0.01)
     options_full = RunOptions(max_steps=20, eq_tol=1e-14)

@@ -46,6 +46,51 @@ def test_truncated_matches_double_well_inside():
     assert np.abs(potential_d1(spec, r) - potential_d1(DW, r)).max() == 0.0
 
 
+def test_truncated_potential_inside_the_cutoff_is_the_double_well_bit_for_bit(rng):
+    # No entry beyond K, two of them at exactly -K and K: F_K, F_K' and F_K''
+    # are the double-well polynomials, bit for bit.
+    spec = PotentialSpec("truncated", 2.0)
+    r = rng.uniform(-2.0, 2.0, (16, 16))
+    r[0, 0], r[5, 7] = -2.0, 2.0
+    for f in (potential_value, potential_d1, potential_d2):
+        assert np.array_equal(f(spec, r), f(DW, r))
+
+
+def test_truncated_potential_takes_its_quadratic_branch_only_beyond_the_cutoff(rng):
+    # One entry at exactly K keeps the polynomial; the one beyond K takes the
+    # quadratic continuation, written out here from K and beta = 3 K^2 - 1.
+    k, beta = 2.0, 11.0
+    spec = PotentialSpec("truncated", k)
+    r = rng.uniform(-1.0, 1.0, (8, 8))
+    r[1, 2], r[3, 4] = -k, 2.5
+    beyond = np.zeros(r.shape, dtype=bool)
+    beyond[3, 4] = True
+    quadratic = {potential_value: 0.5 * beta * 2.5**2 - 2.0 * k**3 * 2.5 + 0.25 * (3.0 * k**4 + 1.0),
+                 potential_d1: beta * 2.5 - 2.0 * k**3,
+                 potential_d2: beta}
+    for f, outer in quadratic.items():
+        got, polynomial = f(spec, r), f(DW, r)
+        assert np.array_equal(got[~beyond], polynomial[~beyond])
+        assert got[3, 4] == pytest.approx(outer, rel=1e-15)
+        assert got[3, 4] != pytest.approx(polynomial[3, 4], rel=1e-3)
+
+
+def test_truncated_potential_keeps_a_nan_entry(rng):
+    # A NaN fails the range check, and the masked path leaves it NaN; the
+    # other entries, one beyond K among them, are as without it.
+    spec = PotentialSpec("truncated", 2.0)
+    for far in (1.5, 3.0):
+        r = rng.uniform(-1.0, 1.0, (8, 8))
+        r[0, 1] = far
+        clean = {f: f(spec, r) for f in (potential_value, potential_d1, potential_d2)}
+        r[2, 3] = np.nan
+        for f, expected in clean.items():
+            got = f(spec, r)
+            assert np.isnan(got[2, 3])
+            got[2, 3] = expected[2, 3]
+            assert np.array_equal(got, expected)
+
+
 def test_truncated_curvature_bound_attained():
     spec = PotentialSpec("truncated", 2.0)
     samples = np.linspace(-6.0, 6.0, 1_000_001)

@@ -1,12 +1,15 @@
 import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
+from scipy.fft import rfft2
 
-from nchsolver import Field, GridGeometry, SchemeState
+from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig, SchemeState,
+                       make_cache, random_initial_field, run, sample_kernel)
 from nchsolver.driver import DiagnosticsRecord
-from nchsolver.fieldio import (DIAGNOSTICS_HEADER, read_checkpoint, read_field,
+from nchsolver.fieldio import (DIAGNOSTICS_HEADER, _snapshot_bytes, read_checkpoint, read_field,
                                write_checkpoint, write_diagnostics, write_field)
 
 from conftest import random_field
@@ -78,6 +81,81 @@ def test_checkpoint_roundtrip_without_history(tmp_path, rng):
     back = read_checkpoint(path)
     assert back.u_prev is None
     assert back.step_index == 3
+
+
+def _level_with_its_own_spectrum(geo, values):
+    """A level whose stored spectrum differs from rfft2(values) in one mode, so a reader must not recompute it."""
+    modes = rfft2(values)
+    modes[1, 1] = np.nextafter(modes[1, 1].real, np.inf) + 1j * modes[1, 1].imag
+    return Field._from_spectrum_and_values(geo, modes, values)
+
+
+def test_checkpoint_keeps_values_and_spectra_bit_for_bit(tmp_path, rng):
+    geo = GridGeometry(4, 1.0)
+    values = rng.uniform(-1.0, 1.0, (geo.n, geo.n))
+    u = _level_with_its_own_spectrum(geo, values)
+    prev = _level_with_its_own_spectrum(geo, values.T.copy())  # the same mass
+    path = tmp_path / "state.nchk"
+    write_checkpoint(path, SchemeState(u=u, u_prev=prev, step_index=5, time=0.5))
+    back = read_checkpoint(path)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+    assert np.array_equal(back.u.values, u.values)
+    assert np.array_equal(back.u.spectrum, u.spectrum)
+    assert not np.array_equal(back.u.spectrum, rfft2(back.u.values))
+    assert np.array_equal(back.u_prev.values, prev.values)
+    assert np.array_equal(back.u_prev.spectrum, prev.spectrum)
+
+
+def test_checkpoint_with_a_flipped_byte_is_rejected(tmp_path, rng):
+    # The CRC-32 covers every byte before it, so any single flipped byte --
+    # header, values, spectra or the checksum itself -- raises ValueError.
+    geo = GridGeometry(4, 1.0)
+    u = random_field(geo, rng)
+    path = tmp_path / "state.nchk"
+    write_checkpoint(path, SchemeState(u=u, u_prev=u, step_index=3, time=0.3))
+    blob = path.read_bytes()
+    for index in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[index] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError):
+            read_checkpoint(path)
+
+
+def _format1_checkpoint(state) -> bytes:
+    """A format-1 checkpoint, written by hand: the header and one snapshot per level, no spectra, no checksum."""
+    levels = [state.u] if state.u_prev is None else [state.u, state.u_prev]
+    return b"NCHK" + struct.pack("<IQdB", 1, state.step_index, state.time, len(levels) - 1) \
+        + b"".join(_snapshot_bytes(level, state.time) for level in levels)
+
+
+def test_format1_checkpoint_reads_and_resumes(tmp_path):
+    # Format 1 holds values alone: its levels take rfft2(values) as their
+    # spectra, and a run resumed from it is the run resumed from those values.
+    geo = GridGeometry(8, 1.0)
+    kernel, cache = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo), make_cache(geo)
+    cfg = SchemeConfig("two_li", 1e-4, 1.0, cutoff=2.0)
+    half = run(random_initial_field(geo, 0.0, 0.05, seed=3), cfg, kernel, cache,
+               RunOptions(max_steps=4, eq_tol=1e-14)).final_state
+    path = tmp_path / "state.nchk"
+    path.write_bytes(_format1_checkpoint(half))
+    back = read_checkpoint(path)
+    assert (back.step_index, back.time) == (half.step_index, half.time)
+    for read, level in ((back.u, half.u), (back.u_prev, half.u_prev)):
+        assert np.array_equal(read.values, level.values)
+        assert np.array_equal(read.spectrum, rfft2(level.values))
+    options = RunOptions(max_steps=8, eq_tol=1e-14)
+    tail = run(None, cfg, kernel, cache, options, initial_state=back)
+    from_values = run(None, cfg, kernel, cache, options, initial_state=SchemeState(
+        u=Field(geo, half.u.values), u_prev=Field(geo, half.u_prev.values),
+        step_index=half.step_index, time=half.time))
+    assert tail.termination == "max_steps" and [r.step for r in tail.records] == [5, 6, 7, 8]
+    assert tail.records == from_values.records
+    blob = path.read_bytes()
+    for bad in (blob + b"\0", blob[:-1], blob[:20]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            read_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):

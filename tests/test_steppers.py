@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec, RunOptions,
                        SchemeConfig, SchemeState, SolverError, StabilityError, StateError,
@@ -590,6 +593,64 @@ def test_newton_step_stops_at_the_rounding_floor(rng):
         cfg = _cfg(scheme, tau=1e-4, newton_tol=1e-30)
         result = step(state, cfg, cfg.model(kernel, make_cache(geo)))
         assert 1 <= result.newton_iters <= 5
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "convex_splitting", "bdf2"])
+def test_newton_stop_stays_finite_at_a_tiny_tau(scheme, monkeypatch):
+    # At tau = 1e-300 the right-hand side u^n / tau squares past the float
+    # range.  The stop's norms are rescaled there, so every stop is finite,
+    # and each step accepts u^n, right to O(tau), with no numpy warning.
+    geo = GridGeometry(8, 1.0)
+    stops = []
+    real_newton = steppers.newton_solve
+
+    def recording(residual, jacobian, u_init, tol, *args, **kwargs):
+        stops.append(tol)
+        return real_newton(residual, jacobian, u_init, tol, *args, **kwargs)
+
+    monkeypatch.setattr(steppers, "newton_solve", recording)
+    u0 = random_initial_field(geo, 0.0, 0.05, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(u0, _cfg(scheme, tau=1e-300), sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo),
+                     make_cache(geo), RunOptions(max_steps=3))
+    assert result.termination == "max_steps", result.error_detail
+    assert len(stops) == 3 and all(0.0 < stop < np.inf for stop in stops)
+    assert [r.newton_iters for r in result.records] == [0, 0, 0, 0]
+    assert np.array_equal(result.final_state.u.values, u0.values)
+
+
+def test_newton_step_whose_stop_overflows_fails_as_a_solver_error(rng):
+    # Values near 1e52 leave u and F'(u) finite, but the norm of the stop's
+    # rounding term |u|^3 does not fit a float.  A stop that is not finite
+    # would accept any finite iterate, so it is a solver failure.
+    cfg = _cfg("backward_euler", tau=1e-3)
+    u = Field(GEO, 1e52 * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, (8, 8))))
+    with pytest.raises(SolverError, match="Newton stop overflows"):
+        step(SchemeState(u=u), cfg, cfg.model(STRONG, CACHE))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stepped_levels_keep_the_spectrum_of_their_solve(scheme):
+    # A stepped level keeps the spectrum its solve produced in place of
+    # rfft2(values): the coefficients of a real field (Hermitian on columns 0
+    # and N/2), with the constant mode N^2 times the mass the step conserves,
+    # and rfft2(values) to rounding.
+    geo = GridGeometry(64, 1.0)
+    cfg = _cfg(scheme, tau=1e-4)
+    model = cfg.model(sample_kernel(KernelSpec.gaussian(130.0, 10.0, 3), geo), make_cache(geo))
+    n, eps = geo.n, np.finfo(np.float64).eps
+    mirror = -np.arange(n) % n
+    state = SchemeState(u=random_initial_field(geo, 0.1, 0.05, seed=7))
+    for _ in range(3):  # a two-step scheme's bootstrap and two of its own steps
+        new, _ = advance(state, cfg, model)
+        modes = new.u.spectrum
+        for col in (0, n // 2):
+            assert np.array_equal(modes[mirror, col], np.conj(modes[:, col]))
+        assert modes[0, 0] == n**2 * mean(state.u)
+        assert abs(mean(new.u) - mean(state.u)) <= 64 * eps
+        assert np.abs(modes - scipy.fft.rfft2(new.u.values)).max() <= 64 * eps * np.abs(modes).max()
+        state = new
 
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
