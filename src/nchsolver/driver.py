@@ -101,8 +101,12 @@ def random_initial_field(geometry: GridGeometry, mean_value: float = 0.0,
     conserved quantity then starts at its nominal value.
     """
     rng = np.random.default_rng(seed)
-    values = mean_value + rng.uniform(-delta, delta, size=(geometry.n, geometry.n))
+    values = rng.uniform(-delta, delta, size=(geometry.n, geometry.n))
+    values += mean_value
     values += mean_value - _reduce(values) / values.size
+    # The field keeps a copy.  Handing the sample over uncopied measured
+    # slower at N = 512, in set-up and in the steps after it: the heap it
+    # left was trimmed and faulted back in on every other set-up.
     return Field(geometry, values)
 
 
@@ -188,7 +192,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     The run's ``Model`` is built once, from ``cfg.epsilon``,
     ``cfg.potential``, the kernel and the cache, and serves every step;
     each step configuration (a two-step scheme's bootstrap, and ``cfg``) is
-    vetted and its operator built once, by ``advance``, into one map per run.
+    vetted and its operator built once, by ``advance``; ``cfg``'s is kept in
+    one map per run, and the bootstrap's serves its one step.
     Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
     from a checkpoint) must be given; it must share the kernel's and the
     cache's geometry (``GeometryMismatchError`` otherwise, before any step),
@@ -220,7 +225,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     else:
         state = initial_state
 
-    operators: dict = {}  # bootstrap and main config: each vetted and built once
+    operators: dict = {}  # the main config's operator, vetted and built once
     while not detail and state.step_index < options.max_steps:
         try:
             new, result = advance(state, cfg, model, operators)

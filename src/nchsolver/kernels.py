@@ -28,18 +28,29 @@ vertex values as an escape hatch.  Singular kernels (Newtonian or
 logarithmic) are excluded: the scheme analysis assumes smooth periodic
 kernels.  Sampled values are symmetrized so evenness under index negation
 holds exactly in floating point.
+
+The Gaussian and constant kernels are tensor products J(x, y) = A f(x) f(y),
+so they are sampled through the 1-D factor f, made exactly even in 1-D:
+[J (*) 1] = h^2 A (sum f)^2 and j_hat = h^2 A F (x) F on the half
+spectrum, with F the 1-D transform of f (``scipy.fft.fft``, real for an
+even factor), and the table is the outer product of A f and f, built only
+when read (the oracles read it; the production path does not).  Set-up
+then takes one 1-D transform, no 2-D one and no N x N table.  A tabulated
+kernel is symmetrized in 2-D, and its symbol is h^2 ``rfft2`` of the
+table, which must come out real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from scipy.fft import fft, irfft2, rfft2
 
 from .errors import ConfigError
-from .grid import Field, GridGeometry, _reduce, require_same_geometry
+from .grid import Field, GridGeometry, _freeze, _reduce, require_same_geometry
 
 KERNEL_VARIANTS = ("gaussian", "constant", "tabulated")
 
@@ -96,27 +107,46 @@ class KernelSpec:
         return cls("tabulated", table=np.array(values, dtype=np.float64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SampledKernel:
     """Vertex-centered grid restriction of an interaction kernel.
 
     ``values[a, b]`` is the kernel at the vertex (a*h, b*h); ``conv_one``
     the scalar [J (*) 1] = h^2 sum J; ``symbol`` the real DFT symbol of the
     convolution operator on the half spectrum, the N x (N/2+1) modes of
-    ``rfft2`` (zero mode equals ``conv_one`` exactly).
-    Immutable and shareable across threads; convolution is a pure function.
+    ``rfft2`` (zero mode equals ``conv_one`` exactly).  A separable kernel
+    keeps its two 1-D factors and builds ``values``, their outer product,
+    on first read: the production path reads only ``conv_one`` and
+    ``symbol``.  Immutable and shareable across threads; convolution is a
+    pure function.
     """
 
     geometry: GridGeometry
-    values: np.ndarray = field(repr=False)
     conv_one: float
-    symbol: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("values", "symbol"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, geometry: GridGeometry, values: np.ndarray, conv_one: float,
+                 symbol: np.ndarray):
+        self._set(geometry, conv_one, symbol)
+        object.__setattr__(self, "values", _freeze(np.asarray(values, dtype=np.float64)))
+
+    @classmethod
+    def _separable(cls, geometry: GridGeometry, factors: tuple, conv_one: float,
+                   symbol: np.ndarray) -> "SampledKernel":
+        """The kernel whose table is the outer product of the two 1-D ``factors``."""
+        kernel = cls.__new__(cls)
+        kernel._set(geometry, conv_one, symbol)
+        object.__setattr__(kernel, "_factors", factors)
+        return kernel
+
+    def _set(self, geometry, conv_one, symbol):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "conv_one", conv_one)
+        object.__setattr__(self, "symbol", _freeze(np.asarray(symbol, dtype=np.float64)))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The table, built from the factors of a separable kernel on first read; read-only."""
+        return _freeze(np.outer(*self._factors))
 
 
 def _reflect(values: np.ndarray) -> np.ndarray:
@@ -124,40 +154,75 @@ def _reflect(values: np.ndarray) -> np.ndarray:
     return np.roll(values[::-1, ::-1], 1, axis=(0, 1))
 
 
-def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
-    """Restrict a kernel to the grid vertices and precompute its symbol.
+def _even(factor: np.ndarray) -> np.ndarray:
+    """0.5 (f + f[-a]): a 1-D factor averaged with its index negation, exactly even."""
+    return 0.5 * (factor + np.roll(factor[::-1], 1))
 
-    Gaussian kernels are periodized by summing over ``spec.images`` image
-    cells per direction.  Sampled values are symmetrized (averaged with
-    their reflection) so the evenness hypothesis of the convolution
-    identities holds exactly despite floating-point sampling.
-    """
-    n, length = geometry.n, geometry.length
+
+def _factor(spec: KernelSpec, geometry: GridGeometry) -> np.ndarray:
+    """The 1-D factor f of a separable kernel J(x, y) = A f(x) f(y) at the vertices i*h."""
     if spec.variant == "constant":
-        values = np.full((n, n), spec.amplitude)
-    elif spec.variant == "gaussian":
-        vx, _ = geometry.vertex_coords()
-        shifts = np.arange(-spec.images, spec.images + 1) * length
-        # 1D factor e^{-xi x^2} periodized, then the tensor product.
-        fold = np.exp(-spec.decay_rate * (vx[:, None] - shifts[None, :]) ** 2).sum(axis=1)
-        values = spec.amplitude * np.outer(fold, fold)
-    else:
-        if spec.table.shape != (n, n):
-            raise ConfigError(
-                f"tabulated kernel shape {spec.table.shape} does not match grid ({n}, {n})"
-            )
-        values = np.array(spec.table)
+        return np.ones(geometry.n)
+    vx, _ = geometry.vertex_coords()
+    shifts = np.arange(-spec.images, spec.images + 1) * geometry.length
+    # e^{-xi x^2} periodized over the image cells.
+    return np.exp(-spec.decay_rate * (vx[:, None] - shifts[None, :]) ** 2).sum(axis=1)
 
-    values = 0.5 * (values + _reflect(values))
-    conv_one = geometry.h**2 * _reduce(values)
+
+def _sample_separable(factor: np.ndarray, amplitude: float, geometry: GridGeometry):
+    """Table factors, [J (*) 1] and half-spectrum symbol of the kernel A f(x) f(y), from f.
+
+    f is made exactly even, and so is A f, by itself: the amplitude joins
+    before the symmetrization, so an amplitude whose 2-D symmetrization
+    would overflow overflows here too.  The table is their outer product,
+    exactly even as well; the two factors are returned in its place.  With
+    F the 1-D DFT of f, real for an even factor, [J (*) 1] = h^2 A (sum f)^2
+    and j_hat = h^2 A F (x) F.
+    """
+    n, h2 = geometry.n, geometry.h**2
+    row, factor = _even(amplitude * factor), _even(factor)
+    # A numpy scalar, so an overflowing scale or mass raises under the caller's errstate.
+    scale, total = np.float64(h2) * amplitude, _reduce(factor)
+    spectrum = fft(factor).real
+    symbol = np.outer(scale * spectrum, spectrum[: n // 2 + 1])
+    return (row, factor), float(scale * total * total), symbol
+
+
+def _sample_table(table: np.ndarray, geometry: GridGeometry):
+    """Values, [J (*) 1] and half-spectrum symbol of a tabulated kernel, symmetrized in 2-D."""
+    n, h2 = geometry.n, geometry.h**2
+    if table.shape != (n, n):
+        raise ConfigError(f"tabulated kernel shape {table.shape} does not match grid ({n}, {n})")
+    values = 0.5 * (table + _reflect(table))
     # Even and real: the half spectrum from rfft2 holds every value of the symbol.
-    symbol = geometry.h**2 * rfft2(values)
+    symbol = h2 * rfft2(values)
     scale = np.abs(symbol.real).max()
     if scale > 0.0 and np.abs(symbol.imag).max() > 1e-12 * scale:
         raise ConfigError("kernel symbol has a non-negligible imaginary part; kernel is not even")
-    symbol = symbol.real.copy()
+    return values, h2 * _reduce(values), symbol.real.copy()
+
+
+def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
+    """Restrict a kernel to the grid vertices and precompute its symbol.
+
+    The Gaussian and constant kernels are tensor products
+    J(x, y) = A f(x) f(y): f is the Gaussian periodized over
+    ``spec.images`` image cells per direction, or 1.  They are sampled
+    through the 1-D factor alone: the table is the outer product of A f and
+    f, each averaged with its reflection so the evenness hypothesis of the
+    convolution identities holds exactly despite floating-point sampling,
+    built on first read, and the symbol is h^2 A times the outer product of
+    the 1-D transform of f with itself, so no 2-D transform is taken.  A tabulated kernel is
+    symmetrized in 2-D and its symbol is ``rfft2`` of the table, which must
+    come out real.  The zero mode of the symbol is ``conv_one`` exactly.
+    """
+    if spec.variant == "tabulated":
+        values, conv_one, symbol = _sample_table(spec.table, geometry)
+        symbol[0, 0] = conv_one
+        return SampledKernel(geometry, values, conv_one, symbol)
+    factors, conv_one, symbol = _sample_separable(_factor(spec, geometry), spec.amplitude, geometry)
     symbol[0, 0] = conv_one
-    return SampledKernel(geometry, values, conv_one, symbol)
+    return SampledKernel._separable(geometry, factors, conv_one, symbol)
 
 
 def convolve(kernel: SampledKernel, phi: Field) -> Field:

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import irfft2
 
-from .grid import Field, GridGeometry, _freeze, _reduce
+from .grid import Field, GridGeometry, _freeze, _own, _reduce
 
 
 def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
@@ -70,7 +70,10 @@ def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None)
     """
     n, h = geometry.n, geometry.h
     c = np.cos(2.0 * np.pi * np.arange(n) / n)
-    return (2.0 / h**2) * (2.0 - np.add.outer(c, c[:columns]))
+    lam = np.add.outer(c, c[:columns])
+    np.subtract(2.0, lam, out=lam)
+    lam *= 2.0 / h**2
+    return lam
 
 
 def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
@@ -90,7 +93,8 @@ class SpectralCache:
     Laplacian on the half spectrum (nonnegative, zero exactly at the
     constant mode), and ``inverse_eigenvalues`` 1/lambda there, 0 at the
     constant mode: the weights of the negative norm.  Immutable, safe to
-    share across threads.
+    share across threads.  A writeable or borrowed lambda is copied; the
+    read-only one ``make_cache`` builds is stored as it is.
     """
 
     geometry: GridGeometry
@@ -98,17 +102,17 @@ class SpectralCache:
     inverse_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = np.array(self.minus_laplacian_eigenvalues, dtype=np.float64)
+        lam = _own(np.asarray(self.minus_laplacian_eigenvalues, dtype=np.float64))
         with np.errstate(divide="ignore"):
             inverse = 1.0 / lam
         inverse[lam == 0.0] = 0.0  # the constant mode
-        object.__setattr__(self, "minus_laplacian_eigenvalues", _freeze(lam))
+        object.__setattr__(self, "minus_laplacian_eigenvalues", lam)
         object.__setattr__(self, "inverse_eigenvalues", _freeze(inverse))
 
 
 def make_cache(geometry: GridGeometry) -> SpectralCache:
     """Build the spectral cache for a grid: lambda on columns 0..N/2, the rfft2 modes."""
-    return SpectralCache(geometry, laplacian_eigenvalues(geometry, geometry.n // 2 + 1))
+    return SpectralCache(geometry, _freeze(laplacian_eigenvalues(geometry, geometry.n // 2 + 1)))
 
 
 def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -84,7 +84,8 @@ omega's implicit linear part, the linear part a + lambda I, and a Newton
 step's preconditioner symbol and its reciprocal -- do not change from step
 to step.  They are built once per configuration (``_Operator``):
 ``advance`` builds them where it vets the configuration, and keeps them in
-the caller's map, one per run in ``driver.run``.
+the caller's map, one per run in ``driver.run``; a two-step scheme's
+bootstrap, which steps once, is built for that step alone.
 
 No level is transformed forward by a step: a step reads rfft2(u^n) (and
 rfft2(u^{n-1})) from the spectra the levels keep (``Field.spectrum``), for
@@ -137,7 +138,12 @@ The two linear schemes share one DFT-diagonal solve (``_linear_step``) of
 a u + (-Lap)(explicit + shift u) = rhs, with the spectrum of the explicit
 part, rfft2(explicit), from the row and shift = I, a product with the
 reciprocal of the denominator; omega's spectrum is rfft2(explicit) plus
-shift times the new level's spectrum.
+shift times the new level's spectrum.  A two_li step evaluates F_K' once,
+at u^n: it reads F_K'(u^{n-1}) from the state, which kept it from the step
+that evaluated it (the ssi1 bootstrap or the two_li step before), and
+keeps F_K'(u^n) for the next step.  Only that one array is kept, and the
+step that reads it takes it off its state; a state without it (a fresh or
+resumed one) has it evaluated, to the same bits.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -157,7 +163,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -184,7 +190,8 @@ class _Scheme(NamedTuple):
     Newton step's preconditioner freezes, None for one DFT-diagonal solve.
     ``omega(state, cfg, model, op)`` gives omega's other parts: the
     pointwise ``local`` and its derivative (None for a linear scheme) and
-    the spectrum of the explicit part (None if there is none).
+    the spectrum of the explicit part (None if there is none), and the
+    F'(u^n) it evaluated on the way (None if it evaluated none).
     ``admissibility(cfg, lam, gap, gamma0)``, on the nonzero modes, gives
     (per_mode_min, margin, admissible) before gamma0 > 0 is required, and
     ``increment_weight(cfg)`` weighs ||du||_2^2 in the modified energy (None
@@ -209,13 +216,37 @@ def _gap(cfg, model):
 def _implicit_potential(state, cfg, model, op):
     """Backward Euler and BDF2: omega = F'(u) + G u, all of it implicit."""
     pot = model.potential
-    return (lambda u: potential_d1(pot, u)), (lambda u: potential_d2(pot, u)), None
+    return (lambda u: potential_d1(pot, u)), (lambda u: potential_d2(pot, u)), None, None
 
 
 def _convex_split(state, cfg, model, op):
     """u^3 and sigma u implicit; the explicit part (G - 1 - sigma) u_hat^n is a product."""
     explicit_hat = (model.gap - (1.0 + op.implicit)) * state.u.spectrum
-    return (lambda u: u * u * u), (lambda u: 3.0 * (u * u)), explicit_hat
+    return (lambda u: u * u * u), (lambda u: 3.0 * (u * u)), explicit_hat, None
+
+
+def _ssi1_explicit(state, cfg, model, op):
+    """F_K'(u^n) - S u^n, all of it explicit."""
+    d1 = potential_d1(model.potential, state.u.values)
+    return None, None, rfft2(d1 - cfg.stabilization * state.u.values), d1
+
+
+def _two_li_explicit(state, cfg, model, op):
+    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) as the step to u^n kept it where it did.
+
+    The kept array is read once: the step takes it off the state, so it is
+    freed with the explicit part, before the solve.
+    """
+    pot, kept = model.potential, state._d1_prev
+    object.__setattr__(state, "_d1_prev", None)
+    d1 = potential_d1(pot, state.u.values)
+    if kept is not None and kept[0] == pot:
+        d1_prev = kept[1]
+    else:  # a state no step of this potential left: fresh, resumed, or stepped before
+        d1_prev = potential_d1(pot, state.u_prev.values)
+    explicit = 2.0 * d1
+    explicit -= d1_prev
+    return None, None, rfft2(explicit), d1
 
 
 def _convexity(c_s, cfg, lam, gap, g0):
@@ -244,20 +275,14 @@ _SCHEMES: dict[str, _Scheme] = {
     "convex_splitting": _Scheme(
         False, "double_well", None, lambda cfg, model: 2.0 * model.epsilon**2 * model.kernel.conv_one,
         0.0, _convex_split, lambda cfg, lam, gap, g0: (np.inf, np.inf, True)),
-    "ssi1": _Scheme(
-        False, "truncated", None, lambda cfg, model: _freeze(cfg.stabilization + model.gap), None,
-        lambda state, cfg, model, op: (None, None, rfft2(
-            potential_d1(model.potential, state.u.values) - cfg.stabilization * state.u.values)),
-        _ssi1_rule),
+    "ssi1": _Scheme(False, "truncated", None, lambda cfg, model: _freeze(cfg.stabilization + model.gap),
+                    None, _ssi1_explicit, _ssi1_rule),
     "bdf2": _Scheme(True, None, lambda cfg: replace(cfg, scheme="backward_euler"), _gap, -1.0,
                     _implicit_potential, partial(_convexity, 2.0 / 3.0)),
     "two_li": _Scheme(
         True, "truncated",
         lambda cfg: replace(cfg, scheme="ssi1", stabilization=max(cfg.stabilization, 0.5 * cfg.beta)),
-        _gap, None, lambda state, cfg, model, op: (None, None, rfft2(
-            2.0 * potential_d1(model.potential, state.u.values)
-            - potential_d1(model.potential, state.u_prev.values))),
-        _two_li_rule, lambda cfg: 0.5 * cfg.beta),
+        _gap, None, _two_li_explicit, _two_li_rule, lambda cfg: 0.5 * cfg.beta),
 }
 SCHEMES = tuple(_SCHEMES)
 TWO_STEP_SCHEMES = tuple(name for name, row in _SCHEMES.items() if row.two_step)
@@ -337,6 +362,11 @@ class SchemeState:
     without one (a checkpoint holds none) has it evaluated there.
     ``u_prev`` and ``omega`` must be on u's grid (``GeometryMismatchError``),
     and a two-step pair must hold one mass (``StateError``).
+    ``_d1_prev`` is (potential, F'(u_prev)) as the step that left u_prev
+    evaluated it, which a two_li state keeps for its next step, the one
+    step that reads it and takes it off the state.  A state without it
+    (fresh, read from a checkpoint, or stepped before) has it evaluated
+    there, to the same bits.
     """
 
     u: Field
@@ -344,6 +374,7 @@ class SchemeState:
     omega: Optional[Field] = None
     step_index: int = 0
     time: float = 0.0
+    _d1_prev: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for level in (self.u_prev, self.omega):
@@ -668,7 +699,6 @@ def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.nd
     return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def step(state: SchemeState, cfg: SchemeConfig, model: Model,
          operator: Optional[_Operator] = None) -> StepResult:
     """One unchecked step of ``cfg.scheme`` under ``model``: the solve of a u + (-Lap)(omega(u)) = rhs.
@@ -682,6 +712,13 @@ def step(state: SchemeState, cfg: SchemeConfig, model: Model,
     without it the step builds its own.  A step issues no numpy warning: a
     non-finite level it overflows to raises ``SolverError``.
     """
+    return _step(state, cfg, model, operator)[0]
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _step(state: SchemeState, cfg: SchemeConfig, model: Model,
+          operator: Optional[_Operator]) -> tuple[StepResult, Optional[np.ndarray]]:
+    """``step``, with the F'(u^n) its row evaluated (None if it evaluated none)."""
     row, u_hat = _SCHEMES[cfg.scheme], state.u.spectrum
     if row.two_step and state.u_prev is None:
         raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
@@ -690,10 +727,10 @@ def step(state: SchemeState, cfg: SchemeConfig, model: Model,
         rhs_hat = (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * cfg.tau)
     else:
         rhs_hat = u_hat / cfg.tau
-    local, local_slope, explicit_hat = row.omega(state, cfg, model, op)
+    local, local_slope, explicit_hat, d1 = row.omega(state, cfg, model, op)
     if row.slope is None:
-        return _linear_step(state, model, op, rhs_hat, explicit_hat)
-    return _newton_step(state, cfg, model, op, rhs_hat, local, local_slope, explicit_hat)
+        return _linear_step(state, model, op, rhs_hat, explicit_hat), d1
+    return _newton_step(state, cfg, model, op, rhs_hat, local, local_slope, explicit_hat), d1
 
 
 def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
@@ -737,19 +774,24 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
     configuration's (other eps or potential) raises ``ConfigError``, then
     the stability policy is applied.  Without ``operators`` every call vets
     the configuration and builds its ``_Operator``; with it, only a
-    configuration not yet in that map is, and its operator is kept there.
-    The map belongs to one model: ``driver.run`` keeps one per run.
+    configuration not yet in that map is, and its operator is kept there,
+    except a bootstrap's, which a run steps once.  The map belongs to one
+    model: ``driver.run`` keeps one per run.  A two-step state keeps the
+    F'(u^n) its step evaluated (the bootstrap's or a two_li step's), which
+    the next two_li step reads as F'(u^{n-1}).
     """
     two_step = _SCHEMES[cfg.scheme].two_step
-    step_cfg = bootstrap_config(cfg) if two_step and state.u_prev is None else cfg
+    bootstrapping = two_step and state.u_prev is None
+    step_cfg = bootstrap_config(cfg) if bootstrapping else cfg
     op = None if operators is None else operators.get(step_cfg)
     if op is None:
         _apply_policy(step_cfg, model)
         op = _operator(step_cfg, model)
-        if operators is not None:
+        if operators is not None and not bootstrapping:
             operators[step_cfg] = op
-    result = step(state, step_cfg, model, op)
+    result, d1 = _step(state, step_cfg, model, op)
     keep_prev = state.u if two_step else None
+    keep_d1 = (model.potential, d1) if two_step and d1 is not None else None
     try:
         next_state = SchemeState(
             u=result.u,
@@ -757,6 +799,7 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
             omega=result.omega,
             step_index=state.step_index + 1,
             time=state.time + cfg.tau,
+            _d1_prev=keep_d1,
         )
     except StateError as err:  # the given state was valid, so the step broke its mass
         raise SolverError(f"{step_cfg.scheme} step lost mass: {err}") from err

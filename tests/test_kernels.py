@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.fft import rfft2
 
-from nchsolver import ConfigError, Field, GridGeometry, KernelSpec, mean, sample_kernel
+from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig, kernels,
+                       make_cache, mean, random_initial_field, run, sample_kernel)
+from nchsolver.steppers import SCHEMES
 from nchsolver.grid import inner_product
 from nchsolver.kernels import convolve
 from nchsolver.oracles import (dense_nonlocal_matrix, direct_convolution,
@@ -152,3 +155,76 @@ def test_symbol_bounded_by_zero_mode_for_nonnegative_kernels(geo8):
         kernel = sample_kernel(spec, geo8)
         assert kernel.values.min() >= 0.0
         assert kernel.symbol.max() <= kernel.conv_one * (1.0 + 1e-14)
+
+
+# The Gaussian and constant kernels are sampled through their 1-D factor:
+# their symbol is an outer product of 1-D transforms, checked here against
+# the 2-D transform of the table.
+SEPARABLE = [pytest.param(KernelSpec.gaussian(130.0, xi, images), id=f"gaussian-xi{xi:g}-images{images}")
+             for xi in (10.0, 1000.0) for images in (0, 1, 3)] + [
+    pytest.param(KernelSpec.constant(2.5), id="constant")]
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 64, 128])
+@pytest.mark.parametrize("spec", SEPARABLE)
+def test_separable_symbol_matches_the_2d_transform_of_the_table(spec, n):
+    geo = GridGeometry(n, 1.0)
+    kernel = sample_kernel(spec, geo)
+    reference = geo.h**2 * rfft2(kernel.values).real
+    assert kernel.symbol.shape == reference.shape == (n, n // 2 + 1)
+    assert np.abs(kernel.symbol - reference).max() <= 64 * EPS * np.abs(kernel.symbol).max()
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 64, 128])
+@pytest.mark.parametrize("spec", SEPARABLE)
+def test_separable_table_is_even_bit_for_bit_and_its_mass_is_the_zero_mode(spec, n):
+    geo = GridGeometry(n, 1.0)
+    kernel = sample_kernel(spec, geo)
+    assert np.array_equal(kernel.values, kernels._reflect(kernel.values))
+    assert kernel.symbol[0, 0] == kernel.conv_one
+    direct = geo.h**2 * np.sum(kernel.values)
+    assert abs(kernel.conv_one - direct) <= 64 * EPS * abs(direct)
+
+
+def test_separable_kernels_take_no_2d_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rfft2 called while sampling a separable kernel")
+
+    monkeypatch.setattr(kernels, "rfft2", forbidden)
+    geo = GridGeometry(16, 1.0)
+    for spec in (KernelSpec.gaussian(130.0, 10.0), KernelSpec.constant(2.0)):
+        kernel = sample_kernel(spec, geo)
+        assert kernel.symbol.shape == (16, 9) and kernel.symbol[0, 0] == kernel.conv_one
+
+
+def test_tabulated_kernel_keeps_the_2d_symmetrization_and_the_evenness_check(rng, geo8, monkeypatch):
+    # A tabulated table takes the 2-D path: it is averaged with its
+    # reflection, so a finite table that is not even samples as its even part.
+    raw = rng.uniform(0.0, 1.0, (8, 8))
+    kernel = sample_kernel(KernelSpec.tabulated(raw), geo8)
+    assert np.array_equal(kernel.values, 0.5 * (raw + kernels._reflect(raw)))
+    assert np.abs(kernel.symbol - geo8.h**2 * rfft2(kernel.values).real).max() <= 64 * EPS
+    # Its symbol must come out real: with the 2-D symmetrization skipped, the
+    # same table fails the check, while the separable kernels, which never
+    # reflect in 2-D, still sample.
+    monkeypatch.setattr(kernels, "_reflect", lambda values: values)
+    with pytest.raises(ConfigError, match="not even"):
+        sample_kernel(KernelSpec.tabulated(raw), geo8)
+    sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo8)
+    sample_kernel(KernelSpec.constant(2.0), geo8)
+
+
+def test_runs_never_build_a_separable_table(geo8):
+    # The production path reads only conv_one and the symbol: a separable
+    # kernel's table is built on first read, by the reference code alone.
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo8)
+    cache = make_cache(geo8)
+    u0 = random_initial_field(geo8, 0.0, 0.05, seed=7)
+    for scheme in SCHEMES:
+        cfg = SchemeConfig(scheme, 1e-4, 1.0, stabilization=5.5, cutoff=2.0)
+        result = run(u0, cfg, kernel, cache, RunOptions(max_steps=3, eq_tol=1e-14))
+        assert result.termination == "max_steps", result.error_detail
+    assert "values" not in vars(kernel)
+    assert np.array_equal(kernel.values, np.outer(*kernel._factors))
+    assert not kernel.values.flags.writeable and kernel.values is kernel.values

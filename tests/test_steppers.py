@@ -739,3 +739,55 @@ def test_each_scheme_follows_its_linear_multipliers_at_n512():
     for scheme in SCHEMES:
         assert fine[scheme] < 1e-10, (scheme, fine[scheme])
         assert coarse[scheme] >= 1e3 * fine[scheme], (scheme, coarse[scheme], fine[scheme])
+
+
+def test_two_li_step_evaluates_one_potential_derivative_after_the_bootstrap(rng, monkeypatch):
+    # Each two_li step evaluates F_K'(u^n) and reads F_K'(u^{n-1}) as the step
+    # to u^n kept it: the bootstrap's, then its predecessor's.
+    calls = []
+    original = steppers.potential_d1
+
+    def counting(pot, values):
+        calls.append(pot)
+        return original(pot, values)
+
+    monkeypatch.setattr(steppers, "potential_d1", counting)
+    cfg = _cfg("two_li", tau=1e-3)
+    model = cfg.model(STRONG, CACHE)
+    state, _ = advance(_perturbed_state(rng), cfg, model)  # the ssi1 bootstrap
+    assert len(calls) == 1
+    for steps in range(1, 6):
+        state, _ = advance(state, cfg, model)
+        assert len(calls) == 1 + steps
+    # The step takes the kept array off the state it leaves: stepped again,
+    # that state evaluates both levels, as one read from a checkpoint does,
+    # and both step to the same bits.
+    resumed = SchemeState(u=state.u, u_prev=state.u_prev, step_index=state.step_index,
+                          time=state.time)
+    kept, _ = advance(state, cfg, model)
+    for source in (state, resumed):
+        del calls[:]
+        again, _ = advance(source, cfg, model)
+        assert len(calls) == 2
+        assert np.array_equal(again.u.values, kept.u.values)
+        assert np.array_equal(again.u.spectrum, kept.u.spectrum)
+        assert np.array_equal(again.omega.spectrum, kept.omega.spectrum)
+    # A kept array belongs to its potential: under another cutoff it is evaluated again.
+    other = _cfg("two_li", tau=1e-3, cutoff=1.5)
+    del calls[:]
+    advance(kept, other, other.model(STRONG, CACHE))
+    assert len(calls) == 2 and {pot.cutoff for pot in calls} == {1.5}
+
+
+@pytest.mark.parametrize("scheme", TWO_STEP_SCHEMES)
+def test_run_map_keeps_no_bootstrap_operator(scheme, rng):
+    # A bootstrap steps once per run: it is vetted and built for that step,
+    # and only the scheme's own configuration is kept in the map.
+    cfg = _cfg(scheme, tau=1e-3)
+    model = cfg.model(STRONG, CACHE)
+    operators = {}
+    state, _ = advance(_perturbed_state(rng), cfg, model, operators)
+    assert operators == {}
+    for _ in range(2):
+        state, _ = advance(state, cfg, model, operators)
+    assert list(operators) == [cfg]
