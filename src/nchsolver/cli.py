@@ -13,7 +13,15 @@ included, with two exceptions: an unusable
 report covers and calls inadmissible (exit 1).  ``check`` also evaluates
 the step-0 diagnostics row as ``run`` records it (``driver._start``) and
 calls a configuration inadmissible whose row is not finite, on which
-``run`` would end at step 0 with exit 3.
+``run`` would end at step 0 with exit 3.  Before its verdict ``check``
+prints ``growing_modes``, the count of nonzero half-spectrum modes m with
+F''(mean u0) + G_m < 0: above 0, small perturbations of the uniform state
+grow and the run phase-separates.
+
+Only ``verify`` imports the oracle suite (``verify``, ``oracles``) and the
+scipy modules it alone uses (``integrate``, ``optimize``, ``spatial``), so
+``run`` and ``check`` load numpy, ``scipy.fft`` and the package (and
+``scipy.sparse`` at a run's first Newton-Krylov step, see ``solvers``).
 
 Exit codes are part of the stable interface: 0 success (run finished or
 check admissible), 1 check inadmissible / verify failures, 2 configuration
@@ -27,12 +35,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
-from . import verify as verify_mod
 from .driver import _non_finite, _start
 from .driver import run as run_driver
 from .errors import ConfigError, SolverError
+from .energetics import potential_d2
 from .fieldio import write_checkpoint, write_diagnostics, write_field
+from .grid import mean
 from .spectral import make_cache
 from .steppers import TWO_STEP_SCHEMES, bootstrap_config, check_solvability
 
@@ -101,6 +112,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _growing_modes(model, u0) -> int:
+    """Nonzero half-spectrum modes m with F''(mean u0) + G_m < 0: those that grow from the mean."""
+    with np.errstate(over="ignore"):  # F'' of a mean beyond 1e154 is inf: no mode grows
+        curvature = potential_d2(model.potential, mean(u0))
+    return int(np.count_nonzero(model.gap.reshape(-1)[1:] < -curvature))
+
+
 def cmd_check(args) -> int:
     _, kernel, cache, scheme_cfg, _, u0 = _build(args)
     model = scheme_cfg.model(kernel, cache)  # as driver.run builds it
@@ -123,6 +141,7 @@ def cmd_check(args) -> int:
         print(f"bootstrap: {boot_cfg.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
               f"margin {boot.margin!r}")
         admissible = admissible and boot.admissible
+    print(f"growing_modes: {_growing_modes(model, u0)}")
     if row_detail := _non_finite(row):  # a run would end at step 0
         print(f"note: {row_detail}")
         admissible = False
@@ -131,6 +150,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(_args) -> int:
+    from . import verify as verify_mod  # the oracle suite and the scipy modules only it uses
     results = verify_mod.run_all_checks()
     print(verify_mod.render_table(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_INADMISSIBLE

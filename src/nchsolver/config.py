@@ -259,7 +259,8 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
     The domain sets the kernel's scales (the squared distances to its
     images, h^2 J): at grid.L = 1e154 they leave the float range and the
     run would go on with a kernel of mass 2e307.  The model scales the
-    kernel by eps^2, and eps^2 [J (*) 1] must stay finite too.
+    kernel by eps^2, and eps^2 [J (*) 1] must stay finite too.  A table
+    that is not even is a ConfigError naming ``model.kernel.path``.
     """
     kind = values["model.kernel.type"]
     if kind == "gaussian":
@@ -275,6 +276,8 @@ def build_kernel(values: dict[str, Any], geometry: GridGeometry) -> SampledKerne
     except FloatingPointError as err:
         raise ConfigError(f"key {_overflowing_key(spec, geometry)!r}: the kernel's scales overflow "
                           f"on a domain of edge {geometry.length!r} with this kernel ({err})") from err
+    except ConfigError as err:  # sampling checks only a table: its shape and evenness
+        raise ConfigError(f"key 'model.kernel.path': {err}") from err
     epsilon = values["model.epsilon"]
     if not math.isfinite(epsilon * epsilon * kernel.conv_one):
         raise ConfigError(f"key 'model.epsilon': eps^2 [J (*) 1] overflows at eps = {epsilon!r}")

@@ -27,7 +27,8 @@ configurable number of image cells), a constant kernel, and tabulated
 vertex values as an escape hatch.  Singular kernels (Newtonian or
 logarithmic) are excluded: the scheme analysis assumes smooth periodic
 kernels.  Sampled values are symmetrized so evenness under index negation
-holds exactly in floating point.
+holds exactly in floating point; a tabulated table must already be even
+up to rounding, and one that is not is rejected.
 
 The Gaussian and constant kernels are tensor products J(x, y) = A f(x) f(y),
 so they are sampled through the 1-D factor f, made exactly even in 1-D:
@@ -36,8 +37,8 @@ spectrum, with F the 1-D transform of f (``scipy.fft.fft``, real for an
 even factor), and the table is the outer product of A f and f, built only
 when read (the oracles read it; the production path does not).  Set-up
 then takes one 1-D transform, no 2-D one and no N x N table.  A tabulated
-kernel is symmetrized in 2-D, and its symbol is h^2 ``rfft2`` of the
-table, which must come out real.
+kernel must be even up to rounding; it is symmetrized in 2-D, and its
+symbol is h^2 ``rfft2`` of the table, which must come out real.
 """
 
 from __future__ import annotations
@@ -188,12 +189,28 @@ def _sample_separable(factor: np.ndarray, amplitude: float, geometry: GridGeomet
     return (row, factor), float(scale * total * total), symbol
 
 
+# A table may differ from its reflection by this many eps of its largest
+# entry (rounding); beyond that it is not an even kernel.
+EVEN_TOLERANCE = 64 * np.finfo(np.float64).eps
+
+
 def _sample_table(table: np.ndarray, geometry: GridGeometry):
-    """Values, [J (*) 1] and half-spectrum symbol of a tabulated kernel, symmetrized in 2-D."""
+    """Values, [J (*) 1] and half-spectrum symbol of a tabulated kernel, symmetrized in 2-D.
+
+    A table that differs from its reflection beyond rounding is rejected
+    before the symmetrization, which would otherwise replace it by its even
+    part.
+    """
     n, h2 = geometry.n, geometry.h**2
     if table.shape != (n, n):
         raise ConfigError(f"tabulated kernel shape {table.shape} does not match grid ({n}, {n})")
-    values = 0.5 * (table + _reflect(table))
+    reflected = _reflect(table)
+    with np.errstate(over="ignore"):  # a difference beyond the float range is inf, and uneven
+        gap = np.abs(table - reflected).max()
+    if gap > EVEN_TOLERANCE * np.abs(table).max():
+        raise ConfigError(f"tabulated kernel is not even: it differs from its reflection "
+                          f"(a, b) -> (-a, -b) by up to {gap:.3e}")
+    values = 0.5 * (table + reflected)
     # Even and real: the half spectrum from rfft2 holds every value of the symbol.
     symbol = h2 * rfft2(values)
     scale = np.abs(symbol.real).max()
@@ -212,9 +229,11 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
     f, each averaged with its reflection so the evenness hypothesis of the
     convolution identities holds exactly despite floating-point sampling,
     built on first read, and the symbol is h^2 A times the outer product of
-    the 1-D transform of f with itself, so no 2-D transform is taken.  A tabulated kernel is
-    symmetrized in 2-D and its symbol is ``rfft2`` of the table, which must
-    come out real.  The zero mode of the symbol is ``conv_one`` exactly.
+    the 1-D transform of f with itself, so no 2-D transform is taken.  A
+    tabulated kernel that differs from its reflection beyond rounding raises
+    ``ConfigError``; one that does not is symmetrized in 2-D and its symbol
+    is ``rfft2`` of the table, which must come out real.  The zero mode of
+    the symbol is ``conv_one`` exactly.
     """
     if spec.variant == "tabulated":
         values, conv_one, symbol = _sample_table(spec.table, geometry)

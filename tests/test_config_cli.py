@@ -309,6 +309,32 @@ def test_cli_check_covers_the_bootstrap_step(tmp_path, capsys):
     assert "step 1: backward_euler inadmissible" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+def _check_lines(tmp_path, capsys, text):
+    main(["check", str(_write_config(tmp_path, text))])
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_cli_check_counts_the_growing_modes_of_the_phase_separating_problem(tmp_path, capsys, n):
+    # cJ = 3000, xi = 1000, eps = 1, K = 1.05, S = beta/2, mean 0: F''(0) = -1
+    # and 21 half-spectrum modes have G_m < 1 at every N.
+    text = BASE.format(out=tmp_path / "out").replace("grid.N = 8", f"grid.N = {n}") \
+        .replace("cJ = 12.5", "cJ = 3000.0").replace("xi = 10.0", "xi = 1000.0") \
+        .replace("backward_euler", "ssi1").replace("tau = 0.05", "tau = 0.001") \
+        .replace("run.seed = 3", "run.seed = 7") \
+        + f"model.potential.K = 1.05\nscheme.S = {(3 * 1.05**2 - 1) / 2!r}\n"
+    lines = _check_lines(tmp_path, capsys, text)
+    assert lines[-2:] == ["growing_modes: 21", "verdict: admissible"]
+
+
+def test_cli_check_finds_no_growing_mode_on_the_benchmark_problem(tmp_path, capsys):
+    text = BASE.format(out=tmp_path / "out").replace("grid.N = 8", "grid.N = 64") \
+        .replace("cJ = 12.5", "cJ = 130.0").replace("tau = 0.05", "tau = 0.0001") \
+        .replace("run.seed = 3", "run.seed = 7")
+    lines = _check_lines(tmp_path, capsys, text)
+    assert lines[-2:] == ["growing_modes: 0", "verdict: admissible"]
+
+
 def test_cli_check_reports_admissible_bootstrap(tmp_path, capsys):
     text = BASE.format(out=tmp_path / "out").replace("backward_euler", "two_li") \
         .replace("cJ = 12.5", "cJ = 130.0").replace("tau = 0.05", "tau = 0.001") \
@@ -450,6 +476,20 @@ def test_cli_tabulated_kernel_overflow_names_path(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, text + f"model.kernel.path = {table}\n")
     assert main([command, str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: key 'model.kernel.path'")
+
+
+def test_cli_check_of_an_uneven_tabulated_kernel_exits_2(tmp_path, capsys):
+    table = tmp_path / "kernel.nchf"
+    write_field(table, Field(GridGeometry(8, 1.0), np.arange(64.0).reshape(8, 8)))
+    text = BASE.format(out=tmp_path / "out").replace("model.kernel.type = gaussian",
+                                                     "model.kernel.type = tabulated")
+    text = text.replace("model.kernel.cJ = 12.5\n", "").replace("model.kernel.xi = 10.0\n", "")
+    cfg = _write_config(tmp_path, text + f"model.kernel.path = {table}\n")
+    assert main(["check", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: key 'model.kernel.path': "
+                                   "tabulated kernel is not even")
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.fft import rfft2
@@ -199,17 +201,27 @@ def test_separable_kernels_take_no_2d_transform(monkeypatch):
 
 
 def test_tabulated_kernel_keeps_the_2d_symmetrization_and_the_evenness_check(rng, geo8, monkeypatch):
-    # A tabulated table takes the 2-D path: it is averaged with its
-    # reflection, so a finite table that is not even samples as its even part.
+    # A table that differs from its reflection beyond rounding is rejected,
+    # not replaced by its even part.  Entries near 1e300 make the difference
+    # overflow: it raises all the same, with no numpy warning.
+    for raw in (rng.uniform(0.0, 1.0, (8, 8)), 1e300 * rng.standard_normal((8, 8)),
+                np.arange(64.0).reshape(8, 8)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"), pytest.raises(ConfigError, match="not even"):
+                sample_kernel(KernelSpec.tabulated(raw), geo8)
+    # An even table plus rounding-level noise samples, averaged with its reflection.
     raw = rng.uniform(0.0, 1.0, (8, 8))
-    kernel = sample_kernel(KernelSpec.tabulated(raw), geo8)
-    assert np.array_equal(kernel.values, 0.5 * (raw + kernels._reflect(raw)))
+    table = 0.5 * (raw + kernels._reflect(raw)) * (1.0 + 4 * EPS * rng.standard_normal((8, 8)))
+    assert not np.array_equal(table, kernels._reflect(table))
+    kernel = sample_kernel(KernelSpec.tabulated(table), geo8)
+    assert np.array_equal(kernel.values, 0.5 * (table + kernels._reflect(table)))
     assert np.abs(kernel.symbol - geo8.h**2 * rfft2(kernel.values).real).max() <= 64 * EPS
-    # Its symbol must come out real: with the 2-D symmetrization skipped, the
-    # same table fails the check, while the separable kernels, which never
-    # reflect in 2-D, still sample.
+    # Its symbol must come out real: with the 2-D reflection the identity,
+    # the table passes the evenness check and fails the symbol's, while the
+    # separable kernels, which never reflect in 2-D, still sample.
     monkeypatch.setattr(kernels, "_reflect", lambda values: values)
-    with pytest.raises(ConfigError, match="not even"):
+    with pytest.raises(ConfigError, match="imaginary part"):
         sample_kernel(KernelSpec.tabulated(raw), geo8)
     sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo8)
     sample_kernel(KernelSpec.constant(2.0), geo8)
