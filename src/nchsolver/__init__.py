@@ -20,8 +20,7 @@ from .grid import Field, GridGeometry, mean, norm2
 from .kernels import KernelSpec, SampledKernel, sample_kernel
 from .solvers import newton_solve
 from .spectral import SpectralCache, laplacian_eigenvalues, make_cache
-from .steppers import (SchemeConfig, SchemeState, SolvabilityReport, StepResult, advance,
-                       check_solvability)
+from .steppers import SchemeConfig, SchemeState, SolvabilityReport, advance, check_solvability
 
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_") and not isinstance(value, _ModuleType))

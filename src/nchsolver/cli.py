@@ -45,7 +45,7 @@ from .energetics import potential_d2
 from .fieldio import write_checkpoint, write_diagnostics, write_field
 from .grid import mean
 from .spectral import make_cache
-from .steppers import TWO_STEP_SCHEMES, bootstrap_config, check_solvability
+from .steppers import _SCHEMES, bootstrap_config, check_solvability
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 1
@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
     if report.note:
         print(f"note: {report.note}")
     admissible = report.admissible
-    if scheme_cfg.scheme in TWO_STEP_SCHEMES:  # a run's first step takes the bootstrap scheme
+    if _SCHEMES[scheme_cfg.scheme].two_step:  # a run's first step takes the bootstrap scheme
         boot_cfg = bootstrap_config(scheme_cfg)
         boot = check_solvability(boot_cfg, model)
         print(f"bootstrap: {boot_cfg.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "

@@ -76,6 +76,8 @@ class RunOptions:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
+        if not 0.0 < self.eq_tol < math.inf:
+            raise ConfigError(f"eq_tol must be positive and finite, got {self.eq_tol}")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
         if self.snapshot_every < 0:
@@ -228,7 +230,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     operators: dict = {}  # the main config's operator, vetted and built once
     while not detail and state.step_index < options.max_steps:
         try:
-            new, result = advance(state, cfg, model, operators)
+            new, newton_iters = advance(state, cfg, model, operators)
         except SolverError as err:  # also a diverged step: non-finite or losing mass
             detail = f"step {state.step_index + 1}: {err}"
             break
@@ -240,8 +242,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             variance = _norm2_mean_free(power, h)
             reached_equilibrium = max(inc_l2 / cfg.tau, variance) <= options.eq_tol
             if at_cadence or reached_equilibrium or new.step_index >= options.max_steps:
-                record = _record(new, state.u, inc_l2, power, variance, result.newton_iters,
-                                 cfg, model)
+                record = _record(new, state.u, inc_l2, power, variance, newton_iters, cfg, model)
                 if detail := _non_finite(record):  # the step diverged in its diagnostics
                     break
                 records.append(record)

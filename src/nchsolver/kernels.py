@@ -37,8 +37,9 @@ spectrum, with F the 1-D transform of f (``scipy.fft.fft``, real for an
 even factor), and the table is the outer product of A f and f, built only
 when read (the oracles read it; the production path does not).  Set-up
 then takes one 1-D transform, no 2-D one and no N x N table.  A tabulated
-kernel must be even up to rounding; it is symmetrized in 2-D, and its
-symbol is h^2 ``rfft2`` of the table, which must come out real.
+kernel must be even up to rounding, the one evenness rule; it is
+symmetrized in 2-D, and its symbol is the real part of h^2 ``rfft2`` of
+the table, whose imaginary part is then rounding alone.
 """
 
 from __future__ import annotations
@@ -108,46 +109,32 @@ class KernelSpec:
         return cls("tabulated", table=np.array(values, dtype=np.float64))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class SampledKernel:
     """Vertex-centered grid restriction of an interaction kernel.
 
-    ``values[a, b]`` is the kernel at the vertex (a*h, b*h); ``conv_one``
-    the scalar [J (*) 1] = h^2 sum J; ``symbol`` the real DFT symbol of the
-    convolution operator on the half spectrum, the N x (N/2+1) modes of
-    ``rfft2`` (zero mode equals ``conv_one`` exactly).  A separable kernel
-    keeps its two 1-D factors and builds ``values``, their outer product,
-    on first read: the production path reads only ``conv_one`` and
-    ``symbol``.  Immutable and shareable across threads; convolution is a
-    pure function.
+    ``conv_one`` is the scalar [J (*) 1] = h^2 sum J; ``symbol`` the real
+    DFT symbol of the convolution operator on the half spectrum, the
+    N x (N/2+1) modes of ``rfft2`` (zero mode equals ``conv_one`` exactly);
+    ``samples`` the table of vertex values or, for a separable kernel, its
+    two 1-D factors.  ``values[a, b]`` is the kernel at the vertex
+    (a*h, b*h): the table, which a separable kernel builds as the outer
+    product of its factors on first read, since the production path reads
+    only ``conv_one`` and ``symbol``.  Immutable and shareable across
+    threads; convolution is a pure function.
     """
 
     geometry: GridGeometry
     conv_one: float
-
-    def __init__(self, geometry: GridGeometry, values: np.ndarray, conv_one: float,
-                 symbol: np.ndarray):
-        self._set(geometry, conv_one, symbol)
-        object.__setattr__(self, "values", _freeze(np.asarray(values, dtype=np.float64)))
-
-    @classmethod
-    def _separable(cls, geometry: GridGeometry, factors: tuple, conv_one: float,
-                   symbol: np.ndarray) -> "SampledKernel":
-        """The kernel whose table is the outer product of the two 1-D ``factors``."""
-        kernel = cls.__new__(cls)
-        kernel._set(geometry, conv_one, symbol)
-        object.__setattr__(kernel, "_factors", factors)
-        return kernel
-
-    def _set(self, geometry, conv_one, symbol):
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "conv_one", conv_one)
-        object.__setattr__(self, "symbol", _freeze(np.asarray(symbol, dtype=np.float64)))
+    symbol: np.ndarray = field(repr=False)
+    samples: np.ndarray | tuple = field(repr=False)
 
     @cached_property
     def values(self) -> np.ndarray:
         """The table, built from the factors of a separable kernel on first read; read-only."""
-        return _freeze(np.outer(*self._factors))
+        if isinstance(self.samples, tuple):
+            return _freeze(np.outer(*self.samples))
+        return self.samples
 
 
 def _reflect(values: np.ndarray) -> np.ndarray:
@@ -210,13 +197,10 @@ def _sample_table(table: np.ndarray, geometry: GridGeometry):
     if gap > EVEN_TOLERANCE * np.abs(table).max():
         raise ConfigError(f"tabulated kernel is not even: it differs from its reflection "
                           f"(a, b) -> (-a, -b) by up to {gap:.3e}")
-    values = 0.5 * (table + reflected)
-    # Even and real: the half spectrum from rfft2 holds every value of the symbol.
-    symbol = h2 * rfft2(values)
-    scale = np.abs(symbol.real).max()
-    if scale > 0.0 and np.abs(symbol.imag).max() > 1e-12 * scale:
-        raise ConfigError("kernel symbol has a non-negligible imaginary part; kernel is not even")
-    return values, h2 * _reduce(values), symbol.real.copy()
+    values = _freeze(0.5 * (table + reflected))
+    # Even and real: the half spectrum from rfft2 holds every value of the
+    # symbol, and its imaginary part is rounding.
+    return values, h2 * _reduce(values), (h2 * rfft2(values)).real.copy()
 
 
 def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
@@ -232,16 +216,16 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
     the 1-D transform of f with itself, so no 2-D transform is taken.  A
     tabulated kernel that differs from its reflection beyond rounding raises
     ``ConfigError``; one that does not is symmetrized in 2-D and its symbol
-    is ``rfft2`` of the table, which must come out real.  The zero mode of
-    the symbol is ``conv_one`` exactly.
+    is the real part of h^2 ``rfft2`` of the table.  The zero mode of the
+    symbol is ``conv_one`` exactly.
     """
     if spec.variant == "tabulated":
-        values, conv_one, symbol = _sample_table(spec.table, geometry)
-        symbol[0, 0] = conv_one
-        return SampledKernel(geometry, values, conv_one, symbol)
-    factors, conv_one, symbol = _sample_separable(_factor(spec, geometry), spec.amplitude, geometry)
+        samples, conv_one, symbol = _sample_table(spec.table, geometry)
+    else:
+        samples, conv_one, symbol = _sample_separable(_factor(spec, geometry), spec.amplitude,
+                                                      geometry)
     symbol[0, 0] = conv_one
-    return SampledKernel._separable(geometry, factors, conv_one, symbol)
+    return SampledKernel(geometry, conv_one, _freeze(symbol), samples)
 
 
 def convolve(kernel: SampledKernel, phi: Field) -> Field:

@@ -22,7 +22,7 @@ Every scheme is one equation per step,
 
     a u + (-Lap)(omega(u)) = rhs,
 
-and ``step`` takes it: it builds (a, rhs) once, (1/tau, u^n/tau) for the
+and ``advance`` takes it: it builds (a, rhs) once, (1/tau, u^n/tau) for the
 one-step schemes and (3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for the
 two-step ones.  The schemes differ only in how omega treats its terms and
 in the functional they dissipate, so each scheme is one row (``_Scheme``)
@@ -41,11 +41,11 @@ I is the symbol of omega's implicit linear part (sigma = 2 eps^2 [J(*)1]),
 and slope the pointwise slope a Newton step's preconditioner freezes; a
 row with no slope is a linear scheme, one DFT-diagonal solve.  A row also
 holds its admissibility rule and, for two_li, the weight beta/2 of
-||du||_2^2 in the modified energy.  ``step`` reads the row's step count,
-parts and slope, ``_operator`` its I and slope, ``check_solvability`` its
-rule, ``modified_energy`` its weight, ``bootstrap_config`` its bootstrap,
-``advance`` its step count, and ``SchemeConfig`` its potential, which
-``config`` also takes as the default of ``model.potential.type``.
+||du||_2^2 in the modified energy.  ``advance`` reads the row's step
+count, parts and slope, ``_operator`` its I and slope, ``check_solvability``
+its rule, ``modified_energy`` its weight, ``bootstrap_config`` its
+bootstrap, ``cli`` its step count, and ``SchemeConfig`` its potential,
+which ``config`` also takes as the default of ``model.potential.type``.
 ``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read off the table.
 
 Both operators are diagonal in the DFT basis and applied only as products
@@ -73,11 +73,11 @@ surrogate replacing the kernel constant.  ``check_solvability`` is the one
 place that decides admissibility, ssi1's S >= beta/2 included: a
 ``SchemeConfig`` holds any step size and stabilization.  The policy field
 decides whether an inadmissible configuration rejects the step, warns, or
-is ignored.  ``advance`` is the one place that applies it, and so the
-public way to take a step: on every call, or once per configuration of a
-run.  It first refuses a model that is not the configuration's (another
-eps or potential), since the check reads beta from the configuration and
-the step reads F from the model.  ``step`` itself is an unchecked solve.
+is ignored.  ``advance``, the one way to take a step, is the one place
+that applies it: on every call, or once per configuration of a run.  It
+first refuses a model that is not the configuration's (another eps or
+potential), since the check reads beta from the configuration and the
+step reads F from the model; under ``ignore`` a step is an unchecked solve.
 
 The symbols a step configuration solves with -- a, the symbol I of
 omega's implicit linear part, the linear part a + lambda I, and a Newton
@@ -141,9 +141,9 @@ reciprocal of the denominator; omega's spectrum is rfft2(explicit) plus
 shift times the new level's spectrum.  A two_li step evaluates F_K' once,
 at u^n: it reads F_K'(u^{n-1}) from the state, which kept it from the step
 that evaluated it (the ssi1 bootstrap or the two_li step before), and
-keeps F_K'(u^n) for the next step.  Only that one array is kept, and the
-step that reads it takes it off its state; a state without it (a fresh or
-resumed one) has it evaluated, to the same bits.
+keeps F_K'(u^n), on the state it returns, for the next step.  Only that
+one array is kept, and no step writes to the state it is given; a state
+without it (a fresh or resumed one) has it evaluated, to the same bits.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -232,13 +232,8 @@ def _ssi1_explicit(state, cfg, model, op):
 
 
 def _two_li_explicit(state, cfg, model, op):
-    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) as the step to u^n kept it where it did.
-
-    The kept array is read once: the step takes it off the state, so it is
-    freed with the explicit part, before the solve.
-    """
+    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) as the step to u^n kept it where it did."""
     pot, kept = model.potential, state._d1_prev
-    object.__setattr__(state, "_d1_prev", None)
     d1 = potential_d1(pot, state.u.values)
     if kept is not None and kept[0] == pot:
         d1_prev = kept[1]
@@ -317,15 +312,15 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if not self.tau >= np.finfo(np.float64).tiny:  # so 1/tau is finite
+        if not np.finfo(np.float64).tiny <= self.tau < np.inf:  # so 1/tau is finite
             raise ConfigError(f"time step must be positive and a normal float, got {self.tau}")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"interface parameter must be positive, got {self.epsilon}")
-        if self.stabilization < 0.0:
-            raise ConfigError(f"stabilization constant must be >= 0, got {self.stabilization}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"interface parameter must be positive and finite, got {self.epsilon}")
+        if not 0.0 <= self.stabilization < np.inf:
+            raise ConfigError(f"stabilization constant must be >= 0 and finite, got {self.stabilization}")
         PotentialSpec("truncated", self.cutoff)  # K in range, so beta and F_K are finite
-        if not self.newton_tol > 0.0:
-            raise ConfigError(f"Newton tolerance must be positive, got {self.newton_tol}")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ConfigError(f"Newton tolerance must be positive and finite, got {self.newton_tol}")
         if self.stability_policy not in STABILITY_POLICIES:
             raise ConfigError(
                 f"unknown stability policy {self.stability_policy!r}; expected one of {STABILITY_POLICIES}"
@@ -363,9 +358,8 @@ class SchemeState:
     ``u_prev`` and ``omega`` must be on u's grid (``GeometryMismatchError``),
     and a two-step pair must hold one mass (``StateError``).
     ``_d1_prev`` is (potential, F'(u_prev)) as the step that left u_prev
-    evaluated it, which a two_li state keeps for its next step, the one
-    step that reads it and takes it off the state.  A state without it
-    (fresh, read from a checkpoint, or stepped before) has it evaluated
+    evaluated it, which a two_li state keeps for the steps from it.  A
+    state without it (fresh or read from a checkpoint) has it evaluated
     there, to the same bits.
     """
 
@@ -386,12 +380,6 @@ class SchemeState:
                 raise StateError(
                     f"two-step state with unequal masses: {m!r} vs {mp!r}"
                 )
-
-
-class StepResult(NamedTuple):
-    u: Field
-    omega: Field
-    newton_iters: int
 
 
 def _step_field(build, geometry: GridGeometry, *arrays: np.ndarray) -> Field:
@@ -522,9 +510,9 @@ NEWTON_MAX_ITER = 50
 class _Operator(NamedTuple):
     """The symbols of one step configuration under one model, which no step changes.
 
-    ``_operator`` builds them: ``advance`` once per configuration of a run
-    (``driver.run`` keeps them for the run), ``step`` called alone once per
-    call.  ``implicit`` is the symbol of omega's implicit linear part: G for
+    ``_operator`` builds them, once per call of ``advance`` or once per
+    configuration of a run (``driver.run`` keeps them for the run).
+    ``implicit`` is the symbol of omega's implicit linear part: G for
     backward Euler, BDF2 and two_li, S + G for ssi1, and the constant
     sigma = 2 eps^2 [J(*)1] for convex splitting.  ``inverse`` is the
     reciprocal a step multiplies by.  A linear step keeps only the
@@ -571,7 +559,7 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
                  rhs_hat: np.ndarray, local, local_slope,
-                 explicit_hat: Optional[np.ndarray] = None) -> StepResult:
+                 explicit_hat: Optional[np.ndarray] = None) -> tuple[Field, Field, int]:
     """Newton solve of a u + (-Lap)(omega(u)) = rhs from u^n, shared by the implicit schemes.
 
     ``rhs_hat`` is rfft2(rhs), built from the spectra the levels keep
@@ -670,11 +658,11 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     omega_hat += op.implicit * u.spectrum  # from the spectrum of u itself, as chemical_potential takes it
     if explicit_hat is not None:
         omega_hat += explicit_hat
-    return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters)
+    return u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters
 
 
 def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.ndarray,
-                 explicit_hat: np.ndarray) -> StepResult:
+                 explicit_hat: np.ndarray) -> tuple[Field, Field, int]:
     """One DFT-diagonal solve of a u + (-Lap)(explicit + shift u) = rhs (ssi1, two_li).
 
     ``explicit_hat`` is the spectrum of the explicit part and ``rhs_hat``
@@ -696,41 +684,7 @@ def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.nd
     values = _snap_mass(irfft2(u_hat, s=state.u.values.shape), mass)
     u = _level(state.u.geometry, u_hat, values, mass)
     omega_hat += np.multiply(op.implicit, u.spectrum, out=rhs_hat)
-    return StepResult(u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0)
-
-
-def step(state: SchemeState, cfg: SchemeConfig, model: Model,
-         operator: Optional[_Operator] = None) -> StepResult:
-    """One unchecked step of ``cfg.scheme`` under ``model``: the solve of a u + (-Lap)(omega(u)) = rhs.
-
-    (a, rhs) is (1/tau, u^n/tau), or (3/(2 tau), (4 u^n - u^{n-1})/(2 tau))
-    for a two-step scheme, which raises ``StateError`` without ``u_prev``.
-    The implicit potential (backward Euler, BDF2) and convex splitting are
-    Newton solves; ssi1 and two_li one DFT-diagonal solve each.  No policy
-    is applied: ``advance`` is the checked way to take a step.  ``operator``
-    is the configuration's ``_Operator``, which ``advance`` keeps per run;
-    without it the step builds its own.  A step issues no numpy warning: a
-    non-finite level it overflows to raises ``SolverError``.
-    """
-    return _step(state, cfg, model, operator)[0]
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _step(state: SchemeState, cfg: SchemeConfig, model: Model,
-          operator: Optional[_Operator]) -> tuple[StepResult, Optional[np.ndarray]]:
-    """``step``, with the F'(u^n) its row evaluated (None if it evaluated none)."""
-    row, u_hat = _SCHEMES[cfg.scheme], state.u.spectrum
-    if row.two_step and state.u_prev is None:
-        raise StateError(f"{cfg.scheme} needs the previous level u_prev; bootstrap the state first")
-    op = _operator(cfg, model) if operator is None else operator
-    if row.two_step:
-        rhs_hat = (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * cfg.tau)
-    else:
-        rhs_hat = u_hat / cfg.tau
-    local, local_slope, explicit_hat, d1 = row.omega(state, cfg, model, op)
-    if row.slope is None:
-        return _linear_step(state, model, op, rhs_hat, explicit_hat), d1
-    return _newton_step(state, cfg, model, op, rhs_hat, local, local_slope, explicit_hat), d1
+    return u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0
 
 
 def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
@@ -766,19 +720,24 @@ def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
-            operators: Optional[dict] = None) -> tuple[SchemeState, StepResult]:
-    """Advance one step, bootstrapping a fresh two-step state transparently.
+            operators: Optional[dict] = None) -> tuple[SchemeState, int]:
+    """One step of ``cfg.scheme`` under ``model``: the new state and the step's Newton iterations.
 
-    The one place a configuration is vetted, the one the step runs (the
-    bootstrap's for a fresh two-step state): a model that is not the
-    configuration's (other eps or potential) raises ``ConfigError``, then
-    the stability policy is applied.  Without ``operators`` every call vets
-    the configuration and builds its ``_Operator``; with it, only a
+    The step solves a u + (-Lap)(omega(u)) = rhs, with (a, rhs) =
+    (1/tau, u^n/tau), or (3/(2 tau), (4 u^n - u^{n-1})/(2 tau)) for a
+    two-step scheme; a fresh two-step state takes the bootstrap step
+    instead.  The implicit potential (backward Euler, BDF2) and convex
+    splitting are Newton solves, ssi1 and two_li one DFT-diagonal solve
+    each.  The configuration the step runs is vetted first: a model that is
+    not its own (other eps or potential) raises ``ConfigError``, then the
+    stability policy is applied.  Without ``operators`` every call vets the
+    configuration and builds its ``_Operator``; with it, only a
     configuration not yet in that map is, and its operator is kept there,
     except a bootstrap's, which a run steps once.  The map belongs to one
     model: ``driver.run`` keeps one per run.  A two-step state keeps the
     F'(u^n) its step evaluated (the bootstrap's or a two_li step's), which
-    the next two_li step reads as F'(u^{n-1}).
+    the next two_li step reads as F'(u^{n-1}).  A step issues no numpy
+    warning: a non-finite level it overflows to raises ``SolverError``.
     """
     two_step = _SCHEMES[cfg.scheme].two_step
     bootstrapping = two_step and state.u_prev is None
@@ -789,18 +748,28 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
         op = _operator(step_cfg, model)
         if operators is not None and not bootstrapping:
             operators[step_cfg] = op
-    result, d1 = _step(state, step_cfg, model, op)
-    keep_prev = state.u if two_step else None
-    keep_d1 = (model.potential, d1) if two_step and d1 is not None else None
+    row, u_hat = _SCHEMES[step_cfg.scheme], state.u.spectrum
+    # A with block, not a decorator: the policy's warning names advance's caller.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if row.two_step:
+            rhs_hat = (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * step_cfg.tau)
+        else:
+            rhs_hat = u_hat / step_cfg.tau
+        local, local_slope, explicit_hat, d1 = row.omega(state, step_cfg, model, op)
+        if row.slope is None:
+            u, omega, iters = _linear_step(state, model, op, rhs_hat, explicit_hat)
+        else:
+            u, omega, iters = _newton_step(state, step_cfg, model, op, rhs_hat, local, local_slope,
+                                           explicit_hat)
     try:
         next_state = SchemeState(
-            u=result.u,
-            u_prev=keep_prev,
-            omega=result.omega,
+            u=u,
+            u_prev=state.u if two_step else None,
+            omega=omega,
             step_index=state.step_index + 1,
             time=state.time + cfg.tau,
-            _d1_prev=keep_d1,
+            _d1_prev=(model.potential, d1) if two_step and d1 is not None else None,
         )
     except StateError as err:  # the given state was valid, so the step broke its mass
         raise SolverError(f"{step_cfg.scheme} step lost mass: {err}") from err
-    return next_state, result
+    return next_state, iters

@@ -67,11 +67,16 @@ def test_parse_requires_conditional_keys():
     pytest.param(SchemeConfig, {"scheme": "crank_nicolson"}, "unknown scheme", id="scheme"),
     pytest.param(SchemeConfig, {"tau": 0.0}, "time step must be positive", id="tau"),
     pytest.param(SchemeConfig, {"tau": 5e-324}, "time step must be positive", id="tau_subnormal"),
+    pytest.param(SchemeConfig, {"tau": float("inf")}, "time step must be positive", id="tau_inf"),
     pytest.param(SchemeConfig, {"epsilon": -1.0}, "interface parameter", id="epsilon"),
+    pytest.param(SchemeConfig, {"epsilon": float("inf")}, "interface parameter", id="epsilon_inf"),
     pytest.param(SchemeConfig, {"stabilization": -1.0}, "stabilization constant", id="S"),
+    pytest.param(SchemeConfig, {"stabilization": float("nan")}, "stabilization constant", id="S_nan"),
+    pytest.param(SchemeConfig, {"stabilization": float("inf")}, "stabilization constant", id="S_inf"),
     pytest.param(SchemeConfig, {"cutoff": 1.0}, "truncation point K", id="cutoff"),
     pytest.param(SchemeConfig, {"cutoff": 1e300}, "truncation point K", id="cutoff_overflow"),
     pytest.param(SchemeConfig, {"newton_tol": 0.0}, "Newton tolerance", id="newton_tol"),
+    pytest.param(SchemeConfig, {"newton_tol": float("inf")}, "Newton tolerance", id="newton_tol_inf"),
     pytest.param(SchemeConfig, {"stability_policy": "strict"}, "unknown stability policy",
                  id="policy"),
     pytest.param(SchemeConfig, {"potential_variant": "quartic"}, "unknown potential variant",
@@ -81,6 +86,9 @@ def test_parse_requires_conditional_keys():
     pytest.param(SchemeConfig, {"scheme": "two_li", "potential_variant": "double_well"},
                  "requires the truncated potential", id="two_li_double_well"),
     pytest.param(RunOptions, {"max_steps": 0}, "max_steps", id="max_steps"),
+    pytest.param(RunOptions, {"eq_tol": float("nan")}, "eq_tol", id="eq_tol_nan"),
+    pytest.param(RunOptions, {"eq_tol": 0.0}, "eq_tol", id="eq_tol_zero"),
+    pytest.param(RunOptions, {"eq_tol": -1e-9}, "eq_tol", id="eq_tol_negative"),
     pytest.param(RunOptions, {"record_every": 0}, "record_every", id="record_every"),
     pytest.param(RunOptions, {"snapshot_every": -1}, "snapshot_every", id="snapshot_every"),
     pytest.param(RunOptions, {"snapshot_every": 5}, "no snapshot directory", id="snapshot_dir"),
@@ -179,6 +187,29 @@ def test_cli_run_malformed_key_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASE.format(out="o") + "grid.shape = 3\n")
     assert main(["run", str(cfg)]) == 2
     assert "grid.shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("case, message", [
+    ("no_equals", "expected 'key = value'"),
+    ("missing_key", "missing required key 'scheme.tau'"),
+    ("unreadable", "cannot read config"),
+    ("snapshot_grid", "does not match run grid"),
+])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, command, case, message):
+    text = BASE.format(out=tmp_path / "o")
+    if case == "no_equals":
+        cfg = _write_config(tmp_path, text + "grid.N 8\n")
+    elif case == "missing_key":
+        cfg = _write_config(tmp_path, text.replace("scheme.tau = 0.05\n", ""))
+    elif case == "unreadable":
+        cfg = tmp_path  # a directory
+    else:
+        write_field(tmp_path / "u0.nchf", Field.constant(GridGeometry(16, 1.0), 0.1))
+        cfg = _write_config(tmp_path, text + "run.init.snapshot_path = u0.nchf\n")
+    assert main([command, str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["solver.krylov_tol", "solver.newton_max_iter"])

@@ -110,7 +110,7 @@ def test_step_levels_are_read_only_and_adopted_without_copy(scheme, rng, monkeyp
     monkeypatch.setattr(steppers, "_freeze", recording_freeze)
     u = project_zero_mean(random_field(geo, rng, 0.05))
     state = SchemeState(u=u, u_prev=u if scheme in steppers.TWO_STEP_SCHEMES else None)
-    _, result = advance(state, cfg, cfg.model(kernel, make_cache(geo)))
+    result, _ = advance(state, cfg, cfg.model(kernel, make_cache(geo)))
     assert not result.u.values.flags.writeable
     assert not result.omega.spectrum.flags.writeable
     assert not result.omega.values.flags.writeable

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, 
 from nchsolver import solvers, steppers
 from nchsolver.grid import project_zero_mean
 from nchsolver.spectral import laplacian_apply, norm_neg1
-from nchsolver.steppers import SCHEMES, TWO_STEP_SCHEMES, bootstrap_config, step
+from nchsolver.steppers import SCHEMES, TWO_STEP_SCHEMES, bootstrap_config
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
 
 from conftest import random_field, recomposed_modified_energy
@@ -28,6 +29,11 @@ def _cfg(scheme, tau, **kw):
     defaults = dict(epsilon=1.0, stabilization=5.5, cutoff=2.0)
     defaults.update(kw)
     return SchemeConfig(scheme=scheme, tau=tau, **defaults)
+
+
+def _unchecked(state, cfg, model):
+    """One step with no admissibility check: the new state and its Newton iterations."""
+    return advance(state, replace(cfg, stability_policy="ignore"), model)
 
 
 def _check(cfg, kernel):
@@ -55,12 +61,10 @@ def test_constant_field_is_fixed_point(scheme):
                         u_prev=Field.constant(GEO, c) if scheme in TWO_STEP_SCHEMES else None)
     model = cfg.model(GAUSS, CACHE)
     for _ in range(10):
-        result = step(state, cfg, model)
-        state = SchemeState(u=result.u,
-                            u_prev=state.u if scheme in TWO_STEP_SCHEMES else None)
+        state, _ = advance(state, cfg, model)
     assert np.abs(state.u.values - c).max() <= 1e-13
     # omega of a constant state is the constant F'(c) (F_K'(c) = F'(c) for |c| < K).
-    assert np.abs(result.omega.values - (c**3 - c)).max() <= 1e-12
+    assert np.abs(state.omega.values - (c**3 - c)).max() <= 1e-12
 
 
 # --- defining equations hold at the returned pair ---------------------------
@@ -68,7 +72,7 @@ def test_constant_field_is_fixed_point(scheme):
 def test_backward_euler_residual_and_mass(rng):
     cfg = _cfg("backward_euler", tau=0.01)
     state = _perturbed_state(rng)
-    result = step(state, cfg, cfg.model(GAUSS, CACHE))
+    result, _ = _unchecked(state, cfg, cfg.model(GAUSS, CACHE))
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
@@ -83,7 +87,7 @@ def test_bdf2_residual_and_mass(rng):
     cfg = _cfg("bdf2", tau=0.01)
     model = cfg.model(GAUSS, CACHE)
     state = _two_step_state(rng, cfg, GAUSS, CACHE)
-    result = step(state, cfg, model)
+    result, _ = _unchecked(state, cfg, model)
     lhs = (3.0 * result.u.values - 4.0 * state.u.values + state.u_prev.values) / (2.0 * cfg.tau)
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     assert GEO.h * np.linalg.norm(residual) <= cfg.newton_tol
@@ -103,9 +107,9 @@ def test_backward_euler_step_from_a_wrong_omega_reaches_the_same_level(wrong, rn
     start, _ = advance(_perturbed_state(rng), ssi1, ssi1.model(GAUSS, CACHE))
     omega = start.omega if wrong == "ssi1" else Field.constant(GEO, 0.0)
     assert not np.array_equal(omega.spectrum, chemical_potential(start.u, model).spectrum)
-    true = step(SchemeState(u=start.u, omega=chemical_potential(start.u, model)), cfg, model)
-    _, result = advance(SchemeState(u=start.u, omega=omega), cfg, model)
-    assert result.newton_iters >= 1
+    true, _ = _unchecked(SchemeState(u=start.u, omega=chemical_potential(start.u, model)), cfg, model)
+    result, newton_iters = advance(SchemeState(u=start.u, omega=omega), cfg, model)
+    assert newton_iters >= 1
     assert norm2(Field(GEO, result.u.values - true.u.values)) <= cfg.newton_tol
     assert np.array_equal(result.omega.spectrum, chemical_potential(result.u, model).spectrum)
 
@@ -113,7 +117,7 @@ def test_backward_euler_step_from_a_wrong_omega_reaches_the_same_level(wrong, rn
 def test_ssi1_residual_small(rng):
     cfg = _cfg("ssi1", tau=0.1)
     state = _perturbed_state(rng)
-    result = step(state, cfg, cfg.model(GAUSS, CACHE))
+    result, _ = _unchecked(state, cfg, cfg.model(GAUSS, CACHE))
     lhs = (result.u.values - state.u.values) / cfg.tau
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     scale = max(np.abs(lhs).max(), 1.0)
@@ -123,7 +127,7 @@ def test_ssi1_residual_small(rng):
 def test_two_li_residual_small(rng):
     cfg = _cfg("two_li", tau=0.005)
     state = _two_step_state(rng, cfg, STRONG, CACHE)
-    result = step(state, cfg, cfg.model(STRONG, CACHE))
+    result, _ = _unchecked(state, cfg, cfg.model(STRONG, CACHE))
     lhs = (3.0 * result.u.values - 4.0 * state.u.values + state.u_prev.values) / (2.0 * cfg.tau)
     residual = lhs - laplacian_apply(result.omega.values, GEO.h)
     scale = max(np.abs(lhs).max(), 1.0)
@@ -142,7 +146,7 @@ def test_newton_steps_satisfy_stencil_equation(scheme, rng):
     model = cfg.model(kernel, cache)
     if scheme in TWO_STEP_SCHEMES:
         state, _ = advance(state, cfg, model)  # bootstrap
-    result = step(state, cfg, model)
+    result, _ = _unchecked(state, cfg, model)
     u_n = state.u.values
     if scheme == "bdf2":
         a, rhs = 3.0 / (2.0 * cfg.tau), (4.0 * u_n - state.u_prev.values) / (2.0 * cfg.tau)
@@ -270,7 +274,7 @@ def _check_step_against_dense_oracle(scheme, tol, kernel, cache, rng):
     u0 = project_zero_mean(random_field(geometry, rng, scale=0.5))
     u1 = Field(geometry, u0.values + 0.01 * project_zero_mean(random_field(geometry, rng)).values)
     state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
-    result = step(state, cfg, cfg.model(kernel, cache))
+    result, _ = _unchecked(state, cfg, cfg.model(kernel, cache))
     if scheme in ("ssi1", "two_li"):
         ref_u, ref_w = dense_linear_step(scheme, u1, u0, cfg.tau, cfg.epsilon,
                                          cfg.stabilization, kernel, cfg.potential)
@@ -364,32 +368,26 @@ def test_warn_policy_warns_and_steps(rng):
     boundary = sample_kernel(KernelSpec.constant(1.0), GEO)
     cfg = _cfg("backward_euler", tau=1e-3, stability_policy="warn")
     state = _perturbed_state(rng)
-    with pytest.warns(RuntimeWarning):
-        _, result = advance(state, cfg, cfg.model(boundary, CACHE))
+    with pytest.warns(RuntimeWarning) as record:
+        result, _ = advance(state, cfg, cfg.model(boundary, CACHE))
     assert np.isfinite(result.u.values).all()
+    # The warning names advance's caller, this file, not a frame inside the library.
+    assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_step_functions_never_check_admissibility(scheme, rng, monkeypatch):
-    # advance alone applies the stability policy; step is a pure solve.
+def test_ignore_policy_never_checks_admissibility(scheme, rng, monkeypatch):
+    # Under ignore, advance is a pure solve: the check is never evaluated.
     def refuse(*args):
         raise AssertionError("step checked admissibility")
 
     monkeypatch.setattr(steppers, "check_solvability", refuse)
-    cfg = _cfg(scheme, tau=1e-3, stability_policy="enforce")
+    cfg = _cfg(scheme, tau=1e-3, stability_policy="ignore")
     state = _perturbed_state(rng)
     if scheme in TWO_STEP_SCHEMES:
         state = SchemeState(u=state.u, u_prev=state.u)
-    result = step(state, cfg, cfg.model(GAUSS, CACHE))
+    result, _ = advance(state, cfg, cfg.model(GAUSS, CACHE))
     assert np.isfinite(result.u.values).all()
-
-
-def test_missing_history_raises_state_error(rng):
-    state = _perturbed_state(rng)
-    for scheme in TWO_STEP_SCHEMES:
-        with pytest.raises(StateError):
-            cfg = _cfg(scheme, tau=0.01, stability_policy="ignore")
-            step(state, cfg, cfg.model(GAUSS, CACHE))
 
 
 def test_state_mass_invariant():
@@ -564,6 +562,23 @@ def test_newton_nonconvergence_raises_with_history():
     assert len(excinfo.value.residuals) >= 1
 
 
+def test_newton_stops_on_its_last_allowed_iteration_or_raises(rng):
+    # Fixed-point steps that cut the residual 20-fold each reach the tolerance
+    # at the third: a cap of 3 returns 3 iterations, a cap of 2 raises.
+    a = rng.uniform(-1, 1, (4, 4))
+    tol = 3.0 * 0.05**3 * np.linalg.norm(a)
+
+    def solve(max_iter):
+        return newton_solve(lambda u: u - a, lambda u, v: v, np.zeros((4, 4)), tol, max_iter,
+                            lambda r: 0.95 * r, np.linalg.norm)
+
+    _, iters, history = solve(3)
+    assert iters == 3 and len(history) == 4 and history[-1] <= tol
+    with pytest.raises(SolverError, match="did not reach tolerance") as excinfo:
+        solve(2)
+    assert len(excinfo.value.residuals) == 3
+
+
 def test_newton_counts_inner_solves_that_did_not_converge(monkeypatch, rng):
     real_gmres = solvers.gmres
 
@@ -591,8 +606,8 @@ def test_newton_step_stops_at_the_rounding_floor(rng):
     state = _perturbed_state(rng, geometry=geo)
     for scheme in ("backward_euler", "convex_splitting"):
         cfg = _cfg(scheme, tau=1e-4, newton_tol=1e-30)
-        result = step(state, cfg, cfg.model(kernel, make_cache(geo)))
-        assert 1 <= result.newton_iters <= 5
+        _, newton_iters = _unchecked(state, cfg, cfg.model(kernel, make_cache(geo)))
+        assert 1 <= newton_iters <= 5
 
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "convex_splitting", "bdf2"])
@@ -627,7 +642,20 @@ def test_newton_step_whose_stop_overflows_fails_as_a_solver_error(rng):
     cfg = _cfg("backward_euler", tau=1e-3)
     u = Field(GEO, 1e52 * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, (8, 8))))
     with pytest.raises(SolverError, match="Newton stop overflows"):
-        step(SchemeState(u=u), cfg, cfg.model(STRONG, CACHE))
+        _unchecked(SchemeState(u=u), cfg, cfg.model(STRONG, CACHE))
+
+
+@pytest.mark.parametrize("scheme", ["ssi1", "two_li"])
+def test_linear_step_that_overflows_fails_as_a_diverged_solver_error(scheme, rng):
+    # At tau = 1e-300, u^n / tau overflows for |u| near 1e10: the solved level
+    # is not finite, which is a solver failure, with no numpy warning.
+    cfg = _cfg(scheme, tau=1e-300, stability_policy="ignore")
+    u = Field(GEO, 1e10 * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, (8, 8))))
+    state = SchemeState(u=u, u_prev=u if scheme in TWO_STEP_SCHEMES else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="^diverged: "):
+            advance(state, cfg, cfg.model(STRONG, CACHE))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -759,16 +787,16 @@ def test_two_li_step_evaluates_one_potential_derivative_after_the_bootstrap(rng,
     for steps in range(1, 6):
         state, _ = advance(state, cfg, model)
         assert len(calls) == 1 + steps
-    # The step takes the kept array off the state it leaves: stepped again,
-    # that state evaluates both levels, as one read from a checkpoint does,
-    # and both step to the same bits.
+    # No step writes to the state it is given: stepped again, that state
+    # reads its kept array again, while one read from a checkpoint evaluates
+    # both levels, and all three step to the same bits.
     resumed = SchemeState(u=state.u, u_prev=state.u_prev, step_index=state.step_index,
                           time=state.time)
     kept, _ = advance(state, cfg, model)
-    for source in (state, resumed):
+    for source, evaluations in ((state, 1), (resumed, 2)):
         del calls[:]
         again, _ = advance(source, cfg, model)
-        assert len(calls) == 2
+        assert len(calls) == evaluations
         assert np.array_equal(again.u.values, kept.u.values)
         assert np.array_equal(again.u.spectrum, kept.u.spectrum)
         assert np.array_equal(again.omega.spectrum, kept.omega.spectrum)
