@@ -128,7 +128,8 @@ def cmd_check(args) -> int:
     print(f"tau: {scheme_cfg.tau!r}")
     print(f"gamma0: {model.gamma0!r}")
     print(f"conv_one: {kernel.conv_one!r}")
-    print(f"beta: {scheme_cfg.beta!r}")
+    if (beta := model.potential.curvature_bound) is not None:
+        print(f"beta: {beta!r}")
     print(f"S: {scheme_cfg.stabilization!r}")
     print(f"per_mode_min: {report.per_mode_min!r}")
     print(f"margin: {report.margin!r}")
@@ -136,7 +137,7 @@ def cmd_check(args) -> int:
         print(f"note: {report.note}")
     admissible = report.admissible
     if _SCHEMES[scheme_cfg.scheme].two_step:  # a run's first step takes the bootstrap scheme
-        boot_cfg = bootstrap_config(scheme_cfg)
+        boot_cfg = bootstrap_config(scheme_cfg, model)
         boot = check_solvability(boot_cfg, model)
         print(f"bootstrap: {boot_cfg.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
               f"margin {boot.margin!r}")

@@ -31,7 +31,7 @@ reported inadmissible before it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -141,7 +141,7 @@ def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,
     inc_neg = 0.0
     if previous is not None:
         inc_neg = norm_neg1(state.u.spectrum - previous.spectrum, model.cache)
-        modified = modified_energy(cfg, e, inc_neg, increment_l2)
+        modified = modified_energy(cfg, model, e, inc_neg, increment_l2)
     return DiagnosticsRecord(
         step=state.step_index,
         time=state.time,
@@ -207,7 +207,9 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     can overflow the norms while u and omega stay finite), and so does a run
     whose step-0 record or final equilibrium residual is not finite; the
     detail names the step and the first non-finite column, and numpy's
-    overflow warnings from these diagnostics are silenced.
+    overflow warnings from these diagnostics are silenced.  The final state
+    keeps no F_K'(u^{n-1}) of a two_li step: a run continued from it
+    evaluates that array again, to the same bits.
     """
     if (u0 is None) == (initial_state is None):
         raise ConfigError("exactly one of u0 and initial_state must be given")
@@ -259,7 +261,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
         residual = equilibrium_residual(state.u, omega, model)
     if not (detail or math.isfinite(residual)):
         detail = f"step {state.step_index}: equilibrium_residual is not finite ({residual!r})"
-    return RunResult(final_state=state, records=records,
+    return RunResult(final_state=replace(state, _d1_prev=None), records=records,
                      termination="error" if detail else termination,
                      equilibrium_residual=residual, error_detail=detail)
 

@@ -173,4 +173,4 @@ def chemical_potential(u: Field, model: Model) -> Field:
     require_same_geometry(model.cache, u)
     omega = rfft2(potential_d1(model.potential, u.values))
     omega += model.gap * u.spectrum
-    return Field.from_spectrum(u.geometry, _freeze(omega))
+    return Field(u.geometry, spectrum=_freeze(omega))

@@ -82,7 +82,7 @@ def _parse_snapshot(blob: bytes, offset: int = 0,
     start, end = end, end + 16 * n * (n // 2 + 1)
     _require_length(blob, end, "level spectrum")
     modes = np.frombuffer(blob[start:end], dtype="<c16").reshape(n, n // 2 + 1)
-    return Field._from_spectrum_and_values(geometry, modes.astype(np.complex128), values), t, end
+    return Field(geometry, values, modes.astype(np.complex128)), t, end
 
 
 def read_field(path) -> tuple[Field, float]:

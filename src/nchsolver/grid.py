@@ -20,26 +20,27 @@ below the 64-ulp mass check: over 2,000 ``ssi1`` steps of a
 phase-separating run at N = 512 the mass drifted by 0.75 ulp.
 
 A field holds its values, its half spectrum ``rfft2(values)``
-(``Field.spectrum``), or both.  It is built from one of them --
-``Field(geometry, values)`` or ``Field.from_spectrum(geometry, modes)`` --
-and the other is transformed at most once, on first use.  A field is
-immutable, so its mean is reduced at most once too, on the first ``mean``
-call, however many steps, state checks and diagnostics ask for them.  A
-level a step solves for holds both forms from the start
-(``Field._from_spectrum_and_values``): the spectrum it solved for and the
-values it took that spectrum to the grid as, so no step, record or next
-step transforms a level forward; only the initial field and a level read
-from a format-1 checkpoint take their spectrum as ``rfft2(values)``.  The
-chemical potential omega is built from its spectrum, which the record's
-norms read, so a run never takes omega back to the grid.  A field keeps a
-copy of a caller's writeable array; the schemes instead freeze each array
-they compute (``_freeze``), which the field adopts without copying.
+(``Field.spectrum``), or both.  It has one constructor,
+``Field(geometry, values=None, spectrum=None)``, which takes either form
+or both, and the other is transformed at most once, on first use.  A
+field is immutable, so its mean is reduced at most once too, on the first
+``mean`` call, however many steps, state checks and diagnostics ask for
+them.  A level a step solves for holds both forms from the start: the
+spectrum it solved for and the values it took that spectrum to the grid
+as, so no step, record or next step transforms a level forward; only the
+initial field and a level read from a format-1 checkpoint take their
+spectrum as ``rfft2(values)``.  The chemical potential omega is built
+from its spectrum alone, which the record's norms read, so a run never
+takes omega back to the grid.  A field keeps a copy of a caller's
+writeable array; the schemes instead freeze each array they compute
+(``_freeze``), which the field adopts without copying (``_adopt``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft2, rfft2
@@ -100,71 +101,48 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _own(array: np.ndarray) -> np.ndarray:
-    """``array`` itself if it is read-only and owns its data, else a read-only copy of it."""
-    if array.base is not None or array.flags.writeable:
-        array = array.copy()
-    return _freeze(array)
-
-
 def _adopt(array, dtype, shape: tuple, form: str) -> np.ndarray:
     """A read-only ``dtype`` array of ``shape`` holding ``array``, which must be finite.
 
     A writeable or borrowed array is copied; a read-only array that owns its
-    data is adopted as it is (``_own``).
+    data is adopted as it is.
     """
     array = np.asarray(array, dtype=dtype)
     if array.shape != shape:
         raise ValueError(f"expected {form} of shape {shape}, got {array.shape}")
     if not np.isfinite(array).all():
         raise ValueError(f"field {form} must be finite (no NaN/Inf)")
-    return _own(array)
+    if array.base is not None or array.flags.writeable:
+        array = array.copy()
+    return _freeze(array)
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Field:
     """Cell-centered periodic grid function; immutable after construction.
 
-    Built from its values, ``Field(geometry, values)``, or from its half
-    spectrum, ``Field.from_spectrum(geometry, modes)``; the other form is
-    computed on first use, once.  A level a step solves for, or a
-    checkpoint stores, is built from both
-    (``_from_spectrum_and_values``).  Finiteness is checked on the forms
-    given.
-    A writeable or borrowed array is copied, so later changes to the
-    caller's array do not reach the field; a read-only array that owns its
-    data is adopted as it is.
+    Built from its values, its half spectrum ``rfft2(values)`` (N x
+    (N/2+1)), or both; the form not given is computed on first use, once.
+    Given both, as for a level a step solves for or a checkpoint stores,
+    the caller vouches that the spectrum is ``rfft2(values)`` up to
+    rounding.  Neither form is a ``ValueError``, and so is a form of the
+    wrong shape or with a non-finite entry.  A writeable or borrowed array
+    is copied, so later changes to the caller's array do not reach the
+    field; a read-only array that owns its data is adopted as it is.
     """
 
     geometry: GridGeometry
 
-    def __init__(self, geometry: GridGeometry, values: np.ndarray):
+    def __init__(self, geometry: GridGeometry, values: Optional[np.ndarray] = None,
+                 spectrum: Optional[np.ndarray] = None):
+        if values is None and spectrum is None:
+            raise ValueError("a field needs its values, its spectrum or both")
+        n = geometry.n
         object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "values",
-                           _adopt(values, np.float64, (geometry.n, geometry.n), "values"))
-
-    @classmethod
-    def from_spectrum(cls, geometry: GridGeometry, modes: np.ndarray) -> "Field":
-        """The field whose half spectrum ``rfft2(values)`` is ``modes``, N x (N/2+1)."""
-        phi = cls.__new__(cls)
-        object.__setattr__(phi, "geometry", geometry)
-        object.__setattr__(phi, "spectrum", _adopt(modes, np.complex128,
-                                                   (geometry.n, geometry.n // 2 + 1), "spectrum"))
-        return phi
-
-    @classmethod
-    def _from_spectrum_and_values(cls, geometry: GridGeometry, modes: np.ndarray,
-                                  values: np.ndarray) -> "Field":
-        """The field whose half spectrum is ``modes`` and whose values are ``values``.
-
-        The caller vouches that ``modes`` is ``rfft2(values)`` up to
-        rounding: a step's solved spectrum, or a checkpoint's stored one.
-        Both forms are checked for finiteness.
-        """
-        phi = cls.from_spectrum(geometry, modes)
-        object.__setattr__(phi, "values",
-                           _adopt(values, np.float64, (geometry.n, geometry.n), "values"))
-        return phi
+        if spectrum is not None:
+            object.__setattr__(self, "spectrum", _adopt(spectrum, np.complex128, (n, n // 2 + 1), "spectrum"))
+        if values is not None:
+            object.__setattr__(self, "values", _adopt(values, np.float64, (n, n), "values"))
 
     @classmethod
     def constant(cls, geometry: GridGeometry, value: float) -> "Field":

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import irfft2
 
-from .grid import Field, GridGeometry, _freeze, _own, _reduce
+from .grid import Field, GridGeometry, _freeze, _reduce
 
 
 def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
@@ -87,32 +87,27 @@ def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Per-mode DFT symbols shared by solvers and norms.
+    """Per-mode DFT symbols shared by solvers and norms, built by ``make_cache``.
 
     ``minus_laplacian_eigenvalues`` holds the symbol lambda of minus the
     Laplacian on the half spectrum (nonnegative, zero exactly at the
     constant mode), and ``inverse_eigenvalues`` 1/lambda there, 0 at the
-    constant mode: the weights of the negative norm.  Immutable, safe to
-    share across threads.  A writeable or borrowed lambda is copied; the
-    read-only one ``make_cache`` builds is stored as it is.
+    constant mode: the weights of the negative norm.  Both arrays are
+    read-only, so the cache is immutable and safe to share across threads.
     """
 
     geometry: GridGeometry
     minus_laplacian_eigenvalues: np.ndarray = field(repr=False)
-    inverse_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lam = _own(np.asarray(self.minus_laplacian_eigenvalues, dtype=np.float64))
-        with np.errstate(divide="ignore"):
-            inverse = 1.0 / lam
-        inverse[lam == 0.0] = 0.0  # the constant mode
-        object.__setattr__(self, "minus_laplacian_eigenvalues", lam)
-        object.__setattr__(self, "inverse_eigenvalues", _freeze(inverse))
+    inverse_eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
 def make_cache(geometry: GridGeometry) -> SpectralCache:
-    """Build the spectral cache for a grid: lambda on columns 0..N/2, the rfft2 modes."""
-    return SpectralCache(geometry, _freeze(laplacian_eigenvalues(geometry, geometry.n // 2 + 1)))
+    """Build the spectral cache for a grid: lambda and 1/lambda on columns 0..N/2, the rfft2 modes."""
+    lam = laplacian_eigenvalues(geometry, geometry.n // 2 + 1)
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / lam
+    inverse[lam == 0.0] = 0.0  # the constant mode
+    return SpectralCache(geometry, _freeze(lam), _freeze(inverse))
 
 
 def _forward_differences(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

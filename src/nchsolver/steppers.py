@@ -42,11 +42,16 @@ and slope the pointwise slope a Newton step's preconditioner freezes; a
 row with no slope is a linear scheme, one DFT-diagonal solve.  A row also
 holds its admissibility rule and, for two_li, the weight beta/2 of
 ||du||_2^2 in the modified energy.  ``advance`` reads the row's step
-count, parts and slope, ``_operator`` its I and slope, ``check_solvability``
-its rule, ``modified_energy`` its weight, ``bootstrap_config`` its
-bootstrap, ``cli`` its step count, and ``SchemeConfig`` its potential,
-which ``config`` also takes as the default of ``model.potential.type``.
-``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read off the table.
+count, parts and slope, ``_operator`` its I and slope, ``_newton_step``
+its slope, ``check_solvability`` its rule, ``modified_energy`` its weight,
+``bootstrap_config`` its bootstrap, ``cli`` its step count, and
+``SchemeConfig`` its potential, which ``config`` also takes as the default
+of ``model.potential.type``.  ``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read
+off the table.  beta = 3K^2 - 1, the curvature bound of the truncated
+potential F_K, is read in one place, the run's potential
+(``model.potential.curvature_bound``): by the ssi1 and two_li rules, the
+two_li bootstrap and the two_li weight, all rows of schemes that require
+F_K.
 
 Both operators are diagonal in the DFT basis and applied only as products
 of their half-spectrum symbols with spectra, never on the grid: -Lap
@@ -76,8 +81,9 @@ decides whether an inadmissible configuration rejects the step, warns, or
 is ignored.  ``advance``, the one way to take a step, is the one place
 that applies it: on every call, or once per configuration of a run.  It
 first refuses a model that is not the configuration's (another eps or
-potential), since the check reads beta from the configuration and the
-step reads F from the model; under ``ignore`` a step is an unchecked solve.
+potential), since a configuration still holds its own eps and K while the
+check and the step read them from the model; under ``ignore`` a step is an
+unchecked solve.
 
 The symbols a step configuration solves with -- a, the symbol I of
 omega's implicit linear part, the linear part a + lambda I, and a Newton
@@ -96,9 +102,10 @@ onto the coefficients of a real field with its constant mode N^2 times the
 conserved mean.  That spectrum serves omega's implicit part, the record's
 energy and ||du||_{-1} (``spectral.norm_neg1``), and the next step.  A
 Newton step that returns its guess returns u^n's own level.  A step
-returns omega as its half spectrum (``Field.from_spectrum``), which the
-record's norms read by Parseval, so no step transforms omega back to the
-grid.  All transforms come from ``scipy.fft``.
+returns omega as its half spectrum alone (``Field(geometry,
+spectrum=...)``), which the record's norms read by Parseval, so no step
+transforms omega back to the grid.  All transforms come from
+``scipy.fft``.
 
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
@@ -143,7 +150,8 @@ at u^n: it reads F_K'(u^{n-1}) from the state, which kept it from the step
 that evaluated it (the ssi1 bootstrap or the two_li step before), and
 keeps F_K'(u^n), on the state it returns, for the next step.  Only that
 one array is kept, and no step writes to the state it is given; a state
-without it (a fresh or resumed one) has it evaluated, to the same bits.
+without it (a fresh or resumed one, or the final state ``driver.run``
+returns) has it evaluated, to the same bits.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -184,19 +192,20 @@ class _Scheme(NamedTuple):
     """One scheme's row of ``_SCHEMES``: all that the steps, the check and the records vary by.
 
     ``potential`` is the potential variant the scheme requires (None for
-    either) and ``bootstrap`` maps a two-step configuration to its
-    first-order startup one.  ``implicit(cfg, model)`` builds the symbol I of
-    omega's implicit linear part, and ``slope`` is the pointwise slope a
-    Newton step's preconditioner freezes, None for one DFT-diagonal solve.
+    either) and ``bootstrap(cfg, model)`` maps a two-step configuration to
+    its first-order startup one.  ``implicit(cfg, model)`` builds the
+    symbol I of omega's implicit linear part, and ``slope`` is the pointwise
+    slope a Newton step's preconditioner freezes, None for one DFT-diagonal
+    solve.
     ``omega(state, cfg, model, op)`` gives omega's other parts: the
     pointwise ``local`` and its derivative (None for a linear scheme) and
     the spectrum of the explicit part (None if there is none), and the
     F'(u^n) it evaluated on the way (None if it evaluated none).
-    ``admissibility(cfg, lam, gap, gamma0)``, on the nonzero modes, gives
+    ``admissibility(cfg, model, lam, gap)``, on the nonzero modes, gives
     (per_mode_min, margin, admissible) before gamma0 > 0 is required, and
-    ``increment_weight(cfg)`` weighs ||du||_2^2 in the modified energy (None
-    for no such term).  A row calls ``potential_d1``, ``potential_d2`` and
-    ``rfft2`` through this module's names, looked up at each call.
+    ``increment_weight(model)`` weighs ||du||_2^2 in the modified energy
+    (None for no such term).  A row calls ``potential_d1``, ``potential_d2``
+    and ``rfft2`` through this module's names, looked up at each call.
     """
 
     two_step: bool
@@ -244,23 +253,24 @@ def _two_li_explicit(state, cfg, model, op):
     return None, None, rfft2(explicit), d1
 
 
-def _convexity(c_s, cfg, lam, gap, g0):
+def _convexity(c_s, cfg, model, lam, gap):
     """q(m) = 1 / (c_s tau lambda_m) + G_m - 1 >= 0: backward Euler with c_s = 1, BDF2 with 2/3."""
     per_mode_min = float((1.0 / (c_s * cfg.tau * lam) + gap - 1.0).min())
     return per_mode_min, per_mode_min, per_mode_min >= 0.0
 
 
-def _ssi1_rule(cfg, lam, gap, g0):
+def _ssi1_rule(cfg, model, lam, gap):
     """S >= beta/2, with 1 / (tau lambda_m) + S + G_m positive at every mode."""
     per_mode_min = float((1.0 / (cfg.tau * lam) + cfg.stabilization + gap).min())
-    margin = cfg.stabilization - 0.5 * cfg.beta
+    margin = cfg.stabilization - 0.5 * model.potential.curvature_bound
     return per_mode_min, margin, margin >= 0.0 and per_mode_min > 0.0
 
 
-def _two_li_rule(cfg, lam, gap, g0):
+def _two_li_rule(cfg, model, lam, gap):
     """(gamma0 + 1) / 3 >= beta and 2 / (tau lambda_m) + G_m - 3 beta >= 0; the margin is the lesser."""
-    per_mode_min = float((2.0 / (cfg.tau * lam) + gap - 3.0 * cfg.beta).min())
-    closed_form = (g0 + 1.0) / 3.0 - cfg.beta
+    beta = model.potential.curvature_bound
+    per_mode_min = float((2.0 / (cfg.tau * lam) + gap - 3.0 * beta).min())
+    closed_form = (model.gamma0 + 1.0) / 3.0 - beta
     return per_mode_min, min(closed_form, per_mode_min), closed_form >= 0.0 and per_mode_min >= 0.0
 
 
@@ -269,15 +279,16 @@ _SCHEMES: dict[str, _Scheme] = {
     "backward_euler": _Scheme(False, None, None, _gap, -1.0, _implicit_potential, partial(_convexity, 1.0)),
     "convex_splitting": _Scheme(
         False, "double_well", None, lambda cfg, model: 2.0 * model.epsilon**2 * model.kernel.conv_one,
-        0.0, _convex_split, lambda cfg, lam, gap, g0: (np.inf, np.inf, True)),
+        0.0, _convex_split, lambda cfg, model, lam, gap: (np.inf, np.inf, True)),
     "ssi1": _Scheme(False, "truncated", None, lambda cfg, model: _freeze(cfg.stabilization + model.gap),
                     None, _ssi1_explicit, _ssi1_rule),
-    "bdf2": _Scheme(True, None, lambda cfg: replace(cfg, scheme="backward_euler"), _gap, -1.0,
+    "bdf2": _Scheme(True, None, lambda cfg, model: replace(cfg, scheme="backward_euler"), _gap, -1.0,
                     _implicit_potential, partial(_convexity, 2.0 / 3.0)),
     "two_li": _Scheme(
         True, "truncated",
-        lambda cfg: replace(cfg, scheme="ssi1", stabilization=max(cfg.stabilization, 0.5 * cfg.beta)),
-        _gap, None, _two_li_explicit, _two_li_rule, lambda cfg: 0.5 * cfg.beta),
+        lambda cfg, model: replace(cfg, scheme="ssi1", stabilization=max(
+            cfg.stabilization, 0.5 * model.potential.curvature_bound)),
+        _gap, None, _two_li_explicit, _two_li_rule, lambda model: 0.5 * model.potential.curvature_bound),
 }
 SCHEMES = tuple(_SCHEMES)
 TWO_STEP_SCHEMES = tuple(name for name, row in _SCHEMES.items() if row.two_step)
@@ -291,10 +302,11 @@ class SchemeConfig:
     ``NEWTON_MAX_ITER`` and the GMRES tolerance ``solvers.KRYLOV_RTOL`` are
     fixed.  ``stabilization`` is the linear stabilization constant S of the
     semi-implicit scheme; ``cutoff`` the truncation point K of the modified
-    potential (its curvature bound beta = 3K^2 - 1 is derived, never
-    user-supplied).  ``potential_variant`` may force the truncated
-    potential for the implicit schemes; "auto" resolves to the double well
-    for backward Euler / convex splitting / BDF2 and to the truncation for
+    potential, whose curvature bound beta = 3K^2 - 1 the rules read from
+    the run's potential (``PotentialSpec.curvature_bound``), never from
+    here.  ``potential_variant`` may force the truncated potential for the
+    implicit schemes; "auto" resolves to the double well for backward
+    Euler / convex splitting / BDF2 and to the truncation for
     the linear schemes, which are defined through F_K.  ``epsilon`` and
     ``potential`` are read once, when a run builds its ``Model``
     (``model``); the steps read them from that model.
@@ -318,7 +330,7 @@ class SchemeConfig:
             raise ConfigError(f"interface parameter must be positive and finite, got {self.epsilon}")
         if not 0.0 <= self.stabilization < np.inf:
             raise ConfigError(f"stabilization constant must be >= 0 and finite, got {self.stabilization}")
-        PotentialSpec("truncated", self.cutoff)  # K in range, so beta and F_K are finite
+        PotentialSpec("truncated", self.cutoff)  # K in range, so F_K is finite
         if not 0.0 < self.newton_tol < np.inf:
             raise ConfigError(f"Newton tolerance must be positive and finite, got {self.newton_tol}")
         if self.stability_policy not in STABILITY_POLICIES:
@@ -330,11 +342,6 @@ class SchemeConfig:
         required = _SCHEMES[self.scheme].potential
         if required and self.potential_variant not in ("auto", required):
             raise ConfigError(f"{self.scheme} requires the {required} potential")
-
-    @property
-    def beta(self) -> float:
-        """Curvature bound of the truncated potential at the cutoff K."""
-        return PotentialSpec("truncated", self.cutoff).curvature_bound
 
     @property
     def potential(self) -> PotentialSpec:
@@ -359,8 +366,8 @@ class SchemeState:
     and a two-step pair must hold one mass (``StateError``).
     ``_d1_prev`` is (potential, F'(u_prev)) as the step that left u_prev
     evaluated it, which a two_li state keeps for the steps from it.  A
-    state without it (fresh or read from a checkpoint) has it evaluated
-    there, to the same bits.
+    state without it (fresh, read from a checkpoint, or the final state a
+    run returns) has it evaluated there, to the same bits.
     """
 
     u: Field
@@ -382,16 +389,15 @@ class SchemeState:
                 )
 
 
-def _step_field(build, geometry: GridGeometry, *arrays: np.ndarray) -> Field:
-    """Wrap fresh arrays of a step; a non-finite one (a diverged step) is a solver failure.
+def _step_field(geometry: GridGeometry, **forms: np.ndarray) -> Field:
+    """The field of a step's fresh arrays; a non-finite one (a diverged step) is a solver failure.
 
-    ``build`` is ``Field._from_spectrum_and_values`` for a new level's
-    spectrum and values or ``Field.from_spectrum`` for omega's spectrum.
-    The arrays are owned by the step, so they are frozen and the field
-    adopts them without a copy.
+    ``forms`` are a new level's ``values`` and ``spectrum``, or omega's
+    ``spectrum`` alone.  The arrays are owned by the step, so they are
+    frozen and the field adopts them without a copy.
     """
     try:
-        return build(geometry, *map(_freeze, arrays))
+        return Field(geometry, **{form: _freeze(array) for form, array in forms.items()})
     except ValueError as err:  # the shapes come from the state: only finiteness can fail
         raise SolverError(f"diverged: {err}") from err
 
@@ -406,7 +412,7 @@ def _level(geometry: GridGeometry, modes: np.ndarray, values: np.ndarray, mass: 
     """
     modes = _project_hermitian(modes)
     modes[0, 0] = geometry.n**2 * mass
-    return _step_field(Field._from_spectrum_and_values, geometry, modes, values)
+    return _step_field(geometry, values=values, spectrum=modes)
 
 
 @dataclass(frozen=True)
@@ -438,23 +444,23 @@ def check_solvability(cfg: SchemeConfig, model: Model) -> SolvabilityReport:
     """
     lam = model.cache.minus_laplacian_eigenvalues
     mask = lam > 0.0
-    g0 = model.gamma0
-    per_mode_min, margin, admissible = _SCHEMES[cfg.scheme].admissibility(cfg, lam[mask], model.gap[mask], g0)
+    per_mode_min, margin, admissible = _SCHEMES[cfg.scheme].admissibility(cfg, model, lam[mask],
+                                                                           model.gap[mask])
     note = ""
-    if g0 <= 0.0:
-        note = f"gamma0 = {g0!r} <= 0 violates the positive-diffusivity assumption"
+    if model.gamma0 <= 0.0:
+        note = f"gamma0 = {model.gamma0!r} <= 0 violates the positive-diffusivity assumption"
     elif margin == 0.0:
         note = "margin is exactly 0: admissibility is decided at the sharp boundary"
 
-    return SolvabilityReport(admissible=g0 > 0.0 and admissible, margin=float(margin),
+    return SolvabilityReport(admissible=model.gamma0 > 0.0 and admissible, margin=float(margin),
                              per_mode_min=float(per_mode_min), note=note)
 
 
 def _apply_policy(cfg: SchemeConfig, model: Model):
     """Vet ``cfg`` for ``model``: a ``ConfigError`` unless the model is the configuration's, then the policy.
 
-    The steps read eps and the potential from the model, the check reads
-    beta from the configuration, so the two must agree.
+    The steps and the check read eps and the potential from the model, and
+    the configuration holds its own, so the two must agree.
     """
     if (model.epsilon, model.potential) != (cfg.epsilon, cfg.potential):
         raise ConfigError(
@@ -518,15 +524,13 @@ class _Operator(NamedTuple):
     reciprocal a step multiplies by.  A linear step keeps only the
     reciprocal of its modal denominator a + lambda implicit.  A Newton step
     keeps that denominator as ``linear``, the linear part of its residual,
-    and its preconditioner: the pointwise ``slope`` it freezes, the
-    ``symbol`` a + lambda (slope + implicit) and, as ``inverse``, its
-    reciprocal.
+    and its preconditioner: the ``symbol`` a + lambda (slope + implicit),
+    with the row's pointwise slope, and, as ``inverse``, its reciprocal.
     """
 
     a: float
     implicit: np.ndarray | float
     linear: Optional[np.ndarray] = None
-    slope: float = 0.0
     symbol: Optional[np.ndarray] = None
     inverse: Optional[np.ndarray] = None
 
@@ -554,7 +558,7 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
     shift = row.slope + implicit
     symbol = a + lam * shift
     symbol = np.where(symbol <= 0.0, a + lam * np.maximum(shift, 0.0), symbol)
-    return _Operator(a, implicit, _freeze(linear), row.slope, _freeze(symbol), _freeze(1.0 / symbol))
+    return _Operator(a, implicit, _freeze(linear), _freeze(symbol), _freeze(1.0 / symbol))
 
 
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
@@ -598,7 +602,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     Newton stops at max(newton_tol, C eps scale): scale is the norm of the
     right-hand side solved against, plus that of the preconditioner applied
     forward to u_hat^n, plus lambda_max times the norm of
-    |u^n|^3 + |slope| |u^n|.  The last term bounds the rounding of
+    |u^n|^3 + |slope| |u^n|, with the row's slope.  The last term bounds the rounding of
     local(u), which is white and which lambda amplifies at the high modes
     where u_hat itself is small.  None of it takes a transform.  A stop
     that is not finite raises ``SolverError``.
@@ -615,7 +619,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     h = model.cache.geometry.h
     norm = lambda modes: _norm(modes, h)
     terms = np.abs(state.u.values)
-    terms *= terms * terms + abs(op.slope)
+    terms *= terms * terms + abs(_SCHEMES[cfg.scheme].slope)
     scale = norm(rhs_hat) + norm(op.symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
     if not math.isfinite(tol):
@@ -658,7 +662,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     omega_hat += op.implicit * u.spectrum  # from the spectrum of u itself, as chemical_potential takes it
     if explicit_hat is not None:
         omega_hat += explicit_hat
-    return u, _step_field(Field.from_spectrum, u.geometry, omega_hat), iters
+    return u, _step_field(u.geometry, spectrum=omega_hat), iters
 
 
 def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.ndarray,
@@ -684,39 +688,40 @@ def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.nd
     values = _snap_mass(irfft2(u_hat, s=state.u.values.shape), mass)
     u = _level(state.u.geometry, u_hat, values, mass)
     omega_hat += np.multiply(op.implicit, u.spectrum, out=rhs_hat)
-    return u, _step_field(Field.from_spectrum, u.geometry, omega_hat), 0
+    return u, _step_field(u.geometry, spectrum=omega_hat), 0
 
 
-def modified_energy(cfg: SchemeConfig, energy: float, du_neg1: float,
+def modified_energy(cfg: SchemeConfig, model: Model, energy: float, du_neg1: float,
                     du_l2: float) -> Optional[float]:
     """The modified energy a two-step scheme dissipates; None for a one-step scheme, which dissipates E.
 
     From the energy E of the new level and the norms ||du||_{-1}, ||du||_2
     of the last increment (a zero-mean difference of equal-mass levels):
-    E + ||du||_{-1}^2 / (4 tau), plus (beta/2) ||du||_2^2 for two_li.
+    E + ||du||_{-1}^2 / (4 tau), plus (beta/2) ||du||_2^2 for two_li, with
+    beta the curvature bound of the model's potential.
     """
     row = _SCHEMES[cfg.scheme]
     if not row.two_step:
         return None
     modified = energy + du_neg1**2 / (4.0 * cfg.tau)
     if row.increment_weight is not None:
-        modified += row.increment_weight(cfg) * du_l2**2
+        modified += row.increment_weight(model) * du_l2**2
     return modified
 
 
-def bootstrap_config(cfg: SchemeConfig) -> SchemeConfig:
-    """First-order startup scheme for the two-step methods.
+def bootstrap_config(cfg: SchemeConfig, model: Model) -> SchemeConfig:
+    """First-order startup scheme for the two-step methods under ``model``.
 
     BDF2 starts with one backward-Euler step, the linearly implicit scheme
     with one stabilized semi-implicit step (stabilization raised to beta/2
-    if needed); either preserves mass, which is all the two-step stability
+    of the model's potential if needed); either preserves mass, which is all the two-step stability
     results require of the starting pair.  The startup keeps eps and the
     potential, so one ``Model`` serves it and the steps after it.
     """
     bootstrap = _SCHEMES[cfg.scheme].bootstrap
     if bootstrap is None:
         raise ConfigError(f"{cfg.scheme} is a one-step scheme and needs no bootstrap")
-    return bootstrap(cfg)
+    return bootstrap(cfg, model)
 
 
 def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
@@ -741,7 +746,7 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
     """
     two_step = _SCHEMES[cfg.scheme].two_step
     bootstrapping = two_step and state.u_prev is None
-    step_cfg = bootstrap_config(cfg) if bootstrapping else cfg
+    step_cfg = bootstrap_config(cfg, model) if bootstrapping else cfg
     op = None if operators is None else operators.get(step_cfg)
     if op is None:
         _apply_policy(step_cfg, model)

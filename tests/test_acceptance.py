@@ -22,7 +22,7 @@ from nchsolver.spectral import (_apply_to_field, _forward_differences, laplacian
                                 laplacian_eigenvalues)
 from nchsolver.steppers import TWO_STEP_SCHEMES, advance
 
-from conftest import DW, model_of, recomposed_modified_energy
+from conftest import recomposed_modified_energy
 
 GEO32 = GridGeometry(32, 1.0)
 CACHE32 = make_cache(GEO32)
@@ -241,18 +241,19 @@ def test_c06_energy_dissipation():
     _assert_non_increasing(modified, "bdf2 modified energy")
 
     # (d) linearly implicit two-step scheme under the curvature bound.
-    assert cfg.beta <= (model_of(STRONG32, 1.0, DW, CACHE32).gamma0 + 1.0) / 3.0
     tau = _admissible_tau("two_li", STRONG32, CACHE32, 0.01)
     cfg = _cfg("two_li", tau)
     model = cfg.model(STRONG32, CACHE32)
+    beta = model.potential.curvature_bound
+    assert beta <= (model.gamma0 + 1.0) / 3.0
     state, _ = advance(SchemeState(u=u0), cfg, model)
     du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
-    modified = [recomposed_modified_energy(state.u, du, tau, model, cfg.beta)]
+    modified = [recomposed_modified_energy(state.u, du, tau, model, beta)]
     for _ in range(steps):
         prev = state.u
         state, _ = advance(state, cfg, model)
         du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
-        modified.append(recomposed_modified_energy(state.u, du, tau, model, cfg.beta))
+        modified.append(recomposed_modified_energy(state.u, du, tau, model, beta))
     _assert_non_increasing(modified, "two_li modified energy")
 
     elapsed = time.perf_counter() - started
@@ -391,3 +392,53 @@ def test_c11_determinism(tmp_path):
     bytes_b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert bytes_a == bytes_b
     _report(11, "fixed-seed runs produced byte-identical diagnostics CSV")
+
+
+def _spatial_rate(scheme, spec, sizes, tau, horizon, **kw):
+    """The last rate log2(gap(N/2, N) / gap(N, 2N)) of a run's low Fourier coefficients.
+
+    Each N starts from the same smooth field and takes the same steps, so
+    the gap between two N is the spatial error.  The 81 coefficients
+    |k_x|, |k_y| <= 4 are taken by quadrature on the cell centres.
+    """
+    coefficients = []
+    for n in sizes:
+        geo = GridGeometry(n, 1.0)
+        x, y = np.meshgrid(*geo.cell_coords(), indexing="ij")
+        u0 = Field(geo, 0.3 * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y)
+                   + 0.2 * np.cos(2 * np.pi * (x + y)))
+        cfg = _cfg(scheme, tau, **kw)
+        model = cfg.model(sample_kernel(spec, geo), make_cache(geo))
+        state, operators = SchemeState(u=u0), {}
+        for _ in range(round(horizon / tau)):
+            state, _ = advance(state, cfg, model, operators)
+        waves = np.exp(-2j * np.pi * np.outer(np.arange(-4, 5), geo.cell_coords()[0]))
+        coefficients.append(geo.h**2 * (waves @ state.u.values @ waves.T))
+    gaps = [np.abs(a - b).max() for a, b in zip(coefficients, coefficients[1:])]
+    return float(np.log2(gaps[-2] / gaps[-1]))
+
+
+def test_c13_spatial_order():
+    # Second order in space: the smooth kernel of GAUSS32 (c08's STRONG_NARROW
+    # for two_li) at N = 16..128, and ssi1 on the phase-separating kernel at
+    # N = 64..512, every step under the enforce policy.
+    started = time.perf_counter()
+    smooth, narrow = (16, 32, 64, 128), (64, 128, 256, 512)
+    gauss, strong_narrow = KernelSpec.gaussian(12.5, 10.0), KernelSpec.gaussian(124.0, 54.2)
+    beta = 3 * 1.05**2 - 1
+    rates = {
+        "backward_euler": _spatial_rate("backward_euler", gauss, smooth, 1e-3, 0.05),
+        "convex_splitting": _spatial_rate("convex_splitting", gauss, smooth, 1e-3, 0.05),
+        "ssi1": _spatial_rate("ssi1", gauss, smooth, 1e-3, 0.05),
+        "bdf2": _spatial_rate("bdf2", gauss, smooth, 1e-3, 0.05),
+        "two_li": _spatial_rate("two_li", strong_narrow, smooth, 1.25e-3, 0.05,
+                                stabilization=0.0, cutoff=1.05),
+        "ssi1 narrow": _spatial_rate("ssi1", KernelSpec.gaussian(3000.0, 1000.0), narrow, 1e-3, 0.01,
+                                     stabilization=beta / 2, cutoff=1.05),
+    }
+    for case, rate in rates.items():
+        assert abs(rate - 2.0) <= 0.1, (case, rate)
+    elapsed = time.perf_counter() - started
+    summary = ", ".join(f"{case} {rate:.3f}" for case, rate in rates.items())
+    _report(13, f"last spatial self-convergence rates of the |k| <= 4 Fourier coefficients: "
+                f"{summary} ({elapsed:.1f} s)")

@@ -377,6 +377,17 @@ def test_cli_check_reports_admissible_bootstrap(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 0
 
 
+def test_cli_check_prints_beta_only_where_the_potential_has_one(tmp_path, capsys):
+    # beta = 3K^2 - 1 bounds the curvature of the truncated potential; the
+    # template's double-well backward_euler run has no such bound.
+    assert not any(l.startswith("beta:") for l in _check_lines(tmp_path, capsys, template_config()))
+    base = BASE.format(out=tmp_path / "out")
+    ssi1 = base.replace("backward_euler", "ssi1") + "model.potential.K = 2.0\nscheme.S = 5.5\n"
+    truncated = base + "model.potential.type = truncated\nmodel.potential.K = 2.0\n"
+    for text in (ssi1, truncated):
+        assert "beta: 11.0" in _check_lines(tmp_path, capsys, text)
+
+
 @pytest.mark.parametrize("assignment", ["grid.L = inf", "model.epsilon = inf",
                                         "model.kernel.cJ = inf", "run.init.mean = inf",
                                         "run.init.mean = nan", "run.init.delta = inf"])

@@ -245,7 +245,8 @@ def test_records_match_public_functionals(scheme):
         assert record.step == state.step_index
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
         modified = recomposed_modified_energy(state.u, du, cfg.tau, model,
-                                              cfg.beta if scheme == "two_li" else 0.0)
+                                              model.potential.curvature_bound
+                                              if scheme == "two_li" else 0.0)
         assert close(record.energy, energy(state.u, model))
         assert close(record.modified_energy, modified)
         assert close(record.increment_hneg1, norm_neg1(du.spectrum, CACHE))
@@ -621,6 +622,25 @@ def test_restart_reproduces_records_bit_identically(scheme, tmp_path):
     assert len(full_tail) == len(resumed_records)
     for a, b in zip(full_tail, resumed_records):
         assert a == b  # bit-identical dataclasses, float for float
+
+
+def test_two_li_final_state_drops_its_kept_array_and_continues_bit_for_bit():
+    # A two_li step keeps F_K'(u^n) on the state it returns, for the next
+    # step; a finished run returns its final state without it, and a run
+    # continued from that state evaluates it again, to the same bits.
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO)  # two_li-admissible
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=31)
+    cfg = _cfg("two_li", tau=1e-4)
+    full = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=20, eq_tol=1e-14))
+    half = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=10, eq_tol=1e-14))
+    assert full.termination == half.termination == "max_steps"
+    assert full.final_state._d1_prev is None and half.final_state._d1_prev is None
+    stepped, _ = advance(half.final_state, cfg, cfg.model(kernel, CACHE))
+    assert stepped._d1_prev is not None  # a step in a run still keeps it
+    tail = run(None, cfg, kernel, CACHE, RunOptions(max_steps=20, eq_tol=1e-14),
+               initial_state=half.final_state)
+    assert tail.termination == "max_steps"
+    assert tail.records == [r for r in full.records if r.step > 10]
 
 
 def test_record_cadence_and_final_record():

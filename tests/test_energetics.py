@@ -196,18 +196,20 @@ def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kern
         cfg = SchemeConfig(scheme, 0.5, 1.0, cutoff=cutoff, stability_policy="ignore")
         model = cfg.model(gaussian_kernel8, cache8)
         base = energy(u, model)
-        assert modified_energy(cfg, base, norm_neg1(du.spectrum, cache8), norm2(du)) == base
-        assert recomposed_modified_energy(u, du, 0.5, model, cfg.beta) == pytest.approx(base)
+        assert modified_energy(cfg, model, base, norm_neg1(du.spectrum, cache8), norm2(du)) == base
+        beta = 3 * cutoff**2 - 1
+        assert recomposed_modified_energy(u, du, 0.5, model, beta) == pytest.approx(base)
 
 
 def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kernel8, cache8):
     u = random_field(geo8, rng)
     du = project_zero_mean(random_field(geo8, rng, scale=0.1))
     tau = 0.25
-    e = energy(u, Model(gaussian_kernel8, cache8, 1.0, DW))
+    model = Model(gaussian_kernel8, cache8, 1.0, DW)
+    e = energy(u, model)
     norms = (norm_neg1(du.spectrum, cache8), norm2(du))
-    m1 = modified_energy(SchemeConfig("bdf2", tau, 1.0), e, *norms)
-    m2 = modified_energy(SchemeConfig("bdf2", 2 * tau, 1.0), e, *norms)
+    m1 = modified_energy(SchemeConfig("bdf2", tau, 1.0), model, e, *norms)
+    m2 = modified_energy(SchemeConfig("bdf2", 2 * tau, 1.0), model, e, *norms)
     assert m2 - e == pytest.approx(0.5 * (m1 - e), rel=1e-12)
 
 
@@ -220,9 +222,9 @@ def test_modified_energy_recomposition(rng, geo8, gaussian_kernel8, cache8):
     model = cfg.model(gaussian_kernel8, cache8)
     e = energy(u, model)
     expected = e + norm_neg1(du.spectrum, cache8) ** 2 / (4 * tau) + 0.5 * beta * norm2(du) ** 2
-    actual = modified_energy(cfg, e, norm_neg1(du.spectrum, cache8), norm2(du))
+    actual = modified_energy(cfg, model, e, norm_neg1(du.spectrum, cache8), norm2(du))
     assert actual == pytest.approx(expected, rel=1e-13)
     # bdf2 drops the (beta/2) ||du||^2 term: the plain two-step modified energy.
-    assert modified_energy(SchemeConfig("bdf2", tau, 1.0, potential_variant="truncated",
-                                        cutoff=1.5), e, norm_neg1(du.spectrum, cache8), norm2(du)) \
+    assert modified_energy(SchemeConfig("bdf2", tau, 1.0, potential_variant="truncated", cutoff=1.5),
+                           model, e, norm_neg1(du.spectrum, cache8), norm2(du)) \
         == pytest.approx(recomposed_modified_energy(u, du, tau, model))

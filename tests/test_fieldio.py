@@ -87,7 +87,7 @@ def _level_with_its_own_spectrum(geo, values):
     """A level whose stored spectrum differs from rfft2(values) in one mode, so a reader must not recompute it."""
     modes = rfft2(values)
     modes[1, 1] = np.nextafter(modes[1, 1].real, np.inf) + 1j * modes[1, 1].imag
-    return Field._from_spectrum_and_values(geo, modes, values)
+    return Field(geo, values, modes)
 
 
 def test_checkpoint_keeps_values_and_spectra_bit_for_bit(tmp_path, rng):

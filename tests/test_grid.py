@@ -50,7 +50,7 @@ def test_field_from_spectrum_computes_its_values_once(rng, geo8):
     for geometry in (geo8, GridGeometry(7, 1.0)):
         values = random_field(geometry, rng).values
         modes = scipy.fft.rfft2(values)
-        phi = Field.from_spectrum(geometry, modes)
+        phi = Field(geometry, spectrum=modes)
         assert phi.spectrum is not modes  # a writeable caller array is copied
         assert np.array_equal(phi.spectrum, modes)
         first = phi.values
@@ -59,16 +59,21 @@ def test_field_from_spectrum_computes_its_values_once(rng, geo8):
         assert not first.flags.writeable and not phi.spectrum.flags.writeable
         assert mean(phi) == pytest.approx(mean(Field(geometry, values)), abs=1e-15)
         frozen = grid._freeze(modes.copy())
-        assert Field.from_spectrum(geometry, frozen).spectrum is frozen  # adopted, no copy
+        assert Field(geometry, spectrum=frozen).spectrum is frozen  # adopted, no copy
 
 
 def test_field_from_spectrum_checks_the_spectrum(geo8):
     with pytest.raises(ValueError, match="shape"):
-        Field.from_spectrum(geo8, np.zeros((8, 8), dtype=complex))
+        Field(geo8, spectrum=np.zeros((8, 8), dtype=complex))
     modes = np.zeros((8, 5), dtype=complex)
     modes[1, 1] = complex(np.inf, 0.0)
     with pytest.raises(ValueError, match="spectrum must be finite"):
-        Field.from_spectrum(geo8, modes)
+        Field(geo8, spectrum=modes)
+
+
+def test_field_needs_its_values_or_its_spectrum(geo8):
+    with pytest.raises(ValueError, match="values, its spectrum or both"):
+        Field(geo8)
 
 
 def test_field_rejects_nonfinite():
@@ -115,9 +120,10 @@ def test_step_levels_are_read_only_and_adopted_without_copy(scheme, rng, monkeyp
     assert not result.omega.spectrum.flags.writeable
     assert not result.omega.values.flags.writeable
     # The fields hold the very arrays the step froze last, u its values and
-    # omega its spectrum (the operator's symbols are frozen before them): no
-    # copy was made.
-    assert result.u.values is frozen[-2]
+    # spectrum and omega its spectrum (the operator's symbols are frozen
+    # before them): no copy was made.
+    assert result.u.values is frozen[-3]
+    assert result.u.spectrum is frozen[-2]
     assert result.omega.spectrum is frozen[-1]
 
 

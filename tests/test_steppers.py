@@ -227,11 +227,12 @@ def test_two_li_dissipates_modified_energy_any_tau_with_constant_kernel(rng):
         assert report.admissible
         state = _two_step_state(rng, cfg, CONST40, CACHE)
         du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-        m_prev = recomposed_modified_energy(state.u, du, cfg.tau, model, cfg.beta)
+        beta = model.potential.curvature_bound
+        m_prev = recomposed_modified_energy(state.u, du, cfg.tau, model, beta)
         for _ in range(15):
             state, _ = advance(state, cfg, model)
             du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
-            m = recomposed_modified_energy(state.u, du, cfg.tau, model, cfg.beta)
+            m = recomposed_modified_energy(state.u, du, cfg.tau, model, beta)
             assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
             m_prev = m
 
@@ -245,11 +246,11 @@ def test_modified_energy_is_the_two_step_functional(scheme, rng):
     du = project_zero_mean(random_field(GEO, rng, scale=0.1))
     model = cfg.model(GAUSS, CACHE)
     e = energy(u, model)
-    actual = steppers.modified_energy(cfg, e, norm_neg1(du.spectrum, CACHE), norm2(du))
+    actual = steppers.modified_energy(cfg, model, e, norm_neg1(du.spectrum, CACHE), norm2(du))
     if scheme not in TWO_STEP_SCHEMES:
         assert actual is None
         return
-    beta = cfg.beta if scheme == "two_li" else 0.0
+    beta = model.potential.curvature_bound if scheme == "two_li" else 0.0
     expected = recomposed_modified_energy(u, du, cfg.tau, model, beta)
     assert actual == pytest.approx(expected, rel=1e-14)
     assert actual > e
@@ -340,7 +341,7 @@ def test_ssi1_margin_is_stabilization_slack():
     cfg = _cfg("ssi1", tau=0.5)
     report = _check(cfg, GAUSS)
     assert report.admissible
-    assert report.margin == pytest.approx(5.5 - 0.5 * cfg.beta)
+    assert report.margin == pytest.approx(5.5 - 0.5 * (3 * 2.0**2 - 1))
     weak = _check(_cfg("ssi1", tau=0.5, stabilization=2.0, stability_policy="warn"), GAUSS)
     assert not weak.admissible
 
@@ -432,13 +433,15 @@ def test_advance_rejects_a_model_of_another_configuration():
 
 
 def test_bootstrap_config_selection():
-    assert bootstrap_config(_cfg("bdf2", tau=0.1)).scheme == "backward_euler"
-    boot = bootstrap_config(_cfg("two_li", tau=0.1, stabilization=0.0,
-                                 stability_policy="ignore"))
+    bdf2 = _cfg("bdf2", tau=0.1)
+    assert bootstrap_config(bdf2, bdf2.model(GAUSS, CACHE)).scheme == "backward_euler"
+    two_li = _cfg("two_li", tau=0.1, stabilization=0.0, stability_policy="ignore")
+    boot = bootstrap_config(two_li, two_li.model(GAUSS, CACHE))
     assert boot.scheme == "ssi1"
     assert boot.stabilization == pytest.approx(5.5)  # raised to beta/2
+    backward_euler = _cfg("backward_euler", tau=0.1)
     with pytest.raises(ConfigError):
-        bootstrap_config(_cfg("backward_euler", tau=0.1))
+        bootstrap_config(backward_euler, backward_euler.model(GAUSS, CACHE))
 
 
 @pytest.mark.parametrize("scheme, variant", [
@@ -448,7 +451,7 @@ def test_bootstrap_config_selection():
 def test_bootstrap_keeps_the_model(scheme, variant):
     # One Model serves a run's startup step and the steps after it.
     cfg = _cfg(scheme, tau=0.1, potential_variant=variant, cutoff=1.5)
-    boot = bootstrap_config(cfg)
+    boot = bootstrap_config(cfg, cfg.model(GAUSS, CACHE))
     assert boot.potential == cfg.potential
     assert boot.epsilon == cfg.epsilon
 
