@@ -19,9 +19,10 @@ F''(mean u0) + G_m < 0: above 0, small perturbations of the uniform state
 grow and the run phase-separates.
 
 Only ``verify`` imports the oracle suite (``verify``, ``oracles``) and the
-scipy modules it alone uses (``integrate``, ``optimize``, ``spatial``), so
-``run`` and ``check`` load numpy, ``scipy.fft`` and the package (and
-``scipy.sparse`` at a run's first Newton-Krylov step, see ``solvers``).
+scipy modules it alone uses (``fft``, ``integrate``, ``optimize``,
+``spatial``), so ``run`` and ``check`` load numpy and the package alone
+(and ``scipy.sparse`` at a run's first Newton-Krylov step, see
+``solvers``).
 
 Exit codes are part of the stable interface: 0 success (run finished or
 check admissible), 1 check inadmissible / verify failures, 2 configuration

@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import rfft2
 
 from .errors import ConfigError
-from .grid import Field, _freeze, _reduce, require_same_geometry
+from .grid import Field, _freeze, _reduce, require_same_geometry, rfft2
 from .kernels import SampledKernel
 from .spectral import SpectralCache, _modal_sum
 

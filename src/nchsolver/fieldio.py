@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import Field, GridGeometry
+from .grid import Field, GridGeometry, _freeze
 
 SNAPSHOT_MAGIC = b"NCHF"
 CHECKPOINT_MAGIC = b"NCHK"
@@ -60,12 +60,20 @@ def _reject_trailing(blob: bytes, end: int, what: str) -> None:
         raise ValueError(f"{what} has {len(blob) - end} trailing bytes after byte {end}")
 
 
-def _parse_snapshot(blob: bytes, offset: int = 0,
+def _form(blob, start: int, end: int, dtype, shape: tuple) -> np.ndarray:
+    """The little-endian ``blob[start:end]`` as a read-only ``dtype`` array of ``shape``: one copy."""
+    stored = np.frombuffer(blob[start:end], dtype=np.dtype(dtype).newbyteorder("<"))
+    return _freeze(stored.reshape(shape).astype(dtype))
+
+
+def _parse_snapshot(blob, offset: int = 0,
                     with_spectrum: bool = False) -> tuple[Field, float, int]:
     """The field of the snapshot at ``offset``, its time and its end offset.
 
     With ``with_spectrum`` the level's half spectrum follows the snapshot
-    (checkpoint format 2) and the field keeps it.
+    (checkpoint format 2) and the field keeps it.  ``blob`` is bytes or a
+    memoryview; each form is copied out of it once, and the field adopts
+    the copy.
     """
     if blob[offset:offset + 4] != SNAPSHOT_MAGIC:
         raise ValueError("not a field snapshot (bad magic bytes)")
@@ -76,13 +84,12 @@ def _parse_snapshot(blob: bytes, offset: int = 0,
     end = start + 8 * n * n
     _require_length(blob, end, "field snapshot")
     geometry = GridGeometry(n, length)
-    values = np.frombuffer(blob[start:end], dtype="<f8").reshape(n, n).astype(np.float64)
+    values = _form(blob, start, end, np.float64, (n, n))
     if not with_spectrum:
         return Field(geometry, values), t, end
     start, end = end, end + 16 * n * (n // 2 + 1)
     _require_length(blob, end, "level spectrum")
-    modes = np.frombuffer(blob[start:end], dtype="<c16").reshape(n, n // 2 + 1)
-    return Field(geometry, values, modes.astype(np.complex128)), t, end
+    return Field(geometry, values, _form(blob, start, end, np.complex128, (n, n // 2 + 1))), t, end
 
 
 def read_field(path) -> tuple[Field, float]:
@@ -130,7 +137,7 @@ def read_checkpoint(path):
     """
     from .steppers import SchemeState
 
-    blob = Path(path).read_bytes()
+    blob = memoryview(Path(path).read_bytes())  # slices are views: the file is not copied
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic bytes)")
     _require_length(blob, 25, "checkpoint header")

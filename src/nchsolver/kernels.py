@@ -33,8 +33,10 @@ up to rounding, and one that is not is rejected.
 The Gaussian and constant kernels are tensor products J(x, y) = A f(x) f(y),
 so they are sampled through the 1-D factor f, made exactly even in 1-D:
 [J (*) 1] = h^2 A (sum f)^2 and j_hat = h^2 A F (x) F on the half
-spectrum, with F the 1-D transform of f (``scipy.fft.fft``, real for an
-even factor), and the table is the outer product of A f and f, built only
+spectrum, with F the 1-D transform of f, real for an even factor:
+``numpy.fft.rfft`` gives its modes 0..N/2, mirrored onto the rest
+(``scipy.fft.fft``'s bits, which the real part of ``numpy.fft.fft`` is
+not), and the table is the outer product of A f and f, built only
 when read (the oracles read it; the production path does not).  Set-up
 then takes one 1-D transform, no 2-D one and no N x N table.  A tabulated
 kernel must be even up to rounding, the one evenness rule; it is
@@ -49,10 +51,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.fft import fft, irfft2, rfft2
 
 from .errors import ConfigError
-from .grid import Field, GridGeometry, _freeze, _reduce, require_same_geometry
+from .grid import Field, GridGeometry, _freeze, _reduce, irfft2, require_same_geometry, rfft2
 
 KERNEL_VARIANTS = ("gaussian", "constant", "tabulated")
 
@@ -171,8 +172,9 @@ def _sample_separable(factor: np.ndarray, amplitude: float, geometry: GridGeomet
     row, factor = _even(amplitude * factor), _even(factor)
     # A numpy scalar, so an overflowing scale or mass raises under the caller's errstate.
     scale, total = np.float64(h2) * amplitude, _reduce(factor)
-    spectrum = fft(factor).real
-    symbol = np.outer(scale * spectrum, spectrum[: n // 2 + 1])
+    # F on modes 0..N/2, mirrored onto the rest: F_k = F_{N-k} for an even factor.
+    half, k = np.fft.rfft(factor).real, np.arange(n)
+    symbol = np.outer(scale * half[np.minimum(k, n - k)], half)
     return (row, factor), float(scale * total * total), symbol
 
 
@@ -236,4 +238,4 @@ def convolve(kernel: SampledKernel, phi: Field) -> Field:
 
 def convolve_values(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolution [J (*) phi] of the values of phi."""
-    return irfft2(rfft2(values) * kernel.symbol, s=values.shape)
+    return irfft2(rfft2(values) * kernel.symbol)

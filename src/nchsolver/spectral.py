@@ -37,8 +37,9 @@ parts), and ``norm_neg1``, weighted by 1/lambda (the increment's
 ||du||_{-1}).  The record takes every norm of omega from the spectrum a
 step keeps, with no transform, and the variance and the gradient norm
 from one power array (``_norm2_mean_free``, ``_norm_grad``).  The only
-transforms are ``scipy.fft.rfft2`` and ``irfft2(..., s=(N, N))``; the
-oracle suite checks them against a direct DFT sum.
+transforms are the package's pair ``grid.rfft2`` and ``grid.irfft2``; the
+oracle suite checks them against a direct DFT sum and against
+``scipy.fft`` bit for bit.
 
 The symbol lambda is built by one formula, ``laplacian_eigenvalues``: all
 N x N modes for the oracles, which compare them with dense matrices, and
@@ -58,9 +59,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft2
 
-from .grid import Field, GridGeometry, _freeze, _reduce
+from .grid import Field, GridGeometry, _freeze, _reduce, irfft2
 
 
 def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
@@ -82,7 +82,7 @@ def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
     Reads the spectrum the field keeps, so it takes one ``irfft2``.  A
     reference for ``verify`` and the tests: no step calls it.
     """
-    return irfft2(phi.spectrum * symbol, s=phi.values.shape)
+    return irfft2(phi.spectrum * symbol)
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,11 @@ energy and ||du||_{-1} (``spectral.norm_neg1``), and the next step.  A
 Newton step that returns its guess returns u^n's own level.  A step
 returns omega as its half spectrum alone (``Field(geometry,
 spectrum=...)``), which the record's norms read by Parseval, so no step
-transforms omega back to the grid.  All transforms come from
-``scipy.fft``.
+transforms omega back to the grid.  All transforms are the package's
+pair ``grid.rfft2`` and ``grid.irfft2``.  An inverse transform's column
+pass writes into an array the step owns: a linear step's right-hand
+side, dead once the solve has read it, and one spare spectrum a Newton
+step allocates for its iterates and Jacobian applies.
 
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
@@ -176,11 +179,11 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .energetics import Model, PotentialSpec, chemical_potential, potential_d1, potential_d2
 from .errors import ConfigError, SolverError, StabilityError, StateError
-from .grid import Field, GridGeometry, _freeze, _norm2_values, _reduce, mean, require_same_geometry
+from .grid import (Field, GridGeometry, _freeze, _norm2_values, _reduce, irfft2, mean,
+                   require_same_geometry, rfft2)
 from .kernels import SampledKernel
 from .solvers import newton_solve
 from .spectral import SpectralCache, _project_hermitian, norm2_modes
@@ -608,7 +611,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     that is not finite raises ``SolverError``.
     """
     lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
-    shape, target = state.u.values.shape, mean(state.u)
+    target, work = mean(state.u), np.empty_like(u_hat)
     first = None
     if explicit_hat is None:
         omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
@@ -632,7 +635,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
 
     def at(modes):
         if modes is not last["modes"]:
-            last.update(modes=modes, values=_snap_mass(irfft2(modes, s=shape), target),
+            last.update(modes=modes, values=_snap_mass(irfft2(modes, work), target),
                         local_hat=None, slope=None)
         return last
 
@@ -649,7 +652,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
         point = at(modes)
         if point["slope"] is None:
             point["slope"] = local_slope(point["values"])
-        return op.linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, s=shape))
+        return op.linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, work))
 
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
                                    lambda r: r * op.inverse, norm, first)
@@ -685,7 +688,7 @@ def _linear_step(state: SchemeState, model: Model, op: _Operator, rhs_hat: np.nd
     u_hat = lam * omega_hat
     np.subtract(rhs_hat, u_hat, out=u_hat)
     u_hat *= op.inverse
-    values = _snap_mass(irfft2(u_hat, s=state.u.values.shape), mass)
+    values = _snap_mass(irfft2(u_hat, rhs_hat), mass)  # rhs_hat is dead: it takes the column pass
     u = _level(state.u.geometry, u_hat, values, mass)
     omega_hat += np.multiply(op.implicit, u.spectrum, out=rhs_hat)
     return u, _step_field(u.geometry, spectrum=omega_hat), 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+import scipy.fft
 
 from . import energetics, grid, kernels, oracles, spectral, steppers
 from .grid import Field, GridGeometry
@@ -154,19 +154,27 @@ def check_negative_norm() -> CheckResult:
 
 
 def check_dft_roundtrip() -> CheckResult:
-    """Production rfft2 vs the O(N^4) direct sum, and the irfft2 round trip."""
+    """The production pair ``grid.rfft2``/``irfft2`` vs the O(N^4) direct sum, and the round trip.
+
+    The pair must also give ``scipy.fft``'s bits both ways; any
+    difference fails the check.
+    """
     rng = np.random.default_rng(19)
     worst = 0.0
     for n in (7, 8):  # odd N: the half spectrum has no Nyquist column
         values = _random_field(GridGeometry(n, 1.0), rng).values
-        fast = rfft2(values)
+        fast = grid.rfft2(values)
         slow = oracles.direct_dft2(values)[:, : n // 2 + 1]
         scale = max(float(np.abs(slow).max()), 1e-30)
         worst = max(worst, float(np.abs(fast - slow).max()) / scale)
-        back = irfft2(fast, s=values.shape)
+        back = grid.irfft2(fast)
         worst = max(worst, float(np.abs(back - values).max()))
+        if not (np.array_equal(fast, scipy.fft.rfft2(values))
+                and np.array_equal(back, scipy.fft.irfft2(fast, s=values.shape))):
+            worst = np.inf
     return _result("dft-roundtrip", worst, 1e-12,
-                   "rfft2 vs direct sum and irfft2 round trip, N in {7, 8}")
+                   "grid.rfft2 vs direct sum, irfft2 round trip, both scipy.fft bit for bit, "
+                   "N in {7, 8}")
 
 
 def check_kernel_mass() -> CheckResult:

@@ -46,6 +46,22 @@ def test_field_spectrum_is_the_read_only_rfft2_of_its_values(rng, geo8):
             spectrum[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("n", [*range(2, 65), 96, 100, 127, 256, 257])
+def test_transform_pair_is_scipy_fft_bit_for_bit(n):
+    # The package's own pair, from numpy.fft, gives scipy.fft's bits both
+    # ways, for odd and even N, a real field's spectrum and any other half
+    # spectrum, and the inverse with or without a work array.
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-1.0, 1.0, size=(n, n))
+    modes = grid._freeze(grid.rfft2(values))
+    assert np.array_equal(modes, scipy.fft.rfft2(values))
+    scaled = grid._freeze(modes * rng.uniform(0.5, 2.0, size=modes.shape))
+    for spectrum in (modes, scaled):
+        expected = scipy.fft.irfft2(spectrum, s=(n, n))
+        assert np.array_equal(grid.irfft2(spectrum), expected)
+        assert np.array_equal(grid.irfft2(spectrum, np.empty_like(spectrum)), expected)
+
+
 def test_field_from_spectrum_computes_its_values_once(rng, geo8):
     for geometry in (geo8, GridGeometry(7, 1.0)):
         values = random_field(geometry, rng).values

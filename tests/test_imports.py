@@ -46,8 +46,8 @@ def test_production_module_has_no_stale_import(path):
 
 
 # A fresh interpreter's whole life: check and runs of every scheme load no
-# scipy.sparse or scipy.integrate; the first Newton-Krylov step loads GMRES,
-# and only verify loads the oracle suite.
+# scipy.fft, scipy.special, scipy.sparse or scipy.integrate; the first
+# Newton-Krylov step loads GMRES, and only verify loads the oracle suite.
 FOOTPRINT = """
 import sys, tempfile
 from pathlib import Path
@@ -66,7 +66,8 @@ for scheme in SCHEMES:
     cfg = SchemeConfig(scheme, 1e-4, 1.0, stabilization=5.5, cutoff=2.0)
     result = driver.run(u0, cfg, kernel, cache, RunOptions(max_steps=3, eq_tol=1e-14))
     assert result.termination == "max_steps", result.error_detail
-loaded = sorted(m for m in ("scipy.sparse", "scipy.integrate") if m in sys.modules)
+loaded = sorted(m for m in ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.integrate")
+                if m in sys.modules)
 assert loaded == [], f"loaded by check and runs: {loaded}"
 infos, real_gmres = [], solvers.gmres
 def recording_gmres(*args, **kwargs):
