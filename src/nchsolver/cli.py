@@ -46,7 +46,7 @@ from .energetics import potential_d2
 from .fieldio import write_checkpoint, write_diagnostics, write_field
 from .grid import mean
 from .spectral import make_cache
-from .steppers import _SCHEMES, bootstrap_config, check_solvability
+from .steppers import _SCHEMES, check_solvability
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 1
@@ -138,7 +138,7 @@ def cmd_check(args) -> int:
         print(f"note: {report.note}")
     admissible = report.admissible
     if _SCHEMES[scheme_cfg.scheme].two_step:  # a run's first step takes the bootstrap scheme
-        boot_cfg = bootstrap_config(scheme_cfg, model)
+        boot_cfg = _SCHEMES[scheme_cfg.scheme].bootstrap(scheme_cfg, model)
         boot = check_solvability(boot_cfg, model)
         print(f"bootstrap: {boot_cfg.scheme} {'admissible' if boot.admissible else 'inadmissible'}, "
               f"margin {boot.margin!r}")

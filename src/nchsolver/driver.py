@@ -42,8 +42,7 @@ from .errors import ConfigError, SolverError
 from .fieldio import write_field
 from .grid import Field, GridGeometry, _norm2_values, _reduce, mean, require_same_geometry
 from .kernels import SampledKernel
-from .spectral import (SpectralCache, _norm2_mean_free, _norm_grad, _power, norm2_mean_free,
-                       norm2_modes, norm_neg1)
+from .spectral import SpectralCache, _norm2_mean_free, _norm_grad, _power, norm2_modes, norm_neg1
 from .steppers import SchemeConfig, SchemeState, advance, modified_energy
 
 
@@ -121,7 +120,7 @@ def equilibrium_residual(u: Field, omega: Field, model: Model) -> float:
     """
     h = u.geometry.h
     defect = omega.spectrum - chemical_potential(u, model).spectrum
-    return max(norm2_mean_free(omega.spectrum, h), norm2_modes(defect, h))
+    return max(_norm2_mean_free(_power(omega.spectrum), h), norm2_modes(defect, h))
 
 
 def _record(state: SchemeState, previous: Optional[Field], increment_l2: float,

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Field, _freeze, _reduce, require_same_geometry, rfft2
 from .kernels import SampledKernel
-from .spectral import SpectralCache, _modal_sum
+from .spectral import SpectralCache, _parseval, _power
 
 POTENTIAL_VARIANTS = ("double_well", "truncated")
 
@@ -160,7 +160,7 @@ def energy(u: Field, model: Model) -> float:
     require_same_geometry(model.cache, u)
     h2 = u.geometry.h**2
     bulk = h2 * _reduce(potential_value(model.potential, u.values))
-    return bulk + 0.5 * h2 * _modal_sum(model.gap, u.spectrum)
+    return bulk + 0.5 * h2 * _parseval(_power(u.spectrum), model.gap)
 
 
 def chemical_potential(u: Field, model: Model) -> Field:

@@ -4,9 +4,9 @@ Snapshot layout (little endian): magic bytes ``NCHF``, u32 cell count N,
 f64 domain edge length L, f64 simulation time t, then N*N f64 values in
 row-major order.  A checkpoint wraps the trajectory state: magic ``NCHK``,
 u32 format version, u64 step index, f64 time, u8 flag for the presence of
-the previous level, then one or two levels, u and then u_prev.  Format 2,
-the one written, stores each level as an embedded snapshot followed by
-its half spectrum, N*(N/2+1) complex128 values (real and imaginary part
+the previous level (0 or 1), then one or two levels, u and then u_prev.
+Format 2, the one written, stores each level as an embedded snapshot
+followed by its half spectrum, N*(N/2+1) complex128 values (real and imaginary part
 f64 each) in row-major order, and ends with the u32 CRC-32 of every byte
 before it.  A resumed run then reads the very spectra the uninterrupted
 run's solves produced, and resumes bit for bit.  Format 1, still read,
@@ -81,6 +81,8 @@ def _parse_snapshot(blob, offset: int = 0,
     _require_length(blob, start, "field snapshot header")
     n, = struct.unpack_from("<I", blob, offset + 4)
     length, t = struct.unpack_from("<dd", blob, offset + 8)
+    if not np.isfinite(t):
+        raise ValueError(f"field snapshot time must be finite, got {t!r}")
     end = start + 8 * n * n
     _require_length(blob, end, "field snapshot")
     geometry = GridGeometry(n, length)
@@ -96,7 +98,8 @@ def read_field(path) -> tuple[Field, float]:
     """Read a field snapshot; returns (field, simulation time).
 
     Raises ``OSError`` for an unreadable file and ``ValueError`` for bad
-    magic bytes, a truncated file, trailing bytes or non-finite values.
+    magic bytes, a truncated file, trailing bytes, a non-finite time or
+    non-finite values.
     """
     blob = Path(path).read_bytes()
     field, t, end = _parse_snapshot(blob)
@@ -133,7 +136,8 @@ def read_checkpoint(path):
 
     Raises ``OSError`` for an unreadable file and ``ValueError`` for bad
     magic bytes, an unknown version, a checksum that does not match, a
-    truncated file, trailing bytes or non-finite values.
+    truncated file, trailing bytes, a non-finite time, a previous-level
+    flag other than 0 or 1, or non-finite values.
     """
     from .steppers import SchemeState
 
@@ -153,6 +157,10 @@ def read_checkpoint(path):
     step_index, = struct.unpack_from("<Q", blob, 8)
     time, = struct.unpack_from("<d", blob, 16)
     has_prev, = struct.unpack_from("<B", blob, 24)
+    if not np.isfinite(time):
+        raise ValueError(f"checkpoint time must be finite, got {time!r}")
+    if has_prev not in (0, 1):
+        raise ValueError(f"checkpoint previous-level flag must be 0 or 1, got {has_prev}")
     u, _, end = _parse_snapshot(blob, 25, version == 2)
     u_prev = None
     if has_prev:

@@ -7,12 +7,15 @@ arithmetic (no ghost layers), so storage index i and i +/- N address the
 same value.  Edge values -- the forward differences of the staggered grid
 -- are plain arrays (``spectral._forward_differences``), not a type here.
 
-Inner products and norms follow the staggered-grid convention: the raw
-pairing (phi||psi) = sum_ij phi_ij psi_ij is unweighted, the L2 pairing is
-h^2 (phi||psi), and ||phi||_2 = sqrt(h^2 (phi||phi)).
+Norms follow the staggered-grid convention: the raw pairing
+(phi||psi) = sum_ij phi_ij psi_ij is unweighted, the L2 pairing is
+h^2 (phi||psi), and ||phi||_2 = sqrt(h^2 (phi||phi)).  This module holds
+what a run executes: the geometry, the field, its mean and L2 norm, and
+the transform pair.  The pairing itself and the zero-mean projection are
+references, in :mod:`nchsolver.oracles`.
 
 Every sum the production modules take over the grid or its half spectrum
--- means, pairings and norms here, the energy's bulk term, the Parseval
+-- the means and norms here, the energy's bulk term, the Parseval
 sums, the mass snap of a step and the kernel mass [J (*) 1], and the
 re-centring of a seeded initial field -- goes through the one summation
 rule ``_reduce``: numpy's pairwise sum in float64.  Its rounding stays far
@@ -117,16 +120,6 @@ class GridGeometry:
         """Measure of the domain, length^2."""
         return self.length * self.length
 
-    def cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of cell centers: 1D arrays x_i = (i+1/2)h."""
-        c = (np.arange(self.n) + 0.5) * self.h
-        return c, c.copy()
-
-    def vertex_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of grid vertices: 1D arrays v_i = i*h (i = 0..n-1, periodic)."""
-        v = np.arange(self.n) * self.h
-        return v, v.copy()
-
 
 def _freeze(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
@@ -176,14 +169,6 @@ class Field:
         if values is not None:
             object.__setattr__(self, "values", _adopt(values, np.float64, (n, n), "values"))
 
-    @classmethod
-    def constant(cls, geometry: GridGeometry, value: float) -> "Field":
-        return cls(geometry, np.full((geometry.n, geometry.n), float(value)))
-
-    @classmethod
-    def zeros(cls, geometry: GridGeometry) -> "Field":
-        return cls.constant(geometry, 0.0)
-
     @cached_property
     def _mean(self) -> float:
         return _reduce(self.values) / self.geometry.n**2
@@ -205,23 +190,9 @@ def require_same_geometry(a, b) -> GridGeometry:
     return a.geometry
 
 
-def inner_product(phi: Field, psi: Field) -> float:
-    """Unweighted pairing (phi||psi) = sum_ij phi_ij psi_ij.
-
-    The L2 pairing is h^2 times this value; callers supply the weight.
-    """
-    require_same_geometry(phi, psi)
-    return _reduce(phi.values * psi.values)
-
-
 def mean(phi: Field) -> float:
     """Average value (phi||1)/N^2, reduced once per field."""
     return phi._mean
-
-
-def project_zero_mean(phi: Field) -> Field:
-    """Subtract the mean, returning the zero-mass part of the field."""
-    return Field(phi.geometry, phi.values - mean(phi))
 
 
 def _norm2_values(values: np.ndarray, h: float) -> float:

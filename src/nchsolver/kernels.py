@@ -36,18 +36,18 @@ so they are sampled through the 1-D factor f, made exactly even in 1-D:
 spectrum, with F the 1-D transform of f, real for an even factor:
 ``numpy.fft.rfft`` gives its modes 0..N/2, mirrored onto the rest
 (``scipy.fft.fft``'s bits, which the real part of ``numpy.fft.fft`` is
-not), and the table is the outer product of A f and f, built only
-when read (the oracles read it; the production path does not).  Set-up
-then takes one 1-D transform, no 2-D one and no N x N table.  A tabulated
-kernel must be even up to rounding, the one evenness rule; it is
-symmetrized in 2-D, and its symbol is the real part of h^2 ``rfft2`` of
-the table, whose imaginary part is then rounding alone.
+not).  The kernel keeps A f and f; their outer product, the table, is
+built only by the oracles (``oracles.kernel_table``), since the
+production path never reads it.  Set-up then takes one 1-D transform, no
+2-D one and no N x N table.  A tabulated kernel must be even up to
+rounding, the one evenness rule; it is symmetrized in 2-D, and its symbol
+is the real part of h^2 ``rfft2`` of the table, whose imaginary part is
+then rounding alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -118,24 +118,16 @@ class SampledKernel:
     DFT symbol of the convolution operator on the half spectrum, the
     N x (N/2+1) modes of ``rfft2`` (zero mode equals ``conv_one`` exactly);
     ``samples`` the table of vertex values or, for a separable kernel, its
-    two 1-D factors.  ``values[a, b]`` is the kernel at the vertex
-    (a*h, b*h): the table, which a separable kernel builds as the outer
-    product of its factors on first read, since the production path reads
-    only ``conv_one`` and ``symbol``.  Immutable and shareable across
-    threads; convolution is a pure function.
+    two 1-D factors, whose outer product is the table.  The production path
+    reads only ``conv_one`` and ``symbol``; the table itself, the kernel
+    at the vertices (a*h, b*h), is a reference (``oracles.kernel_table``).
+    Plain immutable data, shareable across threads.
     """
 
     geometry: GridGeometry
     conv_one: float
     symbol: np.ndarray = field(repr=False)
     samples: np.ndarray | tuple = field(repr=False)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The table, built from the factors of a separable kernel on first read; read-only."""
-        if isinstance(self.samples, tuple):
-            return _freeze(np.outer(*self.samples))
-        return self.samples
 
 
 def _reflect(values: np.ndarray) -> np.ndarray:
@@ -152,7 +144,7 @@ def _factor(spec: KernelSpec, geometry: GridGeometry) -> np.ndarray:
     """The 1-D factor f of a separable kernel J(x, y) = A f(x) f(y) at the vertices i*h."""
     if spec.variant == "constant":
         return np.ones(geometry.n)
-    vx, _ = geometry.vertex_coords()
+    vx = np.arange(geometry.n) * geometry.h
     shifts = np.arange(-spec.images, spec.images + 1) * geometry.length
     # e^{-xi x^2} periodized over the image cells.
     return np.exp(-spec.decay_rate * (vx[:, None] - shifts[None, :]) ** 2).sum(axis=1)
@@ -214,8 +206,8 @@ def sample_kernel(spec: KernelSpec, geometry: GridGeometry) -> SampledKernel:
     through the 1-D factor alone: the table is the outer product of A f and
     f, each averaged with its reflection so the evenness hypothesis of the
     convolution identities holds exactly despite floating-point sampling,
-    built on first read, and the symbol is h^2 A times the outer product of
-    the 1-D transform of f with itself, so no 2-D transform is taken.  A
+    and the symbol is h^2 A times the outer product of the 1-D transform of
+    f with itself, so no 2-D transform is taken.  A
     tabulated kernel that differs from its reflection beyond rounding raises
     ``ConfigError``; one that does not is symmetrized in 2-D and its symbol
     is the real part of h^2 ``rfft2`` of the table.  The zero mode of the

@@ -4,7 +4,10 @@ Everything here trades speed for transparency: naive summation loops,
 dense matrix assembly, O(N^4) transforms and convolutions, and dense
 damped-Newton solves of the fully assembled step systems.  None of it is
 used in production paths; the matrix-free solver is validated against
-these oracles at small grid sizes (N <= 16).
+these oracles at small grid sizes (N <= 16).  The grid-level helpers that
+only references need live here too: the zero-mean projection, the apply
+of a half-spectrum symbol on the grid, and a sampled kernel's table of
+vertex values.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .energetics import PotentialSpec, potential_d1, potential_d2, potential_value
-from .grid import Field, GridGeometry
+from .grid import Field, GridGeometry, irfft2, mean
 from .kernels import SampledKernel
 
 MAX_DENSE_CELLS = 16
@@ -39,6 +42,21 @@ def naive_mean(a: np.ndarray) -> float:
 
 def naive_norm2(a: np.ndarray, h: float) -> float:
     return h * np.sqrt(naive_inner_product(a, a))
+
+
+def zero_mean(phi: Field) -> Field:
+    """Subtract the mean, returning the zero-mass part of the field."""
+    return Field(phi.geometry, phi.values - mean(phi))
+
+
+def apply_symbol(phi: Field, symbol: np.ndarray) -> np.ndarray:
+    """Values of the circulant operator with a half-spectrum symbol applied to phi: one irfft2."""
+    return irfft2(phi.spectrum * symbol)
+
+
+def kernel_table(kernel: SampledKernel) -> np.ndarray:
+    """The kernel at the vertices (a*h, b*h): the outer product of a separable kernel's factors."""
+    return np.outer(*kernel.samples) if isinstance(kernel.samples, tuple) else kernel.samples
 
 
 def dense_1d_second_difference(n: int, h: float) -> np.ndarray:
@@ -96,13 +114,14 @@ def direct_convolution(kernel: SampledKernel, values: np.ndarray) -> np.ndarray:
     """Quadruple-loop periodic convolution h^2 sum_kl J_kl phi_{i-k, j-l}."""
     n = kernel.geometry.n
     h2 = kernel.geometry.h**2
+    table = kernel_table(kernel)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             acc = 0.0
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    acc += kernel.values[k % n, l % n] * values[(i - k) % n, (j - l) % n]
+                    acc += table[k % n, l % n] * values[(i - k) % n, (j - l) % n]
             out[i, j] = h2 * acc
     return out
 
@@ -112,13 +131,14 @@ def dense_convolution_matrix(kernel: SampledKernel) -> np.ndarray:
     n = kernel.geometry.n
     _guard(n)
     h2 = kernel.geometry.h**2
+    table = kernel_table(kernel)
     m = np.zeros((n * n, n * n))
     for i in range(n):
         for j in range(n):
             row = i * n + j
             for ip in range(n):
                 for jp in range(n):
-                    m[row, ip * n + jp] = h2 * kernel.values[(i - ip) % n, (j - jp) % n]
+                    m[row, ip * n + jp] = h2 * table[(i - ip) % n, (j - jp) % n]
     return m
 
 
@@ -132,13 +152,14 @@ def nonlocal_eigenvalue_formula(kernel: SampledKernel) -> np.ndarray:
     """Closed-form eigenvalues h^2 sum J (1 - cos(2 pi (ki + lj)/N)) by loops."""
     n = kernel.geometry.n
     h2 = kernel.geometry.h**2
+    table = kernel_table(kernel)
     out = np.zeros((n, n))
     for k in range(n):
         for l in range(n):
             acc = 0.0
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    acc += kernel.values[i % n, j % n] * (
+                    acc += table[i % n, j % n] * (
                         1.0 - np.cos(2.0 * np.pi * (k * i + l * j) / n))
             out[k, l] = h2 * acc
     return out

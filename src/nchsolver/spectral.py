@@ -19,24 +19,24 @@ The production path uses real transforms on the half spectrum of modes
 l = 0..N/2 (N x (N/2+1), all values of a real even symbol).  A ``Field``
 keeps its own half spectrum (``Field.spectrum``), and the steps apply every
 symbol as a product with a spectrum, never on the grid.  The apply on the
-grid, ``_apply_to_field``, one ``irfft2`` of the product, is a reference
-for the oracle suite and the tests, like the stencil.  Quadratic forms
-(v || A v) of such an operator -- the nonlocal energy in
-:mod:`nchsolver.energetics` and the norms here -- are one modal sum by
-Parseval over the spectrum of v.  Interior half-spectrum columns count
+grid, one ``irfft2`` of the product, is a reference
+(``oracles.apply_symbol``), like the stencil.  Quadratic forms (v || A v)
+of such an operator -- the nonlocal energy in :mod:`nchsolver.energetics`
+and the norms here -- are one modal sum by Parseval over the spectrum of
+v: ``_parseval`` of its ``_power``.  Interior half-spectrum columns count
 twice, for their mirrored modes; ``_power`` instead halves the two edge
 columns of |v_hat|^2, an O(N) change, and ``_parseval`` doubles the sum,
 which gives the same bits.  A sum is then one power array, built in one
 buffer, multiplied in place by the operator's own symbol, with no weight
 array beyond the symbols.  Each norm of a spectrum
 is written once: the L2 norm ``norm2_modes`` (the Newton norm and the
-equilibrium defect), ``norm2_mean_free``, which drops the constant mode
-(the variance of omega), ``norm_grad``, weighted by lambda (the gradient
+equilibrium defect), ``_norm2_mean_free``, which drops the constant mode
+(the variance of omega), ``_norm_grad``, weighted by lambda (the gradient
 norm of omega, equal to the forward-difference norm by summation by
 parts), and ``norm_neg1``, weighted by 1/lambda (the increment's
 ||du||_{-1}).  The record takes every norm of omega from the spectrum a
 step keeps, with no transform, and the variance and the gradient norm
-from one power array (``_norm2_mean_free``, ``_norm_grad``).  The only
+from one power array, which the two private norms take as it is.  The only
 transforms are the package's pair ``grid.rfft2`` and ``grid.irfft2``; the
 oracle suite checks them against a direct DFT sum and against
 ``scipy.fft`` bit for bit.
@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, GridGeometry, _freeze, _reduce, irfft2
+from .grid import GridGeometry, _freeze, _reduce
 
 
 def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None) -> np.ndarray:
@@ -74,15 +74,6 @@ def laplacian_eigenvalues(geometry: GridGeometry, columns: Optional[int] = None)
     np.subtract(2.0, lam, out=lam)
     lam *= 2.0 / h**2
     return lam
-
-
-def _apply_to_field(phi: Field, symbol: np.ndarray) -> np.ndarray:
-    """Values of the circulant operator with a half-spectrum symbol applied to phi.
-
-    Reads the spectrum the field keeps, so it takes one ``irfft2``.  A
-    reference for ``verify`` and the tests: no step calls it.
-    """
-    return irfft2(phi.spectrum * symbol)
 
 
 @dataclass(frozen=True)
@@ -143,19 +134,12 @@ def _power(modes: np.ndarray) -> np.ndarray:
     return power
 
 
-def _modal_sum(symbol: np.ndarray, modes: np.ndarray) -> float:
-    """Pairing (v || A v) of the real v with half spectrum ``modes`` and the circulant A of a symbol.
-
-    Parseval: (v || A v) = (1/N^2) sum_kl a_kl |v_hat_kl|^2 over all N^2 modes.
-    """
-    return _parseval(_power(modes), symbol)
-
-
 def _parseval(power: np.ndarray, symbol=None) -> float:
     """(1/N^2) times the sum over all N^2 modes of symbol |v_hat|^2, from the ``_power`` of v.
 
-    ``symbol`` is an even per-mode weight on the half spectrum, or None for
-    the plain sum; ``power`` is scaled by it in place.  Sums with
+    By Parseval, the pairing (v || A v) of v and the circulant A of the
+    symbol.  ``symbol`` is an even per-mode weight on the half spectrum, or
+    None for the plain sum; ``power`` is scaled by it in place.  Sums with
     ``grid._reduce``.
     """
     if symbol is not None:
@@ -184,30 +168,20 @@ def norm2_modes(modes: np.ndarray, h: float) -> float:
     return h * math.sqrt(_parseval(_power(modes)))
 
 
-def norm2_mean_free(modes: np.ndarray, h: float) -> float:
-    """||v - mean(v)||_2 of the field with half spectrum ``modes``: the constant mode dropped."""
-    return _norm2_mean_free(_power(modes), h)
-
-
 def _norm2_mean_free(power: np.ndarray, h: float) -> float:
-    """``norm2_mean_free`` from the ``_power`` of v, which it leaves as it found it."""
+    """||v - mean(v)||_2 from the ``_power`` of v, which it leaves as it found it."""
     constant, power[0, 0] = power[0, 0], 0.0
     total = _parseval(power)
     power[0, 0] = constant
     return h * math.sqrt(total)
 
 
-def norm_grad(modes: np.ndarray, cache: SpectralCache) -> float:
-    """||grad v||_2 = sqrt(h^2 (v || (-Lap) v)) of the field with half spectrum ``modes``.
+def _norm_grad(power: np.ndarray, cache: SpectralCache) -> float:
+    """||grad v||_2 = sqrt(h^2 (v || (-Lap) v)) from the ``_power`` of v, which it scales in place.
 
     Summation by parts makes it the edge norm h sqrt(sum (D_x v)^2 + (D_y v)^2)
     of the forward differences.
     """
-    return _norm_grad(_power(modes), cache)
-
-
-def _norm_grad(power: np.ndarray, cache: SpectralCache) -> float:
-    """``norm_grad`` from the ``_power`` of v, which it scales in place."""
     return cache.geometry.h * math.sqrt(_parseval(power, cache.minus_laplacian_eigenvalues))
 
 
@@ -217,4 +191,4 @@ def norm_neg1(modes: np.ndarray, cache: SpectralCache) -> float:
     It measures the zero-mean part of v: the constant mode carries no
     weight, so the mean never needs removing.
     """
-    return float(np.sqrt(cache.geometry.h**2 * _modal_sum(cache.inverse_eigenvalues, modes)))
+    return float(np.sqrt(cache.geometry.h**2 * _parseval(_power(modes), cache.inverse_eigenvalues)))

@@ -42,9 +42,9 @@ and slope the pointwise slope a Newton step's preconditioner freezes; a
 row with no slope is a linear scheme, one DFT-diagonal solve.  A row also
 holds its admissibility rule and, for two_li, the weight beta/2 of
 ||du||_2^2 in the modified energy.  ``advance`` reads the row's step
-count, parts and slope, ``_operator`` its I and slope, ``_newton_step``
-its slope, ``check_solvability`` its rule, ``modified_energy`` its weight,
-``bootstrap_config`` its bootstrap, ``cli`` its step count, and
+count, bootstrap, parts and slope, ``_operator`` its I and slope,
+``_newton_step`` its slope, ``check_solvability`` its rule,
+``modified_energy`` its weight, ``cli`` its step count and bootstrap, and
 ``SchemeConfig`` its potential, which ``config`` also takes as the default
 of ``model.potential.type``.  ``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read
 off the table.  beta = 3K^2 - 1, the curvature bound of the truncated
@@ -196,7 +196,13 @@ class _Scheme(NamedTuple):
 
     ``potential`` is the potential variant the scheme requires (None for
     either) and ``bootstrap(cfg, model)`` maps a two-step configuration to
-    its first-order startup one.  ``implicit(cfg, model)`` builds the
+    its first-order startup one (None for a one-step scheme): BDF2 starts
+    with one backward-Euler step, two_li with one ssi1 step, its
+    stabilization raised to beta/2 of the model's potential if needed.
+    Either preserves mass, which is all the two-step stability results
+    require of the starting pair, and keeps eps and the potential, so one
+    ``Model`` serves the startup and the steps after it.
+    ``implicit(cfg, model)`` builds the
     symbol I of omega's implicit linear part, and ``slope`` is the pointwise
     slope a Newton step's preconditioner freezes, None for one DFT-diagonal
     solve.
@@ -712,21 +718,6 @@ def modified_energy(cfg: SchemeConfig, model: Model, energy: float, du_neg1: flo
     return modified
 
 
-def bootstrap_config(cfg: SchemeConfig, model: Model) -> SchemeConfig:
-    """First-order startup scheme for the two-step methods under ``model``.
-
-    BDF2 starts with one backward-Euler step, the linearly implicit scheme
-    with one stabilized semi-implicit step (stabilization raised to beta/2
-    of the model's potential if needed); either preserves mass, which is all the two-step stability
-    results require of the starting pair.  The startup keeps eps and the
-    potential, so one ``Model`` serves it and the steps after it.
-    """
-    bootstrap = _SCHEMES[cfg.scheme].bootstrap
-    if bootstrap is None:
-        raise ConfigError(f"{cfg.scheme} is a one-step scheme and needs no bootstrap")
-    return bootstrap(cfg, model)
-
-
 def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
             operators: Optional[dict] = None) -> tuple[SchemeState, int]:
     """One step of ``cfg.scheme`` under ``model``: the new state and the step's Newton iterations.
@@ -749,7 +740,7 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
     """
     two_step = _SCHEMES[cfg.scheme].two_step
     bootstrapping = two_step and state.u_prev is None
-    step_cfg = bootstrap_config(cfg, model) if bootstrapping else cfg
+    step_cfg = _SCHEMES[cfg.scheme].bootstrap(cfg, model) if bootstrapping else cfg
     op = None if operators is None else operators.get(step_cfg)
     if op is None:
         _apply_policy(step_cfg, model)

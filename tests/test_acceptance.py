@@ -13,13 +13,12 @@ import pytest
 from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig,
                        SchemeState, check_solvability, energy, make_cache, mean, norm2,
                        random_initial_field, run, sample_kernel)
-from nchsolver.grid import inner_product, project_zero_mean
+from nchsolver.cli import _growing_modes
 from nchsolver.kernels import _reflect, convolve
-from nchsolver.oracles import (dense_linear_step, dense_minus_laplacian,
+from nchsolver.oracles import (apply_symbol, dense_linear_step, dense_minus_laplacian,
                                dense_nonlinear_step, dense_nonlocal_matrix,
-                               direct_convolution, nonlocal_eigenvalue_formula)
-from nchsolver.spectral import (_apply_to_field, _forward_differences, laplacian_apply,
-                                laplacian_eigenvalues)
+                               direct_convolution, nonlocal_eigenvalue_formula, zero_mean)
+from nchsolver.spectral import _forward_differences, laplacian_apply, laplacian_eigenvalues
 from nchsolver.steppers import TWO_STEP_SCHEMES, advance
 
 from conftest import recomposed_modified_energy
@@ -58,6 +57,11 @@ def _march(state, cfg, kernel, cache, n_steps):
     return state
 
 
+def _cell_centres(geo):
+    """The coordinates (i + 1/2) h of the cell centres along one axis."""
+    return (np.arange(geo.n) + 0.5) * geo.h
+
+
 def _report(number, text):
     print(f"ACCEPTANCE {number}: PASS - {text}")
 
@@ -73,17 +77,16 @@ def test_c01_summation_by_parts():
         h, h2 = geo.h, geo.h**2
         minus_lambda = -make_cache(geo).minus_laplacian_eigenvalues
         laplacians = (lambda f: laplacian_apply(f.values, h),
-                      lambda f: _apply_to_field(f, minus_lambda))
+                      lambda f: apply_symbol(f, minus_lambda))
         for _ in range(100):
             phi = Field(geo, rng.uniform(-1, 1, (n, n)))
             psi = Field(geo, rng.uniform(-1, 1, (n, n)))
-            lhs = h2 * sum(inner_product(Field(geo, a), Field(geo, b))
-                           for a, b in zip(_forward_differences(phi.values, h),
-                                           _forward_differences(psi.values, h)))
+            lhs = h2 * sum(np.sum(a * b) for a, b in zip(_forward_differences(phi.values, h),
+                                                         _forward_differences(psi.values, h)))
             for laplacian in laplacians:
-                rhs = -h2 * inner_product(phi, Field(geo, laplacian(psi)))
+                rhs = -h2 * np.sum(phi.values * laplacian(psi))
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-                adj = h2 * inner_product(Field(geo, laplacian(phi)), psi)
+                adj = h2 * np.sum(laplacian(phi) * psi.values)
                 worst = max(worst, abs(adj - (-lhs)) / max(abs(adj), abs(lhs), 1e-30))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-12
@@ -152,13 +155,13 @@ def test_c04_convolution_lemma_suite():
     for _ in range(100):
         phi = Field(geo, rng.uniform(-1, 1, (8, 8)))
         psi = Field(geo, rng.uniform(-1, 1, (8, 8)))
-        lhs = inner_product(phi, convolve(kernel, psi))
-        rhs = inner_product(psi, convolve(kernel, phi))
+        lhs = np.sum(phi.values * convolve(kernel, psi).values)
+        rhs = np.sum(psi.values * convolve(kernel, phi).values)
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1.0):
             failures += 1
         for alpha in (0.1, 1.0, 10.0):
-            bound = kernel.conv_one * (0.5 * alpha * inner_product(phi, phi)
-                                       + inner_product(psi, psi) / (2 * alpha))
+            bound = kernel.conv_one * (0.5 * alpha * np.sum(phi.values * phi.values)
+                                       + np.sum(psi.values * psi.values) / (2 * alpha))
             if abs(lhs) > bound * (1 + 1e-12):
                 failures += 1
     assert failures == 0
@@ -231,12 +234,12 @@ def test_c06_energy_dissipation():
     cfg = _cfg("bdf2", tau)
     model = cfg.model(GAUSS32, CACHE32)
     state, _ = advance(SchemeState(u=u0), cfg, model)  # bootstrap
-    du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
+    du = zero_mean(Field(GEO32, state.u.values - u0.values))
     modified = [recomposed_modified_energy(state.u, du, tau, model)]
     for _ in range(steps):
         prev = state.u
         state, _ = advance(state, cfg, model)
-        du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
+        du = zero_mean(Field(GEO32, state.u.values - prev.values))
         modified.append(recomposed_modified_energy(state.u, du, tau, model))
     _assert_non_increasing(modified, "bdf2 modified energy")
 
@@ -247,12 +250,12 @@ def test_c06_energy_dissipation():
     beta = model.potential.curvature_bound
     assert beta <= (model.gamma0 + 1.0) / 3.0
     state, _ = advance(SchemeState(u=u0), cfg, model)
-    du = project_zero_mean(Field(GEO32, state.u.values - u0.values))
+    du = zero_mean(Field(GEO32, state.u.values - u0.values))
     modified = [recomposed_modified_energy(state.u, du, tau, model, beta)]
     for _ in range(steps):
         prev = state.u
         state, _ = advance(state, cfg, model)
-        du = project_zero_mean(Field(GEO32, state.u.values - prev.values))
+        du = zero_mean(Field(GEO32, state.u.values - prev.values))
         modified.append(recomposed_modified_energy(state.u, du, tau, model, beta))
     _assert_non_increasing(modified, "two_li modified energy")
 
@@ -268,8 +271,8 @@ def test_c07_dense_oracle_equivalence():
     geo = GridGeometry(4, 1.0)
     cache = make_cache(geo)
     kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
-    u0 = project_zero_mean(Field(geo, rng.uniform(-0.5, 0.5, (4, 4))))
-    u1 = Field(geo, u0.values + 0.01 * project_zero_mean(
+    u0 = zero_mean(Field(geo, rng.uniform(-0.5, 0.5, (4, 4))))
+    u1 = Field(geo, u0.values + 0.01 * zero_mean(
         Field(geo, rng.uniform(-1, 1, (4, 4)))).values)
     worst_nonlinear = worst_linear = 0.0
     for scheme in ALL_SCHEMES:
@@ -309,7 +312,7 @@ def _self_convergence_rate(scheme, kernel, u0, tau0, horizon, **kw):
 
 def test_c08_temporal_order():
     started = time.perf_counter()
-    x, y = np.meshgrid(*GEO32.cell_coords(), indexing="ij")
+    x, y = np.meshgrid(_cell_centres(GEO32), _cell_centres(GEO32), indexing="ij")
     smooth = Field(GEO32, 0.08 * np.sin(2 * np.pi * x) + 0.06 * np.cos(2 * np.pi * y))
     horizon = 0.1
 
@@ -366,7 +369,7 @@ def test_c10_constant_fixed_points():
         kernel = STRONG32  # admissible for every scheme at this step size
         tau = _admissible_tau(scheme, kernel, CACHE32, 0.05)
         cfg = _cfg(scheme, tau)
-        state = SchemeState(u=Field.constant(GEO32, c))
+        state = SchemeState(u=Field(GEO32, np.full((32, 32), c)))
         state = _march(state, cfg, kernel, CACHE32, 10)
         worst = max(worst, float(np.abs(state.u.values - c).max()))
     assert worst <= 1e-13
@@ -394,6 +397,36 @@ def test_c11_determinism(tmp_path):
     _report(11, "fixed-seed runs produced byte-identical diagnostics CSV")
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_c12_early_time_growth(n):
+    # The phase-separating problem, 10 ssi1 steps from near u = 0: exactly
+    # the modes with F''(0) + G_m < 0 that nch check counts grow, and at
+    # delta 1e-6 each mode follows the linearized step's multiplier
+    # ((1 + tau lambda (S - F''(0))) / (1 + tau lambda (S + G)))^10, F''(0) = -1.
+    started = time.perf_counter()
+    geo = GridGeometry(n, 1.0)
+    kernel, cache = sample_kernel(KernelSpec.gaussian(3000.0, 1000.0), geo), make_cache(geo)
+    cfg = _cfg("ssi1", 1e-3, stabilization=(3 * 1.05**2 - 1) / 2, cutoff=1.05)
+    model = cfg.model(kernel, cache)
+    tl, s = cfg.tau * cache.minus_laplacian_eigenvalues, cfg.stabilization
+    multiplier = (((1.0 + tl * (1.0 + s)) / (1.0 + tl * (s + model.gap))) ** 10).reshape(-1)[1:]
+    ratios = {}
+    for delta in (0.05, 1e-6):
+        u0 = random_initial_field(geo, 0.0, delta, seed=7)
+        u10 = _march(SchemeState(u=u0), cfg, kernel, cache, 10).u
+        ratios[delta] = (u10.spectrum / u0.spectrum).reshape(-1)[1:]  # the nonzero modes
+    grows = np.abs(ratios[0.05]) > 1.0
+    counted = _growing_modes(model, u0)
+    assert counted == 21
+    assert np.array_equal(grows, model.gap.reshape(-1)[1:] < 1.0) and grows.sum() == counted
+    worst = float((np.abs(ratios[1e-6] - multiplier) / multiplier).max())
+    assert worst <= 1e-6
+    elapsed = time.perf_counter() - started
+    _report(12, f"N = {n}: the {counted} modes nch check counts grow over 10 ssi1 steps, "
+                f"and at delta 1e-6 every mode follows its multiplier within {worst:.1e} "
+                f"<= 1e-6 ({elapsed:.2f} s)")
+
+
 def _spatial_rate(scheme, spec, sizes, tau, horizon, **kw):
     """The last rate log2(gap(N/2, N) / gap(N, 2N)) of a run's low Fourier coefficients.
 
@@ -404,7 +437,7 @@ def _spatial_rate(scheme, spec, sizes, tau, horizon, **kw):
     coefficients = []
     for n in sizes:
         geo = GridGeometry(n, 1.0)
-        x, y = np.meshgrid(*geo.cell_coords(), indexing="ij")
+        x, y = np.meshgrid(_cell_centres(geo), _cell_centres(geo), indexing="ij")
         u0 = Field(geo, 0.3 * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y)
                    + 0.2 * np.cos(2 * np.pi * (x + y)))
         cfg = _cfg(scheme, tau, **kw)
@@ -412,7 +445,7 @@ def _spatial_rate(scheme, spec, sizes, tau, horizon, **kw):
         state, operators = SchemeState(u=u0), {}
         for _ in range(round(horizon / tau)):
             state, _ = advance(state, cfg, model, operators)
-        waves = np.exp(-2j * np.pi * np.outer(np.arange(-4, 5), geo.cell_coords()[0]))
+        waves = np.exp(-2j * np.pi * np.outer(np.arange(-4, 5), _cell_centres(geo)))
         coefficients.append(geo.h**2 * (waves @ state.u.values @ waves.T))
     gaps = [np.abs(a - b).max() for a, b in zip(coefficients, coefficients[1:])]
     return float(np.log2(gaps[-2] / gaps[-1]))

@@ -10,6 +10,7 @@ from nchsolver.config import (apply_overrides, build_initial_field, build_kernel
                               build_scheme_config, emit_config, load_config,
                               parse_config, template_config)
 from nchsolver.fieldio import write_field
+from nchsolver.oracles import kernel_table
 
 from conftest import negative_gap_table
 
@@ -131,7 +132,7 @@ def test_unreadable_field_file_is_config_error(tmp_path):
 
 def test_snapshot_init_excludes_random_init_keys(tmp_path):
     snap = tmp_path / "u0.nchf"
-    write_field(snap, Field.constant(GridGeometry(8, 1.0), 0.1))
+    write_field(snap, Field(GridGeometry(8, 1.0), np.full((8, 8), 0.1)))
     text = BASE.format(out="o") + f"run.init.snapshot_path = {snap}\nrun.init.delta = 0.1\n"
     with pytest.raises(ConfigError, match="excludes"):
         parse_config(text)
@@ -139,7 +140,7 @@ def test_snapshot_init_excludes_random_init_keys(tmp_path):
 
 def test_build_initial_field_from_snapshot(tmp_path):
     snap = tmp_path / "u0.nchf"
-    u = Field.constant(GridGeometry(8, 1.0), 0.25)
+    u = Field(GridGeometry(8, 1.0), np.full((8, 8), 0.25))
     write_field(snap, u)
     cfg = _write_config(tmp_path, BASE.format(out="o") + f"run.init.snapshot_path = {snap}\n")
     values = load_config(cfg)
@@ -159,7 +160,7 @@ def test_build_kernel_tabulated_roundtrip(tmp_path):
     cfg = _write_config(tmp_path, text + f"model.kernel.path = {table}\n")
     values = load_config(cfg)
     kernel = build_kernel(values, geo)
-    assert np.abs(kernel.values - even).max() <= 1e-15
+    assert np.abs(kernel_table(kernel) - even).max() <= 1e-15
 
 
 def test_scheme_config_built_from_values():
@@ -205,7 +206,7 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, command, case, message):
     elif case == "unreadable":
         cfg = tmp_path  # a directory
     else:
-        write_field(tmp_path / "u0.nchf", Field.constant(GridGeometry(16, 1.0), 0.1))
+        write_field(tmp_path / "u0.nchf", Field(GridGeometry(16, 1.0), np.full((16, 16), 0.1)))
         cfg = _write_config(tmp_path, text + "run.init.snapshot_path = u0.nchf\n")
     assert main([command, str(cfg)]) == 2
     assert message in capsys.readouterr().err
@@ -285,7 +286,7 @@ CORRUPTIONS = {
 
 def _corrupt_field_file_exit(tmp_path, capsys, kind, key, command):
     path = tmp_path / "field.nchf"
-    write_field(path, Field.constant(GridGeometry(8, 1.0), 0.5))
+    write_field(path, Field(GridGeometry(8, 1.0), np.full((8, 8), 0.5)))
     path.write_bytes(CORRUPTIONS[kind](path.read_bytes()))
     text = BASE.format(out=tmp_path / "out")
     if key == "model.kernel.path":
@@ -511,7 +512,7 @@ def test_cli_kernel_amplitude_overflow_names_cj(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_cli_tabulated_kernel_overflow_names_path(tmp_path, capsys, command):
     table = tmp_path / "kernel.nchf"
-    write_field(table, Field.constant(GridGeometry(8, 1.0), 1e308))
+    write_field(table, Field(GridGeometry(8, 1.0), np.full((8, 8), 1e308)))
     text = BASE.format(out=tmp_path / "out").replace("model.kernel.type = gaussian",
                                                      "model.kernel.type = tabulated")
     text = text.replace("model.kernel.cJ = 12.5\n", "").replace("model.kernel.xi = 10.0\n", "")

@@ -4,8 +4,7 @@ import pytest
 from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, KernelSpec, Model,
                        PotentialSpec, SchemeConfig, chemical_potential, energy, make_cache, norm2,
                        potential_d1, potential_d2, potential_value, sample_kernel)
-from nchsolver.grid import project_zero_mean
-from nchsolver.oracles import dense_nonlocal_matrix, naive_energy
+from nchsolver.oracles import dense_nonlocal_matrix, naive_energy, zero_mean
 from nchsolver.spectral import norm_neg1
 from nchsolver.steppers import modified_energy
 
@@ -102,7 +101,7 @@ def test_truncated_curvature_bound_attained():
 def test_energy_of_constant_is_area_times_potential(geo8, gaussian_kernel8, cache8):
     model = Model(gaussian_kernel8, cache8, 1.0, DW)
     for c in (0.0, 0.4, -1.0):
-        u = Field.constant(geo8, c)
+        u = Field(geo8, np.full((8, 8), c))
         expected = geo8.area * float(potential_value(DW, c))
         assert energy(u, model) == pytest.approx(expected, abs=1e-12)
 
@@ -125,13 +124,14 @@ def test_model_rejects_kernel_and_cache_on_different_grids(gaussian_kernel8):
 def test_energy_rejects_a_field_on_another_grid(gaussian_kernel8, cache8):
     model = Model(gaussian_kernel8, cache8, 1.0, DW)
     with pytest.raises(GeometryMismatchError):
-        energy(Field.zeros(GridGeometry(16, 1.0)), model)
+        energy(Field(GridGeometry(16, 1.0), np.zeros((16, 16))), model)
 
 
 def test_energy_of_zero_field_is_quarter_area():
     geo = GridGeometry(8, 1.0)
     kernel = sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo)
-    assert energy(Field.zeros(geo), model_of(kernel, 1.0, DW)) == pytest.approx(0.25, rel=1e-14)
+    u = Field(geo, np.zeros((8, 8)))
+    assert energy(u, model_of(kernel, 1.0, DW)) == pytest.approx(0.25, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -190,8 +190,8 @@ def test_chemical_potential_matches_dense_operator(n, rng):
 
 
 def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kernel8, cache8):
-    u = Field.constant(geo8, 0.2)
-    du = Field.zeros(geo8)
+    u = Field(geo8, np.full((8, 8), 0.2))
+    du = Field(geo8, np.zeros((8, 8)))
     for scheme, cutoff in (("bdf2", 2.0), ("two_li", 2.0)):
         cfg = SchemeConfig(scheme, 0.5, 1.0, cutoff=cutoff, stability_policy="ignore")
         model = cfg.model(gaussian_kernel8, cache8)
@@ -203,7 +203,7 @@ def test_modified_energy_reduces_to_energy_at_zero_increment(geo8, gaussian_kern
 
 def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kernel8, cache8):
     u = random_field(geo8, rng)
-    du = project_zero_mean(random_field(geo8, rng, scale=0.1))
+    du = zero_mean(random_field(geo8, rng, scale=0.1))
     tau = 0.25
     model = Model(gaussian_kernel8, cache8, 1.0, DW)
     e = energy(u, model)
@@ -215,7 +215,7 @@ def test_modified_energy_increment_term_scales_with_tau(rng, geo8, gaussian_kern
 
 def test_modified_energy_recomposition(rng, geo8, gaussian_kernel8, cache8):
     u = random_field(geo8, rng)
-    du = project_zero_mean(random_field(geo8, rng, scale=0.3))
+    du = zero_mean(random_field(geo8, rng, scale=0.3))
     tau = 0.1
     cfg = SchemeConfig("two_li", tau, 1.0, cutoff=1.5, stability_policy="ignore")
     beta = 3 * 1.5**2 - 1

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -120,6 +121,38 @@ def test_checkpoint_with_a_flipped_byte_is_rejected(tmp_path, rng):
         path.write_bytes(bytes(flipped))
         with pytest.raises(ValueError):
             read_checkpoint(path)
+
+
+def _resealed(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    """A format-2 checkpoint with ``value`` packed at ``offset`` and its checksum recomputed."""
+    body = bytearray(blob[:-4])
+    struct.pack_into(fmt, body, offset, value)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_readers_reject_a_non_finite_time(tmp_path, rng, bad):
+    # A snapshot's time, and a checkpoint header's under a valid checksum.
+    geo = GridGeometry(4, 1.0)
+    snap, ckpt = tmp_path / "u.nchf", tmp_path / "state.nchk"
+    write_field(snap, random_field(geo, rng), t=bad)
+    with pytest.raises(ValueError, match="field snapshot time must be finite"):
+        read_field(snap)
+    write_checkpoint(ckpt, SchemeState(u=random_field(geo, rng), step_index=3, time=0.3))
+    ckpt.write_bytes(_resealed(ckpt.read_bytes(), 16, "<d", bad))
+    with pytest.raises(ValueError, match="checkpoint time must be finite"):
+        read_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("flag", [2, 255])
+def test_checkpoint_rejects_a_previous_level_flag_other_than_0_or_1(tmp_path, rng, flag):
+    geo = GridGeometry(4, 1.0)
+    u = random_field(geo, rng)
+    path = tmp_path / "state.nchk"
+    write_checkpoint(path, SchemeState(u=u, u_prev=u, step_index=3, time=0.3))
+    path.write_bytes(_resealed(path.read_bytes(), 24, "<B", flag))
+    with pytest.raises(ValueError, match=f"previous-level flag must be 0 or 1, got {flag}"):
+        read_checkpoint(path)
 
 
 def _format1_checkpoint(state) -> bytes:

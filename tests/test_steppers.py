@@ -11,10 +11,9 @@ from nchsolver import (ConfigError, Field, GeometryMismatchError, GridGeometry, 
                        make_cache, mean, newton_solve, norm2,
                        random_initial_field, run, sample_kernel)
 from nchsolver import solvers, steppers
-from nchsolver.grid import project_zero_mean
 from nchsolver.spectral import laplacian_apply, norm_neg1
-from nchsolver.steppers import SCHEMES, TWO_STEP_SCHEMES, bootstrap_config
-from nchsolver.oracles import dense_linear_step, dense_nonlinear_step
+from nchsolver.steppers import _SCHEMES, SCHEMES, TWO_STEP_SCHEMES
+from nchsolver.oracles import dense_linear_step, dense_nonlinear_step, zero_mean
 
 from conftest import random_field, recomposed_modified_energy
 
@@ -42,7 +41,7 @@ def _check(cfg, kernel):
 
 def _perturbed_state(rng, scale=0.05, geometry=GEO):
     u = Field(geometry, scale * rng.uniform(-1.0, 1.0, (geometry.n, geometry.n)))
-    return SchemeState(u=project_zero_mean(u))
+    return SchemeState(u=zero_mean(u))
 
 
 def _two_step_state(rng, cfg, kernel, cache):
@@ -57,8 +56,8 @@ def _two_step_state(rng, cfg, kernel, cache):
 def test_constant_field_is_fixed_point(scheme):
     cfg = _cfg(scheme, tau=0.5, stability_policy="ignore")
     c = 0.35
-    state = SchemeState(u=Field.constant(GEO, c),
-                        u_prev=Field.constant(GEO, c) if scheme in TWO_STEP_SCHEMES else None)
+    level = Field(GEO, np.full((8, 8), c))
+    state = SchemeState(u=level, u_prev=level if scheme in TWO_STEP_SCHEMES else None)
     model = cfg.model(GAUSS, CACHE)
     for _ in range(10):
         state, _ = advance(state, cfg, model)
@@ -105,7 +104,7 @@ def test_backward_euler_step_from_a_wrong_omega_reaches_the_same_level(wrong, rn
     model = cfg.model(GAUSS, CACHE)
     ssi1 = _cfg("ssi1", tau=0.01)
     start, _ = advance(_perturbed_state(rng), ssi1, ssi1.model(GAUSS, CACHE))
-    omega = start.omega if wrong == "ssi1" else Field.constant(GEO, 0.0)
+    omega = start.omega if wrong == "ssi1" else Field(GEO, np.zeros((8, 8)))
     assert not np.array_equal(omega.spectrum, chemical_potential(start.u, model).spectrum)
     true, _ = _unchecked(SchemeState(u=start.u, omega=chemical_potential(start.u, model)), cfg, model)
     result, newton_iters = advance(SchemeState(u=start.u, omega=omega), cfg, model)
@@ -207,11 +206,11 @@ def test_bdf2_dissipates_modified_energy(rng):
     model = cfg.model(GAUSS, CACHE)
     assert check_solvability(cfg, model).admissible
     state = _two_step_state(rng, cfg, GAUSS, CACHE)
-    du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
+    du = zero_mean(Field(GEO, state.u.values - state.u_prev.values))
     m_prev = recomposed_modified_energy(state.u, du, cfg.tau, model)
     for _ in range(15):
         state, _ = advance(state, cfg, model)
-        du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
+        du = zero_mean(Field(GEO, state.u.values - state.u_prev.values))
         m = recomposed_modified_energy(state.u, du, cfg.tau, model)
         assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
         m_prev = m
@@ -226,12 +225,12 @@ def test_two_li_dissipates_modified_energy_any_tau_with_constant_kernel(rng):
         report = check_solvability(cfg, model)
         assert report.admissible
         state = _two_step_state(rng, cfg, CONST40, CACHE)
-        du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
+        du = zero_mean(Field(GEO, state.u.values - state.u_prev.values))
         beta = model.potential.curvature_bound
         m_prev = recomposed_modified_energy(state.u, du, cfg.tau, model, beta)
         for _ in range(15):
             state, _ = advance(state, cfg, model)
-            du = project_zero_mean(Field(GEO, state.u.values - state.u_prev.values))
+            du = zero_mean(Field(GEO, state.u.values - state.u_prev.values))
             m = recomposed_modified_energy(state.u, du, cfg.tau, model, beta)
             assert m <= m_prev + 1e-10 * (1.0 + abs(m_prev))
             m_prev = m
@@ -243,7 +242,7 @@ def test_modified_energy_is_the_two_step_functional(scheme, rng):
     # modified energy, with the (beta/2) ||du||^2 term for two_li only.
     cfg = _cfg(scheme, tau=0.05)
     u = random_field(GEO, rng)
-    du = project_zero_mean(random_field(GEO, rng, scale=0.1))
+    du = zero_mean(random_field(GEO, rng, scale=0.1))
     model = cfg.model(GAUSS, CACHE)
     e = energy(u, model)
     actual = steppers.modified_energy(cfg, model, e, norm_neg1(du.spectrum, CACHE), norm2(du))
@@ -272,8 +271,8 @@ STRONG7 = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO7)
 def _check_step_against_dense_oracle(scheme, tol, kernel, cache, rng):
     geometry = cache.geometry
     cfg = _cfg(scheme, tau=1e-3)
-    u0 = project_zero_mean(random_field(geometry, rng, scale=0.5))
-    u1 = Field(geometry, u0.values + 0.01 * project_zero_mean(random_field(geometry, rng)).values)
+    u0 = zero_mean(random_field(geometry, rng, scale=0.5))
+    u1 = Field(geometry, u0.values + 0.01 * zero_mean(random_field(geometry, rng)).values)
     state = SchemeState(u=u1, u_prev=u0 if scheme in TWO_STEP_SCHEMES else None)
     result, _ = _unchecked(state, cfg, cfg.model(kernel, cache))
     if scheme in ("ssi1", "two_li"):
@@ -393,20 +392,21 @@ def test_ignore_policy_never_checks_admissibility(scheme, rng, monkeypatch):
 
 def test_state_mass_invariant():
     with pytest.raises(StateError):
-        SchemeState(u=Field.constant(GEO, 0.1), u_prev=Field.constant(GEO, 0.2))
+        SchemeState(u=Field(GEO, np.full((8, 8), 0.1)), u_prev=Field(GEO, np.full((8, 8), 0.2)))
 
 
 def test_state_previous_level_on_another_grid_is_a_geometry_mismatch():
     # Equal masses, so only the grids differ; a bdf2 resume from this state
     # must fail before its first step, not inside numpy's broadcasting.
     with pytest.raises(GeometryMismatchError):
-        SchemeState(u=Field.constant(GridGeometry(32, 1.0), 0.1),
-                    u_prev=Field.constant(GridGeometry(16, 1.0), 0.1))
+        SchemeState(u=Field(GridGeometry(32, 1.0), np.full((32, 32), 0.1)),
+                    u_prev=Field(GridGeometry(16, 1.0), np.full((16, 16), 0.1)))
 
 
 def test_state_omega_on_another_grid_is_a_geometry_mismatch():
     with pytest.raises(GeometryMismatchError):
-        SchemeState(u=Field.constant(GEO, 0.1), omega=Field.zeros(GridGeometry(16, 1.0)))
+        SchemeState(u=Field(GEO, np.full((8, 8), 0.1)),
+                    omega=Field(GridGeometry(16, 1.0), np.zeros((16, 16))))
 
 
 def test_ssi1_config_invariant_under_enforce(rng):
@@ -434,14 +434,11 @@ def test_advance_rejects_a_model_of_another_configuration():
 
 def test_bootstrap_config_selection():
     bdf2 = _cfg("bdf2", tau=0.1)
-    assert bootstrap_config(bdf2, bdf2.model(GAUSS, CACHE)).scheme == "backward_euler"
+    assert _SCHEMES["bdf2"].bootstrap(bdf2, bdf2.model(GAUSS, CACHE)).scheme == "backward_euler"
     two_li = _cfg("two_li", tau=0.1, stabilization=0.0, stability_policy="ignore")
-    boot = bootstrap_config(two_li, two_li.model(GAUSS, CACHE))
+    boot = _SCHEMES["two_li"].bootstrap(two_li, two_li.model(GAUSS, CACHE))
     assert boot.scheme == "ssi1"
     assert boot.stabilization == pytest.approx(5.5)  # raised to beta/2
-    backward_euler = _cfg("backward_euler", tau=0.1)
-    with pytest.raises(ConfigError):
-        bootstrap_config(backward_euler, backward_euler.model(GAUSS, CACHE))
 
 
 @pytest.mark.parametrize("scheme, variant", [
@@ -451,7 +448,7 @@ def test_bootstrap_config_selection():
 def test_bootstrap_keeps_the_model(scheme, variant):
     # One Model serves a run's startup step and the steps after it.
     cfg = _cfg(scheme, tau=0.1, potential_variant=variant, cutoff=1.5)
-    boot = bootstrap_config(cfg, cfg.model(GAUSS, CACHE))
+    boot = _SCHEMES[scheme].bootstrap(cfg, cfg.model(GAUSS, CACHE))
     assert boot.potential == cfg.potential
     assert boot.epsilon == cfg.epsilon
 

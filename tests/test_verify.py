@@ -1,6 +1,6 @@
 import numpy as np
 
-from nchsolver import grid, spectral, verify
+from nchsolver import oracles, spectral, verify
 
 
 def test_all_checks_pass_on_fresh_build():
@@ -29,10 +29,9 @@ def test_corrupted_laplacian_sign_fails_eigenvalue_check(monkeypatch):
 
 
 def test_reduced_precision_accumulate_fails_summation_by_parts(monkeypatch):
-    def low_precision_inner(phi, psi):
-        return float(np.sum((phi.values * psi.values).astype(np.float32),
-                            dtype=np.float32))
+    def low_precision_inner(a, b):
+        return float(np.sum((a * b).astype(np.float32), dtype=np.float32))
 
-    monkeypatch.setattr(grid, "inner_product", low_precision_inner)
+    monkeypatch.setattr(oracles, "naive_inner_product", low_precision_inner)
     result = verify.check_summation_by_parts()
     assert not result.passed
