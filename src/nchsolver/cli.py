@@ -26,7 +26,8 @@ scipy modules it alone uses (``fft``, ``integrate``, ``optimize``,
 
 Exit codes are part of the stable interface: 0 success (run finished or
 check admissible), 1 check inadmissible / verify failures, 2 configuration
-error, 3 solver error (including a run whose diagnostics are not finite).
+error (an ``output.dir`` that ``run`` cannot write to included), 3 solver
+error (including a run whose diagnostics are not finite).
 """
 
 from __future__ import annotations
@@ -84,28 +85,30 @@ def _build(args):
 def cmd_run(args) -> int:
     values, kernel, cache, scheme_cfg, options, u0 = _build(args)
     out_dir = Path(values["output.dir"])
+    # A directory that cannot be made (an existing file, or a path under
+    # one) or a file in it that cannot be written (a snapshot inside the
+    # run included) is the configuration's output.dir at fault.
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:  # an existing file, or a path under one
+        started = time.perf_counter()
+        result = run_driver(u0, scheme_cfg, kernel, cache, options)
+        elapsed = time.perf_counter() - started
+
+        write_diagnostics(out_dir / "diagnostics.csv", result.records)
+        write_field(out_dir / "u_final.nchf", result.final_state.u, result.final_state.time)
+        write_checkpoint(out_dir / "checkpoint.nchk", result.final_state)
+        (out_dir / "config.resolved").write_text(config_mod.emit_config(values))
+
+        summary = "\n".join([
+            f"termination: {result.termination}",
+            f"steps: {result.final_state.step_index}",
+            f"final_energy: {float(result.records[-1].energy)!r}",
+            f"equilibrium_residual: {float(result.equilibrium_residual)!r}",
+            f"wall_time_s: {elapsed:.3f}",
+        ]) + ("\ndetail: " + result.error_detail if result.error_detail else "") + "\n"
+        (out_dir / "summary.txt").write_text(summary)
+    except OSError as err:
         raise ConfigError(f"output.dir {str(out_dir)!r} is not a usable directory: {err}") from err
-
-    started = time.perf_counter()
-    result = run_driver(u0, scheme_cfg, kernel, cache, options)
-    elapsed = time.perf_counter() - started
-
-    write_diagnostics(out_dir / "diagnostics.csv", result.records)
-    write_field(out_dir / "u_final.nchf", result.final_state.u, result.final_state.time)
-    write_checkpoint(out_dir / "checkpoint.nchk", result.final_state)
-    (out_dir / "config.resolved").write_text(config_mod.emit_config(values))
-
-    summary = "\n".join([
-        f"termination: {result.termination}",
-        f"steps: {result.final_state.step_index}",
-        f"final_energy: {float(result.records[-1].energy)!r}",
-        f"equilibrium_residual: {float(result.equilibrium_residual)!r}",
-        f"wall_time_s: {elapsed:.3f}",
-    ]) + ("\ndetail: " + result.error_detail if result.error_detail else "") + "\n"
-    (out_dir / "summary.txt").write_text(summary)
     print(summary, end="")
 
     if result.termination == "error":

@@ -13,9 +13,12 @@ floats must be finite.  The required keys and the cross-key rules are
 checked against the keys the text gives, before any default is filled in.
 Re-emitting a parsed configuration produces the canonical form: schema
 order, resolved defaults, one assignment per line; parsing that text again
-is the identity, and ``nch init-config`` prints it for a template run.  The
-Newton iteration cap and the GMRES tolerance are constants of the solver,
-not keys (``steppers.NEWTON_MAX_ITER``, ``solvers.KRYLOV_RTOL``).
+is the identity, and ``nch init-config`` prints it for a template run.  A
+key that maps onto a library field takes its default from that field
+(``SchemeConfig``, ``RunOptions``, ``kernels.DEFAULT_IMAGES``), so each
+default has one owner.  The Newton iteration cap and the GMRES tolerance
+are constants of the solver, not keys (``steppers.NEWTON_MAX_ITER``,
+``solvers.KRYLOV_RTOL``).
 
 The ``build_*`` functions turn the resolved values into a run's objects;
 ``cli._build`` calls every one of them for ``nch check`` and ``nch run``
@@ -36,11 +39,11 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .driver import RunOptions, random_initial_field
-from .energetics import _CUTOFF_MAX, POTENTIAL_VARIANTS, PotentialSpec, potential_value
+from .energetics import _CUTOFF_MAX, POTENTIAL_VARIANTS, potential_value
 from .errors import ConfigError
 from .fieldio import read_field
 from .grid import Field, GridGeometry
-from .kernels import KERNEL_VARIANTS, KernelSpec, SampledKernel, sample_kernel
+from .kernels import DEFAULT_IMAGES, KERNEL_VARIANTS, KernelSpec, SampledKernel, sample_kernel
 from .steppers import _SCHEMES, SchemeConfig, SCHEMES, STABILITY_POLICIES
 
 
@@ -69,20 +72,20 @@ _SCHEMA: dict[str, _Key] = {k.name: k for k in (
     _Key("model.kernel.type", "enum", required=True, choices=KERNEL_VARIANTS),
     _Key("model.kernel.cJ", "float", check=_positive("model.kernel.cJ")),
     _Key("model.kernel.xi", "float", check=_positive("model.kernel.xi")),
-    _Key("model.kernel.images", "int", default=3, check=_at_least(0, "model.kernel.images")),
+    _Key("model.kernel.images", "int", default=DEFAULT_IMAGES, check=_at_least(0, "model.kernel.images")),
     _Key("model.kernel.path", "path"),
     _Key("model.potential.type", "enum", choices=POTENTIAL_VARIANTS),
     _Key("model.potential.K", "float", check=lambda v: None if 1.0 < v <= _CUTOFF_MAX
          else f"model.potential.K must lie in (1, {_CUTOFF_MAX!r}]"),
     _Key("scheme.name", "enum", required=True, choices=SCHEMES),
     _Key("scheme.tau", "float", required=True, check=_positive("scheme.tau")),
-    _Key("scheme.S", "float", default=0.0, check=_at_least(0.0, "scheme.S")),
-    _Key("scheme.stability_policy", "enum", default="enforce", choices=STABILITY_POLICIES),
-    _Key("solver.newton_tol", "float", default=1e-11, check=_positive("solver.newton_tol")),
+    _Key("scheme.S", "float", default=SchemeConfig.stabilization, check=_at_least(0.0, "scheme.S")),
+    _Key("scheme.stability_policy", "enum", default=SchemeConfig.stability_policy, choices=STABILITY_POLICIES),
+    _Key("solver.newton_tol", "float", default=SchemeConfig.newton_tol, check=_positive("solver.newton_tol")),
     _Key("run.max_steps", "int", required=True, check=_at_least(1, "run.max_steps")),
-    _Key("run.eq_tol", "float", default=1e-9, check=_positive("run.eq_tol")),
-    _Key("run.record_every", "int", default=1, check=_at_least(1, "run.record_every")),
-    _Key("run.snapshot_every", "int", default=0, check=_at_least(0, "run.snapshot_every")),
+    _Key("run.eq_tol", "float", default=RunOptions.eq_tol, check=_positive("run.eq_tol")),
+    _Key("run.record_every", "int", default=RunOptions.record_every, check=_at_least(1, "run.record_every")),
+    _Key("run.snapshot_every", "int", default=RunOptions.snapshot_every, check=_at_least(0, "run.snapshot_every")),
     _Key("run.seed", "int", default=0, check=_at_least(0, "run.seed")),
     _Key("run.init.mean", "float", default=0.0),
     _Key("run.init.delta", "float", default=0.05, check=_at_least(0.0, "run.init.delta")),
@@ -324,7 +327,8 @@ def build_run_options(values: dict[str, Any], snapshot_dir: Optional[Path]) -> R
 def build_initial_field(values: dict[str, Any], geometry: GridGeometry) -> Field:
     """The initial field; one outside the float range, or on which F(u) overflows, is a ConfigError.
 
-    The energy and the step-0 chemical potential need F and F' finite on it.
+    The energy and the step-0 chemical potential need F and F' finite on
+    it; F is the run's potential, as ``build_scheme_config`` resolves it.
     """
     if "run.init.snapshot_path" in values:
         keys = "key 'run.init.snapshot_path'"
@@ -336,9 +340,8 @@ def build_initial_field(values: dict[str, Any], geometry: GridGeometry) -> Field
                                          values["run.init.delta"], values["run.seed"])
         except (OverflowError, ValueError) as err:  # the sample's range or values overflow
             raise ConfigError(f"{keys}: the initial field leaves the float range ({err})") from err
-    potential = PotentialSpec(values["model.potential.type"], values.get("model.potential.K"))
     with np.errstate(over="ignore", invalid="ignore"):
-        bulk = potential_value(potential, field.values)
+        bulk = potential_value(build_scheme_config(values).potential, field.values)
     if not np.isfinite(bulk).all():
         raise ConfigError(f"{keys}: the potential F(u) overflows on the initial field "
                           f"(max |u| = {float(np.abs(field.values).max()):.3e})")

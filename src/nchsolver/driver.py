@@ -31,7 +31,7 @@ reported inadmissible before it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -193,8 +193,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     The run's ``Model`` is built once, from ``cfg.epsilon``,
     ``cfg.potential``, the kernel and the cache, and serves every step;
     each step configuration (a two-step scheme's bootstrap, and ``cfg``) is
-    vetted and its operator built once, by ``advance``; ``cfg``'s is kept in
-    one map per run, and the bootstrap's serves its one step.
+    vetted and its operator built once, by ``advance``, which keeps
+    ``cfg``'s on the model.
     Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
     from a checkpoint) must be given; it must share the kernel's and the
     cache's geometry (``GeometryMismatchError`` otherwise, before any step),
@@ -207,8 +207,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     whose step-0 record or final equilibrium residual is not finite; the
     detail names the step and the first non-finite column, and numpy's
     overflow warnings from these diagnostics are silenced.  The final state
-    keeps no F_K'(u^{n-1}) of a two_li step: a run continued from it
-    evaluates that array again, to the same bits.
+    is returned as stepped; a run continued from it builds its own model
+    and evaluates F_K'(u^{n-1}) of a two_li state again, to the same bits.
     """
     if (u0 is None) == (initial_state is None):
         raise ConfigError("exactly one of u0 and initial_state must be given")
@@ -228,10 +228,9 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     else:
         state = initial_state
 
-    operators: dict = {}  # the main config's operator, vetted and built once
     while not detail and state.step_index < options.max_steps:
         try:
-            new, newton_iters = advance(state, cfg, model, operators)
+            new, newton_iters = advance(state, cfg, model)
         except SolverError as err:  # also a diverged step: non-finite or losing mass
             detail = f"step {state.step_index + 1}: {err}"
             break
@@ -260,7 +259,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
         residual = equilibrium_residual(state.u, omega, model)
     if not (detail or math.isfinite(residual)):
         detail = f"step {state.step_index}: equilibrium_residual is not finite ({residual!r})"
-    return RunResult(final_state=replace(state, _d1_prev=None), records=records,
+    return RunResult(final_state=state, records=records,
                      termination="error" if detail else termination,
                      equilibrium_residual=residual, error_detail=detail)
 

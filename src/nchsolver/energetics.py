@@ -30,11 +30,13 @@ one-step schemes dissipate; the two-step schemes dissipate modified
 energies that add increment terms to it, written once, in
 ``steppers.modified_energy``.
 
-The model (kernel, eps, F) is fixed for a run and travels as one immutable
-``Model``: the sampled kernel, the grid's ``SpectralCache``, eps and the
-resolved potential, with G and gamma0 = eps^2 [J(*)1] - 1 each computed
-once, when it is built.  Every function here and in the schemes, the
-admissibility check and the record takes it whole; none rebuilds G.
+The model (kernel, eps, F) is fixed for a run and travels as one ``Model``,
+whose fields cannot be set: the sampled kernel, the grid's
+``SpectralCache``, eps and the resolved potential, with G and
+gamma0 = eps^2 [J(*)1] - 1 each computed once, when it is built.  Every
+function here and in the schemes, the admissibility check and the record
+takes it whole; none rebuilds G.  The model also holds the run's caches,
+which the steps fill (``Model``).
 """
 
 from __future__ import annotations
@@ -137,8 +139,16 @@ class Model:
     and nowhere else.  A non-positive gamma0 violates the model assumption;
     callers decide the policy (``driver.run`` rejects it, the admissibility
     report calls it inadmissible).  The kernel and the cache must share one
-    grid (``GeometryMismatchError`` otherwise).  Immutable and shareable
-    across threads.
+    grid (``GeometryMismatchError`` otherwise).
+
+    Its fields cannot be set, but ``steppers.advance`` fills two private
+    caches of values derived from them: ``_operators``, the ``_Operator``
+    of each step configuration it vetted for this model, and ``_d1``, the
+    F'(u^n) of the last level a two-step step evaluated, keyed by that
+    level object and holding one entry.  Each entry is keyed by what it
+    derives from, so a lookup returns that value or misses and computes
+    it again: a model shared by runs or threads stays correct, at worst
+    evaluating an evicted F' again.
     """
 
     kernel: SampledKernel
@@ -147,6 +157,8 @@ class Model:
     potential: PotentialSpec
     gap: np.ndarray = field(init=False, repr=False)
     gamma0: float = field(init=False)
+    _operators: dict = field(init=False, repr=False, default_factory=dict)
+    _d1: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         require_same_geometry(self.kernel, self.cache)

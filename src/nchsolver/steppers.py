@@ -79,18 +79,17 @@ place that decides admissibility, ssi1's S >= beta/2 included: a
 ``SchemeConfig`` holds any step size and stabilization.  The policy field
 decides whether an inadmissible configuration rejects the step, warns, or
 is ignored.  ``advance``, the one way to take a step, is the one place
-that applies it: on every call, or once per configuration of a run.  It
-first refuses a model that is not the configuration's (another eps or
-potential), since a configuration still holds its own eps and K while the
-check and the step read them from the model; under ``ignore`` a step is an
-unchecked solve.
+that applies it, once per configuration and model.  It first refuses a
+model that is not the configuration's (another eps or potential), since a
+configuration still holds its own eps and K while the check and the step
+read them from the model; under ``ignore`` a step is an unchecked solve.
 
 The symbols a step configuration solves with -- a, the symbol I of
 omega's implicit linear part, the linear part a + lambda I, and a Newton
 step's preconditioner symbol and its reciprocal -- do not change from step
 to step.  They are built once per configuration (``_Operator``):
-``advance`` builds them where it vets the configuration, and keeps them in
-the caller's map, one per run in ``driver.run``; a two-step scheme's
+``advance`` builds them where it vets the configuration, and keeps them on
+the model they derive from (``Model._operators``); a two-step scheme's
 bootstrap, which steps once, is built for that step alone.
 
 No level is transformed forward by a step: a step reads rfft2(u^n) (and
@@ -149,12 +148,12 @@ a u + (-Lap)(explicit + shift u) = rhs, with the spectrum of the explicit
 part, rfft2(explicit), from the row and shift = I, a product with the
 reciprocal of the denominator; omega's spectrum is rfft2(explicit) plus
 shift times the new level's spectrum.  A two_li step evaluates F_K' once,
-at u^n: it reads F_K'(u^{n-1}) from the state, which kept it from the step
-that evaluated it (the ssi1 bootstrap or the two_li step before), and
-keeps F_K'(u^n), on the state it returns, for the next step.  Only that
-one array is kept, and no step writes to the state it is given; a state
-without it (a fresh or resumed one, or the final state ``driver.run``
-returns) has it evaluated, to the same bits.
+at u^n: it reads F_K'(u^{n-1}) from the model, where the step that
+evaluated it (the ssi1 bootstrap or the two_li step before) left it keyed
+by the level u^{n-1}, and leaves F_K'(u^n) there in its place
+(``Model._d1``), so the model holds one such array and a one-step run
+none.  A level the model holds none for (a fresh or resumed state, or one
+stepped a second time) has it evaluated, to the same bits.
 
 Accepted steps re-center the solution mass on the conserved value (a
 shift at rounding magnitude), so mass is conserved exactly along
@@ -167,14 +166,15 @@ that 1 / (tau lambda) overflows leaves that mode admissible, and a step
 that overflows to a non-finite level raises ``SolverError``.
 
 Steps are sequential by nature (level n+1 needs level n); independent
-simulations may run concurrently on shared immutable models.
+simulations may run concurrently on shared models, whose caches are keyed
+by what each entry derives from (``Model``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -250,12 +250,11 @@ def _ssi1_explicit(state, cfg, model, op):
 
 
 def _two_li_explicit(state, cfg, model, op):
-    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) as the step to u^n kept it where it did."""
-    pot, kept = model.potential, state._d1_prev
+    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) from the model where the step to u^n left it."""
+    pot = model.potential
     d1 = potential_d1(pot, state.u.values)
-    if kept is not None and kept[0] == pot:
-        d1_prev = kept[1]
-    else:  # a state no step of this potential left: fresh, resumed, or stepped before
+    d1_prev = model._d1.get(state.u_prev)
+    if d1_prev is None:  # a fresh or resumed state, or one stepped a second time
         d1_prev = potential_d1(pot, state.u_prev.values)
     explicit = 2.0 * d1
     explicit -= d1_prev
@@ -372,11 +371,9 @@ class SchemeState:
     and the next such step builds its first residual from it.  A state
     without one (a checkpoint holds none) has it evaluated there.
     ``u_prev`` and ``omega`` must be on u's grid (``GeometryMismatchError``),
-    and a two-step pair must hold one mass (``StateError``).
-    ``_d1_prev`` is (potential, F'(u_prev)) as the step that left u_prev
-    evaluated it, which a two_li state keeps for the steps from it.  A
-    state without it (fresh, read from a checkpoint, or the final state a
-    run returns) has it evaluated there, to the same bits.
+    and a two-step pair must hold one mass (``StateError``).  A state holds
+    only its levels: the F'(u^n) a two_li step reads again is kept on the
+    run's ``Model``.
     """
 
     u: Field
@@ -384,7 +381,6 @@ class SchemeState:
     omega: Optional[Field] = None
     step_index: int = 0
     time: float = 0.0
-    _d1_prev: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for level in (self.u_prev, self.omega):
@@ -525,8 +521,8 @@ NEWTON_MAX_ITER = 50
 class _Operator(NamedTuple):
     """The symbols of one step configuration under one model, which no step changes.
 
-    ``_operator`` builds them, once per call of ``advance`` or once per
-    configuration of a run (``driver.run`` keeps them for the run).
+    ``_operator`` builds them, once per configuration and model
+    (``advance`` keeps them on the model).
     ``implicit`` is the symbol of omega's implicit linear part: G for
     backward Euler, BDF2 and two_li, S + G for ssi1, and the constant
     sigma = 2 eps^2 [J(*)1] for convex splitting.  ``inverse`` is the
@@ -718,8 +714,7 @@ def modified_energy(cfg: SchemeConfig, model: Model, energy: float, du_neg1: flo
     return modified
 
 
-def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
-            operators: Optional[dict] = None) -> tuple[SchemeState, int]:
+def advance(state: SchemeState, cfg: SchemeConfig, model: Model) -> tuple[SchemeState, int]:
     """One step of ``cfg.scheme`` under ``model``: the new state and the step's Newton iterations.
 
     The step solves a u + (-Lap)(omega(u)) = rhs, with (a, rhs) =
@@ -727,26 +722,25 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
     two-step scheme; a fresh two-step state takes the bootstrap step
     instead.  The implicit potential (backward Euler, BDF2) and convex
     splitting are Newton solves, ssi1 and two_li one DFT-diagonal solve
-    each.  The configuration the step runs is vetted first: a model that is
-    not its own (other eps or potential) raises ``ConfigError``, then the
-    stability policy is applied.  Without ``operators`` every call vets the
-    configuration and builds its ``_Operator``; with it, only a
-    configuration not yet in that map is, and its operator is kept there,
-    except a bootstrap's, which a run steps once.  The map belongs to one
-    model: ``driver.run`` keeps one per run.  A two-step state keeps the
-    F'(u^n) its step evaluated (the bootstrap's or a two_li step's), which
-    the next two_li step reads as F'(u^{n-1}).  A step issues no numpy
+    each.  The configuration the step runs is vetted the first time the
+    model meets it: a model that is not its own (other eps or potential)
+    raises ``ConfigError``, then the stability policy is applied, so
+    ``warn`` warns once per configuration and model.  Its ``_Operator`` is
+    built there and kept on the model, except a bootstrap's, which a run
+    steps once.  A two-step step (the bootstrap's included) leaves the
+    F'(u^n) it evaluated on the model, in place of the one before, and the
+    next two_li step reads it as F'(u^{n-1}).  A step issues no numpy
     warning: a non-finite level it overflows to raises ``SolverError``.
     """
     two_step = _SCHEMES[cfg.scheme].two_step
     bootstrapping = two_step and state.u_prev is None
     step_cfg = _SCHEMES[cfg.scheme].bootstrap(cfg, model) if bootstrapping else cfg
-    op = None if operators is None else operators.get(step_cfg)
+    op = model._operators.get(step_cfg)
     if op is None:
         _apply_policy(step_cfg, model)
         op = _operator(step_cfg, model)
-        if operators is not None and not bootstrapping:
-            operators[step_cfg] = op
+        if not bootstrapping:
+            model._operators[step_cfg] = op
     row, u_hat = _SCHEMES[step_cfg.scheme], state.u.spectrum
     # A with block, not a decorator: the policy's warning names advance's caller.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -767,8 +761,10 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model,
             omega=omega,
             step_index=state.step_index + 1,
             time=state.time + cfg.tau,
-            _d1_prev=(model.potential, d1) if two_step and d1 is not None else None,
         )
     except StateError as err:  # the given state was valid, so the step broke its mass
         raise SolverError(f"{step_cfg.scheme} step lost mass: {err}") from err
+    if two_step and d1 is not None:
+        model._d1.clear()  # first, so the model never holds two
+        model._d1[state.u] = d1
     return next_state, iters

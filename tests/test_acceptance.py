@@ -442,9 +442,9 @@ def _spatial_rate(scheme, spec, sizes, tau, horizon, **kw):
                    + 0.2 * np.cos(2 * np.pi * (x + y)))
         cfg = _cfg(scheme, tau, **kw)
         model = cfg.model(sample_kernel(spec, geo), make_cache(geo))
-        state, operators = SchemeState(u=u0), {}
+        state = SchemeState(u=u0)
         for _ in range(round(horizon / tau)):
-            state, _ = advance(state, cfg, model, operators)
+            state, _ = advance(state, cfg, model)
         waves = np.exp(-2j * np.pi * np.outer(np.arange(-4, 5), _cell_centres(geo)))
         coefficients.append(geo.h**2 * (waves @ state.u.values @ waves.T))
     gaps = [np.abs(a - b).max() for a, b in zip(coefficients, coefficients[1:])]

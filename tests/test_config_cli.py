@@ -236,6 +236,20 @@ def test_cli_run_unusable_output_dir_exits_2(tmp_path, capsys, where):
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("blocked, extra", [
+    ("diagnostics.csv", ""),
+    ("u_00000002.nchf", "run.snapshot_every = 2\n"),  # written inside the run
+], ids=["diagnostics", "snapshot"])
+def test_cli_run_unwritable_output_file_exits_2(tmp_path, capsys, blocked, extra):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = _write_config(tmp_path, BASE.format(out=out) + extra)
+    assert main(["run", str(cfg), "--max-steps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "output.dir" in err and blocked in err
+    assert "Traceback" not in err
+
+
 DIVERGING = """
 grid.N = 16
 grid.L = 1.0

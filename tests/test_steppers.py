@@ -375,6 +375,45 @@ def test_warn_policy_warns_and_steps(rng):
     assert [w.filename for w in record] == [__file__]
 
 
+def test_warn_policy_warns_once_per_configuration_and_model(rng):
+    # The model keeps each configuration it vetted, so steps under one model
+    # warn once; another model vets the configuration again.
+    boundary = sample_kernel(KernelSpec.constant(1.0), GEO)
+    cfg = _cfg("backward_euler", tau=1e-3, stability_policy="warn")
+    model = cfg.model(boundary, CACHE)
+    state = _perturbed_state(rng)
+    with pytest.warns(RuntimeWarning) as record:
+        for _ in range(3):
+            state, _ = advance(state, cfg, model)
+    assert len(record) == 1
+    with pytest.warns(RuntimeWarning) as record:
+        advance(state, cfg, cfg.model(boundary, CACHE))
+    assert len(record) == 1
+
+
+def test_a_configuration_steps_under_each_model_with_that_models_own_operator():
+    # One ssi1 configuration stepped under two models in turn: the second
+    # step is a fresh model's bit for bit, and a second model with gamma0 < 0
+    # is refused under enforce although the first model passed the check.
+    geo = GridGeometry(16, 1.0)
+    cache = make_cache(geo)
+    cfg = _cfg("ssi1", tau=1e-3)
+    state = SchemeState(u=random_initial_field(geo, 0.0, 0.05, seed=7))
+    first = cfg.model(sample_kernel(KernelSpec.gaussian(12.5, 10.0), geo), cache)
+    strong = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo)
+    under_first, _ = advance(state, cfg, first)
+    second, _ = advance(state, cfg, cfg.model(strong, cache))
+    fresh, _ = advance(state, cfg, cfg.model(strong, cache))
+    assert not np.array_equal(second.u.values, under_first.u.values)
+    assert np.array_equal(second.u.values, fresh.u.values)
+    assert np.array_equal(second.u.spectrum, fresh.u.spectrum)
+    assert np.array_equal(second.omega.spectrum, fresh.omega.spectrum)
+    negative = cfg.model(sample_kernel(KernelSpec.constant(0.16), geo), cache)
+    assert negative.gamma0 < 0.0
+    with pytest.raises(StabilityError, match="gamma0"):
+        advance(state, cfg, negative)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_ignore_policy_never_checks_admissibility(scheme, rng, monkeypatch):
     # Under ignore, advance is a pure solve: the check is never evaluated.
@@ -426,10 +465,9 @@ def test_advance_rejects_a_model_of_another_configuration():
     cfg = SchemeConfig("ssi1", 0.1, 1.0, stabilization=1.2, cutoff=1.05)
     model = SchemeConfig("ssi1", 0.1, 2.0, stabilization=1.2, cutoff=1.5).model(kernel, make_cache(geo))
     state = SchemeState(u=random_initial_field(geo, 0.0, 0.05, seed=7))
-    for operators in (None, {}):
-        with pytest.raises(ConfigError, match="does not match the model"):
-            advance(state, cfg, model, operators)
-        assert not operators
+    with pytest.raises(ConfigError, match="does not match the model"):
+        advance(state, cfg, model)
+    assert not model._operators
 
 
 def test_bootstrap_config_selection():
@@ -771,7 +809,7 @@ def test_each_scheme_follows_its_linear_multipliers_at_n512():
 
 def test_two_li_step_evaluates_one_potential_derivative_after_the_bootstrap(rng, monkeypatch):
     # Each two_li step evaluates F_K'(u^n) and reads F_K'(u^{n-1}) as the step
-    # to u^n kept it: the bootstrap's, then its predecessor's.
+    # to u^n left it on the model: the bootstrap's, then its predecessor's.
     calls = []
     original = steppers.potential_d1
 
@@ -787,20 +825,20 @@ def test_two_li_step_evaluates_one_potential_derivative_after_the_bootstrap(rng,
     for steps in range(1, 6):
         state, _ = advance(state, cfg, model)
         assert len(calls) == 1 + steps
-    # No step writes to the state it is given: stepped again, that state
-    # reads its kept array again, while one read from a checkpoint evaluates
-    # both levels, and all three step to the same bits.
+    # The model keeps F_K' of the last level a step left, so a state stepped
+    # a second time, like one read from a checkpoint, evaluates both levels,
+    # and all three steps give the same bits.
     resumed = SchemeState(u=state.u, u_prev=state.u_prev, step_index=state.step_index,
                           time=state.time)
     kept, _ = advance(state, cfg, model)
-    for source, evaluations in ((state, 1), (resumed, 2)):
+    for source, evaluations in ((state, 2), (resumed, 2)):
         del calls[:]
         again, _ = advance(source, cfg, model)
         assert len(calls) == evaluations
         assert np.array_equal(again.u.values, kept.u.values)
         assert np.array_equal(again.u.spectrum, kept.u.spectrum)
         assert np.array_equal(again.omega.spectrum, kept.omega.spectrum)
-    # A kept array belongs to its potential: under another cutoff it is evaluated again.
+    # A kept array belongs to its model: under another cutoff it is evaluated again.
     other = _cfg("two_li", tau=1e-3, cutoff=1.5)
     del calls[:]
     advance(kept, other, other.model(STRONG, CACHE))
@@ -810,12 +848,11 @@ def test_two_li_step_evaluates_one_potential_derivative_after_the_bootstrap(rng,
 @pytest.mark.parametrize("scheme", TWO_STEP_SCHEMES)
 def test_run_map_keeps_no_bootstrap_operator(scheme, rng):
     # A bootstrap steps once per run: it is vetted and built for that step,
-    # and only the scheme's own configuration is kept in the map.
+    # and only the scheme's own configuration is kept on the model.
     cfg = _cfg(scheme, tau=1e-3)
     model = cfg.model(STRONG, CACHE)
-    operators = {}
-    state, _ = advance(_perturbed_state(rng), cfg, model, operators)
-    assert operators == {}
+    state, _ = advance(_perturbed_state(rng), cfg, model)
+    assert model._operators == {}
     for _ in range(2):
-        state, _ = advance(state, cfg, model, operators)
-    assert list(operators) == [cfg]
+        state, _ = advance(state, cfg, model)
+    assert list(model._operators) == [cfg]
