@@ -246,6 +246,7 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
                 if detail := _non_finite(record):  # the step diverged in its diagnostics
                     break
                 records.append(record)
+        del power  # read no more: the next step runs without it
         state = new
         if options.snapshot_every and state.step_index % options.snapshot_every == 0:
             write_field(Path(options.snapshot_dir) / f"u_{state.step_index:08d}.nchf",

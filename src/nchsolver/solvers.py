@@ -81,7 +81,13 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
     is declared, and a Newton-Krylov step taken, only on a residual
     evaluated at its iterate, so ``u_init`` is evaluated after all when
     ``r_init`` meets the tolerance or the first trial is dropped.  A wrong
-    ``r_init`` can cost iterations, never pass as converged.
+    ``r_init`` can cost iterations, never pass as converged.  The solve
+    releases ``r_init`` once the first trial has read it, so a caller that
+    hands it over without keeping a name for it frees it there.
+    Through the solve, the arrays held are the iterate and its residual and,
+    while a trial is evaluated, the trial and its residual; a Newton-Krylov
+    step adds its direction and GMRES's basis.  The preconditioner's output
+    is never written, since it may be the preconditioner's input.
     Returns (solution, iterations, residual history), the iterations
     counting fixed-point and Newton steps alike; ``max_iter`` bounds their
     sum.  The initial guess is returned unchanged with zero iterations when
@@ -99,6 +105,7 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
 
     supplied = r_init is not None  # r is the caller's, not yet evaluated at u
     r = r_init if supplied else residual_map(u)
+    del r_init  # r holds it until the first trial has read it
     rnorm = norm(r)
     if supplied and rnorm <= tol:
         r = residual_map(u)
@@ -112,6 +119,8 @@ def newton_solve(residual_map: Callable[[np.ndarray], np.ndarray],
 
         if fixed_point:
             trial = u - preconditioner(r)
+            if supplied:  # the caller's residual is read no more: the trial or u's own replaces it
+                r = None
             r_trial = residual_map(trial)
             r_trial_norm = norm(r_trial)
             fixed_point = r_trial_norm * FIXED_POINT_CONTRACTION <= rnorm

@@ -107,7 +107,13 @@ transforms omega back to the grid.  All transforms are the package's
 pair ``grid.rfft2`` and ``grid.irfft2``.  An inverse transform's column
 pass writes into an array the step owns: a linear step's right-hand
 side, dead once the solve has read it, and one spare spectrum a Newton
-step allocates for its iterates and Jacobian applies.
+step allocates for its iterates and Jacobian applies, which also takes
+each product lambda local_hat of its residuals.  A step computes into
+arrays it owns where it can and drops every other array at its last read
+(see ``_newton_step``), with the same floating-point operations in the
+same order, so a run holds about 14 N x N arrays at its peak under
+backward Euler, 16 under BDF2, 15 under convex splitting, 12.5 under
+two_li and 10 under ssi1 (``tests/test_working_set.py``).
 
 The fully implicit potential (backward Euler and BDF2, which differ only in
 (a, rhs)) and convex splitting share one Newton step (``_newton_step``):
@@ -148,11 +154,11 @@ a u + (-Lap)(explicit + shift u) = rhs, with the spectrum of the explicit
 part, rfft2(explicit), from the row and shift = I, a product with the
 reciprocal of the denominator; omega's spectrum is rfft2(explicit) plus
 shift times the new level's spectrum.  A two_li step evaluates F_K' once,
-at u^n: it reads F_K'(u^{n-1}) from the model, where the step that
+at u^n: it takes F_K'(u^{n-1}) off the model, where the step that
 evaluated it (the ssi1 bootstrap or the two_li step before) left it keyed
-by the level u^{n-1}, and leaves F_K'(u^n) there in its place
-(``Model._d1``), so the model holds one such array and a one-step run
-none.  A level the model holds none for (a fresh or resumed state, or one
+by the level u^{n-1}, and leaves F_K'(u^n) there in its place before it
+solves (``Model._d1``), so the model holds one such array and a one-step
+run none.  A level the model holds none for (a fresh or resumed state, or one
 stepped a second time) has it evaluated, to the same bits.
 
 Accepted steps re-center the solution mass on the conserved value (a
@@ -210,7 +216,7 @@ class _Scheme(NamedTuple):
     pointwise ``local`` and its derivative (None for a linear scheme) and
     the spectrum of the explicit part (None if there is none), and the
     F'(u^n) it evaluated on the way (None if it evaluated none).
-    ``admissibility(cfg, model, lam, gap)``, on the nonzero modes, gives
+    ``admissibility(cfg, model, lam, gap)``, on the half spectrum, gives
     (per_mode_min, margin, admissible) before gamma0 > 0 is required, and
     ``increment_weight(model)`` weighs ||du||_2^2 in the modified energy
     (None for no such term).  A row calls ``potential_d1``, ``potential_d2``
@@ -250,14 +256,15 @@ def _ssi1_explicit(state, cfg, model, op):
 
 
 def _two_li_explicit(state, cfg, model, op):
-    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) from the model where the step to u^n left it."""
+    """2 F_K'(u^n) - F_K'(u^{n-1}), F_K'(u^{n-1}) taken off the model, where the step to u^n left it."""
     pot = model.potential
     d1 = potential_d1(pot, state.u.values)
-    d1_prev = model._d1.get(state.u_prev)
+    d1_prev = model._d1.pop(state.u_prev, None)  # its last read: the model holds none through the solve
     if d1_prev is None:  # a fresh or resumed state, or one stepped a second time
         d1_prev = potential_d1(pot, state.u_prev.values)
     explicit = 2.0 * d1
     explicit -= d1_prev
+    del d1_prev
     return None, None, rfft2(explicit), d1
 
 
@@ -442,15 +449,15 @@ class SolvabilityReport:
 def check_solvability(cfg: SchemeConfig, model: Model) -> SolvabilityReport:
     """Evaluate the scheme's admissibility condition mode by mode.
 
-    Boundary cases with margin exactly 0 are admissible; the note records
-    that the underlying sufficient conditions are sharp there.  A tau so
-    small that 1 / (tau lambda) overflows makes that mode's quantity
+    Each rule is evaluated on the whole half spectrum, where the constant
+    mode's 1 / (tau lambda) is +inf, so its quantity is +inf and no minimum
+    picks it.  Boundary cases with margin exactly 0 are admissible; the note
+    records that the underlying sufficient conditions are sharp there.  A
+    tau so small that 1 / (tau lambda) overflows makes that mode's quantity
     infinite, and admissible, without a numpy warning.
     """
     lam = model.cache.minus_laplacian_eigenvalues
-    mask = lam > 0.0
-    per_mode_min, margin, admissible = _SCHEMES[cfg.scheme].admissibility(cfg, model, lam[mask],
-                                                                           model.gap[mask])
+    per_mode_min, margin, admissible = _SCHEMES[cfg.scheme].admissibility(cfg, model, lam, model.gap)
     note = ""
     if model.gamma0 <= 0.0:
         note = f"gamma0 = {model.gamma0!r} <= 0 violates the positive-diffusivity assumption"
@@ -566,6 +573,17 @@ def _operator(cfg: SchemeConfig, model: Model) -> _Operator:
     return _Operator(a, implicit, _freeze(linear), _freeze(symbol), _freeze(1.0 / symbol))
 
 
+def _residual(linear_part: np.ndarray, rhs_hat: np.ndarray, lam: np.ndarray, local_hat: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """``linear_part - rhs_hat + lam local_hat``, projected, built in ``linear_part``.
+
+    The product lam local_hat is taken in ``work``, a spare spectrum.
+    """
+    linear_part -= rhs_hat
+    linear_part += np.multiply(lam, local_hat, out=work)
+    return _project_hermitian(linear_part)
+
+
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
                  rhs_hat: np.ndarray, local, local_slope,
                  explicit_hat: Optional[np.ndarray] = None) -> tuple[Field, Field, int]:
@@ -611,21 +629,34 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     local(u), which is white and which lambda amplifies at the high modes
     where u_hat itself is small.  None of it takes a transform.  A stop
     that is not finite raises ``SolverError``.
+
+    Through the solve the step holds the right-hand side it solves against
+    (convex splitting's has lambda e_hat subtracted in place), one spare
+    spectrum ``work``, which takes every inverse transform's column pass
+    and every residual's product lambda local_hat, and the point of the
+    last iterate taken to the grid: its values, its rfft2(local(u)) and, in
+    Newton-Krylov, its slope, all dropped before the next iterate's
+    transform.  Each residual is built in one array.  The guess's residual
+    and the stop's |u^n|^3 term are dropped at their last read, and
+    ``newton_solve`` holds the rest (the iterate, the trial and their
+    residuals).
     """
     lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
     target, work = mean(state.u), np.empty_like(u_hat)
-    first = None
+    first = [None]  # popped into newton_solve, so no name here holds it through the solve
     if explicit_hat is None:
         omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
-        first = _project_hermitian(op.a * u_hat - rhs_hat + lam * omega.spectrum)
+        first[0] = _residual(op.a * u_hat, rhs_hat, lam, omega.spectrum, work)
+        del omega
     else:
-        rhs_hat = rhs_hat - lam * explicit_hat
+        rhs_hat -= np.multiply(lam, explicit_hat, out=work)
 
     h = model.cache.geometry.h
     norm = lambda modes: _norm(modes, h)
     terms = np.abs(state.u.values)
     terms *= terms * terms + abs(_SCHEMES[cfg.scheme].slope)
     scale = norm(rhs_hat) + norm(op.symbol * u_hat) + float(lam.max()) * _norm2_values(terms, h)
+    del terms
     tol = max(cfg.newton_tol, NEWTON_FLOOR_ULPS * np.finfo(np.float64).eps * scale)
     if not math.isfinite(tol):
         raise SolverError(f"the Newton stop overflows (scale {scale!r}): the step's terms "
@@ -637,8 +668,8 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
 
     def at(modes):
         if modes is not last["modes"]:
-            last.update(modes=modes, values=_snap_mass(irfft2(modes, work), target),
-                        local_hat=None, slope=None)
+            last.update(modes=modes, values=None, local_hat=None, slope=None)  # before the transform
+            last["values"] = _snap_mass(irfft2(modes, work), target)
         return last
 
     def evaluated(modes):
@@ -648,7 +679,8 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
         return point
 
     def residual(modes):
-        return _project_hermitian(op.linear * modes - rhs_hat + lam * evaluated(modes)["local_hat"])
+        local_hat = evaluated(modes)["local_hat"]
+        return _residual(op.linear * modes, rhs_hat, lam, local_hat, work)
 
     def jacobian(modes, v_hat):
         point = at(modes)
@@ -657,7 +689,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
         return op.linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, work))
 
     u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
-                                   lambda r: r * op.inverse, norm, first)
+                                   lambda r: r * op.inverse, norm, first.pop())
     point = evaluated(u_hat)  # the last residual's own point: no transform
     if u_hat is state.u.spectrum:  # the guess
         u = state.u
@@ -728,8 +760,9 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model) -> tuple[Scheme
     ``warn`` warns once per configuration and model.  Its ``_Operator`` is
     built there and kept on the model, except a bootstrap's, which a run
     steps once.  A two-step step (the bootstrap's included) leaves the
-    F'(u^n) it evaluated on the model, in place of the one before, and the
-    next two_li step reads it as F'(u^{n-1}).  A step issues no numpy
+    F'(u^n) it evaluated on the model before it solves, in place of the one
+    before, and the next two_li step reads it as F'(u^{n-1}); a one-step
+    step drops it there.  A step issues no numpy
     warning: a non-finite level it overflows to raises ``SolverError``.
     """
     two_step = _SCHEMES[cfg.scheme].two_step
@@ -744,11 +777,17 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model) -> tuple[Scheme
     row, u_hat = _SCHEMES[step_cfg.scheme], state.u.spectrum
     # A with block, not a decorator: the policy's warning names advance's caller.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if row.two_step:
-            rhs_hat = (4.0 * u_hat - state.u_prev.spectrum) / (2.0 * step_cfg.tau)
+        if row.two_step:  # built in one array
+            rhs_hat = 4.0 * u_hat
+            rhs_hat -= state.u_prev.spectrum
+            rhs_hat /= 2.0 * step_cfg.tau
         else:
             rhs_hat = u_hat / step_cfg.tau
         local, local_slope, explicit_hat, d1 = row.omega(state, step_cfg, model, op)
+        if two_step and d1 is not None:
+            model._d1.clear()  # first, so the model never holds two
+            model._d1[state.u] = d1
+        del d1  # a one-step run reads it no more
         if row.slope is None:
             u, omega, iters = _linear_step(state, model, op, rhs_hat, explicit_hat)
         else:
@@ -764,7 +803,4 @@ def advance(state: SchemeState, cfg: SchemeConfig, model: Model) -> tuple[Scheme
         )
     except StateError as err:  # the given state was valid, so the step broke its mass
         raise SolverError(f"{step_cfg.scheme} step lost mass: {err}") from err
-    if two_step and d1 is not None:
-        model._d1.clear()  # first, so the model never holds two
-        model._d1[state.u] = d1
     return next_state, iters
