@@ -31,7 +31,7 @@ reported inadmissible before it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -168,20 +168,25 @@ def _non_finite(record: DiagnosticsRecord) -> str:
     return ""
 
 
-def _start(u0: Field, cfg: SchemeConfig, model: Model) -> tuple[SchemeState, DiagnosticsRecord]:
-    """The state a fresh run starts from, and its step-0 row; ``nch check`` evaluates it too.
+def _initial_omega(u: Field, model: Model) -> Field:
+    """``chemical_potential(u)``, silenced; one that is not finite is a ``ConfigError``.
 
-    A chemical potential of u0 that is not finite is a ``ConfigError``: the
-    model's scales overflow it before any step.
+    The model's scales overflow it before any step.  A fresh start and a
+    resumed state without omega (a checkpoint holds none) both take it here.
     """
     with _quiet():
         try:
-            omega = chemical_potential(u0, model)
+            return chemical_potential(u, model)
         except ValueError as err:  # the geometries were checked: only finiteness can fail
             raise ConfigError(f"the chemical potential of the initial field is not finite "
                               f"({err}): the model's scales overflow it") from err
-        state = SchemeState(u=u0, omega=omega)
-        power = _power(omega.spectrum)
+
+
+def _start(u0: Field, cfg: SchemeConfig, model: Model) -> tuple[SchemeState, DiagnosticsRecord]:
+    """The state a fresh run starts from, and its step-0 row; ``nch check`` evaluates it too."""
+    state = SchemeState(u=u0, omega=_initial_omega(u0, model))
+    with _quiet():
+        power = _power(state.omega.spectrum)
         variance = _norm2_mean_free(power, model.cache.geometry.h)
         return state, _record(state, None, 0.0, power, variance, 0, cfg, model)
 
@@ -195,13 +200,15 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
     each step configuration (a two-step scheme's bootstrap, and ``cfg``) is
     vetted and its operator built once, by ``advance``, which keeps
     ``cfg``'s on the model.
-    Either ``u0`` (a fresh start at step 0) or ``initial_state`` (resume
-    from a checkpoint) must be given; it must share the kernel's and the
-    cache's geometry (``GeometryMismatchError`` otherwise, before any step),
-    and a fresh start whose chemical potential is not finite raises
-    ``ConfigError``.  Stepper failures terminate the run with
-    ``termination == "error"`` and the failing step in the detail; records
-    collected so far are kept.  A
+    Exactly one of ``u0`` (a fresh start at step 0) and ``initial_state``
+    (resume from a checkpoint) must be given (``ConfigError`` otherwise);
+    it must share the kernel's and the cache's geometry
+    (``GeometryMismatchError`` otherwise, before any step).  A fresh start,
+    and a resumed state without omega (a checkpoint holds none), take omega
+    as the chemical potential before the first step, and one that is not
+    finite raises ``ConfigError``; so the run's state always holds omega.
+    Stepper failures terminate the run with ``termination == "error"`` and
+    the failing step in the detail; records collected so far are kept.  A
     step whose record is not finite fails the same way (the model's scales
     can overflow the norms while u and omega stay finite), and so does a run
     whose step-0 record or final equilibrium residual is not finite; the
@@ -226,7 +233,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
         records.append(first)
         detail = _non_finite(first)
     else:
-        state = initial_state
+        state = initial_state if initial_state.omega is not None else replace(
+            initial_state, omega=_initial_omega(initial_state.u, model))
 
     while not detail and state.step_index < options.max_steps:
         try:
@@ -255,9 +263,8 @@ def run(u0: Optional[Field], cfg: SchemeConfig, kernel: SampledKernel, cache: Sp
             termination = "equilibrium"
             break
 
-    omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
     with _quiet():
-        residual = equilibrium_residual(state.u, omega, model)
+        residual = equilibrium_residual(state.u, state.omega, model)
     if not (detail or math.isfinite(residual)):
         detail = f"step {state.step_index}: equilibrium_residual is not finite ({residual!r})"
     return RunResult(final_state=state, records=records,

@@ -3,17 +3,17 @@
 Snapshot layout (little endian): magic bytes ``NCHF``, u32 cell count N,
 f64 domain edge length L, f64 simulation time t, then N*N f64 values in
 row-major order.  A checkpoint wraps the trajectory state: magic ``NCHK``,
-u32 format version, u64 step index, f64 time, u8 flag for the presence of
-the previous level (0 or 1), then one or two levels, u and then u_prev.
-Format 2, the one written, stores each level as an embedded snapshot
-followed by its half spectrum, N*(N/2+1) complex128 values (real and imaginary part
-f64 each) in row-major order, and ends with the u32 CRC-32 of every byte
-before it.  A resumed run then reads the very spectra the uninterrupted
-run's solves produced, and resumes bit for bit.  Format 1, still read,
-stores each level as a snapshot alone and has no checksum; its levels take
-their spectra as ``rfft2(values)``.  A checkpoint is written to
+u32 format version (``CHECKPOINT_VERSION``), u64 step index, f64 time, u8
+flag for the presence of the previous level (0 or 1), then one or two
+levels, u and then u_prev, and ends with the u32 CRC-32 of every byte
+before it.  Each level is an embedded snapshot followed by its half
+spectrum, N*(N/2+1) complex128 values (real and imaginary part f64 each)
+in row-major order, so a resumed run reads the very spectra the
+uninterrupted run's solves produced, and resumes bit for bit.  A
+checkpoint is read only in the version written, and is written to
 ``<path>.partial`` and renamed over ``<path>``, so the file at ``<path>``
-is always a whole checkpoint.
+is always a whole checkpoint.  Each header's layout is one ``struct.Struct``
+below, which the writer packs and the reader unpacks.
 
 Diagnostics are written as CSV with full float64 round-trip precision
 (shortest repr); optional values are left empty.
@@ -30,18 +30,22 @@ from typing import Iterable
 import numpy as np
 
 from .grid import Field, GridGeometry, _freeze
+from .steppers import SchemeState
 
 SNAPSHOT_MAGIC = b"NCHF"
 CHECKPOINT_MAGIC = b"NCHK"
 CHECKPOINT_VERSION = 2
+
+_SNAPSHOT_HEADER = struct.Struct("<4sIdd")  # magic, N, L, t
+_CHECKPOINT_HEADER = struct.Struct("<4sIQdB")  # magic, version, step, time, previous-level flag
+_CHECKSUM = struct.Struct("<I")  # CRC-32 of every byte before it
 
 DIAGNOSTICS_HEADER = ("step,time,mass,energy,modified_energy,increment_l2,"
                       "increment_hneg1,grad_omega_l2,omega_variance,newton_iters")
 
 
 def _snapshot_bytes(field: Field, t: float) -> bytes:
-    head = SNAPSHOT_MAGIC + struct.pack("<I", field.geometry.n) \
-        + struct.pack("<d", field.geometry.length) + struct.pack("<d", t)
+    head = _SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, field.geometry.n, field.geometry.length, t)
     return head + np.ascontiguousarray(field.values, dtype="<f8").tobytes(order="C")
 
 
@@ -60,10 +64,12 @@ def _reject_trailing(blob: bytes, end: int, what: str) -> None:
         raise ValueError(f"{what} has {len(blob) - end} trailing bytes after byte {end}")
 
 
-def _form(blob, start: int, end: int, dtype, shape: tuple) -> np.ndarray:
-    """The little-endian ``blob[start:end]`` as a read-only ``dtype`` array of ``shape``: one copy."""
-    stored = np.frombuffer(blob[start:end], dtype=np.dtype(dtype).newbyteorder("<"))
-    return _freeze(stored.reshape(shape).astype(dtype))
+def _form(blob, start: int, dtype, shape: tuple, what: str) -> tuple[np.ndarray, int]:
+    """The little-endian ``dtype`` array of ``shape`` at ``start``, as a read-only copy, and its end."""
+    stored = np.dtype(dtype).newbyteorder("<")
+    end = start + stored.itemsize * shape[0] * shape[1]
+    _require_length(blob, end, what)
+    return _freeze(np.frombuffer(blob[start:end], stored).reshape(shape).astype(dtype)), end
 
 
 def _parse_snapshot(blob, offset: int = 0,
@@ -71,27 +77,22 @@ def _parse_snapshot(blob, offset: int = 0,
     """The field of the snapshot at ``offset``, its time and its end offset.
 
     With ``with_spectrum`` the level's half spectrum follows the snapshot
-    (checkpoint format 2) and the field keeps it.  ``blob`` is bytes or a
+    (a checkpoint level) and the field keeps it.  ``blob`` is bytes or a
     memoryview; each form is copied out of it once, and the field adopts
     the copy.
     """
-    if blob[offset:offset + 4] != SNAPSHOT_MAGIC:
-        raise ValueError("not a field snapshot (bad magic bytes)")
-    start = offset + 24
+    start = offset + _SNAPSHOT_HEADER.size
     _require_length(blob, start, "field snapshot header")
-    n, = struct.unpack_from("<I", blob, offset + 4)
-    length, t = struct.unpack_from("<dd", blob, offset + 8)
+    magic, n, length, t = _SNAPSHOT_HEADER.unpack_from(blob, offset)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError("not a field snapshot (bad magic bytes)")
     if not np.isfinite(t):
         raise ValueError(f"field snapshot time must be finite, got {t!r}")
-    end = start + 8 * n * n
-    _require_length(blob, end, "field snapshot")
-    geometry = GridGeometry(n, length)
-    values = _form(blob, start, end, np.float64, (n, n))
-    if not with_spectrum:
-        return Field(geometry, values), t, end
-    start, end = end, end + 16 * n * (n // 2 + 1)
-    _require_length(blob, end, "level spectrum")
-    return Field(geometry, values, _form(blob, start, end, np.complex128, (n, n // 2 + 1))), t, end
+    values, end = _form(blob, start, np.float64, (n, n), "field snapshot")
+    spectrum = None
+    if with_spectrum:
+        spectrum, end = _form(blob, end, np.complex128, (n, n // 2 + 1), "level spectrum")
+    return Field(GridGeometry(n, length), values, spectrum), t, end
 
 
 def read_field(path) -> tuple[Field, float]:
@@ -107,18 +108,18 @@ def read_field(path) -> tuple[Field, float]:
     return field, t
 
 
-def write_checkpoint(path, state) -> None:
-    """Serialize a scheme state in format 2, its levels' values and spectra, atomically."""
+def write_checkpoint(path, state: SchemeState) -> None:
+    """Serialize a scheme state, its levels' values and spectra, atomically."""
     levels = [state.u] if state.u_prev is None else [state.u, state.u_prev]
-    parts = [CHECKPOINT_MAGIC + struct.pack("<IQdB", CHECKPOINT_VERSION, state.step_index,
-                                            state.time, len(levels) - 1)]
+    parts = [_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, state.step_index,
+                                     state.time, len(levels) - 1)]
     for level in levels:
         parts += [_snapshot_bytes(level, state.time),
                   np.ascontiguousarray(level.spectrum, dtype="<c16").tobytes(order="C")]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    parts.append(struct.pack("<I", crc))
+    parts.append(_CHECKSUM.pack(crc))
     # Write beside the target and rename over it, so a reader never sees a
     # partial checkpoint and a failed write leaves the previous one intact.
     partial = Path(f"{path}.partial")
@@ -131,42 +132,36 @@ def write_checkpoint(path, state) -> None:
         raise
 
 
-def read_checkpoint(path):
-    """Deserialize a scheme state written by :func:`write_checkpoint`, in format 2 or 1.
+def read_checkpoint(path) -> SchemeState:
+    """Deserialize a scheme state written by :func:`write_checkpoint`; its omega is left unset.
 
-    Raises ``OSError`` for an unreadable file and ``ValueError`` for bad
-    magic bytes, an unknown version, a checksum that does not match, a
-    truncated file, trailing bytes, a non-finite time, a previous-level
-    flag other than 0 or 1, or non-finite values.
+    Only ``CHECKPOINT_VERSION`` is read.  Raises ``OSError`` for an
+    unreadable file and ``ValueError`` for bad magic bytes, any other
+    version, a checksum that does not match, a truncated file, trailing
+    bytes, a non-finite time, a previous-level flag other than 0 or 1, or
+    non-finite values.
     """
-    from .steppers import SchemeState
-
     blob = memoryview(Path(path).read_bytes())  # slices are views: the file is not copied
-    if blob[:4] != CHECKPOINT_MAGIC:
+    _require_length(blob, _CHECKPOINT_HEADER.size + _CHECKSUM.size, "checkpoint")
+    magic, version, step_index, time, has_prev = _CHECKPOINT_HEADER.unpack_from(blob)
+    if magic != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic bytes)")
-    _require_length(blob, 25, "checkpoint header")
-    version, = struct.unpack_from("<I", blob, 4)
-    if version not in (1, 2):
+    if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    if version == 2:
-        _require_length(blob, 29, "checkpoint")
-        blob, crc = blob[:-4], struct.unpack_from("<I", blob, len(blob) - 4)[0]
-        if zlib.crc32(blob) != crc:
-            raise ValueError("checkpoint checksum does not match: the file is corrupt, "
-                             "truncated or extended")
-    step_index, = struct.unpack_from("<Q", blob, 8)
-    time, = struct.unpack_from("<d", blob, 16)
-    has_prev, = struct.unpack_from("<B", blob, 24)
+    blob, checksum = blob[:-_CHECKSUM.size], blob[-_CHECKSUM.size:]
+    if zlib.crc32(blob) != _CHECKSUM.unpack(checksum)[0]:
+        raise ValueError("checkpoint checksum does not match: the file is corrupt, "
+                         "truncated or extended")
     if not np.isfinite(time):
         raise ValueError(f"checkpoint time must be finite, got {time!r}")
     if has_prev not in (0, 1):
         raise ValueError(f"checkpoint previous-level flag must be 0 or 1, got {has_prev}")
-    u, _, end = _parse_snapshot(blob, 25, version == 2)
+    u, _, end = _parse_snapshot(blob, _CHECKPOINT_HEADER.size, with_spectrum=True)
     u_prev = None
     if has_prev:
-        u_prev, _, end = _parse_snapshot(blob, end, version == 2)
+        u_prev, _, end = _parse_snapshot(blob, end, with_spectrum=True)
     _reject_trailing(blob, end, "checkpoint")
-    return SchemeState(u=u, u_prev=u_prev, omega=None, step_index=step_index, time=time)
+    return SchemeState(u=u, u_prev=u_prev, step_index=step_index, time=time)
 
 
 def _cell(value) -> str:

@@ -30,9 +30,9 @@ field is immutable, so its mean is reduced at most once too, on the first
 ``mean`` call, however many steps, state checks and diagnostics ask for
 them.  A level a step solves for holds both forms from the start: the
 spectrum it solved for and the values it took that spectrum to the grid
-as, so no step, record or next step transforms a level forward; only the
-initial field and a level read from a format-1 checkpoint take their
-spectrum as ``rfft2(values)``.  The chemical potential omega is built
+as, and a checkpoint stores both, so no step, record or next step
+transforms a level forward; only the initial field and a level built from
+its values alone take their spectrum as ``rfft2(values)``.  The chemical potential omega is built
 from its spectrum alone, which the record's norms read, so a run never
 takes omega back to the grid.  A field keeps a copy of a caller's
 writeable array; the schemes instead freeze each array they compute

@@ -376,7 +376,8 @@ class SchemeState:
     ``omega`` is the chemical potential the step to u returned; after a
     backward Euler or BDF2 step it is ``chemical_potential(u)`` bit for bit,
     and the next such step builds its first residual from it.  A state
-    without one (a checkpoint holds none) has it evaluated there.
+    without one (a checkpoint holds none) has it evaluated there; a run
+    evaluates it before its first step.
     ``u_prev`` and ``omega`` must be on u's grid (``GeometryMismatchError``),
     and a two-step pair must hold one mass (``StateError``).  A state holds
     only its levels: the F'(u^n) a two_li step reads again is kept on the
@@ -584,6 +585,14 @@ def _residual(linear_part: np.ndarray, rhs_hat: np.ndarray, lam: np.ndarray, loc
     return _project_hermitian(linear_part)
 
 
+def _omega(state: SchemeState, model: Model) -> Field:
+    """The state's omega, else ``chemical_potential`` of its level; a non-finite one raises ``SolverError``."""
+    try:
+        return state.omega if state.omega is not None else chemical_potential(state.u, model)
+    except ValueError as err:  # the geometries were checked: only finiteness can fail
+        raise SolverError(f"the chemical potential of u^n is not finite ({err})") from err
+
+
 def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Operator,
                  rhs_hat: np.ndarray, local, local_slope,
                  explicit_hat: Optional[np.ndarray] = None) -> tuple[Field, Field, int]:
@@ -612,8 +621,9 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     Without an explicit part (backward Euler, BDF2) omega is the chemical
     potential, and a level's omega is ``chemical_potential`` of it bit for
     bit, so the guess's residual is a u_hat^n - rhs_hat + lambda omega_hat^n
-    from the state's omega (``chemical_potential(u^n)`` for a state without
-    one, a resumed run), with no transform; ``newton_solve`` still
+    from the state's omega (``_omega``: ``chemical_potential(u^n)`` for a
+    state without one, and ``SolverError`` where that is not finite), built
+    after the stop, with no transform; ``newton_solve`` still
     evaluates the residual at u^n before it declares u^n converged.  Convex
     splitting's omega holds an explicit part of u^{n-1}, so its first
     residual is evaluated.  The returned iterate is the last residual's: u
@@ -643,12 +653,7 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
     """
     lam, u_hat = model.cache.minus_laplacian_eigenvalues, state.u.spectrum
     target, work = mean(state.u), np.empty_like(u_hat)
-    first = [None]  # popped into newton_solve, so no name here holds it through the solve
-    if explicit_hat is None:
-        omega = state.omega if state.omega is not None else chemical_potential(state.u, model)
-        first[0] = _residual(op.a * u_hat, rhs_hat, lam, omega.spectrum, work)
-        del omega
-    else:
+    if explicit_hat is not None:
         rhs_hat -= np.multiply(lam, explicit_hat, out=work)
 
     h = model.cache.geometry.h
@@ -688,8 +693,11 @@ def _newton_step(state: SchemeState, cfg: SchemeConfig, model: Model, op: _Opera
             point["slope"] = local_slope(point["values"])
         return op.linear * v_hat + lam * rfft2(point["slope"] * irfft2(v_hat, work))
 
-    u_hat, iters, _ = newton_solve(residual, jacobian, u_hat, tol, NEWTON_MAX_ITER,
-                                   lambda r: r * op.inverse, norm, first.pop())
+    # The guess's residual is an argument, so no name here holds it through the solve.
+    u_hat, iters, _ = newton_solve(
+        residual, jacobian, u_hat, tol, NEWTON_MAX_ITER, lambda r: r * op.inverse, norm,
+        None if explicit_hat is not None
+        else _residual(op.a * u_hat, rhs_hat, lam, _omega(state, model).spectrum, work))
     point = evaluated(u_hat)  # the last residual's own point: no transform
     if u_hat is state.u.spectrum:  # the guess
         u = state.u

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nchsolver import (Field, GridGeometry, KernelSpec, Model, PotentialSpec, energy, make_cache,
-                       norm2, sample_kernel)
+from nchsolver import (Field, GridGeometry, KernelSpec, Model, PotentialSpec, SchemeState, energy,
+                       make_cache, norm2, sample_kernel)
+from nchsolver.fieldio import read_checkpoint, write_checkpoint
 from nchsolver.spectral import norm_neg1
 
 DW = PotentialSpec("double_well")
@@ -58,3 +59,17 @@ def recomposed_modified_energy(u, du, tau, model, beta=0.0):
     """
     return energy(u, model) + norm_neg1(du.spectrum, model.cache) ** 2 / (4.0 * tau) \
         + 0.5 * beta * norm2(du) ** 2
+
+
+def overflowing_checkpoint_state(tmp_path):
+    """A state read back from a checkpoint, so without omega: an 8 x 8 level of +-1e110.
+
+    Its chemical potential overflows.  Returns the state, and the Gaussian
+    kernel (cJ 130, xi 10) and the cache of its grid.
+    """
+    geometry = GridGeometry(8, 1.0)
+    signs = np.where(np.indices((8, 8)).sum(axis=0) % 2 == 0, 1.0, -1.0)
+    path = tmp_path / "state.nchk"
+    write_checkpoint(path, SchemeState(u=Field(geometry, 1e110 * signs), step_index=3, time=3e-4))
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geometry)
+    return read_checkpoint(path), kernel, make_cache(geometry)

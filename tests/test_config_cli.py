@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nchsolver import ConfigError, Field, GridGeometry, RunOptions, SchemeConfig
+from nchsolver import ConfigError, Field, GridGeometry, RunOptions, SchemeConfig, SolverError, verify
 from nchsolver.cli import main
 from nchsolver.config import (apply_overrides, build_initial_field, build_kernel,
                               build_scheme_config, emit_config, load_config,
@@ -62,6 +62,26 @@ def test_parse_requires_conditional_keys():
     text = BASE.format(out="o").replace("backward_euler", "ssi1")
     with pytest.raises(ConfigError, match="model.potential.K"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "constant"])
+def test_cli_check_kernel_without_its_amplitude_exits_2(tmp_path, capsys, kind):
+    text = BASE.format(out="o").replace("model.kernel.cJ = 12.5\n", "")
+    if kind == "constant":
+        text = text.replace("gaussian", "constant").replace("model.kernel.xi = 10.0\n", "")
+    assert main(["check", str(_write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: kernel type {kind!r} requires model.kernel.cJ" in err
+
+
+def test_cli_solver_error_exits_3(monkeypatch, capsys):
+    # A SolverError that reaches main is reported, not raised.
+    def fail():
+        raise SolverError("no descent direction")
+
+    monkeypatch.setattr(verify, "run_all_checks", fail)
+    assert main(["verify"]) == 3
+    assert capsys.readouterr().err == "solver error: no descent direction\n"
 
 
 @pytest.mark.parametrize("cls, kwargs, match", [

@@ -17,7 +17,7 @@ from nchsolver import grid, kernels, oracles, solvers, spectral, steppers
 from nchsolver.fieldio import read_checkpoint, write_checkpoint
 from nchsolver.oracles import dense_minus_laplacian_pinv, zero_mean
 
-from conftest import negative_gap_table, recomposed_modified_energy
+from conftest import negative_gap_table, overflowing_checkpoint_state, recomposed_modified_energy
 
 GEO = GridGeometry(16, 1.0)
 CACHE = make_cache(GEO)
@@ -627,6 +627,73 @@ def test_restart_reproduces_records_bit_identically(scheme, tmp_path):
     assert len(full_tail) == len(resumed_records) == 10
     for a, b in zip(full_tail, resumed_records):
         assert a == b  # bit-identical dataclasses, float for float
+
+
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_a_run_resumes_from_levels_given_as_values_alone(scheme):
+    # Levels built from their values alone take rfft2(values) as their
+    # spectra: the run is the one resumed from levels given both forms, and
+    # follows the uninterrupted run to rounding.
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=31)
+    cfg = _cfg(scheme, tau=1e-4 if scheme == "two_li" else 0.01)
+    kernel = sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO) if scheme == "two_li" else GAUSS
+    options = RunOptions(max_steps=8, eq_tol=1e-14)
+    full = run(u0, cfg, kernel, CACHE, options)
+    half = run(u0, cfg, kernel, CACHE, RunOptions(max_steps=4, eq_tol=1e-14)).final_state
+
+    def level(field, with_spectrum):
+        if field is None:
+            return None
+        return Field(GEO, field.values, scipy.fft.rfft2(field.values) if with_spectrum else None)
+
+    values_alone, both_forms = (
+        run(None, cfg, kernel, CACHE, options, initial_state=SchemeState(
+            u=level(half.u, both), u_prev=level(half.u_prev, both), step_index=4, time=half.time))
+        for both in (False, True))
+    assert values_alone.termination == "max_steps"
+    assert [r.step for r in values_alone.records] == [5, 6, 7, 8]
+    assert values_alone.records == both_forms.records
+    for resumed, uninterrupted in zip(values_alone.records, full.records[5:]):
+        assert resumed.step == uninterrupted.step
+        assert resumed.mass == pytest.approx(uninterrupted.mass, rel=0.0, abs=1e-17)
+        assert resumed.energy == pytest.approx(uninterrupted.energy, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["backward_euler", "convex_splitting", "bdf2"])
+def test_a_resumed_state_whose_chemical_potential_overflows_is_a_config_error(scheme, tmp_path):
+    # A checkpoint holds no omega: the run evaluates it before the first step,
+    # as a fresh start does, so one that is not finite is the ConfigError of a
+    # fresh start from the same level, with no numpy warning.
+    state, kernel, cache = overflowing_checkpoint_state(tmp_path)
+    cfg = SchemeConfig(scheme, 1e-4, 1.0)
+    for u0, initial_state in ((None, state), (state.u, None)):
+        with pytest.raises(ConfigError, match="chemical potential of the initial field is not finite"):
+            run(u0, cfg, kernel, cache, RunOptions(max_steps=5), initial_state=initial_state)
+
+
+@pytest.mark.parametrize("given", ["both", "neither"])
+def test_run_takes_exactly_one_of_u0_and_initial_state(given):
+    u0 = random_initial_field(GEO, 0.0, 0.05, seed=3)
+    state = SchemeState(u=u0) if given == "both" else None
+    with pytest.raises(ConfigError, match="exactly one of u0 and initial_state must be given"):
+        run(u0 if given == "both" else None, _cfg(), GAUSS, CACHE, RunOptions(max_steps=1),
+            initial_state=state)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_final_equilibrium_residual_that_overflows_ends_the_run_with_error():
+    # A resumed state at its step budget takes no step.  Its omega is finite,
+    # but its power overflows, so the residual is not finite: the run ends in
+    # error at that step, with no numpy warning.
+    u = random_initial_field(GEO, 0.0, 0.05, seed=3)
+    signs = np.where(np.indices((16, 16)).sum(axis=0) % 2 == 0, 1.0, -1.0)
+    state = SchemeState(u=u, omega=Field(GEO, 1e200 * signs), step_index=3, time=0.03)
+    result = run(None, _cfg("ssi1"), GAUSS, CACHE, RunOptions(max_steps=3), initial_state=state)
+    assert result.termination == "error" and result.records == []
+    assert result.final_state is state and not math.isfinite(result.equilibrium_residual)
+    assert result.error_detail == (f"step 3: equilibrium_residual is not finite "
+                                   f"({result.equilibrium_residual!r})")
 
 
 def test_two_li_final_state_drops_its_kept_array_and_continues_bit_for_bit():

@@ -26,6 +26,11 @@ def test_truncated_requires_cutoff_above_one():
         PotentialSpec("truncated")
 
 
+def test_unknown_potential_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown potential 'quartic'"):
+        PotentialSpec("quartic")
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, 5.0])
 def test_truncated_branches_join_smoothly(k):
     spec = PotentialSpec("truncated", k)

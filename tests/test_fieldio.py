@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.fft import rfft2
 
-from nchsolver import (Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig, SchemeState,
-                       make_cache, random_initial_field, run, sample_kernel)
+from nchsolver import Field, GridGeometry, SchemeState
 from nchsolver.driver import DiagnosticsRecord
-from nchsolver.fieldio import (DIAGNOSTICS_HEADER, _snapshot_bytes, read_checkpoint, read_field,
-                               write_checkpoint, write_diagnostics, write_field)
+from nchsolver.fieldio import (CHECKPOINT_VERSION, DIAGNOSTICS_HEADER, _snapshot_bytes,
+                               read_checkpoint, read_field, write_checkpoint, write_diagnostics,
+                               write_field)
 
 from conftest import random_field
 
@@ -162,32 +162,22 @@ def _format1_checkpoint(state) -> bytes:
         + b"".join(_snapshot_bytes(level, state.time) for level in levels)
 
 
-def test_format1_checkpoint_reads_and_resumes(tmp_path):
-    # Format 1 holds values alone: its levels take rfft2(values) as their
-    # spectra, and a run resumed from it is the run resumed from those values.
-    geo = GridGeometry(8, 1.0)
-    kernel, cache = sample_kernel(KernelSpec.gaussian(130.0, 10.0), geo), make_cache(geo)
-    cfg = SchemeConfig("two_li", 1e-4, 1.0, cutoff=2.0)
-    half = run(random_initial_field(geo, 0.0, 0.05, seed=3), cfg, kernel, cache,
-               RunOptions(max_steps=4, eq_tol=1e-14)).final_state
+def test_checkpoint_reads_only_the_version_it_writes(tmp_path, rng):
+    # A format-1 file (values alone, no checksum), and the written layout
+    # under any other version with a valid checksum, are rejected.
+    geo = GridGeometry(4, 1.0)
+    u = random_field(geo, rng)
+    state = SchemeState(u=u, u_prev=Field(geo, u.values[::-1].copy()), step_index=3, time=0.3)
     path = tmp_path / "state.nchk"
-    path.write_bytes(_format1_checkpoint(half))
-    back = read_checkpoint(path)
-    assert (back.step_index, back.time) == (half.step_index, half.time)
-    for read, level in ((back.u, half.u), (back.u_prev, half.u_prev)):
-        assert np.array_equal(read.values, level.values)
-        assert np.array_equal(read.spectrum, rfft2(level.values))
-    options = RunOptions(max_steps=8, eq_tol=1e-14)
-    tail = run(None, cfg, kernel, cache, options, initial_state=back)
-    from_values = run(None, cfg, kernel, cache, options, initial_state=SchemeState(
-        u=Field(geo, half.u.values), u_prev=Field(geo, half.u_prev.values),
-        step_index=half.step_index, time=half.time))
-    assert tail.termination == "max_steps" and [r.step for r in tail.records] == [5, 6, 7, 8]
-    assert tail.records == from_values.records
-    blob = path.read_bytes()
-    for bad in (blob + b"\0", blob[:-1], blob[:20]):
-        path.write_bytes(bad)
-        with pytest.raises(ValueError):
+    path.write_bytes(_format1_checkpoint(state))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        read_checkpoint(path)
+    write_checkpoint(path, state)
+    written = path.read_bytes()
+    assert struct.unpack_from("<I", written, 4) == (CHECKPOINT_VERSION,)
+    for version in (1, CHECKPOINT_VERSION + 1):
+        path.write_bytes(_resealed(written, 4, "<I", version))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
             read_checkpoint(path)
 
 

@@ -15,7 +15,7 @@ from nchsolver.spectral import laplacian_apply, norm_neg1
 from nchsolver.steppers import _SCHEMES, SCHEMES, TWO_STEP_SCHEMES
 from nchsolver.oracles import dense_linear_step, dense_nonlinear_step, zero_mean
 
-from conftest import random_field, recomposed_modified_energy
+from conftest import overflowing_checkpoint_state, random_field, recomposed_modified_energy
 
 GEO = GridGeometry(8, 1.0)
 CACHE = make_cache(GEO)
@@ -592,6 +592,29 @@ def test_newton_supplied_residual_is_evaluated_once_its_first_trial_is_dropped(r
     assert len(evaluated_at) == 3 and np.array_equal(evaluated_at[1], u0)
 
 
+def test_newton_returns_the_guess_when_its_own_residual_meets_the_tolerance(monkeypatch):
+    # The supplied residual is wrong and its first trial is dropped; the
+    # guess's own residual then meets tol, so the guess returns with 0
+    # iterations and no Krylov solve.
+    def gmres(*args, **kwargs):
+        raise AssertionError("gmres called")
+
+    monkeypatch.setattr(solvers, "gmres", gmres)
+    u0 = np.zeros((4, 4))
+    u, iters, history = newton_solve(lambda u: u, lambda u, v: v, u0, 1e-12, 10,
+                                     lambda r: r, np.linalg.norm, np.ones((4, 4)))
+    assert u is u0 and iters == 0 and history == [0.0]
+
+
+def test_newton_raises_when_the_krylov_solve_fails(monkeypatch):
+    # GMRES returns info < 0 for an illegal input or a breakdown.
+    monkeypatch.setattr(solvers, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), -1))
+    with pytest.raises(SolverError, match=r"inner Krylov solve failed \(info=-1\)") as excinfo:
+        newton_solve(lambda u: u * u + 1.0, lambda u, v: 2.0 * u * v,
+                     np.ones((2, 2)), 1e-12, 5, lambda v: v, np.linalg.norm)
+    assert len(excinfo.value.residuals) >= 1
+
+
 def test_newton_nonconvergence_raises_with_history():
     # Residual with no root: r(u) = u^2 + 1 elementwise.
     with pytest.raises(SolverError) as excinfo:
@@ -681,6 +704,41 @@ def test_newton_step_whose_stop_overflows_fails_as_a_solver_error(rng):
     u = Field(GEO, 1e52 * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, (8, 8))))
     with pytest.raises(SolverError, match="Newton stop overflows"):
         _unchecked(SchemeState(u=u), cfg, cfg.model(STRONG, CACHE))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["backward_euler", "convex_splitting", "bdf2"])
+def test_newton_step_from_a_state_whose_chemical_potential_overflows_is_a_solver_error(scheme, tmp_path):
+    # A state without omega, read from a checkpoint: its step fails as a
+    # diverged step does, with no numpy warning, not with a ValueError.
+    state, kernel, cache = overflowing_checkpoint_state(tmp_path)
+    cfg = SchemeConfig(scheme, 1e-4, 1.0)
+    with pytest.raises(SolverError):
+        advance(state, cfg, cfg.model(kernel, cache))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
+def test_newton_step_whose_first_residual_overflows_under_a_finite_stop_is_a_solver_error(scheme):
+    # On L = 1000 the lowest mode's lambda is 4e-5, so G u_hat overflows at
+    # G = 1e300 while the stop's lambda G u_hat does not: the chemical
+    # potential the guess's residual reads is not finite, and the stop is.
+    geo = GridGeometry(8, 1000.0)
+    values = np.repeat(3e7 * np.cos(2.0 * np.pi * np.arange(8) / 8)[:, None], 8, axis=1)
+    cfg = SchemeConfig(scheme, 1e-4, 1e147)
+    model = cfg.model(sample_kernel(KernelSpec.constant(1.0), geo), make_cache(geo))
+    with pytest.raises(SolverError, match="the chemical potential of u\\^n is not finite"):
+        advance(SchemeState(u=Field(geo, values)), cfg, model)
+
+
+def test_norm_of_non_finite_modes_is_not_finite():
+    # The rescaled retry needs a finite largest component; inf or NaN modes
+    # keep the non-finite norm.
+    modes = np.zeros((8, 5), dtype=complex)
+    for bad, expected in ((np.inf, np.inf), (complex(0.0, -np.inf), np.inf), (np.nan, None)):
+        modes[1, 1] = bad
+        norm = steppers._norm(modes, GEO.h)
+        assert np.isnan(norm) if expected is None else norm == expected
 
 
 @pytest.mark.parametrize("scheme", ["ssi1", "two_li"])
