@@ -61,7 +61,11 @@ _CUTOFF_MAX = 8.7e76
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bulk potential selector: plain double well or its C^2 truncation at K."""
+    """Bulk potential selector: plain double well or its C^2 truncation at K.
+
+    ``cutoff`` is K, which the truncated variant requires and the double
+    well refuses, so two specs of one potential are equal.
+    """
 
     variant: str = "double_well"
     cutoff: Optional[float] = None
@@ -69,9 +73,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.variant not in POTENTIAL_VARIANTS:
             raise ConfigError(f"unknown potential {self.variant!r}; expected one of {POTENTIAL_VARIANTS}")
-        if self.variant == "truncated":
-            if self.cutoff is None or not 1.0 < self.cutoff <= _CUTOFF_MAX:
-                raise ConfigError(f"truncation point K must lie in (1, {_CUTOFF_MAX!r}], got {self.cutoff}")
+        if self.variant == "truncated" and (self.cutoff is None or not 1.0 < self.cutoff <= _CUTOFF_MAX):
+            raise ConfigError(f"truncation point K must lie in (1, {_CUTOFF_MAX!r}], got {self.cutoff}")
+        if self.variant == "double_well" and self.cutoff is not None:  # K belongs to F_K alone
+            raise ConfigError(f"the double well takes no truncation point, got K = {self.cutoff}")
 
     @property
     def curvature_bound(self) -> Optional[float]:

@@ -67,8 +67,11 @@ class KernelSpec:
     """Description of a continuous interaction kernel.
 
     ``amplitude`` is the kernel prefactor (the constant value for the
-    constant variant), ``decay_rate`` the Gaussian exponent, ``images`` the
-    number of periodic image shifts folded in per direction.
+    constant variant), ``decay_rate`` the Gaussian exponent, both positive
+    and finite, ``images`` the number of periodic image shifts folded in
+    per direction.  A tabulated spec holds its own read-only copy of
+    ``table``, so the caller's array stays writeable and later writes to
+    it do not reach the spec.
     """
 
     variant: str
@@ -80,16 +83,16 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in KERNEL_VARIANTS:
             raise ConfigError(f"unknown kernel variant {self.variant!r}; expected one of {KERNEL_VARIANTS}")
-        if self.variant in ("gaussian", "constant") and not self.amplitude > 0.0:
-            raise ConfigError(f"kernel amplitude must be positive, got {self.amplitude}")
-        if self.variant == "gaussian" and not self.decay_rate > 0.0:
-            raise ConfigError(f"kernel decay rate must be positive, got {self.decay_rate}")
+        if self.variant in ("gaussian", "constant") and not 0.0 < self.amplitude < np.inf:
+            raise ConfigError(f"kernel amplitude must be positive and finite, got {self.amplitude}")
+        if self.variant == "gaussian" and not 0.0 < self.decay_rate < np.inf:
+            raise ConfigError(f"kernel decay rate must be positive and finite, got {self.decay_rate}")
         if self.images < 0:
             raise ConfigError(f"kernel image count must be >= 0, got {self.images}")
         if self.variant == "tabulated":
             if self.table is None:
                 raise ConfigError("tabulated kernel requires a table of vertex values")
-            table = np.asarray(self.table, dtype=np.float64)
+            table = np.array(self.table, dtype=np.float64)  # the spec's own copy, which it freezes
             if table.ndim != 2 or table.shape[0] != table.shape[1]:
                 raise ConfigError(f"tabulated kernel must be a square array, got shape {table.shape}")
             if not np.isfinite(table).all():
@@ -107,7 +110,7 @@ class KernelSpec:
 
     @classmethod
     def tabulated(cls, values) -> "KernelSpec":
-        return cls("tabulated", table=np.array(values, dtype=np.float64))
+        return cls("tabulated", table=values)
 
 
 @dataclass(frozen=True, eq=False)

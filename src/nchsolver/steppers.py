@@ -40,18 +40,18 @@ of one private table, ``_SCHEMES``, and no function tests a scheme's name:
 I is the symbol of omega's implicit linear part (sigma = 2 eps^2 [J(*)1]),
 and slope the pointwise slope a Newton step's preconditioner freezes; a
 row with no slope is a linear scheme, one DFT-diagonal solve.  A row also
-holds its admissibility rule and, for two_li, the weight beta/2 of
-||du||_2^2 in the modified energy.  ``advance`` reads the row's step
-count, bootstrap, parts and slope, ``_operator`` its I and slope,
-``_newton_step`` its slope, ``check_solvability`` its rule,
-``modified_energy`` its weight, ``cli`` its step count and bootstrap, and
-``SchemeConfig`` its potential, which ``config`` also takes as the default
-of ``model.potential.type``.  ``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read
-off the table.  beta = 3K^2 - 1, the curvature bound of the truncated
-potential F_K, is read in one place, the run's potential
-(``model.potential.curvature_bound``): by the ssi1 and two_li rules, the
-two_li bootstrap and the two_li weight, all rows of schemes that require
-F_K.
+holds its admissibility rule, as data, and, for two_li, the weight beta/2
+of ||du||_2^2 in the modified energy.  ``advance`` reads the row's step
+count (two for a row with a bootstrap), bootstrap, parts and slope,
+``_operator`` its I and slope, ``_newton_step`` its slope,
+``check_solvability`` its rule, ``modified_energy`` its weight, ``cli``
+its step count and bootstrap, and ``SchemeConfig`` its potential, which
+``config`` also takes as the default of ``model.potential.type``.
+``SCHEMES`` and ``TWO_STEP_SCHEMES`` are read off the table.  beta =
+3K^2 - 1, the curvature bound of the truncated potential F_K, is read in
+one place, the run's potential (``model.potential.curvature_bound``): by
+the ssi1 and two_li rules, the two_li bootstrap and the two_li weight, all
+rows of schemes that require F_K.
 
 Both operators are diagonal in the DFT basis and applied only as products
 of their half-spectrum symbols with spectra, never on the grid: -Lap
@@ -65,17 +65,26 @@ the energy E for the one-step schemes, and for the two-step ones the
 modified energy ``modified_energy``, the one place it is written.
 
 Admissibility is decided by an exact per-mode check instead of a
-non-constructive kernel constant: for each nonzero DFT mode the convexity
-quantity
+non-constructive kernel constant.  Every rule is one inequality, the
+per-mode convexity of Guan, Wang & Wise (Numer. Math. 128, 2014): at each
+nonzero DFT mode m
 
-    q(m) = 1 / (c_s tau lambda_m) + eps^2 [J(*)1] - eps^2 j_hat_m - 1
+    q(m) = 1 / (c_s tau lambda_m) + G_m - level >= 0,
 
-must be nonnegative (c_s = 1 for backward Euler, 2/3 for the two-step
-scheme, matching the coefficient of the negative-norm term in the
-respective convexity computations).  The linear schemes use the closed-form
-inequalities on (S, beta) and (beta, tau, gamma0), with the same per-mode
-surrogate replacing the kernel constant.  ``check_solvability`` is the one
-place that decides admissibility, ssi1's S >= beta/2 included: a
+with G_m = eps^2 ([J(*)1] - j_hat_m), and for the two linear schemes a
+tau-free bound >= 0 besides.  c_s is the coefficient of the negative-norm
+term in the scheme's convexity computation.  A row holds its rule as the
+data (c_s, level, bound):
+
+    scheme            c_s   level    bound
+    backward_euler    1     1        --
+    bdf2              2/3   1        --
+    ssi1              1     -S       S - beta/2
+    two_li            1/2   3 beta   (gamma0 + 1)/3 - beta
+    convex_splitting  no rule: admissible at every tau
+
+``check_solvability`` is the one place that decides admissibility, and it
+evaluates this one formula for every row, ssi1's S >= beta/2 included: a
 ``SchemeConfig`` holds any step size and stabilization.  The policy field
 decides whether an inadmissible configuration rejects the step, warns, or
 is ignored.  ``advance``, the one way to take a step, is the one place
@@ -181,7 +190,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -216,21 +224,26 @@ class _Scheme(NamedTuple):
     pointwise ``local`` and its derivative (None for a linear scheme) and
     the spectrum of the explicit part (None if there is none), and the
     F'(u^n) it evaluated on the way (None if it evaluated none).
-    ``admissibility(cfg, model, lam, gap)``, on the half spectrum, gives
-    (per_mode_min, margin, admissible) before gamma0 > 0 is required, and
-    ``increment_weight(model)`` weighs ||du||_2^2 in the modified energy
-    (None for no such term).  A row calls ``potential_d1``, ``potential_d2``
-    and ``rfft2`` through this module's names, looked up at each call.
+    ``rule(cfg, model)`` gives the data (c_s, level, bound) of the
+    scheme's admissibility rule, q(m) = 1 / (c_s tau lambda_m) + G_m -
+    level >= 0 at every nonzero mode and bound >= 0 (+inf for no bound),
+    which ``check_solvability`` evaluates (None for convex splitting,
+    admissible at every tau).  A two-step scheme is one with a bootstrap
+    (``two_step``).  ``increment_weight(model)`` weighs ||du||_2^2 in the
+    modified energy (None for no such term).  A row calls
+    ``potential_d1``, ``potential_d2`` and ``rfft2`` through this module's
+    names, looked up at each call.
     """
 
-    two_step: bool
     potential: Optional[str]
     bootstrap: Optional[Callable]
     implicit: Callable
     slope: Optional[float]
     omega: Callable
-    admissibility: Callable
+    rule: Optional[Callable]
     increment_weight: Optional[Callable] = None
+
+    two_step = property(lambda row: row.bootstrap is not None)  # a two-step scheme is one with a bootstrap
 
 
 def _gap(cfg, model):
@@ -268,39 +281,30 @@ def _two_li_explicit(state, cfg, model, op):
     return None, None, rfft2(explicit), d1
 
 
-def _convexity(c_s, cfg, model, lam, gap):
-    """q(m) = 1 / (c_s tau lambda_m) + G_m - 1 >= 0: backward Euler with c_s = 1, BDF2 with 2/3."""
-    per_mode_min = float((1.0 / (c_s * cfg.tau * lam) + gap - 1.0).min())
-    return per_mode_min, per_mode_min, per_mode_min >= 0.0
+def _ssi1_rule(cfg, model):
+    """S >= beta/2, and 1 / (tau lambda_m) + G_m + S >= 0 at every mode."""
+    return 1.0, -cfg.stabilization, cfg.stabilization - 0.5 * model.potential.curvature_bound
 
 
-def _ssi1_rule(cfg, model, lam, gap):
-    """S >= beta/2, with 1 / (tau lambda_m) + S + G_m positive at every mode."""
-    per_mode_min = float((1.0 / (cfg.tau * lam) + cfg.stabilization + gap).min())
-    margin = cfg.stabilization - 0.5 * model.potential.curvature_bound
-    return per_mode_min, margin, margin >= 0.0 and per_mode_min > 0.0
-
-
-def _two_li_rule(cfg, model, lam, gap):
-    """(gamma0 + 1) / 3 >= beta and 2 / (tau lambda_m) + G_m - 3 beta >= 0; the margin is the lesser."""
+def _two_li_rule(cfg, model):
+    """(gamma0 + 1) / 3 >= beta, and 2 / (tau lambda_m) + G_m - 3 beta >= 0 at every mode."""
     beta = model.potential.curvature_bound
-    per_mode_min = float((2.0 / (cfg.tau * lam) + gap - 3.0 * beta).min())
-    closed_form = (model.gamma0 + 1.0) / 3.0 - beta
-    return per_mode_min, min(closed_form, per_mode_min), closed_form >= 0.0 and per_mode_min >= 0.0
+    return 0.5, 3.0 * beta, (model.gamma0 + 1.0) / 3.0 - beta
 
 
-# Columns: two_step, potential, bootstrap, implicit, slope, omega, admissibility, increment_weight.
+# Columns: potential, bootstrap, implicit, slope, omega, rule, increment_weight.
 _SCHEMES: dict[str, _Scheme] = {
-    "backward_euler": _Scheme(False, None, None, _gap, -1.0, _implicit_potential, partial(_convexity, 1.0)),
+    "backward_euler": _Scheme(None, None, _gap, -1.0, _implicit_potential,
+                              lambda cfg, model: (1.0, 1.0, np.inf)),
     "convex_splitting": _Scheme(
-        False, "double_well", None, lambda cfg, model: 2.0 * model.epsilon**2 * model.kernel.conv_one,
-        0.0, _convex_split, lambda cfg, model, lam, gap: (np.inf, np.inf, True)),
-    "ssi1": _Scheme(False, "truncated", None, lambda cfg, model: _freeze(cfg.stabilization + model.gap),
+        "double_well", None, lambda cfg, model: 2.0 * model.epsilon**2 * model.kernel.conv_one,
+        0.0, _convex_split, None),
+    "ssi1": _Scheme("truncated", None, lambda cfg, model: _freeze(cfg.stabilization + model.gap),
                     None, _ssi1_explicit, _ssi1_rule),
-    "bdf2": _Scheme(True, None, lambda cfg, model: replace(cfg, scheme="backward_euler"), _gap, -1.0,
-                    _implicit_potential, partial(_convexity, 2.0 / 3.0)),
+    "bdf2": _Scheme(None, lambda cfg, model: replace(cfg, scheme="backward_euler"), _gap, -1.0,
+                    _implicit_potential, lambda cfg, model: (2.0 / 3.0, 1.0, np.inf)),
     "two_li": _Scheme(
-        True, "truncated",
+        "truncated",
         lambda cfg, model: replace(cfg, scheme="ssi1", stabilization=max(
             cfg.stabilization, 0.5 * model.potential.curvature_bound)),
         _gap, None, _two_li_explicit, _two_li_rule, lambda model: 0.5 * model.potential.curvature_bound),
@@ -433,11 +437,12 @@ class SolvabilityReport:
     """Exact per-grid admissibility check of the scheme's step size.
 
     ``per_mode_min`` is the minimum over nonzero DFT modes of the scheme's
-    convexity/stability quantity; ``margin`` the binding margin whose
-    nonnegativity decides admissibility (infinite for the unconditional
-    scheme).  ``gamma0 > 0`` (``Model.gamma0``) is required for every
-    scheme.  The inputs it was checked for, the ``SchemeConfig`` and the
-    ``Model``, are not repeated here.
+    convexity quantity q(m); ``margin`` the binding margin, the lesser of
+    that minimum and the scheme's tau-free bound, whose nonnegativity
+    decides admissibility (infinite for the unconditional scheme).
+    ``gamma0 > 0`` (``Model.gamma0``) is required for every scheme.  The
+    inputs it was checked for, the ``SchemeConfig`` and the ``Model``, are
+    not repeated here.
     """
 
     admissible: bool
@@ -448,25 +453,35 @@ class SolvabilityReport:
 
 @np.errstate(over="ignore", divide="ignore")
 def check_solvability(cfg: SchemeConfig, model: Model) -> SolvabilityReport:
-    """Evaluate the scheme's admissibility condition mode by mode.
+    """Evaluate the scheme's admissibility rule mode by mode: one formula for every row.
 
-    Each rule is evaluated on the whole half spectrum, where the constant
-    mode's 1 / (tau lambda) is +inf, so its quantity is +inf and no minimum
-    picks it.  Boundary cases with margin exactly 0 are admissible; the note
-    records that the underlying sufficient conditions are sharp there.  A
-    tau so small that 1 / (tau lambda) overflows makes that mode's quantity
-    infinite, and admissible, without a numpy warning.
+    With the row's rule data (c_s, level, bound) (``_Scheme.rule``),
+    ``per_mode_min`` is the minimum over the half spectrum of
+    1 / (c_s tau lambda_m) + G_m - level, and ``margin`` the lesser of
+    bound and per_mode_min (bound is +inf for backward Euler and BDF2).
+    Convex splitting has no rule: both are +inf.  The report is admissible
+    exactly when gamma0 > 0 and margin >= 0, for every scheme.  The
+    constant mode's 1 / (tau lambda) is +inf, so its quantity is +inf and
+    no minimum picks it.  Boundary cases with margin exactly 0 are
+    admissible; the note records that the underlying sufficient conditions
+    are sharp there.  A tau so small that 1 / (tau lambda) overflows makes
+    that mode's quantity infinite, and admissible, without a numpy warning.
     """
-    lam = model.cache.minus_laplacian_eigenvalues
-    per_mode_min, margin, admissible = _SCHEMES[cfg.scheme].admissibility(cfg, model, lam, model.gap)
+    per_mode_min = margin = np.inf
+    rule = _SCHEMES[cfg.scheme].rule
+    if rule is not None:  # convex splitting has none
+        c_s, level, bound = rule(cfg, model)
+        lam = model.cache.minus_laplacian_eigenvalues
+        per_mode_min = float((1.0 / (c_s * cfg.tau * lam) + model.gap - level).min())
+        margin = min(bound, per_mode_min)
     note = ""
     if model.gamma0 <= 0.0:
         note = f"gamma0 = {model.gamma0!r} <= 0 violates the positive-diffusivity assumption"
     elif margin == 0.0:
         note = "margin is exactly 0: admissibility is decided at the sharp boundary"
 
-    return SolvabilityReport(admissible=model.gamma0 > 0.0 and admissible, margin=float(margin),
-                             per_mode_min=float(per_mode_min), note=note)
+    return SolvabilityReport(admissible=model.gamma0 > 0.0 and margin >= 0.0, margin=margin,
+                             per_mode_min=per_mode_min, note=note)
 
 
 def _apply_policy(cfg: SchemeConfig, model: Model):

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nchsolver import ConfigError, Field, GridGeometry, RunOptions, SchemeConfig, SolverError, verify
+from nchsolver import (ConfigError, Field, GridGeometry, KernelSpec, RunOptions, SchemeConfig, SolverError,
+                       verify)
 from nchsolver.cli import main
 from nchsolver.config import (apply_overrides, build_initial_field, build_kernel,
                               build_scheme_config, emit_config, load_config,
@@ -106,6 +107,10 @@ def test_cli_solver_error_exits_3(monkeypatch, capsys):
                  "requires the double_well potential", id="convex_splitting_truncated"),
     pytest.param(SchemeConfig, {"scheme": "two_li", "potential_variant": "double_well"},
                  "requires the truncated potential", id="two_li_double_well"),
+    pytest.param(KernelSpec, {"amplitude": float("inf")}, "kernel amplitude", id="amplitude_inf"),
+    pytest.param(KernelSpec, {"decay_rate": float("inf")}, "kernel decay rate", id="decay_rate_inf"),
+    pytest.param(KernelSpec, {"variant": "constant", "amplitude": float("inf")}, "kernel amplitude",
+                 id="constant_inf"),
     pytest.param(RunOptions, {"max_steps": 0}, "max_steps", id="max_steps"),
     pytest.param(RunOptions, {"eq_tol": float("nan")}, "eq_tol", id="eq_tol_nan"),
     pytest.param(RunOptions, {"eq_tol": 0.0}, "eq_tol", id="eq_tol_zero"),
@@ -117,7 +122,7 @@ def test_cli_solver_error_exits_3(monkeypatch, capsys):
 def test_library_configs_validate_without_the_schema(cls, kwargs, match):
     # Library callers build these directly, with no config schema in front.
     base = {SchemeConfig: dict(scheme="backward_euler", tau=0.1, epsilon=1.0),
-            RunOptions: dict(max_steps=10)}[cls]
+            KernelSpec: dict(variant="gaussian"), RunOptions: dict(max_steps=10)}[cls]
     with pytest.raises(ConfigError, match=match):
         cls(**{**base, **kwargs})
 

@@ -26,6 +26,13 @@ def test_truncated_requires_cutoff_above_one():
         PotentialSpec("truncated")
 
 
+def test_double_well_takes_no_truncation_point():
+    # K belongs to F_K alone, so every double well is the one spec a configuration builds.
+    with pytest.raises(ConfigError, match="takes no truncation point"):
+        PotentialSpec("double_well", 2.0)
+    assert SchemeConfig("backward_euler", 0.1, 1.0, cutoff=3.0).potential == PotentialSpec("double_well")
+
+
 def test_unknown_potential_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown potential 'quartic'"):
         PotentialSpec("quartic")

@@ -31,6 +31,16 @@ def test_kernel_spec_validation():
         KernelSpec("tabulated")
 
 
+@pytest.mark.parametrize("build", [lambda a: KernelSpec("tabulated", table=a), KernelSpec.tabulated],
+                         ids=["constructor", "tabulated"])
+def test_tabulated_spec_keeps_its_own_copy_of_the_table(build):
+    table = np.ones((8, 8))
+    spec = build(table)
+    assert table.flags.writeable and not spec.table.flags.writeable
+    table[0, 0] = 5.0  # the caller's array stays theirs, and the spec does not see the write
+    assert spec.table[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("table, match", [
     (np.ones((8, 4)), "must be a square array"),
     (np.ones(8), "must be a square array"),

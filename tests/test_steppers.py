@@ -354,6 +354,46 @@ def test_two_li_beta_bound_is_binding():
     assert ok.admissible
 
 
+GEO16 = GridGeometry(16, 1.0)
+CACHE16 = make_cache(GEO16)
+_COS16 = np.cos(2.0 * np.pi * np.arange(16) / 16)
+RULE_KERNELS = {  # the benchmark, the phase-separating, one with G_m < 0 at some modes, one with gamma0 < 0
+    "benchmark": sample_kernel(KernelSpec.gaussian(130.0, 10.0), GEO16),
+    "phase_separating": sample_kernel(KernelSpec.gaussian(3000.0, 1000.0), GEO16),
+    "tabulated": sample_kernel(KernelSpec.tabulated(3.0 + 30.0 * np.outer(_COS16, _COS16)), GEO16),
+    "gamma0_negative": sample_kernel(KernelSpec.constant(0.5), GEO16),
+}
+RULE_TAUS = (1e-1, 1e-2, 1e-4, 1e-300)
+RULE_S_K = ((1.2, 1.05), (5.5, 2.0), (0.0, 2.0))
+
+
+@pytest.mark.parametrize("kernel", RULE_KERNELS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_report_is_its_rule_and_admissible_exactly_when_gamma0_and_its_margin_allow(scheme, kernel):
+    # Each scheme's rule written out: the per-mode quantity on the nonzero modes and the
+    # tau-free bound, whose lesser is the margin.  ssi1 on the tabulated kernel at tau = 0.1,
+    # S = 1.2, K = 1.05: S - beta/2 is 0.046, but the quantity is -3.17 at a mode.
+    lam = CACHE16.minus_laplacian_eigenvalues
+    for tau in RULE_TAUS:
+        for stabilization, cutoff in RULE_S_K:
+            cfg = SchemeConfig(scheme, tau, 1.0, stabilization=stabilization, cutoff=cutoff,
+                               stability_policy="warn")
+            model = cfg.model(RULE_KERNELS[kernel], CACHE16)
+            beta, gap = 3.0 * cutoff**2 - 1.0, model.gap[lam > 0.0]
+            x = 1.0 / (tau * lam[lam > 0.0])
+            quantity, bound = {
+                "backward_euler": (x + gap - 1.0, np.inf),
+                "bdf2": (1.5 * x + gap - 1.0, np.inf),
+                "ssi1": (x + gap + stabilization, stabilization - 0.5 * beta),
+                "two_li": (2.0 * x + gap - 3.0 * beta, (model.gamma0 + 1.0) / 3.0 - beta),
+                "convex_splitting": (np.array([np.inf]), np.inf),
+            }[scheme]
+            report = check_solvability(cfg, model)
+            assert report.per_mode_min == pytest.approx(quantity.min(), rel=1e-13, abs=1e-12)
+            assert report.margin == pytest.approx(min(bound, quantity.min()), rel=1e-13, abs=1e-12)
+            assert report.admissible == (model.gamma0 > 0.0 and report.margin >= 0.0), (tau, stabilization)
+
+
 # --- policy handling ---------------------------------------------------------
 
 def test_enforce_policy_rejects_step(rng):
